@@ -101,16 +101,6 @@ let compile_cmd =
 
 (* ---- run (dry run against a synthetic environment) ---- *)
 
-let engine_arg =
-  let doc =
-    "Execution engine, selected from the engine registry (see $(b,progmp \
-     engines)): interpreter, aot or vm."
-  in
-  Arg.(
-    value
-    & opt string "interpreter"
-    & info [ "engine"; "backend" ] ~docv:"ENGINE" ~doc)
-
 let select_engine sched name =
   match Progmp_runtime.Scheduler.set_engine sched name with
   | () -> ()
@@ -186,11 +176,7 @@ let run_cmd =
       match trace_file with
       | None -> None
       | Some f ->
-          let oc, close = out_for f in
-          let sink =
-            if Filename.check_suffix f ".csv" then Mptcp_obs.Trace.csv oc
-            else Mptcp_obs.Trace.jsonl oc
-          in
+          let sink, finish = Mptcp_obs.Trace.to_file f in
           (* there is no simulated clock in a dry run: trace decisions
              through the runtime hook, stamped with the execution index *)
           Progmp_runtime.Scheduler.set_tracer (fun xr ->
@@ -217,7 +203,7 @@ let run_cmd =
                          action = Fmt.to_to_string Progmp_runtime.Action.pp a;
                        }))
                 xr.Progmp_runtime.Scheduler.xr_actions);
-          Some (sink, oc, close)
+          Some finish
     in
     let metrics =
       match metrics_file with
@@ -267,12 +253,11 @@ let run_cmd =
       else
         List.iter (fun a -> Fmt.pr "  %a@." Progmp_runtime.Action.pp a) actions
     done;
-    (match trace with
-    | None -> ()
-    | Some (sink, oc, close) ->
+    Option.iter
+      (fun finish ->
         Progmp_runtime.Scheduler.clear_tracer ();
-        Mptcp_obs.Trace.flush sink;
-        if close then close_out oc);
+        finish ())
+      trace;
     (match metrics with
     | None -> ()
     | Some (oc, close) -> if close then close_out oc else flush oc);
@@ -290,8 +275,8 @@ let run_cmd =
          "Dry-run a scheduler against a synthetic two-subflow environment \
           (40 ms and 10 ms RTT)")
     Term.(
-      const run $ spec_arg $ engine_arg $ packets $ executions $ registers
-      $ profile_flag $ trace_opt $ metrics_opt)
+      const run $ spec_arg $ Mptcp_exp.Fleet_cli.engine_arg $ packets
+      $ executions $ registers $ profile_flag $ trace_opt $ metrics_opt)
 
 (* ---- gen-ocaml ---- *)
 

@@ -1,21 +1,13 @@
 (** [simulate] — run an MPTCP simulation scenario with a chosen scheduler
     and print a measurement summary. Scenarios correspond to the
     evaluation setups of the paper (bulk, streaming, short flows, web
-    pages, DASH). *)
+    pages, DASH) and are defined in {!Mptcp_exp.Scenarios}; this binary
+    only supplies the scheduler and observer hooks, and the printers. *)
 
 open Cmdliner
 open Mptcp_sim
-
-let scheduler_arg =
-  Arg.(
-    value
-    & opt string "default"
-    & info [ "scheduler"; "s" ] ~doc:"Scheduler name (see $(b,progmp list)).")
-
-let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"RNG seed.")
-
-let loss_arg =
-  Arg.(value & opt float 0.0 & info [ "loss" ] ~doc:"Packet loss probability.")
+module Fleet_cli = Mptcp_exp.Fleet_cli
+module Scenarios = Mptcp_exp.Scenarios
 
 let duration_arg =
   Arg.(value & opt float 30.0 & info [ "duration" ] ~doc:"Simulated seconds.")
@@ -31,24 +23,6 @@ let setup_logging verbose =
     Logs.set_reporter (Logs_fmt.reporter ());
     Logs.Src.set_level Sim_log.src (Some Logs.Debug)
   end
-
-let engine_arg =
-  Arg.(
-    value
-    & opt string "interpreter"
-    & info [ "engine"; "backend" ] ~docv:"ENGINE"
-        ~doc:
-          "Scheduler execution engine (from the engine registry): \
-           interpreter, aot or vm.")
-
-let cc_arg =
-  Arg.(
-    value
-    & opt string "lia"
-    & info [ "cc" ] ~docv:"CC"
-        ~doc:
-          "Congestion-control coupling across subflows: \
-           reno|lia|olia|coupled|ecoupled[:EPS].")
 
 let topology_arg =
   Arg.(
@@ -150,189 +124,124 @@ let summary conn =
   | Some t -> Fmt.pr "flow completion    : %.3f s@." t
   | None -> Fmt.pr "flow completion    : (incomplete)@."
 
+let print_result scenario ~topo ~cc (o : Scenarios.outcome) =
+  let extra k = List.assoc k o.result.Scenarios.r_extra in
+  let count k = int_of_float (extra k) in
+  match scenario with
+  | "short-flows" ->
+      Fmt.pr "short flows        : %d/10 completed, mean FCT %.1f ms, mean \
+              wire %.0f B@."
+        (count "completed") (extra "mean_fct_ms") (extra "mean_wire_bytes")
+  | "http2" when List.mem_assoc "incomplete" o.result.r_extra ->
+      Fmt.pr "page load incomplete@."
+  | "http2" ->
+      Fmt.pr "dependency info    : %.1f ms@." (extra "dependency_ms");
+      Fmt.pr "initial view       : %.1f ms@." (extra "initial_view_ms");
+      Fmt.pr "full load          : %.1f ms@." (extra "full_load_ms");
+      Fmt.pr "wifi / lte bytes   : %d / %d@." (count "wifi_bytes")
+        (count "lte_bytes")
+  | "dash" ->
+      Fmt.pr "deadline misses    : %d (worst lateness %.1f ms)@."
+        (count "deadline_misses") (extra "worst_lateness_ms");
+      Fmt.pr "backup bytes       : %d@." (count "backup_bytes")
+  | "fairness" ->
+      Fmt.pr "topology           : %s, cc %s@."
+        (Topology.name (Option.get topo))
+        (Congestion.to_string cc);
+      Fmt.pr "mptcp goodput      : %.0f bps@." (extra "mptcp_goodput_bps");
+      Fmt.pr "single-path goodput: %.0f bps@." (extra "single_goodput_bps");
+      Fmt.pr "mptcp/single ratio : %.2f@." (extra "mptcp_share");
+      Fmt.pr "jain index         : %.3f@." (extra "jain");
+      Fmt.pr "%a" Topology.pp_stats o.links
+  | _ -> summary (List.hd o.conns)
+
 let run_scenario scenario scheduler seed loss duration engine faults_file
     check_inv trace_file metrics_file metrics_interval verbose cc topology
     eventq =
   setup_logging verbose;
-  Mptcp_exp.Fleet_cli.set_eventq ~prog:"simulate" eventq;
-  let sched_name = scheduler in
-  ignore (setup_scheduler sched_name engine);
-  let cc =
+  Fleet_cli.set_eventq ~prog:"simulate" eventq;
+  let sched = setup_scheduler scheduler engine in
+  let cc_policy =
     match Congestion.of_string cc with
     | Ok c -> c
     | Error msg ->
         Fmt.epr "simulate: --cc: %s@." msg;
         exit 2
   in
+  let topo =
+    if scenario <> "fairness" then None
+    else
+      match Topology.resolve topology with
+      | Ok t -> Some t
+      | Error msg ->
+          Fmt.epr "simulate: --topology: %s@." msg;
+          exit 2
+  in
   let faults = load_faults faults_file in
-  let checkers = ref [] in
-  let trace =
-    match trace_file with
-    | None -> None
-    | Some file ->
-        let oc = if file = "-" then stdout else open_out file in
-        let sink =
-          if Filename.check_suffix file ".csv" then Mptcp_obs.Trace.csv oc
-          else Mptcp_obs.Trace.jsonl oc
-        in
-        Some (sink, oc, file <> "-")
-  in
+  let trace = Option.map Mptcp_obs.Trace.to_file trace_file in
+  (* '-' writes to stdout, flushed instead of closed *)
   let metrics =
-    match metrics_file with
-    | None -> None
-    | Some file ->
-        Some ((if file = "-" then stdout else open_out file), file <> "-")
+    Option.map
+      (fun f -> if f = "-" then (stdout, flush) else (open_out f, close_out))
+      metrics_file
   in
-  let recorders = ref [] in
-  let collectors = ref [] in
+  let checkers = ref [] and recorders = ref [] and collectors = ref [] in
   let instrument conn =
     Faults.apply conn faults;
     if check_inv then checkers := Invariants.attach conn :: !checkers;
-    (match trace with
-    | Some (sink, _, _) ->
-        recorders := Mptcp_obs.Recorder.attach sink conn :: !recorders
-    | None -> ());
-    match metrics with
-    | Some _ ->
-        collectors :=
-          Mptcp_obs.Metrics.attach ~interval:metrics_interval ~until:duration
-            conn
-          :: !collectors
-    | None -> ()
+    Option.iter
+      (fun (sink, _) ->
+        recorders := Mptcp_obs.Recorder.attach sink conn :: !recorders)
+      trace;
+    if Option.is_some metrics then
+      collectors :=
+        Mptcp_obs.Metrics.attach ~interval:metrics_interval ~until:duration conn
+        :: !collectors
   in
   let finish_observability () =
-    (match trace with
-    | None -> ()
-    | Some (sink, oc, close) ->
+    Option.iter
+      (fun (_, finish) ->
         List.iter Mptcp_obs.Recorder.detach !recorders;
-        Mptcp_obs.Trace.flush sink;
-        if close then close_out oc);
-    match metrics with
-    | None -> ()
-    | Some (oc, close) ->
+        finish ())
+      trace;
+    Option.iter
+      (fun (oc, close) ->
         output_string oc (Mptcp_obs.Metrics.csv_header ^ "\n");
         List.iter
           (fun c -> Mptcp_obs.Metrics.iter c (Mptcp_obs.Metrics.write_row oc))
           (List.rev !collectors);
-        if close then close_out oc else flush oc
+        close oc)
+      metrics
   in
-  (match scenario with
-  | `Bulk ->
-      let paths = Apps.Scenario.mininet_two_subflows ~rtt_ratio:2.0 ~loss () in
-      let conn = Connection.create ~seed ~cc ~paths () in
-      Progmp_runtime.Api.set_scheduler (Connection.sock conn) sched_name;
-      instrument conn;
-      Apps.Workload.bulk conn ~at:0.1 ~bytes:4_000_000;
-      Connection.run ~until:duration conn;
-      summary conn
-  | `Stream ->
-      let paths = Apps.Scenario.wifi_lte ~wifi_loss:loss ~lte_loss:loss () in
-      let conn = Connection.create ~seed ~cc ~paths () in
-      Progmp_runtime.Api.set_scheduler (Connection.sock conn) sched_name;
-      instrument conn;
-      let rate t = if t < duration /. 3.0 then 1_000_000.0 else 4_000_000.0 in
-      Apps.Workload.cbr ~signal_register:0 conn ~start:0.2
-        ~stop:(duration -. 2.0) ~interval:0.1 ~rate;
-      Apps.Scenario.fluctuate_wifi conn ~rng:(Rng.create (seed + 1))
-        ~until:duration ~low:3_000_000.0 ~high:5_500_000.0 ();
-      Connection.run ~until:duration conn;
-      summary conn
-  | `Short_flows ->
-      let mk_conn ~seed =
-        let paths =
-          Apps.Scenario.mininet_two_subflows ~rtt_ratio:4.0 ~loss ()
-        in
-        let conn = Connection.create ~seed ~cc ~paths () in
-        Progmp_runtime.Api.set_scheduler (Connection.sock conn) sched_name;
-        instrument conn;
-        conn
-      in
-      let before_write conn =
-        Progmp_runtime.Api.set_register (Connection.sock conn) 0 1_000_000
-      in
-      let after_write conn =
-        Progmp_runtime.Api.set_register (Connection.sock conn) 1 1
-      in
-      let fct, wire, completed =
-        Apps.Workload.measure_flows ~before_write ~after_write ~mk_conn
-          ~size:50_000 ~reps:10 ()
-      in
-      Fmt.pr "short flows        : %d/10 completed, mean FCT %.1f ms, mean \
-              wire %.0f B@."
-        completed (fct *. 1e3) wire
-  | `Http2 ->
-      let paths = Apps.Scenario.wifi_lte ~wifi_loss:loss ~lte_loss:loss () in
-      let conn = Connection.create ~seed ~cc ~paths () in
-      instrument conn;
-      (match
-         Apps.Webserver.serve_with ~scheduler_name:sched_name conn
-           Apps.Http2.optimized_page
-       with
-      | Some r ->
-          Fmt.pr "dependency info    : %.1f ms@." (r.Apps.Http2.dependency_time *. 1e3);
-          Fmt.pr "initial view       : %.1f ms@." (r.Apps.Http2.initial_view_time *. 1e3);
-          Fmt.pr "full load          : %.1f ms@." (r.Apps.Http2.full_load_time *. 1e3);
-          Fmt.pr "wifi / lte bytes   : %d / %d@." r.Apps.Http2.wifi_bytes
-            r.Apps.Http2.lte_bytes
-      | None -> Fmt.pr "page load incomplete@.")
-  | `Dash ->
-      let paths = Apps.Scenario.wifi_lte ~wifi_loss:loss ~lte_loss:loss () in
-      let conn = Connection.create ~seed ~cc ~paths () in
-      Progmp_runtime.Api.set_scheduler (Connection.sock conn) sched_name;
-      instrument conn;
-      let session =
-        Apps.Dash.start ~period:0.5
-          ~count:(int_of_float (duration /. 0.75))
-          ~chunk_bytes:(fun _ -> 400_000)
-          conn
-      in
-      Connection.run ~until:duration conn;
-      let o = Apps.Dash.evaluate session in
-      Fmt.pr "deadline misses    : %d (worst lateness %.1f ms)@."
-        o.Apps.Dash.deadline_misses
-        (o.Apps.Dash.worst_lateness *. 1e3);
-      Fmt.pr "backup bytes       : %d@." o.Apps.Dash.backup_bytes
-  | `Fairness ->
-      (* one MPTCP connection over the topology's routes vs. a
-         single-path Reno cross-flow on the first named link, both
-         saturating; prints per-flow goodput, the friendliness ratio
-         and per-link queue statistics *)
-      let topo =
-        match Topology.resolve topology with
-        | Ok t -> t
-        | Error msg ->
-            Fmt.epr "simulate: --topology: %s@." msg;
-            exit 2
-      in
-      let clock = Eventq.create () in
-      let built = Topology.build ~seed ~clock topo in
-      let mptcp = Topology.connect ~seed ~cc built in
-      Progmp_runtime.Api.set_scheduler (Connection.sock mptcp) sched_name;
-      instrument mptcp;
-      let via = (List.hd (Topology.spec built).Topology.t_links).Topology.l_name in
-      let bg =
-        Topology.single built ~seed:(Rng.stream_seed ~seed 1) ~via ()
-      in
-      let saturate conn =
-        Apps.Workload.cbr conn ~start:0.1 ~stop:duration ~interval:0.05
-          ~rate:(fun _ -> 2_000_000.0)
-      in
-      saturate mptcp;
-      saturate bg;
-      ignore (Eventq.run ~until:duration clock);
-      let span = Float.max 1e-9 (duration -. 0.1) in
-      let goodput conn =
-        8.0 *. float_of_int (Connection.delivered_bytes conn) /. span
-      in
-      let g_mptcp = goodput mptcp and g_single = goodput bg in
-      Fmt.pr "topology           : %s, cc %s@." (Topology.name topo)
-        (Congestion.to_string cc);
-      Fmt.pr "mptcp goodput      : %.0f bps@." g_mptcp;
-      Fmt.pr "single-path goodput: %.0f bps@." g_single;
-      Fmt.pr "mptcp/single ratio : %.2f@."
-        (if g_single > 0.0 then g_mptcp /. g_single else 0.0);
-      Fmt.pr "jain index         : %.3f@." (Stats.jain [ g_mptcp; g_single ]);
-      Fmt.pr "%a" Topology.pp_stats built);
+  let fault_label = Option.value faults_file ~default:"none" in
+  let params =
+    {
+      Mptcp_exp.Spec.run_id = 0;
+      scenario;
+      scheduler;
+      engine;
+      cc;
+      topology;
+      loss;
+      fleet = 1;
+      rate = 0.0;
+      size = "default";
+      fault = { fault_label; fault_file = faults_file };
+      seed;
+    }
+  in
+  (* the scenario's connections use the registry's shared instance of
+     the scheduler, on the engine selected above *)
+  let install conn =
+    Progmp_runtime.Api.set_scheduler (Connection.sock conn) scheduler
+  in
+  let outcome =
+    Scenarios.run
+      { duration; scheduler = sched; topology = topo; ramp = []; install;
+        instrument }
+      params
+  in
+  print_result scenario ~topo ~cc:cc_policy outcome;
   finish_observability ();
   if check_inv then
     match List.find_opt (fun c -> not (Invariants.ok c)) !checkers with
@@ -344,26 +253,22 @@ let run_scenario scenario scheduler seed loss duration engine faults_file
         exit 3
 
 let scenario_arg =
+  (* [fleet] is a registry scenario too, but has its own subcommand *)
+  let names =
+    List.filter (fun s -> s <> "fleet") Mptcp_exp.Spec.known_scenarios
+  in
   Arg.(
     required
-    & pos 0
-        (some
-           (enum
-              [
-                ("bulk", `Bulk); ("stream", `Stream);
-                ("short-flows", `Short_flows); ("http2", `Http2);
-                ("dash", `Dash); ("fairness", `Fairness);
-              ]))
-        None
-    & info [] ~docv:"SCENARIO"
-        ~doc:"One of: bulk, stream, short-flows, http2, dash, fairness.")
+    & pos 0 (some (enum (List.map (fun s -> (s, s)) names))) None
+    & info [] ~docv:"SCENARIO" ~doc:("One of: " ^ String.concat ", " names ^ "."))
 
 let scenario_term =
   Term.(
-    const run_scenario $ scenario_arg $ scheduler_arg $ seed_arg $ loss_arg
-    $ duration_arg $ engine_arg $ faults_arg $ invariants_arg $ trace_arg
-    $ metrics_arg $ metrics_interval_arg $ verbose_arg $ cc_arg
-    $ topology_arg $ Mptcp_exp.Fleet_cli.eventq_arg)
+    const run_scenario $ scenario_arg $ Fleet_cli.scheduler_arg
+    $ Fleet_cli.seed_arg $ Fleet_cli.loss_arg $ duration_arg
+    $ Fleet_cli.engine_arg $ faults_arg $ invariants_arg $ trace_arg
+    $ metrics_arg $ metrics_interval_arg $ verbose_arg $ Fleet_cli.cc_arg
+    $ topology_arg $ Fleet_cli.eventq_arg)
 
 let scenario_cmd =
   Cmd.v

@@ -20,7 +20,9 @@ let engine_arg =
     value
     & opt string "interpreter"
     & info [ "engine"; "backend" ] ~docv:"ENGINE"
-        ~doc:"Scheduler execution engine: interpreter, aot or vm.")
+        ~doc:
+          "Scheduler execution engine, selected by name from the engine \
+           registry (see $(b,progmp engines)).")
 
 let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"RNG seed.")
 
@@ -93,7 +95,7 @@ let cc_arg =
     & opt string "lia"
     & info [ "cc" ] ~docv:"CC"
         ~doc:
-          "Congestion control for hosted connections: \
+          "Congestion-control coupling across subflows: \
            reno|lia|olia|coupled|ecoupled[:EPS].")
 
 let eventq_arg =

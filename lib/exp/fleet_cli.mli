@@ -6,6 +6,15 @@
 
 val cmd : unit Cmdliner.Cmd.t
 
+(** Flags shared by the [simulate], [fleet] and [progmp] commands:
+    [--scheduler]/[-s], [--engine]/[--backend], [--seed], [--loss], [--cc]. *)
+
+val scheduler_arg : string Cmdliner.Term.t
+val engine_arg : string Cmdliner.Term.t
+val seed_arg : int Cmdliner.Term.t
+val loss_arg : float Cmdliner.Term.t
+val cc_arg : string Cmdliner.Term.t
+
 val eventq_arg : string Cmdliner.Term.t
 (** [--eventq wheel|heap]: shared flag selecting the event-queue core. *)
 

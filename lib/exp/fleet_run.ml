@@ -30,7 +30,7 @@ type shard_result = {
   sr_events : int;  (** events executed by this shard's loop *)
 }
 
-(** Run the standard open-loop fleet workload ([Sweep.fleet_group_paths]
+(** Run the standard open-loop fleet workload ([Scenarios.fleet_group_paths]
     topology) across [shards] domains and return one result per shard
     (shard 0 first). [rate] is the instantaneous global arrival rate;
     with [shards = 1] the workload runs inline on the calling domain
@@ -39,7 +39,7 @@ let run ?(interval = 1.0) ?paths ~scheduler ~cc ~seed ~loss ~duration ~groups
     ~shards ~rate ~dist () =
   if shards < 1 then Fmt.invalid_arg "Fleet_run.run: shards %d < 1" shards;
   let paths =
-    match paths with Some p -> p | None -> Sweep.fleet_group_paths ~loss
+    match paths with Some p -> p | None -> Scenarios.fleet_group_paths ~loss
   in
   let sched, engine = scheduler in
   (* warm every factory code path single-threaded before spawning *)
@@ -49,11 +49,7 @@ let run ?(interval = 1.0) ?paths ~scheduler ~cc ~seed ~loss ~duration ~groups
       Fleet.create ~seed ~cc ~scheduler ~groups ~shard:(idx, shards) ~paths ()
     in
     let fm = Mptcp_obs.Fleet_metrics.attach ~interval ~until:duration fleet in
-    let size_rng = Rng.stream ~seed (-1_000_001) in
-    let arrival_rng = Rng.stream ~seed (-1_000_002) in
-    Traffic.drive ~clock:(Fleet.clock fleet) ~rng:arrival_rng ~rate
-      ~until:duration (fun () ->
-        Fleet.arrive fleet ~size:(Traffic.draw_size dist size_rng));
+    Scenarios.drive_arrivals fleet ~seed ~rate ~until:duration dist;
     let events = Fleet.run ~until:duration fleet in
     { sr_fleet = fleet; sr_metrics = fm; sr_events = events }
   in

@@ -33,7 +33,7 @@ val run :
   unit ->
   shard_result array
 (** Run the fleet workload (per-group topology [paths], default
-    {!Sweep.fleet_group_paths}) across [shards] domains; returns one
+    {!Scenarios.fleet_group_paths}) across [shards] domains; returns one
     result per shard, shard 0 first. [rate] is the instantaneous global
     arrival rate. [shards = 1] runs inline on the calling domain — the
     exact single-fleet code path. *)

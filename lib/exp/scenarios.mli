@@ -1,0 +1,77 @@
+(** The scenario registry: the one definition of every evaluation
+    scenario's world — paths, connections, workload and run horizon —
+    shared by every driver ([simulate], {!Sweep}, the tests).
+
+    A driver hands {!run} the run's {!Spec.run_params} plus two hooks:
+    [install], which puts the run's scheduler instance on a connection,
+    and [instrument], which attaches per-connection observers (faults,
+    invariant checkers, recorders). The scenario calls both on every
+    connection it builds, in its own fixed order, runs the clock and
+    returns the measurements together with the hosted connections. *)
+
+open Mptcp_sim
+
+type run_result = {
+  r_params : Spec.run_params;
+  r_sim_time : float;  (** final simulated clock, seconds *)
+  r_delivered : int;  (** bytes delivered at the meta level *)
+  r_goodput_bps : float;  (** bits/second over completion (or sim) time *)
+  r_completion : float option;  (** flow completion time, seconds *)
+  r_executions : int;  (** scheduler executions *)
+  r_pushes : int;
+  r_subflow_bytes : (string * int) list;  (** wire bytes per path *)
+  r_inv_total : int;  (** invariant violations (0 when checking is off) *)
+  r_inv_messages : string list;  (** recorded violation messages *)
+  r_extra : (string * float) list;  (** scenario-specific measurements *)
+}
+
+type ctx = {
+  duration : float;  (** simulated seconds *)
+  scheduler : Progmp_runtime.Scheduler.t;
+      (** [fleet]: instantiated per connection slot with the run's engine *)
+  topology : Topology.t option;
+      (** [fairness]: the resolved shared-link topology *)
+  ramp : Traffic.ramp;  (** [fleet]: diurnal arrival-rate ramp *)
+  install : Connection.t -> unit;
+      (** put the run's scheduler instance on a fresh connection *)
+  instrument : Connection.t -> unit;
+      (** attach observers to a fresh connection; [fleet] hosts transient
+          connections and never calls it *)
+}
+
+type outcome = {
+  result : run_result;
+      (** [r_inv_total] and [r_inv_messages] are left empty: the
+          checkers belong to the driver's [instrument] hook *)
+  conns : Connection.t list;  (** hosted connections, in creation order *)
+  links : Topology.link_stats list;  (** [fairness]: shared-link counters *)
+}
+
+val names : string list
+(** Registered scenario names, in registry order; the same set as
+    {!Spec.known_scenarios}. *)
+
+val run : ctx -> Spec.run_params -> outcome
+(** Build and run the world of [p.scenario]. A pure function of [p] and
+    the context: no state is shared with other runs. Raises
+    [Invalid_argument] on an unknown scenario, an unparsable cc or flow
+    size, or a [fairness] run without a topology. *)
+
+val fleet_group_paths : loss:float -> Path_manager.path_spec list
+(** Per-group topology of the open-loop [fleet] scenario: two shared
+    paths of equal bandwidth and unequal delay. *)
+
+val fleet_thin_paths : loss:float -> Path_manager.path_spec list
+(** Thin-access variant: the same two-path shape at 1/100 the bandwidth
+    with shallow buffers. *)
+
+val drive_arrivals :
+  Fleet.t ->
+  seed:int ->
+  rate:(float -> float) ->
+  until:float ->
+  Traffic.size_dist ->
+  unit
+(** The [fleet] scenario's open-loop arrivals into a fleet: Poisson
+    times at instantaneous [rate] from RNG stream −1,000,002 of [seed],
+    sizes from stream −1,000,001 (every shard replays the same streams). *)

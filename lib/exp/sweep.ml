@@ -21,18 +21,18 @@ module R = Progmp_runtime
 
 (* ---------- results ---------- *)
 
-type run_result = {
+type run_result = Scenarios.run_result = {
   r_params : Spec.run_params;
-  r_sim_time : float;  (** final simulated clock, seconds *)
-  r_delivered : int;  (** bytes delivered at the meta level *)
-  r_goodput_bps : float;  (** bits/second over completion (or sim) time *)
-  r_completion : float option;  (** flow completion time, seconds *)
-  r_executions : int;  (** scheduler executions *)
+  r_sim_time : float;
+  r_delivered : int;
+  r_goodput_bps : float;
+  r_completion : float option;
+  r_executions : int;
   r_pushes : int;
-  r_subflow_bytes : (string * int) list;  (** wire bytes per path *)
-  r_inv_total : int;  (** invariant violations (0 when checking is off) *)
-  r_inv_messages : string list;  (** recorded violation messages *)
-  r_extra : (string * float) list;  (** scenario-specific measurements *)
+  r_subflow_bytes : (string * int) list;
+  r_inv_total : int;
+  r_inv_messages : string list;
+  r_extra : (string * float) list;
 }
 
 type group = {
@@ -187,432 +187,42 @@ let prepare (spec : Spec.t) =
       ramp = spec.Spec.ramp;
     }
 
+let fleet_group_paths = Scenarios.fleet_group_paths
+let fleet_thin_paths = Scenarios.fleet_thin_paths
+
 (* ---------- one run (worker side, fully run-local) ---------- *)
 
-let install ctx conn (p : Spec.run_params) =
-  let sched = Hashtbl.find ctx.schedulers p.Spec.scheduler in
-  (Connection.sock conn).R.Api.scheduler <-
-    R.Scheduler.instantiate_private sched ~engine:p.Spec.engine
-
-(* validated in [prepare]; the exception is unreachable from [execute] *)
-let cc_of (p : Spec.run_params) =
-  match Congestion.of_string p.Spec.cc with
-  | Ok c -> c
-  | Error msg -> invalid_arg msg
-
-(* Host the run's [p.fleet] scenario connections on one shared clock
-   (an adopting fleet). Connection 0 is built exactly as a pre-fleet
-   single-connection run — same seed, same call order — so fleet 1
-   reports are bit-identical to the pre-fleet sweep; the extra members
-   draw independent stream seeds keyed by their member index. *)
-let host (p : Spec.run_params) ~mk =
-  let fleet = Fleet.create ~seed:p.Spec.seed ~paths:[] () in
-  let clock = Fleet.clock fleet in
-  for i = 0 to p.Spec.fleet - 1 do
-    let seed =
-      if i = 0 then p.Spec.seed else Rng.stream_seed ~seed:p.Spec.seed i
-    in
-    Fleet.adopt fleet (mk ~clock ~seed)
-  done;
-  fleet
-
-(* Aggregate result over an adopting fleet's members: byte and counter
-   sums, completion = latest member completion ([None] as soon as one
-   writing member is incomplete), per-path wire bytes merged by path
-   name in first-occurrence order. For a single member every field
-   reduces exactly to the pre-fleet per-connection result. *)
-let fleet_result ?(extra = []) checkers fleet (p : Spec.run_params) =
-  let conns = Fleet.members fleet in
-  let sim_time = Eventq.now (Fleet.clock fleet) in
-  let delivered =
-    List.fold_left (fun n c -> n + Connection.delivered_bytes c) 0 conns
-  in
-  let wrote = ref false and incomplete = ref false and latest = ref 0.0 in
-  List.iter
-    (fun conn ->
-      let meta = conn.Connection.meta in
-      if meta.Meta_socket.next_seq > 0 then begin
-        wrote := true;
-        match
-          Meta_socket.fct meta ~first:0 ~last:(meta.Meta_socket.next_seq - 1)
-        with
-        | Some t -> latest := Float.max !latest t
-        | None -> incomplete := true
-      end)
-    conns;
-  let completion =
-    if (not !wrote) || !incomplete then None else Some !latest
-  in
-  let executions, pushes =
-    List.fold_left
-      (fun (e, q) c ->
-        let m = c.Connection.meta in
-        (e + m.Meta_socket.sched_executions, q + m.Meta_socket.pushes))
-      (0, 0) conns
-  in
-  let subflow_bytes =
-    let order = ref [] and tbl = Hashtbl.create 8 in
-    List.iter
-      (fun conn ->
-        List.iter
-          (fun (name, bytes) ->
-            match Hashtbl.find_opt tbl name with
-            | Some r -> r := !r + bytes
-            | None ->
-                Hashtbl.replace tbl name (ref bytes);
-                order := name :: !order)
-          (Connection.bytes_sent_per_subflow conn))
-      conns;
-    List.rev_map (fun n -> (n, !(Hashtbl.find tbl n))) !order
-  in
-  let span =
-    match completion with
-    | Some t when t > 0.0 -> t
-    | Some _ | None -> sim_time
-  in
-  {
-    r_params = p;
-    r_sim_time = sim_time;
-    r_delivered = delivered;
-    r_goodput_bps =
-      (if span > 0.0 then 8.0 *. float_of_int delivered /. span else 0.0);
-    r_completion = completion;
-    r_executions = executions;
-    r_pushes = pushes;
-    r_subflow_bytes = subflow_bytes;
-    r_inv_total = List.fold_left (fun n c -> n + Invariants.total c) 0 checkers;
-    r_inv_messages = List.concat_map Invariants.violations checkers;
-    r_extra = extra;
-  }
-
-(* Per-group topology of the open-loop [fleet] scenario: two shared
-   paths of equal bandwidth and unequal delay (the heterogeneous-path
-   setting of §5), each a data/ack link pair shared by every connection
-   the group hosts. *)
-let fleet_group_paths ~loss =
-  let base =
-    {
-      Link.default_params with
-      Link.bandwidth = 1_250_000.0;
-      loss;
-      buffer_bytes = 128 * 1024;
-    }
-  in
-  [
-    Path_manager.symmetric ~name:"near" { base with Link.delay = 0.01 };
-    Path_manager.symmetric ~name:"far" { base with Link.delay = 0.03 };
-  ]
-
-(* Thin-access variant for the million-connection rung: same two-path
-   shape at 1/100 the bandwidth with shallow buffers (an edge box
-   serving many mostly-idle subscribers). The shallow queue keeps the
-   per-group standing queue — and thus spurious-RTO churn from
-   bufferbloat — bounded, so event cost per connection stays flat as
-   the group count climbs into the thousands. *)
-let fleet_thin_paths ~loss =
-  let base =
-    {
-      Link.default_params with
-      Link.bandwidth = 12_500.0;
-      loss;
-      buffer_bytes = 16 * 1024;
-    }
-  in
-  [
-    Path_manager.symmetric ~name:"near" { base with Link.delay = 0.01 };
-    Path_manager.symmetric ~name:"far" { base with Link.delay = 0.03 };
-  ]
-
+(* A run's world comes from the scenario registry; the sweep only adds
+   its hooks: a private scheduler instance per connection, and the
+   run's fault script and invariant checkers. *)
 let run_one ctx (p : Spec.run_params) =
-  let duration = ctx.duration in
+  let sched = Hashtbl.find ctx.schedulers p.Spec.scheduler in
   let script = Hashtbl.find ctx.fault_scripts p.Spec.fault.Spec.fault_label in
   let checkers = ref [] in
   let instrument conn =
     Faults.apply conn script;
     if ctx.invariants then checkers := Invariants.attach conn :: !checkers
   in
-  match p.Spec.scenario with
-  | "bulk" ->
-      let fleet =
-        host p ~mk:(fun ~clock ~seed ->
-            let paths =
-              Apps.Scenario.mininet_two_subflows ~rtt_ratio:2.0
-                ~loss:p.Spec.loss ()
-            in
-            let conn = Connection.create ~clock ~seed ~cc:(cc_of p) ~paths () in
-            install ctx conn p;
-            instrument conn;
-            Apps.Workload.bulk conn ~at:0.1 ~bytes:4_000_000;
-            conn)
-      in
-      ignore (Fleet.run ~until:duration fleet);
-      fleet_result !checkers fleet p
-  | "stream" ->
-      let fleet =
-        host p ~mk:(fun ~clock ~seed ->
-            let paths =
-              Apps.Scenario.wifi_lte ~wifi_loss:p.Spec.loss
-                ~lte_loss:p.Spec.loss ()
-            in
-            let conn = Connection.create ~clock ~seed ~cc:(cc_of p) ~paths () in
-            install ctx conn p;
-            instrument conn;
-            let rate t =
-              if t < duration /. 3.0 then 1_000_000.0 else 4_000_000.0
-            in
-            Apps.Workload.cbr ~signal_register:0 conn ~start:0.2
-              ~stop:(duration -. 2.0) ~interval:0.1 ~rate;
-            Apps.Scenario.fluctuate_wifi conn
-              ~rng:(Rng.create (seed + 1))
-              ~until:duration ~low:3_000_000.0 ~high:5_500_000.0 ();
-            conn)
-      in
-      ignore (Fleet.run ~until:duration fleet);
-      fleet_result !checkers fleet p
-  | "short-flows" ->
-      (* closed-loop FCT microbench: flows run to completion one at a
-         time on private clocks; the fleet axis multiplies how many are
-         measured, and the fleet only keeps the books *)
-      let fleet = Fleet.create ~seed:p.Spec.seed ~paths:[] () in
-      let mk_conn ~seed =
-        let paths =
-          Apps.Scenario.mininet_two_subflows ~rtt_ratio:4.0 ~loss:p.Spec.loss ()
-        in
-        let conn =
-          Connection.create ~seed:(p.Spec.seed + seed) ~cc:(cc_of p) ~paths ()
-        in
-        install ctx conn p;
-        instrument conn;
-        Fleet.adopt fleet conn;
-        conn
-      in
-      let before_write conn =
-        R.Api.set_register (Connection.sock conn) 0 1_000_000
-      in
-      let after_write conn = R.Api.set_register (Connection.sock conn) 1 1 in
-      let size = 50_000 and reps = 10 * p.Spec.fleet in
-      let fct, wire, completed =
-        Apps.Workload.measure_flows ~before_write ~after_write ~mk_conn ~size
-          ~reps ()
-      in
+  let o =
+    Scenarios.run
       {
-        r_params = p;
-        r_sim_time = 0.0;
-        r_delivered = completed * size;
-        r_goodput_bps =
-          (if fct > 0.0 then 8.0 *. float_of_int size /. fct else 0.0);
-        r_completion = (if completed = reps then Some fct else None);
-        r_executions = 0;
-        r_pushes = 0;
-        r_subflow_bytes = [];
-        r_inv_total =
-          List.fold_left (fun n c -> n + Invariants.total c) 0 !checkers;
-        r_inv_messages = List.concat_map Invariants.violations !checkers;
-        r_extra =
-          [
-            ("completed", float_of_int completed);
-            ("mean_fct_ms", fct *. 1e3);
-            ("mean_wire_bytes", wire);
-          ];
+        Scenarios.duration = ctx.duration;
+        scheduler = sched;
+        topology = Hashtbl.find_opt ctx.topologies p.Spec.topology;
+        ramp = ctx.ramp;
+        install =
+          (fun conn ->
+            (Connection.sock conn).R.Api.scheduler <-
+              R.Scheduler.instantiate_private sched ~engine:p.Spec.engine);
+        instrument;
       }
-  | "http2" ->
-      let handles = ref [] in
-      let fleet =
-        host p ~mk:(fun ~clock ~seed ->
-            let paths =
-              Apps.Scenario.wifi_lte ~wifi_loss:p.Spec.loss
-                ~lte_loss:p.Spec.loss ()
-            in
-            let conn = Connection.create ~clock ~seed ~cc:(cc_of p) ~paths () in
-            instrument conn;
-            install ctx conn p;
-            handles :=
-              Apps.Http2.start conn Apps.Http2.optimized_page :: !handles;
-            conn)
-      in
-      (* load_page's historical horizon: at 0.2 + timeout 120 *)
-      ignore (Fleet.run ~until:120.2 fleet);
-      let results = List.rev_map Apps.Http2.finish !handles in
-      let oks = List.filter_map Fun.id results in
-      let extra =
-        if List.length oks <> List.length results then
-          [
-            ( "incomplete",
-              float_of_int (List.length results - List.length oks) );
-          ]
-        else
-          let n = float_of_int (List.length oks) in
-          let mean f = List.fold_left (fun a r -> a +. f r) 0.0 oks /. n in
-          let sum f = List.fold_left (fun a r -> a + f r) 0 oks in
-          [
-            ("dependency_ms", mean (fun r -> r.Apps.Http2.dependency_time) *. 1e3);
-            ( "initial_view_ms",
-              mean (fun r -> r.Apps.Http2.initial_view_time) *. 1e3 );
-            ("full_load_ms", mean (fun r -> r.Apps.Http2.full_load_time) *. 1e3);
-            ("wifi_bytes", float_of_int (sum (fun r -> r.Apps.Http2.wifi_bytes)));
-            ("lte_bytes", float_of_int (sum (fun r -> r.Apps.Http2.lte_bytes)));
-          ]
-      in
-      fleet_result ~extra !checkers fleet p
-  | "dash" ->
-      let sessions = ref [] in
-      let fleet =
-        host p ~mk:(fun ~clock ~seed ->
-            let paths =
-              Apps.Scenario.wifi_lte ~wifi_loss:p.Spec.loss
-                ~lte_loss:p.Spec.loss ()
-            in
-            let conn = Connection.create ~clock ~seed ~cc:(cc_of p) ~paths () in
-            install ctx conn p;
-            instrument conn;
-            sessions :=
-              Apps.Dash.start ~period:0.5
-                ~count:(int_of_float (duration /. 0.75))
-                ~chunk_bytes:(fun _ -> 400_000)
-                conn
-              :: !sessions;
-            conn)
-      in
-      ignore (Fleet.run ~until:duration fleet);
-      let outcomes = List.rev_map Apps.Dash.evaluate !sessions in
-      let sum f = List.fold_left (fun a o -> a + f o) 0 outcomes in
-      fleet_result
-        ~extra:
-          [
-            ( "deadline_misses",
-              float_of_int (sum (fun o -> o.Apps.Dash.deadline_misses)) );
-            ( "worst_lateness_ms",
-              List.fold_left
-                (fun a o -> Float.max a o.Apps.Dash.worst_lateness)
-                0.0 outcomes
-              *. 1e3 );
-            ("backup_bytes", float_of_int (sum (fun o -> o.Apps.Dash.backup_bytes)));
-          ]
-        !checkers fleet p
-  | "fleet" ->
-      (* open-loop hosting: [p.fleet] shared-link groups, Poisson
-         arrivals at [p.rate] flows/s (ramped by the spec's diurnal
-         script), heavy-tailed sizes, slots recycled on completion.
-         Transient connections make per-connection fault/invariant
-         instrumentation inapplicable here. *)
-      let sched = Hashtbl.find ctx.schedulers p.Spec.scheduler in
-      let dist =
-        match Traffic.parse_size p.Spec.size with
-        | Ok d -> d
-        | Error msg -> invalid_arg msg
-      in
-      let fleet =
-        Fleet.create ~seed:p.Spec.seed ~cc:(cc_of p)
-          ~scheduler:(sched, p.Spec.engine)
-          ~groups:p.Spec.fleet
-          ~paths:(fleet_group_paths ~loss:p.Spec.loss)
-          ()
-      in
-      let size_rng = Rng.stream ~seed:p.Spec.seed (-1_000_001) in
-      let arrival_rng = Rng.stream ~seed:p.Spec.seed (-1_000_002) in
-      Traffic.drive ~clock:(Fleet.clock fleet) ~rng:arrival_rng
-        ~rate:(fun t -> Traffic.rate_at ~ramp:ctx.ramp ~base:p.Spec.rate t)
-        ~until:duration
-        (fun () -> Fleet.arrive fleet ~size:(Traffic.draw_size dist size_rng));
-      ignore (Fleet.run ~until:duration fleet);
-      let tot = Fleet.totals fleet in
-      let sim_time = Eventq.now (Fleet.clock fleet) in
-      {
-        r_params = p;
-        r_sim_time = sim_time;
-        r_delivered = tot.Fleet.t_delivered_bytes;
-        r_goodput_bps =
-          (if sim_time > 0.0 then
-             8.0 *. float_of_int tot.Fleet.t_delivered_bytes /. sim_time
-           else 0.0);
-        r_completion = None;
-        r_executions = tot.Fleet.t_executions;
-        r_pushes = tot.Fleet.t_pushes;
-        r_subflow_bytes = [];
-        r_inv_total = 0;
-        r_inv_messages = [];
-        r_extra =
-          [
-            ("arrivals", float_of_int tot.Fleet.t_arrivals);
-            ("completed", float_of_int tot.Fleet.t_completed);
-            ("peak_live", float_of_int tot.Fleet.t_peak_live);
-            ("live_end", float_of_int tot.Fleet.t_live);
-            ("mean_fct_ms", Fleet.mean_fct fleet *. 1e3);
-            ("wire_bytes", float_of_int tot.Fleet.t_wire_bytes);
-          ];
-      }
-  | "fairness" ->
-      (* shared-bottleneck fairness probe: one MPTCP connection over
-         every route of the topology competes with a single-path Reno
-         cross-flow on the first named link, both driven by saturating
-         CBR sources. Reported: per-flow goodputs, their Jain index,
-         the MPTCP/single throughput ratio (the RFC 6356 friendliness
-         number), and per-link drop/occupancy counters. *)
-      let topo = Hashtbl.find ctx.topologies p.Spec.topology in
-      let clock = Eventq.create () in
-      let built = Topology.build ~seed:p.Spec.seed ~clock topo in
-      let mptcp = Topology.connect ~seed:p.Spec.seed ~cc:(cc_of p) built in
-      install ctx mptcp p;
-      instrument mptcp;
-      let via = (List.hd (Topology.spec built).Topology.t_links).Topology.l_name in
-      let bg =
-        Topology.single built
-          ~seed:(Rng.stream_seed ~seed:p.Spec.seed 1)
-          ~via ()
-      in
-      let saturate conn =
-        Apps.Workload.cbr conn ~start:0.1 ~stop:duration ~interval:0.05
-          ~rate:(fun _ -> 2_000_000.0)
-      in
-      saturate mptcp;
-      saturate bg;
-      ignore (Eventq.run ~until:duration clock);
-      let span = Float.max 1e-9 (duration -. 0.1) in
-      let goodput conn =
-        8.0 *. float_of_int (Connection.delivered_bytes conn) /. span
-      in
-      let g_mptcp = goodput mptcp and g_single = goodput bg in
-      let link_extras =
-        List.concat_map
-          (fun (st : Topology.link_stats) ->
-            [
-              ( Fmt.str "link_%s_drops" st.Topology.ls_name,
-                float_of_int
-                  (st.Topology.ls_tail_dropped + st.Topology.ls_red_dropped) );
-              ( Fmt.str "link_%s_occ_mean" st.Topology.ls_name,
-                st.Topology.ls_mean_backlog );
-              ( Fmt.str "link_%s_occ_peak" st.Topology.ls_name,
-                float_of_int st.Topology.ls_peak_backlog );
-            ])
-          (Topology.stats built)
-      in
-      let delivered =
-        Connection.delivered_bytes mptcp + Connection.delivered_bytes bg
-      in
-      let meta = mptcp.Connection.meta in
-      {
-        r_params = p;
-        r_sim_time = Eventq.now clock;
-        r_delivered = delivered;
-        r_goodput_bps = g_mptcp;
-        r_completion = None;
-        r_executions = meta.Meta_socket.sched_executions;
-        r_pushes = meta.Meta_socket.pushes;
-        r_subflow_bytes = Connection.bytes_sent_per_subflow mptcp;
-        r_inv_total =
-          List.fold_left (fun n c -> n + Invariants.total c) 0 !checkers;
-        r_inv_messages = List.concat_map Invariants.violations !checkers;
-        r_extra =
-          [
-            ("mptcp_goodput_bps", g_mptcp);
-            ("single_goodput_bps", g_single);
-            ( "mptcp_share",
-              if g_single > 0.0 then g_mptcp /. g_single else 0.0 );
-            ("jain", Stats.jain [ g_mptcp; g_single ]);
-          ]
-          @ link_extras;
-      }
-  | other -> Fmt.invalid_arg "Sweep.run_one: unknown scenario %s" other
+      p
+  in
+  {
+    o.Scenarios.result with
+    r_inv_total = List.fold_left (fun n c -> n + Invariants.total c) 0 !checkers;
+    r_inv_messages = List.concat_map Invariants.violations !checkers;
+  }
 
 (* ---------- aggregation ---------- *)
 

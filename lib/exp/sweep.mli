@@ -7,9 +7,10 @@
     no mutable simulation state is shared between domains. The report is
     assembled from per-index result slots in [run_id] order, making it
     independent of scheduling interleavings by construction: [--jobs 1]
-    and [--jobs N] produce {!equal_report}-equal reports. *)
+    and [--jobs N] produce {!equal_report}-equal reports. A run's world
+    comes from {!Scenarios}. *)
 
-type run_result = {
+type run_result = Scenarios.run_result = {
   r_params : Spec.run_params;
   r_sim_time : float;  (** final simulated clock, seconds *)
   r_delivered : int;  (** bytes delivered at the meta level *)
@@ -52,18 +53,12 @@ type report = {
 
 val fleet_group_paths :
   loss:float -> Mptcp_sim.Path_manager.path_spec list
-(** Per-group topology of the open-loop [fleet] scenario: two shared
-    paths of equal bandwidth and unequal delay — shared with the [fleet]
-    CLI subcommand so both faces of the scenario simulate the same
-    world. *)
+(** {!Scenarios.fleet_group_paths}: the per-group topology of the
+    open-loop [fleet] scenario. *)
 
 val fleet_thin_paths :
   loss:float -> Mptcp_sim.Path_manager.path_spec list
-(** Thin-access variant for the million-connection hosting rung: the
-    same two-path shape at 1/100 the bandwidth with shallow buffers, so
-    a group models an edge box serving many mostly-idle subscribers —
-    per-connection event and memory cost stay representative while one
-    process can carry ~1M concurrent flows. *)
+(** {!Scenarios.fleet_thin_paths}: its thin-access variant. *)
 
 val equal_report : report -> report -> bool
 (** Structural equality modulo the job count — the determinism contract

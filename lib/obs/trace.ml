@@ -195,6 +195,11 @@ let csv oc =
   in
   { write; flush = (fun () -> Stdlib.flush oc); events = 0 }
 
+let to_file path =
+  let oc = if path = "-" then stdout else open_out path in
+  let t = (if Filename.check_suffix path ".csv" then csv else jsonl) oc in
+  (t, fun () -> if path = "-" then flush t else close_out oc)
+
 (** In-memory sink (tests): events in emission order via the getter. *)
 let memory () =
   let acc = ref [] in

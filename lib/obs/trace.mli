@@ -66,6 +66,11 @@ val csv : out_channel -> t
 
 val csv_header : string
 
+val to_file : string -> t * (unit -> unit)
+(** Open a file sink — [path] ["-"] is stdout; a [.csv] suffix selects
+    {!csv}, anything else {!jsonl} — with its finisher, which flushes
+    stdout or closes the file. *)
+
 val memory : unit -> t * (unit -> (float * event) list)
 (** In-memory sink (tests); the getter returns events in emission
     order. *)

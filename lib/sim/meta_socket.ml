@@ -230,6 +230,10 @@ let trigger t =
        advertised receive window, a reopened congestion window) may have
        cleared for subflows that have no ack of their own pending *)
     List.iter Tcp_subflow.kick (established_subflows t);
+    (* data left queued may wait on a throttled subflow that no ack
+       will wake *)
+    if not (Pqueue.is_empty e.Env.q && Pqueue.is_empty e.Env.rq) then
+      List.iter Tcp_subflow.arm_tsq_wakeup t.subflows;
     t.scheduling <- false
   end
 

@@ -142,6 +142,7 @@ and t = {
   mutable tsq_head : int;
   mutable tsq_len : int;
   mutable tsq_bytes : int;
+  mutable tsq_timer : Eventq.timer;  (** see {!arm_tsq_wakeup} *)
   (* delivery-rate estimator backing the THROUGHPUT property *)
   mutable rate_anchor_t : float;
   mutable rate_anchor_bytes : int;
@@ -327,6 +328,16 @@ let own_backlog_bytes t =
   t.tsq_bytes
 
 let tsq_throttled t = own_backlog_bytes t > 2 * t.mss
+
+(* Linux reruns the transmit path from the TSQ completion handler; an
+   idle throttled subflow gets no ack that would, so it waits on a timer
+   at the completion of its oldest queued segment instead. *)
+let arm_tsq_wakeup t =
+  if
+    t.established && t.infl_count = 0
+    && (not (Eventq.timer_armed t.tsq_timer))
+    && tsq_throttled t
+  then Eventq.timer_arm t.clock t.tsq_timer ~at:t.tsq_time.(t.tsq_head)
 
 let rtt_us t =
   if t.rtt_samples = 0 then int_of_float (2.0 *. Link.delay t.data_link *. 1e6)
@@ -764,6 +775,7 @@ let create ~id ~clock ~data_link ~ack_link ?(mss = 1448) ?(is_backup = false)
       tsq_head = 0;
       tsq_len = 0;
       tsq_bytes = 0;
+      tsq_timer = Eventq.timer ignore (* replaced below *);
       rate_anchor_t = 0.0;
       rate_anchor_bytes = 0;
       rate_ewma = 0.0;
@@ -781,6 +793,7 @@ let create ~id ~clock ~data_link ~ack_link ?(mss = 1448) ?(is_backup = false)
     }
   in
   t.rto_timer <- Eventq.timer (fun () -> on_rto t);
+  t.tsq_timer <- Eventq.timer (fun () -> t.on_sender_event ());
   t
 
 (* ---------- scheduler-facing operations ---------- *)
@@ -816,6 +829,7 @@ let fail t =
         (in_flight_count t) t.sq_len);
   t.established <- false;
   cancel_rto t;
+  Eventq.timer_cancel t.tsq_timer;
   let in_flight = ref [] in
   for seq = t.snd_nxt - 1 downto t.snd_una do
     match infl_take t seq with
@@ -896,6 +910,7 @@ let iter_packets t f =
     itself is garbage once the fleet drops the connection. *)
 let scrap t ~release_pkt =
   cancel_rto t;
+  Eventq.timer_cancel t.tsq_timer;
   t.established <- false;
   for seq = t.snd_una to t.snd_nxt - 1 do
     match infl_take t seq with

@@ -117,6 +117,9 @@ and t = {
   mutable tsq_head : int;
   mutable tsq_len : int;
   mutable tsq_bytes : int;
+  mutable tsq_timer : Eventq.timer;
+      (** TSQ completion wake-up, see {!arm_tsq_wakeup}; allocated once,
+          at subflow creation *)
   (* delivery-rate estimator backing the THROUGHPUT property *)
   mutable rate_anchor_t : float;
   mutable rate_anchor_bytes : int;
@@ -198,6 +201,14 @@ val own_backlog_bytes : t -> int
     TSQ state: another flow's queue does not throttle this one). *)
 
 val tsq_throttled : t -> bool
+
+val arm_tsq_wakeup : t -> unit
+(** The TSQ completion handler: when the subflow is established,
+    throttled and has nothing in flight, no ack will come to re-run the
+    scheduler once its backlog drains — arm a wake-up at the completion
+    time of its oldest queued segment that calls
+    {!field-on_sender_event}. The meta socket calls it after a trigger
+    that leaves data queued. *)
 
 val rtt_us : t -> int
 

@@ -403,11 +403,11 @@ let stats b =
       })
     b.b_links
 
-let pp_stats ppf b =
+let pp_stats ppf stats =
   List.iter
     (fun s ->
       Fmt.pf ppf "link %s: delivered %d lost %d tail_drop %d red_drop %d \
                   occ_mean %.0f occ_peak %d@."
         s.ls_name s.ls_delivered s.ls_lost s.ls_tail_dropped s.ls_red_dropped
         s.ls_mean_backlog s.ls_peak_backlog)
-    (stats b)
+    stats

@@ -119,4 +119,5 @@ type link_stats = {
 val stats : built -> link_stats list
 (** Per-link counters and occupancy, in declaration order. *)
 
-val pp_stats : Format.formatter -> built -> unit
+val pp_stats : Format.formatter -> link_stats list -> unit
+(** One line per link, as {!stats} returns them. *)

@@ -1,7 +1,8 @@
 (** Tests for the experiment-sweep subsystem: campaign-spec parsing,
     grid expansion order, RNG stream independence, the serial-vs-parallel
-    determinism contract ([Sweep.execute ~jobs:1] equals [~jobs:4]), and
-    a fault-axis campaign with invariant checking on a domain pool. *)
+    determinism contract ([Sweep.execute ~jobs:1] equals [~jobs:4]),
+    a fault-axis campaign with invariant checking on a domain pool, and
+    the scenario registry both drivers share. *)
 
 open Mptcp_exp
 open Helpers
@@ -481,4 +482,106 @@ let cc_topology_suite =
       ] );
   ]
 
-let suite = spec_suite @ rng_suite @ sweep_suite @ cc_topology_suite
+(* One run of [scenario] through the registry, the scheduler put on each
+   connection by [install] (the two drivers' hooks below). *)
+let registry_run ~install scenario =
+  let module R = Progmp_runtime in
+  ignore (Schedulers.Specs.load_all ());
+  let sched = Option.get (R.Scheduler.find "default") in
+  let p =
+    {
+      Spec.run_id = 0;
+      scenario;
+      scheduler = "default";
+      engine = "interpreter";
+      cc = "lia";
+      topology = (if scenario = "fairness" then "dumbbell" else "private");
+      loss = 0.01;
+      fleet = 1;
+      rate = 0.0;
+      size = "default";
+      fault = { Spec.fault_label = "none"; fault_file = None };
+      seed = 3;
+    }
+  in
+  (Scenarios.run
+     {
+       Scenarios.duration = 3.0;
+       scheduler = sched;
+       topology = Some Mptcp_sim.Topology.dumbbell;
+       ramp = [];
+       install = install sched;
+       instrument = ignore;
+     }
+     p)
+    .Scenarios.result
+
+let shared_install _ conn =
+  Progmp_runtime.Api.set_scheduler (Mptcp_sim.Connection.sock conn) "default"
+
+let private_install sched conn =
+  (Mptcp_sim.Connection.sock conn).Progmp_runtime.Api.scheduler <-
+    Progmp_runtime.Scheduler.instantiate_private sched ~engine:"interpreter"
+
+let scenarios_suite =
+  let sorted = List.sort compare in
+  [
+    ( "exp scenarios",
+      [
+        tc "every known scenario has exactly one registry entry" (fun () ->
+            Alcotest.(check (list string))
+              "registry = Spec.known_scenarios"
+              (sorted Spec.known_scenarios) (sorted Scenarios.names);
+            Alcotest.(check int)
+              "no duplicate entries"
+              (List.length (List.sort_uniq compare Scenarios.names))
+              (List.length Scenarios.names));
+      ]
+      @ List.map
+          (fun scenario ->
+            tc (scenario ^ ": shared and private installs agree") (fun () ->
+                let shared = registry_run ~install:shared_install scenario in
+                let priv = registry_run ~install:private_install scenario in
+                Alcotest.(check bool)
+                  "equal run_result" true (shared = priv);
+                Alcotest.(check bool)
+                  "the scheduler ran" true
+                  (shared.Sweep.r_executions > 0
+                  || List.mem_assoc "completed" shared.Sweep.r_extra)))
+          [ "bulk"; "stream"; "short-flows"; "http2"; "dash"; "fairness" ]
+      @ [
+          tc "thin-link fleet: every flow completes" (fun () ->
+              (* idle subflows throttled by TSQ once waited for an ack
+                 that never came, stranding flows with data queued *)
+              let open Mptcp_sim in
+              ignore (Schedulers.Specs.load_all ());
+              let sched =
+                Option.get (Progmp_runtime.Scheduler.find "default")
+              in
+              let seed = 7 in
+              let fleet =
+                Fleet.create ~seed ~scheduler:(sched, "interpreter")
+                  ~groups:32
+                  ~paths:(Sweep.fleet_thin_paths ~loss:0.0)
+                  ()
+              in
+              let sizes = Rng.stream ~seed 2 in
+              Traffic.drive ~clock:(Fleet.clock fleet)
+                ~rng:(Rng.stream ~seed 1)
+                ~rate:(fun _ -> 40.0)
+                ~until:1.0
+                (fun () ->
+                  Fleet.arrive fleet
+                    ~size:(Traffic.draw_size Traffic.default_pareto sizes));
+              ignore (Fleet.run ~until:40.0 fleet);
+              let tot = Fleet.totals fleet in
+              Alcotest.(check bool) "flows arrived" true (tot.Fleet.t_arrivals > 0);
+              Alcotest.(check int) "no flow left live" 0 tot.Fleet.t_live;
+              Alcotest.(check int)
+                "every arrival completed" tot.Fleet.t_arrivals
+                tot.Fleet.t_completed);
+        ] );
+  ]
+
+let suite =
+  spec_suite @ rng_suite @ sweep_suite @ cc_topology_suite @ scenarios_suite

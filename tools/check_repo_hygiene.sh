@@ -71,4 +71,16 @@ for f in $(git -C "$dir" ls-files -- 'lib/*.ml' 'lib/**/*.ml'); do
   fi
 done
 
+# Scenario worlds (paths, connections, workloads) are defined once, in
+# the registry lib/exp/scenarios.ml; a binary that builds one itself
+# has forked a scenario and will drift from the sweep's copy.
+for f in $(git -C "$dir" ls-files -- 'bin/*.ml'); do
+  hits=$(grep -nE 'Apps\.(Scenario|Workload)\.|Topology\.connect' "$dir/$f")
+  if [ -n "$hits" ]; then
+    echo "error: $f builds a scenario world; define it in lib/exp/scenarios.ml:" >&2
+    echo "$hits" >&2
+    status=1
+  fi
+done
+
 exit "$status"
