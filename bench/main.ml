@@ -253,10 +253,11 @@ let fig9 () =
     (fun (label, prog) ->
       let env, views = overhead_env ~subflows:2 ~packets:64 in
       let iters = 30_000 in
+      let run = Progmp_compiler.Vm.instantiate prog in
       let t0 = Unix.gettimeofday () in
       for _ = 1 to iters do
         Env.begin_execution env ~subflows:views;
-        Progmp_compiler.Vm.run prog env;
+        run env;
         ignore (Env.finish_execution env)
       done;
       let ns = (Unix.gettimeofday () -. t0) /. float_of_int iters *. 1e9 in
@@ -336,13 +337,44 @@ let engines_bench () =
      gap to native, and vm beats vm-noopt by the middle-end + flat-encoding \
      margin (Fig. 9 measures the default scheduler in detail)";
   let iters = if !smoke then 2_000 else 20_000 in
-  Fmt.pr "%-28s %-14s %14s %16s %12s@." "scheduler" "engine" "ns/decision"
-    "decisions/sec" "mw/decision";
-  let results = ref [] in
+  (* compiles are timed on fresh (uncached) programs, instantiations on
+     the last one, whose code is then cached *)
+  let compiles = if !smoke then 2 else 10 in
+  let instances = if !smoke then 200 else 2_000 in
+  Fmt.pr "%-28s %-14s %14s %16s %12s %12s %10s %10s@." "scheduler" "engine"
+    "ns/decision" "decisions/sec" "mw/decision" "compile us" "inst us"
+    "inst words";
+  let results = ref [] and setup_costs = ref [] in
   List.iter
     (fun (name, src) ->
       List.iter
         (fun engine ->
+          let fresh () =
+            Progmp_lang.Optimize.program
+              (Progmp_lang.Typecheck.compile_source src)
+          in
+          let compile_s = ref 0.0 and program = ref (fresh ()) in
+          for i = 1 to compiles do
+            if i > 1 then program := fresh ();
+            let t0 = Unix.gettimeofday () in
+            let (_ : Env.t -> unit) = Engine.instantiate engine !program in
+            compile_s := !compile_s +. (Unix.gettimeofday () -. t0)
+          done;
+          let compile_us = !compile_s /. float_of_int compiles *. 1e6 in
+          let mw0 = Gc.minor_words () in
+          let t0 = Unix.gettimeofday () in
+          for _ = 1 to instances do
+            let (_ : Env.t -> unit) = Engine.instantiate engine !program in
+            ()
+          done;
+          let instantiate_us =
+            (Unix.gettimeofday () -. t0) /. float_of_int instances *. 1e6
+          in
+          let instantiate_words =
+            (Gc.minor_words () -. mw0) /. float_of_int instances
+          in
+          setup_costs :=
+            ((name, engine), (compile_us, instantiate_us)) :: !setup_costs;
           let sched = Scheduler.of_source ~name:(name ^ "@" ^ engine) src in
           Scheduler.set_engine sched engine;
           let env, views = overhead_env ~subflows:2 ~packets:64 in
@@ -364,12 +396,30 @@ let engines_bench () =
           csv ~experiment:"engines"
             ~header:
               [ "scheduler"; "engine"; "ns_per_decision"; "decisions_per_sec";
-                "minor_words_per_decision" ]
+                "minor_words_per_decision"; "compile_us"; "instantiate_us";
+                "instantiate_words" ]
             [ name; engine; Fmt.str "%.1f" ns; Fmt.str "%.0f" per_sec;
-              Fmt.str "%.1f" mw ];
-          Fmt.pr "%-28s %-14s %14.0f %16.0f %12.1f@." name engine ns per_sec mw)
+              Fmt.str "%.1f" mw; Fmt.str "%.1f" compile_us;
+              Fmt.str "%.3f" instantiate_us; Fmt.str "%.1f" instantiate_words ];
+          Fmt.pr "%-28s %-14s %14.0f %16.0f %12.1f %12.1f %10.3f %10.1f@." name
+            engine ns per_sec mw compile_us instantiate_us instantiate_words)
         (Engine.names ()))
     Schedulers.Specs.all;
+  (* Compile once, instantiate cheaply: a slot's instance must cost a
+     small fraction of the compile it no longer repeats. *)
+  if !smoke then
+    List.iter
+      (fun engine ->
+        match List.assoc_opt ("default", engine) !setup_costs with
+        | Some (compile_us, instantiate_us)
+          when instantiate_us > compile_us /. 20.0 ->
+            Fmt.epr
+              "engines: %s instantiates default in %.3f us, more than 1/20 of \
+               its %.1f us compile@."
+              engine instantiate_us compile_us;
+            exit 1
+        | Some _ | None -> ())
+      [ "vm"; "threaded" ];
   (* The optimization margin the bytecode middle-end + flat encoding buys
      over the same bytecode pipeline without them, per scheduler, plus
      the threaded-code tier's speedup over the same unoptimized

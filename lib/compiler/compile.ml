@@ -66,34 +66,39 @@ let compile_with_stats ?(optimize = true) ?profile ?fuse_k ?subflow_count
 let compile ?optimize ?profile ?fuse_k ?subflow_count p =
   fst (compile_with_stats ?optimize ?profile ?fuse_k ?subflow_count p)
 
-(** Build an execution engine from a compiled program. When the program
-    was specialized for a constant subflow count (§4.1, "constant subflow
-    number" optimization), executions with a different count fall back to
-    [fallback] (normally the generic compiled or interpreted version),
-    like the paper's JIT returning to the original version. *)
+(** An instance of a compiled program: fresh scratch over the shared
+    [prog]. When the program was specialized for a constant subflow
+    count (§4.1, "constant subflow number" optimization), executions
+    with a different count fall back to [fallback] (normally the generic
+    compiled or interpreted version), like the paper's JIT returning to
+    the original version. *)
 let engine ?fallback (prog : Vm.prog) : Progmp_runtime.Env.t -> unit =
- fun env ->
-  match prog.Vm.specialized_for with
-  | Some k when Array.length env.Progmp_runtime.Env.subflows <> k -> (
-      match fallback with
-      | Some f -> f env
-      | None -> Vm.run prog env)
-  | Some _ | None -> Vm.run prog env
+  let run = Vm.instantiate prog in
+  match (prog.Vm.specialized_for, fallback) with
+  | None, _ -> run
+  | Some k, fallback ->
+      let fallback = Option.value fallback ~default:run in
+      fun env ->
+        if Array.length env.Progmp_runtime.Env.subflows <> k then fallback env
+        else run env
 
 (** Register the bytecode engines with the runtime's
     {!Progmp_runtime.Engine} registry: "vm" is the optimized,
     flat-encoded fast path; "vm-noopt" the escape hatch running the
     un-optimized emit output on the boxed interpreter (the baseline
-    [bench engines] measures the middle-end against). Runs once when
-    this module is linked; binaries that select engines purely by name
-    call it explicitly so the linker cannot drop this module (and its
-    registration) as unreferenced. *)
+    [bench engines] measures the middle-end against); "threaded" runs
+    the verified flat code as a closure chain. Each compiles once per
+    program (the registry caches the result) and instantiates by
+    allocating scratch only. Runs once when this module is linked;
+    binaries that select engines purely by name call it explicitly so
+    the linker cannot drop this module (and its registration) as
+    unreferenced. *)
 let register_engines =
   let registered = ref false in
   fun () ->
     if not !registered then begin
       registered := true;
-      Progmp_runtime.Engine.register "vm"
+      Progmp_runtime.Engine.register_compiled "vm"
         ~caps:
           {
             Progmp_runtime.Engine.compiled = true;
@@ -102,8 +107,9 @@ let register_engines =
               "eBPF-style bytecode VM (codegen -> regalloc -> emit -> \
                bytecode opt -> verifier -> flat encoding)";
           }
-        (fun program -> engine (compile program));
-      Progmp_runtime.Engine.register "vm-noopt"
+        ~compile:(fun program -> compile program)
+        ~instantiate:(fun prog -> engine prog);
+      Progmp_runtime.Engine.register_compiled "vm-noopt"
         ~caps:
           {
             Progmp_runtime.Engine.compiled = true;
@@ -112,8 +118,9 @@ let register_engines =
               "bytecode VM without the middle-end optimizer or flat \
                encoding (escape hatch / optimization baseline)";
           }
-        (fun program -> engine (compile ~optimize:false program));
-      Progmp_runtime.Engine.register "threaded"
+        ~compile:(fun program -> compile ~optimize:false program)
+        ~instantiate:(fun prog -> engine prog);
+      Progmp_runtime.Engine.register_compiled "threaded"
         ~caps:
           {
             Progmp_runtime.Engine.compiled = true;
@@ -122,17 +129,17 @@ let register_engines =
               "threaded-code engine: verified bytecode compiled to chained \
                closures, no dispatch loop (profile-guided superinstructions)";
           }
-        (fun program ->
-          let prog = compile program in
-          Threaded.compile prog.Vm.flat)
+        ~compile:(fun program -> Threaded.compile (compile program).Vm.flat)
+        ~instantiate:Threaded.instantiate
     end
 
 let () = register_engines ()
 
 (** Compile [sched]'s program specialized for a constant subflow count
-    (§4.1) and install the result, falling back to the scheduler's
-    previous engine when the live count differs. Generic (unspecialized)
-    VM selection goes through [Scheduler.set_engine sched "vm"] instead. *)
+    (§4.1) and install an instance of the result, falling back to the
+    scheduler's previous engine when the live count differs. Generic
+    (unspecialized) VM selection goes through
+    [Scheduler.set_engine sched "vm"] instead. *)
 let install_specialized ~subflow_count (sched : Progmp_runtime.Scheduler.t) =
   let previous = sched.Progmp_runtime.Scheduler.run in
   let prog = compile ~subflow_count sched.Progmp_runtime.Scheduler.program in

@@ -47,14 +47,16 @@ val engine :
   Vm.prog ->
   Progmp_runtime.Env.t ->
   unit
-(** Build an execution engine; a specialized program falls back to
-    [fallback] when the live subflow count differs. *)
+(** A fresh instance of [prog] (its own scratch, {!Vm.instantiate}); a
+    specialized program falls back to [fallback] when the live subflow
+    count differs. *)
 
 val register_engines : unit -> unit
 (** Register the "vm" (optimized + flat-encoded), "vm-noopt"
     (escape-hatch baseline) and "threaded" (closure-chain, no dispatch
-    loop) engines with {!Progmp_runtime.Engine}.
-    Idempotent; also runs automatically when this module is linked.
+    loop) engines with {!Progmp_runtime.Engine}, each as a compile step
+    (cached per program by the registry) and a scratch-only instantiate
+    step. Compiles nothing itself. Idempotent; also runs automatically when this module is linked.
     Call it from binaries that select engines only by name, so the
     linker keeps this module. *)
 

@@ -94,6 +94,18 @@ type instr =
 (** Stack size in words, as in eBPF's 512-byte stack. *)
 let stack_words = 512
 
+(* Every slot operand in range is below the extent, so a stack of
+   [stack_extent code] words serves each access the verifier admits. *)
+let stack_extent (code : instr array) =
+  Array.fold_left
+    (fun m (i : instr) ->
+      match i with
+      | Ldx (_, s) | Stx (s, _) | LdxJcci (_, _, s, _, _) | LdxJcc (_, _, _, s, _)
+        when s >= 0 && s < stack_words ->
+          max m (s + 1)
+      | _ -> m)
+    0 code
+
 let queue_code : Progmp_lang.Ast.queue_id -> int = function
   | Send_queue -> 0
   | Unacked_queue -> 1

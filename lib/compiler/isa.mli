@@ -66,6 +66,11 @@ type instr =
 val stack_words : int
 (** Stack size in words (eBPF's 512-byte stack analogue). *)
 
+val stack_extent : instr array -> int
+(** Stack words [code] can touch: one past its highest slot operand
+    below {!stack_words} (0 when it has none). An instance needs only
+    this much stack. *)
+
 val queue_code : Progmp_lang.Ast.queue_id -> int
 
 val sbf_prop_code : Progmp_lang.Props.subflow_prop -> int

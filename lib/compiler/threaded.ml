@@ -10,6 +10,12 @@
     opcode match, no pc, just closure calls (classic threaded code,
     Ertl & Gregg — the same lineage as {!Bopt}'s superinstructions).
 
+    The chain is never written once built. Every closure takes the
+    running instance's scratch — a {!state} record with the register
+    file, stack, packet-handle table and step budget — as its one
+    argument, so one compiled chain serves any number of instances, on
+    any domain, and {!instantiate} only allocates a [state].
+
     Soundness of the unchecked accesses mirrors [Vm.run_flat]: programs
     are only compiled from verifier-accepted code, so every register
     index is < [Isa.num_regs], every stack slot < [Isa.stack_words],
@@ -57,6 +63,87 @@ let invalid_handle h = raise (Vm.Fault (Fmt.str "invalid packet handle %d" h))
 
 let bad_queue c = raise (Vm.Fault (Fmt.str "bad queue code %d" c))
 
+(* One instance's scratch, passed to every instruction closure: the
+   closure chain is built once per program and shared by all instances
+   (and domains); only this record is per instance. *)
+type state = {
+  regs : int array;
+  stack : int array;
+  mutable env : Env.t;
+  mutable fuel : int;  (** back-edges left in this execution *)
+  mutable pkts : Packet.t array;  (** handle h (1-based) -> pkts.(h - 1) *)
+  mutable count : int;  (** handles minted in this execution *)
+  mutable gen : int;  (** this execution's stamp *)
+}
+
+type code = { entry : state -> unit; max_steps : int; stack_words : int }
+
+(* -------------------- packet handle table -------------------- *)
+(* Packet -> handle through a generation stamp cached on the packet
+   itself ([Packet.reg_stamp] / [reg_handle]): registration is two loads
+   and a compare, reset is one counter bump. Stamps come from a
+   process-global atomic sequence ({!run_gen}), so an execution of one
+   instance can never mistake another execution's stamp — or a stale
+   one — for its own. The same packet always maps to the same handle
+   within an execution (packet equality in the DSL compares handles),
+   and handles never outlive the execution that minted them (the type
+   system cannot store a packet in a register). *)
+let register_packet st (p : Packet.t) =
+  if p.Packet.reg_stamp = st.gen then p.Packet.reg_handle
+  else begin
+    let c = st.count in
+    if c = Array.length st.pkts then begin
+      let np = Array.make (2 * c) Packet.dummy in
+      Array.blit st.pkts 0 np 0 c;
+      st.pkts <- np
+    end;
+    Array.unsafe_set st.pkts c p;
+    st.count <- c + 1;
+    p.Packet.reg_stamp <- st.gen;
+    p.Packet.reg_handle <- c + 1;
+    c + 1
+  end
+
+(* ----------------------- helper bodies ----------------------- *)
+(* Same graceful-failure semantics as [Vm.exec_helper]: a NULL handle
+   (0) reads as 0 / makes the call a no-op, a nonzero handle this
+   execution did not mint faults, subflow handles out of range read as
+   NULL. *)
+let queue_sel c : Env.t -> Pqueue.t =
+  match c with
+  | 0 -> fun e -> e.Env.q
+  | 1 -> fun e -> e.Env.qu
+  | 2 -> fun e -> e.Env.rq
+  | c -> fun _ -> bad_queue c
+
+let queue_rt (e : Env.t) c =
+  match c with 0 -> e.Env.q | 1 -> e.Env.qu | 2 -> e.Env.rq | c -> bad_queue c
+
+let q_nth st q i =
+  if i >= 0 && i < Pqueue.length q then
+    register_packet st (Pqueue.unsafe_get q i)
+  else 0
+
+let q_remove st q i =
+  match Pqueue.remove_at q i with
+  | Some p ->
+      Env.record_pop st.env q p;
+      register_packet st p
+  | None -> 0
+
+let pkt_reader (p : Progmp_lang.Props.packet_prop) : Packet.t -> int =
+  match p with
+  | Progmp_lang.Props.Size -> fun p -> p.Packet.size
+  | Progmp_lang.Props.Seq -> fun p -> p.Packet.seq
+  | Progmp_lang.Props.Sent_count -> fun p -> p.Packet.sent_count
+  | Progmp_lang.Props.User_prop i -> fun p -> Packet.user_prop p i
+
+(* [Some p] without the option: callers branch on the NULL handle
+   first. *)
+let deref st h =
+  if h > 0 && h <= st.count then Array.unsafe_get st.pkts (h - 1)
+  else invalid_handle h
+
 let jump_targets (code : Isa.instr array) =
   let t = Array.make (Array.length code + 1) false in
   Array.iter
@@ -74,91 +161,11 @@ let jump_targets (code : Isa.instr array) =
   t
 
 let compile_code ?(max_steps = default_max_steps) (code : Isa.instr array) :
-    Env.t -> unit =
+    code =
   let n = Array.length code in
-  if n = 0 then fun (_ : Env.t) -> ()
+  if n = 0 then { entry = (fun _ -> ()); max_steps; stack_words = 0 }
   else begin
     let is_target = jump_targets code in
-    (* Scratch state, captured by the instruction closures: like
-       [Vm.prog]'s scratch arrays, one execution at a time. *)
-    let regs = Array.make Isa.num_regs 0 in
-    let stack = Array.make Isa.stack_words 0 in
-    let env_ref = ref (Env.create ()) in
-    let fuel = ref 0 in
-
-    (* -------------------- packet handle table -------------------- *)
-    (* handle h (1-based) -> pkts.(h - 1); packet -> handle through a
-       generation stamp cached on the packet itself ([Packet.reg_stamp]
-       / [reg_handle]): registration is two loads and a compare, reset
-       is one counter bump. Stamps come from a process-global atomic
-       sequence ({!run_gen} below), so an execution of one compiled
-       program can never mistake another execution's stamp — or a
-       stale one — for its own. The same packet always maps to the same
-       handle within an execution (packet equality in the DSL compares
-       handles), and handles never outlive the execution that minted
-       them (the type system cannot store a packet in a register). *)
-    let dummy_pkt = Packet.create ~seq:0 ~size:0 ~now:0.0 () in
-    let pkts = ref (Array.make 64 dummy_pkt) in
-    let count = ref 0 in
-    let gen = ref 0 in
-    let register_packet (p : Packet.t) =
-      if p.Packet.reg_stamp = !gen then p.Packet.reg_handle
-      else begin
-        let c = !count in
-        if c = Array.length !pkts then begin
-          let np = Array.make (2 * c) dummy_pkt in
-          Array.blit !pkts 0 np 0 c;
-          pkts := np
-        end;
-        Array.unsafe_set !pkts c p;
-        count := c + 1;
-        p.Packet.reg_stamp <- !gen;
-        p.Packet.reg_handle <- c + 1;
-        c + 1
-      end
-    in
-
-    (* ----------------------- helper bodies ----------------------- *)
-    (* Same graceful-failure semantics as [Vm.exec_helper]: a NULL
-       handle (0) reads as 0 / makes the call a no-op, a nonzero handle
-       this execution did not mint faults, subflow handles out of range
-       read as NULL. *)
-    let queue_sel c : Env.t -> Pqueue.t =
-      match c with
-      | 0 -> fun e -> e.Env.q
-      | 1 -> fun e -> e.Env.qu
-      | 2 -> fun e -> e.Env.rq
-      | c -> fun _ -> bad_queue c
-    in
-    let queue_rt (e : Env.t) c =
-      match c with 0 -> e.Env.q | 1 -> e.Env.qu | 2 -> e.Env.rq | c -> bad_queue c
-    in
-    let q_nth q i =
-      if i >= 0 && i < Pqueue.length q then
-        register_packet (Pqueue.unsafe_get q i)
-      else 0
-    in
-    let q_remove q i =
-      match Pqueue.remove_at q i with
-      | Some p ->
-          Env.record_pop !env_ref q p;
-          register_packet p
-      | None -> 0
-    in
-    let pkt_reader (p : Progmp_lang.Props.packet_prop) : Packet.t -> int =
-      match p with
-      | Progmp_lang.Props.Size -> fun p -> p.Packet.size
-      | Progmp_lang.Props.Seq -> fun p -> p.Packet.seq
-      | Progmp_lang.Props.Sent_count -> fun p -> p.Packet.sent_count
-      | Progmp_lang.Props.User_prop i -> fun p -> Packet.user_prop p i
-    in
-    (* [Some p] without the option: 0 -> [dummy_pkt] is never reached
-       because callers branch on the handle first. *)
-    let deref h =
-      if h > 0 && h <= !count then Array.unsafe_get !pkts (h - 1)
-      else invalid_handle h
-    in
-
     (* Argument-source discovery for call-site specialization: where
        does the value of [r] at [pc] come from? A straight backward scan
        in the same basic block finds the defining instruction before any
@@ -220,12 +227,12 @@ let compile_code ?(max_steps = default_max_steps) (code : Isa.instr array) :
       in
       scan (pc - 1)
     in
-    let arg_getter r (s : arg_src) : unit -> int =
+    let arg_getter r (s : arg_src) : state -> int =
       match s with
-      | Const c -> fun () -> c
-      | From_reg s -> fun () -> Array.unsafe_get regs s
-      | From_slot sl -> fun () -> Array.unsafe_get stack sl
-      | Dyn -> fun () -> Array.unsafe_get regs r
+      | Const c -> fun _ -> c
+      | From_reg s -> fun st -> Array.unsafe_get st.regs s
+      | From_slot sl -> fun st -> Array.unsafe_get st.stack sl
+      | Dyn -> fun st -> Array.unsafe_get st.regs r
     in
     (* Registers the specialized closure still reads at run time. *)
     let arg_use r (s : arg_src) =
@@ -238,7 +245,7 @@ let compile_code ?(max_steps = default_max_steps) (code : Isa.instr array) :
     (* The executable body of a helper call at [pc], specialized on the
        discovered argument sources, paired with the mask of registers it
        actually reads at run time. *)
-    let helper_exec pc (h : Isa.helper) : (unit -> int) * int =
+    let helper_exec pc (h : Isa.helper) : (state -> int) * int =
       let s1 = arg_source pc 1 and s2 = arg_source pc 2 in
       let g1 = arg_getter 1 s1 and g2 = arg_getter 2 s2 in
       let u1 = arg_use 1 s1 and u2 = arg_use 2 s2 in
@@ -251,49 +258,49 @@ let compile_code ?(max_steps = default_max_steps) (code : Isa.instr array) :
               let sel = queue_sel c in
               let exec =
                 match s2 with
-                | Const i -> fun () -> q_nth (sel !env_ref) i
+                | Const i -> fun st -> q_nth st (sel st.env) i
                 | From_reg s ->
-                    fun () -> q_nth (sel !env_ref) (Array.unsafe_get regs s)
+                    fun st -> q_nth st (sel st.env) (Array.unsafe_get st.regs s)
                 | From_slot sl ->
-                    fun () -> q_nth (sel !env_ref) (Array.unsafe_get stack sl)
-                | Dyn -> fun () -> q_nth (sel !env_ref) (Array.unsafe_get regs 2)
+                    fun st -> q_nth st (sel st.env) (Array.unsafe_get st.stack sl)
+                | Dyn -> fun st -> q_nth st (sel st.env) (Array.unsafe_get st.regs 2)
               in
               (exec, u2)
-          | _ -> ((fun () -> q_nth (queue_rt !env_ref (g1 ())) (g2 ())), u1 lor u2))
+          | _ -> ((fun st -> q_nth st (queue_rt st.env (g1 st)) (g2 st)), u1 lor u2))
       | Isa.H_q_remove -> (
           match s1 with
           | Const c ->
               let sel = queue_sel c in
-              ((fun () -> q_remove (sel !env_ref) (g2 ())), u2)
+              ((fun st -> q_remove st (sel st.env) (g2 st)), u2)
           | _ ->
-              ((fun () -> q_remove (queue_rt !env_ref (g1 ())) (g2 ())), u1 lor u2))
+              ((fun st -> q_remove st (queue_rt st.env (g1 st)) (g2 st)), u1 lor u2))
       | Isa.H_sbf_count ->
-          ((fun () -> Array.length (!env_ref).Env.subflows), 0)
+          ((fun st -> Array.length st.env.Env.subflows), 0)
       | Isa.H_sbf_prop -> (
           match s2 with
           | Const c ->
               let prop = Isa.sbf_prop_of_code c in
-              let body h =
-                let sbfs = (!env_ref).Env.subflows in
+              let body st h =
+                let sbfs = st.env.Env.subflows in
                 if h > 0 && h <= Array.length sbfs then
                   Subflow_view.prop_int (Array.unsafe_get sbfs (h - 1)) prop
                 else 0
               in
               let exec =
                 match s1 with
-                | Const h -> fun () -> body h
-                | From_reg s -> fun () -> body (Array.unsafe_get regs s)
-                | From_slot sl -> fun () -> body (Array.unsafe_get stack sl)
-                | Dyn -> fun () -> body (Array.unsafe_get regs 1)
+                | Const h -> fun st -> body st h
+                | From_reg s -> fun st -> body st (Array.unsafe_get st.regs s)
+                | From_slot sl -> fun st -> body st (Array.unsafe_get st.stack sl)
+                | Dyn -> fun st -> body st (Array.unsafe_get st.regs 1)
               in
               (exec, u1)
           | _ ->
-              ( (fun () ->
-                  let h = g1 () in
-                  let sbfs = (!env_ref).Env.subflows in
+              ( (fun st ->
+                  let h = g1 st in
+                  let sbfs = st.env.Env.subflows in
                   if h > 0 && h <= Array.length sbfs then
                     Subflow_view.prop_int sbfs.(h - 1)
-                      (Isa.sbf_prop_of_code (g2 ()))
+                      (Isa.sbf_prop_of_code (g2 st))
                   else 0),
                 u1 lor u2 ))
       | Isa.H_pkt_prop -> (
@@ -302,36 +309,36 @@ let compile_code ?(max_steps = default_max_steps) (code : Isa.instr array) :
               let read = pkt_reader (Isa.pkt_prop_of_code c) in
               let exec =
                 match s1 with
-                | Const h -> if h = 0 then fun () -> 0 else fun () -> read (deref h)
+                | Const h -> if h = 0 then fun _ -> 0 else fun st -> read (deref st h)
                 | From_reg s ->
-                    fun () ->
-                      let h = Array.unsafe_get regs s in
-                      if h = 0 then 0 else read (deref h)
+                    fun st ->
+                      let h = Array.unsafe_get st.regs s in
+                      if h = 0 then 0 else read (deref st h)
                 | From_slot sl ->
-                    fun () ->
-                      let h = Array.unsafe_get stack sl in
-                      if h = 0 then 0 else read (deref h)
+                    fun st ->
+                      let h = Array.unsafe_get st.stack sl in
+                      if h = 0 then 0 else read (deref st h)
                 | Dyn ->
-                    fun () ->
-                      let h = Array.unsafe_get regs 1 in
-                      if h = 0 then 0 else read (deref h)
+                    fun st ->
+                      let h = Array.unsafe_get st.regs 1 in
+                      if h = 0 then 0 else read (deref st h)
               in
               (exec, u1)
           | _ ->
-              ( (fun () ->
-                  let h = g1 () in
+              ( (fun st ->
+                  let h = g1 st in
                   if h = 0 then 0
                   else
-                    let p = deref h in
-                    pkt_reader (Isa.pkt_prop_of_code (g2 ())) p),
+                    let p = deref st h in
+                    pkt_reader (Isa.pkt_prop_of_code (g2 st)) p),
                 u1 lor u2 ))
       | Isa.H_sent_on ->
-          ( (fun () ->
-              let hp = g1 () and hs = g2 () in
+          ( (fun st ->
+              let hp = g1 st and hs = g2 st in
               if hp = 0 then 0
               else
-                let p = deref hp in
-                let sbfs = (!env_ref).Env.subflows in
+                let p = deref st hp in
+                let sbfs = st.env.Env.subflows in
                 if
                   hs > 0
                   && hs <= Array.length sbfs
@@ -341,12 +348,12 @@ let compile_code ?(max_steps = default_max_steps) (code : Isa.instr array) :
                 else 0),
             u1 lor u2 )
       | Isa.H_has_window ->
-          ( (fun () ->
-              let hs = g1 () and hp = g2 () in
+          ( (fun st ->
+              let hs = g1 st and hp = g2 st in
               if hp = 0 then 0
               else
-                let p = deref hp in
-                let sbfs = (!env_ref).Env.subflows in
+                let p = deref st hp in
+                let sbfs = st.env.Env.subflows in
                 if
                   hs > 0
                   && hs <= Array.length sbfs
@@ -357,31 +364,31 @@ let compile_code ?(max_steps = default_max_steps) (code : Isa.instr array) :
                 else 0),
             u1 lor u2 )
       | Isa.H_push ->
-          ( (fun () ->
-              let hs = g1 () and hp = g2 () in
+          ( (fun st ->
+              let hs = g1 st and hp = g2 st in
               if hp <> 0 then begin
-                let p = deref hp in
-                let sbfs = (!env_ref).Env.subflows in
+                let p = deref st hp in
+                let sbfs = st.env.Env.subflows in
                 if hs > 0 && hs <= Array.length sbfs then
-                  Env.emit_push !env_ref
+                  Env.emit_push st.env
                     ~sbf_id:(Array.unsafe_get sbfs (hs - 1)).Subflow_view.id
                     p
               end;
               0),
             u1 lor u2 )
       | Isa.H_drop ->
-          ( (fun () ->
-              let hp = g1 () in
-              if hp <> 0 then Env.emit_drop !env_ref (deref hp);
+          ( (fun st ->
+              let hp = g1 st in
+              if hp <> 0 then Env.emit_drop st.env (deref st hp);
               0),
             u1 )
       | Isa.H_get_reg -> (
           match s1 with
-          | Const c -> ((fun () -> Env.get_register !env_ref c), 0)
-          | _ -> ((fun () -> Env.get_register !env_ref (g1 ())), u1))
+          | Const c -> ((fun st -> Env.get_register st.env c), 0)
+          | _ -> ((fun st -> Env.get_register st.env (g1 st)), u1))
       | Isa.H_set_reg ->
-          ( (fun () ->
-              Env.set_register !env_ref (g1 ()) (g2 ());
+          ( (fun st ->
+              Env.set_register st.env (g1 st) (g2 st);
               0),
             u1 lor u2 )
     in
@@ -389,7 +396,7 @@ let compile_code ?(max_steps = default_max_steps) (code : Isa.instr array) :
     (* ------------------- specialization analysis ------------------ *)
     (* Specialize every call site up front, remembering which registers
        each specialized closure still reads at run time. *)
-    let execs = Array.make n (fun () -> 0) in
+    let execs = Array.make n (fun _ -> 0) in
     let call_uses = Array.make n 0 in
     Array.iteri
       (fun pc (i : Isa.instr) ->
@@ -497,134 +504,134 @@ let compile_code ?(max_steps = default_max_steps) (code : Isa.instr array) :
     done;
 
     (* ---------------------- closure emission --------------------- *)
-    let conts = Array.make (n + 1) (fun () -> ()) in
+    let conts = Array.make (n + 1) (fun _ -> ()) in
     (* Continuation of a transfer from [pc] to [t]: forward targets are
        already compiled (we build back-to-front) and bind directly;
        back-edges indirect through the array and pay the step budget. *)
     let goto pc t =
       if t > pc then Array.unsafe_get conts t
-      else fun () ->
-        let f = !fuel - 1 in
+      else fun st ->
+        let f = st.fuel - 1 in
         if f < 0 then raise (Vm.Fault "step budget exhausted");
-        fuel := f;
-        (Array.unsafe_get conts t) ()
+        st.fuel <- f;
+        (Array.unsafe_get conts t) st
     in
     let alu op d s next =
       match (op : Isa.aluop) with
       | Isa.Add ->
-          fun () ->
-            Array.unsafe_set regs d
-              (Array.unsafe_get regs d + Array.unsafe_get regs s);
-            next ()
+          fun st ->
+            Array.unsafe_set st.regs d
+              (Array.unsafe_get st.regs d + Array.unsafe_get st.regs s);
+            next st
       | Isa.Sub ->
-          fun () ->
-            Array.unsafe_set regs d
-              (Array.unsafe_get regs d - Array.unsafe_get regs s);
-            next ()
+          fun st ->
+            Array.unsafe_set st.regs d
+              (Array.unsafe_get st.regs d - Array.unsafe_get st.regs s);
+            next st
       | Isa.Mul ->
-          fun () ->
-            Array.unsafe_set regs d
-              (Array.unsafe_get regs d * Array.unsafe_get regs s);
-            next ()
+          fun st ->
+            Array.unsafe_set st.regs d
+              (Array.unsafe_get st.regs d * Array.unsafe_get st.regs s);
+            next st
       | Isa.Div ->
-          fun () ->
-            let b = Array.unsafe_get regs s in
-            Array.unsafe_set regs d
-              (if b = 0 then 0 else Array.unsafe_get regs d / b);
-            next ()
+          fun st ->
+            let b = Array.unsafe_get st.regs s in
+            Array.unsafe_set st.regs d
+              (if b = 0 then 0 else Array.unsafe_get st.regs d / b);
+            next st
       | Isa.Mod ->
-          fun () ->
-            let b = Array.unsafe_get regs s in
-            Array.unsafe_set regs d
-              (if b = 0 then 0 else Array.unsafe_get regs d mod b);
-            next ()
+          fun st ->
+            let b = Array.unsafe_get st.regs s in
+            Array.unsafe_set st.regs d
+              (if b = 0 then 0 else Array.unsafe_get st.regs d mod b);
+            next st
       | Isa.And ->
-          fun () ->
-            Array.unsafe_set regs d
-              (Array.unsafe_get regs d land Array.unsafe_get regs s);
-            next ()
+          fun st ->
+            Array.unsafe_set st.regs d
+              (Array.unsafe_get st.regs d land Array.unsafe_get st.regs s);
+            next st
       | Isa.Or ->
-          fun () ->
-            Array.unsafe_set regs d
-              (Array.unsafe_get regs d lor Array.unsafe_get regs s);
-            next ()
+          fun st ->
+            Array.unsafe_set st.regs d
+              (Array.unsafe_get st.regs d lor Array.unsafe_get st.regs s);
+            next st
       | Isa.Xor ->
-          fun () ->
-            Array.unsafe_set regs d
-              (Array.unsafe_get regs d lxor Array.unsafe_get regs s);
-            next ()
+          fun st ->
+            Array.unsafe_set st.regs d
+              (Array.unsafe_get st.regs d lxor Array.unsafe_get st.regs s);
+            next st
       | Isa.Lsh ->
-          fun () ->
-            let b = Array.unsafe_get regs s in
-            Array.unsafe_set regs d
-              (if b < 0 || b >= 63 then 0 else Array.unsafe_get regs d lsl b);
-            next ()
+          fun st ->
+            let b = Array.unsafe_get st.regs s in
+            Array.unsafe_set st.regs d
+              (if b < 0 || b >= 63 then 0 else Array.unsafe_get st.regs d lsl b);
+            next st
       | Isa.Rsh ->
-          fun () ->
-            let b = Array.unsafe_get regs s in
-            Array.unsafe_set regs d
-              (if b < 0 || b >= 63 then 0 else Array.unsafe_get regs d asr b);
-            next ()
+          fun st ->
+            let b = Array.unsafe_get st.regs s in
+            Array.unsafe_set st.regs d
+              (if b < 0 || b >= 63 then 0 else Array.unsafe_get st.regs d asr b);
+            next st
     in
     let alui op d i next =
       match (op : Isa.aluop) with
-      | Isa.Add -> fun () -> Array.unsafe_set regs d (Array.unsafe_get regs d + i); next ()
-      | Isa.Sub -> fun () -> Array.unsafe_set regs d (Array.unsafe_get regs d - i); next ()
-      | Isa.Mul -> fun () -> Array.unsafe_set regs d (Array.unsafe_get regs d * i); next ()
+      | Isa.Add -> fun st -> Array.unsafe_set st.regs d (Array.unsafe_get st.regs d + i); next st
+      | Isa.Sub -> fun st -> Array.unsafe_set st.regs d (Array.unsafe_get st.regs d - i); next st
+      | Isa.Mul -> fun st -> Array.unsafe_set st.regs d (Array.unsafe_get st.regs d * i); next st
       | Isa.Div ->
-          if i = 0 then (fun () -> Array.unsafe_set regs d 0; next ())
-          else fun () -> Array.unsafe_set regs d (Array.unsafe_get regs d / i); next ()
+          if i = 0 then (fun st -> Array.unsafe_set st.regs d 0; next st)
+          else fun st -> Array.unsafe_set st.regs d (Array.unsafe_get st.regs d / i); next st
       | Isa.Mod ->
-          if i = 0 then (fun () -> Array.unsafe_set regs d 0; next ())
-          else fun () -> Array.unsafe_set regs d (Array.unsafe_get regs d mod i); next ()
-      | Isa.And -> fun () -> Array.unsafe_set regs d (Array.unsafe_get regs d land i); next ()
-      | Isa.Or -> fun () -> Array.unsafe_set regs d (Array.unsafe_get regs d lor i); next ()
-      | Isa.Xor -> fun () -> Array.unsafe_set regs d (Array.unsafe_get regs d lxor i); next ()
+          if i = 0 then (fun st -> Array.unsafe_set st.regs d 0; next st)
+          else fun st -> Array.unsafe_set st.regs d (Array.unsafe_get st.regs d mod i); next st
+      | Isa.And -> fun st -> Array.unsafe_set st.regs d (Array.unsafe_get st.regs d land i); next st
+      | Isa.Or -> fun st -> Array.unsafe_set st.regs d (Array.unsafe_get st.regs d lor i); next st
+      | Isa.Xor -> fun st -> Array.unsafe_set st.regs d (Array.unsafe_get st.regs d lxor i); next st
       | Isa.Lsh ->
-          if i < 0 || i >= 63 then (fun () -> Array.unsafe_set regs d 0; next ())
-          else fun () -> Array.unsafe_set regs d (Array.unsafe_get regs d lsl i); next ()
+          if i < 0 || i >= 63 then (fun st -> Array.unsafe_set st.regs d 0; next st)
+          else fun st -> Array.unsafe_set st.regs d (Array.unsafe_get st.regs d lsl i); next st
       | Isa.Rsh ->
-          if i < 0 || i >= 63 then (fun () -> Array.unsafe_set regs d 0; next ())
-          else fun () -> Array.unsafe_set regs d (Array.unsafe_get regs d asr i); next ()
+          if i < 0 || i >= 63 then (fun st -> Array.unsafe_set st.regs d 0; next st)
+          else fun st -> Array.unsafe_set st.regs d (Array.unsafe_get st.regs d asr i); next st
     in
     let jcc_rr c a b taken fall =
       match (c : Isa.cond) with
-      | Isa.Jeq -> fun () -> if Array.unsafe_get regs a = Array.unsafe_get regs b then taken () else fall ()
-      | Isa.Jne -> fun () -> if Array.unsafe_get regs a <> Array.unsafe_get regs b then taken () else fall ()
-      | Isa.Jlt -> fun () -> if Array.unsafe_get regs a < Array.unsafe_get regs b then taken () else fall ()
-      | Isa.Jle -> fun () -> if Array.unsafe_get regs a <= Array.unsafe_get regs b then taken () else fall ()
-      | Isa.Jgt -> fun () -> if Array.unsafe_get regs a > Array.unsafe_get regs b then taken () else fall ()
-      | Isa.Jge -> fun () -> if Array.unsafe_get regs a >= Array.unsafe_get regs b then taken () else fall ()
+      | Isa.Jeq -> fun st -> if Array.unsafe_get st.regs a = Array.unsafe_get st.regs b then taken st else fall st
+      | Isa.Jne -> fun st -> if Array.unsafe_get st.regs a <> Array.unsafe_get st.regs b then taken st else fall st
+      | Isa.Jlt -> fun st -> if Array.unsafe_get st.regs a < Array.unsafe_get st.regs b then taken st else fall st
+      | Isa.Jle -> fun st -> if Array.unsafe_get st.regs a <= Array.unsafe_get st.regs b then taken st else fall st
+      | Isa.Jgt -> fun st -> if Array.unsafe_get st.regs a > Array.unsafe_get st.regs b then taken st else fall st
+      | Isa.Jge -> fun st -> if Array.unsafe_get st.regs a >= Array.unsafe_get st.regs b then taken st else fall st
     in
     (* A register move immediately followed by a compare-and-branch runs
        as one closure (the branch's own closure still exists, so jumps
        landing on it are unaffected). *)
     let mov_jcci d s c a i taken fall =
       match (c : Isa.cond) with
-      | Isa.Jeq -> fun () -> Array.unsafe_set regs d (Array.unsafe_get regs s); if Array.unsafe_get regs a = i then taken () else fall ()
-      | Isa.Jne -> fun () -> Array.unsafe_set regs d (Array.unsafe_get regs s); if Array.unsafe_get regs a <> i then taken () else fall ()
-      | Isa.Jlt -> fun () -> Array.unsafe_set regs d (Array.unsafe_get regs s); if Array.unsafe_get regs a < i then taken () else fall ()
-      | Isa.Jle -> fun () -> Array.unsafe_set regs d (Array.unsafe_get regs s); if Array.unsafe_get regs a <= i then taken () else fall ()
-      | Isa.Jgt -> fun () -> Array.unsafe_set regs d (Array.unsafe_get regs s); if Array.unsafe_get regs a > i then taken () else fall ()
-      | Isa.Jge -> fun () -> Array.unsafe_set regs d (Array.unsafe_get regs s); if Array.unsafe_get regs a >= i then taken () else fall ()
+      | Isa.Jeq -> fun st -> Array.unsafe_set st.regs d (Array.unsafe_get st.regs s); if Array.unsafe_get st.regs a = i then taken st else fall st
+      | Isa.Jne -> fun st -> Array.unsafe_set st.regs d (Array.unsafe_get st.regs s); if Array.unsafe_get st.regs a <> i then taken st else fall st
+      | Isa.Jlt -> fun st -> Array.unsafe_set st.regs d (Array.unsafe_get st.regs s); if Array.unsafe_get st.regs a < i then taken st else fall st
+      | Isa.Jle -> fun st -> Array.unsafe_set st.regs d (Array.unsafe_get st.regs s); if Array.unsafe_get st.regs a <= i then taken st else fall st
+      | Isa.Jgt -> fun st -> Array.unsafe_set st.regs d (Array.unsafe_get st.regs s); if Array.unsafe_get st.regs a > i then taken st else fall st
+      | Isa.Jge -> fun st -> Array.unsafe_set st.regs d (Array.unsafe_get st.regs s); if Array.unsafe_get st.regs a >= i then taken st else fall st
     in
     let jcc_ri c a i taken fall =
       match (c : Isa.cond) with
-      | Isa.Jeq -> fun () -> if Array.unsafe_get regs a = i then taken () else fall ()
-      | Isa.Jne -> fun () -> if Array.unsafe_get regs a <> i then taken () else fall ()
-      | Isa.Jlt -> fun () -> if Array.unsafe_get regs a < i then taken () else fall ()
-      | Isa.Jle -> fun () -> if Array.unsafe_get regs a <= i then taken () else fall ()
-      | Isa.Jgt -> fun () -> if Array.unsafe_get regs a > i then taken () else fall ()
-      | Isa.Jge -> fun () -> if Array.unsafe_get regs a >= i then taken () else fall ()
+      | Isa.Jeq -> fun st -> if Array.unsafe_get st.regs a = i then taken st else fall st
+      | Isa.Jne -> fun st -> if Array.unsafe_get st.regs a <> i then taken st else fall st
+      | Isa.Jlt -> fun st -> if Array.unsafe_get st.regs a < i then taken st else fall st
+      | Isa.Jle -> fun st -> if Array.unsafe_get st.regs a <= i then taken st else fall st
+      | Isa.Jgt -> fun st -> if Array.unsafe_get st.regs a > i then taken st else fall st
+      | Isa.Jge -> fun st -> if Array.unsafe_get st.regs a >= i then taken st else fall st
     in
     let call_jcci exec c i taken fall =
       match (c : Isa.cond) with
-      | Isa.Jeq -> fun () -> let r = exec () in Array.unsafe_set regs 0 r; if r = i then taken () else fall ()
-      | Isa.Jne -> fun () -> let r = exec () in Array.unsafe_set regs 0 r; if r <> i then taken () else fall ()
-      | Isa.Jlt -> fun () -> let r = exec () in Array.unsafe_set regs 0 r; if r < i then taken () else fall ()
-      | Isa.Jle -> fun () -> let r = exec () in Array.unsafe_set regs 0 r; if r <= i then taken () else fall ()
-      | Isa.Jgt -> fun () -> let r = exec () in Array.unsafe_set regs 0 r; if r > i then taken () else fall ()
-      | Isa.Jge -> fun () -> let r = exec () in Array.unsafe_set regs 0 r; if r >= i then taken () else fall ()
+      | Isa.Jeq -> fun st -> let r = exec st in Array.unsafe_set st.regs 0 r; if r = i then taken st else fall st
+      | Isa.Jne -> fun st -> let r = exec st in Array.unsafe_set st.regs 0 r; if r <> i then taken st else fall st
+      | Isa.Jlt -> fun st -> let r = exec st in Array.unsafe_set st.regs 0 r; if r < i then taken st else fall st
+      | Isa.Jle -> fun st -> let r = exec st in Array.unsafe_set st.regs 0 r; if r <= i then taken st else fall st
+      | Isa.Jgt -> fun st -> let r = exec st in Array.unsafe_set st.regs 0 r; if r > i then taken st else fall st
+      | Isa.Jge -> fun st -> let r = exec st in Array.unsafe_set st.regs 0 r; if r >= i then taken st else fall st
     in
     (* [call h; mov d, r0; jcci c, a, i, t] with [a] one of the two
        registers holding the call result runs as one closure — the shape
@@ -633,33 +640,33 @@ let compile_code ?(max_steps = default_max_steps) (code : Isa.instr array) :
        branch's own closures still exist for incoming jumps. *)
     let call_mov_jcci exec d c i taken fall =
       match (c : Isa.cond) with
-      | Isa.Jeq -> fun () -> let r = exec () in Array.unsafe_set regs 0 r; Array.unsafe_set regs d r; if r = i then taken () else fall ()
-      | Isa.Jne -> fun () -> let r = exec () in Array.unsafe_set regs 0 r; Array.unsafe_set regs d r; if r <> i then taken () else fall ()
-      | Isa.Jlt -> fun () -> let r = exec () in Array.unsafe_set regs 0 r; Array.unsafe_set regs d r; if r < i then taken () else fall ()
-      | Isa.Jle -> fun () -> let r = exec () in Array.unsafe_set regs 0 r; Array.unsafe_set regs d r; if r <= i then taken () else fall ()
-      | Isa.Jgt -> fun () -> let r = exec () in Array.unsafe_set regs 0 r; Array.unsafe_set regs d r; if r > i then taken () else fall ()
-      | Isa.Jge -> fun () -> let r = exec () in Array.unsafe_set regs 0 r; Array.unsafe_set regs d r; if r >= i then taken () else fall ()
+      | Isa.Jeq -> fun st -> let r = exec st in Array.unsafe_set st.regs 0 r; Array.unsafe_set st.regs d r; if r = i then taken st else fall st
+      | Isa.Jne -> fun st -> let r = exec st in Array.unsafe_set st.regs 0 r; Array.unsafe_set st.regs d r; if r <> i then taken st else fall st
+      | Isa.Jlt -> fun st -> let r = exec st in Array.unsafe_set st.regs 0 r; Array.unsafe_set st.regs d r; if r < i then taken st else fall st
+      | Isa.Jle -> fun st -> let r = exec st in Array.unsafe_set st.regs 0 r; Array.unsafe_set st.regs d r; if r <= i then taken st else fall st
+      | Isa.Jgt -> fun st -> let r = exec st in Array.unsafe_set st.regs 0 r; Array.unsafe_set st.regs d r; if r > i then taken st else fall st
+      | Isa.Jge -> fun st -> let r = exec st in Array.unsafe_set st.regs 0 r; Array.unsafe_set st.regs d r; if r >= i then taken st else fall st
     in
     let ldx_jcci c d slot i taken fall =
       match (c : Isa.cond) with
-      | Isa.Jeq -> fun () -> let v = Array.unsafe_get stack slot in Array.unsafe_set regs d v; if v = i then taken () else fall ()
-      | Isa.Jne -> fun () -> let v = Array.unsafe_get stack slot in Array.unsafe_set regs d v; if v <> i then taken () else fall ()
-      | Isa.Jlt -> fun () -> let v = Array.unsafe_get stack slot in Array.unsafe_set regs d v; if v < i then taken () else fall ()
-      | Isa.Jle -> fun () -> let v = Array.unsafe_get stack slot in Array.unsafe_set regs d v; if v <= i then taken () else fall ()
-      | Isa.Jgt -> fun () -> let v = Array.unsafe_get stack slot in Array.unsafe_set regs d v; if v > i then taken () else fall ()
-      | Isa.Jge -> fun () -> let v = Array.unsafe_get stack slot in Array.unsafe_set regs d v; if v >= i then taken () else fall ()
+      | Isa.Jeq -> fun st -> let v = Array.unsafe_get st.stack slot in Array.unsafe_set st.regs d v; if v = i then taken st else fall st
+      | Isa.Jne -> fun st -> let v = Array.unsafe_get st.stack slot in Array.unsafe_set st.regs d v; if v <> i then taken st else fall st
+      | Isa.Jlt -> fun st -> let v = Array.unsafe_get st.stack slot in Array.unsafe_set st.regs d v; if v < i then taken st else fall st
+      | Isa.Jle -> fun st -> let v = Array.unsafe_get st.stack slot in Array.unsafe_set st.regs d v; if v <= i then taken st else fall st
+      | Isa.Jgt -> fun st -> let v = Array.unsafe_get st.stack slot in Array.unsafe_set st.regs d v; if v > i then taken st else fall st
+      | Isa.Jge -> fun st -> let v = Array.unsafe_get st.stack slot in Array.unsafe_set st.regs d v; if v >= i then taken st else fall st
     in
     let ldx_jcc c a d slot taken fall =
       match (c : Isa.cond) with
-      | Isa.Jeq -> fun () -> let v = Array.unsafe_get stack slot in Array.unsafe_set regs d v; if Array.unsafe_get regs a = v then taken () else fall ()
-      | Isa.Jne -> fun () -> let v = Array.unsafe_get stack slot in Array.unsafe_set regs d v; if Array.unsafe_get regs a <> v then taken () else fall ()
-      | Isa.Jlt -> fun () -> let v = Array.unsafe_get stack slot in Array.unsafe_set regs d v; if Array.unsafe_get regs a < v then taken () else fall ()
-      | Isa.Jle -> fun () -> let v = Array.unsafe_get stack slot in Array.unsafe_set regs d v; if Array.unsafe_get regs a <= v then taken () else fall ()
-      | Isa.Jgt -> fun () -> let v = Array.unsafe_get stack slot in Array.unsafe_set regs d v; if Array.unsafe_get regs a > v then taken () else fall ()
-      | Isa.Jge -> fun () -> let v = Array.unsafe_get stack slot in Array.unsafe_set regs d v; if Array.unsafe_get regs a >= v then taken () else fall ()
+      | Isa.Jeq -> fun st -> let v = Array.unsafe_get st.stack slot in Array.unsafe_set st.regs d v; if Array.unsafe_get st.regs a = v then taken st else fall st
+      | Isa.Jne -> fun st -> let v = Array.unsafe_get st.stack slot in Array.unsafe_set st.regs d v; if Array.unsafe_get st.regs a <> v then taken st else fall st
+      | Isa.Jlt -> fun st -> let v = Array.unsafe_get st.stack slot in Array.unsafe_set st.regs d v; if Array.unsafe_get st.regs a < v then taken st else fall st
+      | Isa.Jle -> fun st -> let v = Array.unsafe_get st.stack slot in Array.unsafe_set st.regs d v; if Array.unsafe_get st.regs a <= v then taken st else fall st
+      | Isa.Jgt -> fun st -> let v = Array.unsafe_get st.stack slot in Array.unsafe_set st.regs d v; if Array.unsafe_get st.regs a > v then taken st else fall st
+      | Isa.Jge -> fun st -> let v = Array.unsafe_get st.stack slot in Array.unsafe_set st.regs d v; if Array.unsafe_get st.regs a >= v then taken st else fall st
     in
     for pc = n - 1 downto 0 do
-      let fall () = Array.unsafe_get conts (pc + 1) in
+      let fall = Array.unsafe_get conts (pc + 1) in
       conts.(pc) <-
         (match slot_update.(pc) with
         | Some (s, f) -> (
@@ -669,28 +676,28 @@ let compile_code ?(max_steps = default_max_steps) (code : Isa.instr array) :
                back at the loop head. *)
             match if pc + 3 < n then Some code.(pc + 3) else None with
             | Some (Isa.Jmp t) when t <= pc + 3 ->
-                fun () ->
-                  Array.unsafe_set stack s (f (Array.unsafe_get stack s));
-                  let fl = !fuel - 1 in
+                fun st ->
+                  Array.unsafe_set st.stack s (f (Array.unsafe_get st.stack s));
+                  let fl = st.fuel - 1 in
                   if fl < 0 then raise (Vm.Fault "step budget exhausted");
-                  fuel := fl;
-                  (Array.unsafe_get conts t) ()
+                  st.fuel <- fl;
+                  (Array.unsafe_get conts t) st
             | Some (Isa.Jmp t) ->
                 let next = Array.unsafe_get conts t in
-                fun () ->
-                  Array.unsafe_set stack s (f (Array.unsafe_get stack s));
-                  next ()
+                fun st ->
+                  Array.unsafe_set st.stack s (f (Array.unsafe_get st.stack s));
+                  next st
             | _ ->
                 let next = Array.unsafe_get conts (pc + 3) in
-                fun () ->
-                  Array.unsafe_set stack s (f (Array.unsafe_get stack s));
-                  next ())
+                fun st ->
+                  Array.unsafe_set st.stack s (f (Array.unsafe_get st.stack s));
+                  next st)
         | None ->
             if dead.(pc) then
               (* value absorbed by its consumer (or plain unread):
                  nothing to execute, so this slot aliases the next
                  instruction's closure *)
-              fall ()
+              fall
             else
               (match code.(pc) with
               | Isa.Mov (d, s)
@@ -705,20 +712,20 @@ let compile_code ?(max_steps = default_max_steps) (code : Isa.instr array) :
                         (Array.unsafe_get conts (pc + 2))
                   | _ -> assert false)
               | Isa.Mov (d, s) ->
-                  let next = fall () in
-                  fun () ->
-                    Array.unsafe_set regs d (Array.unsafe_get regs s);
-                    next ()
+                  let next = fall in
+                  fun st ->
+                    Array.unsafe_set st.regs d (Array.unsafe_get st.regs s);
+                    next st
               | Isa.Movi (d, i) ->
-                  let next = fall () in
-                  fun () ->
-                    Array.unsafe_set regs d i;
-                    next ()
-              | Isa.Alu (op, d, s) -> alu op d s (fall ())
-              | Isa.Alui (op, d, i) -> alui op d i (fall ())
+                  let next = fall in
+                  fun st ->
+                    Array.unsafe_set st.regs d i;
+                    next st
+              | Isa.Alu (op, d, s) -> alu op d s fall
+              | Isa.Alui (op, d, i) -> alui op d i fall
               | Isa.Jmp t -> goto pc t
-              | Isa.Jcc (c, a, b, t) -> jcc_rr c a b (goto pc t) (fall ())
-              | Isa.Jcci (c, a, i, t) -> jcc_ri c a i (goto pc t) (fall ())
+              | Isa.Jcc (c, a, b, t) -> jcc_rr c a b (goto pc t) fall
+              | Isa.Jcci (c, a, i, t) -> jcc_ri c a i (goto pc t) fall
               | Isa.Call _
                 when pc + 2 < n
                      && (match (code.(pc + 1), code.(pc + 2)) with
@@ -735,38 +742,51 @@ let compile_code ?(max_steps = default_max_steps) (code : Isa.instr array) :
                   | _ -> assert false)
               | Isa.Call _ ->
                   let exec = Array.unsafe_get execs pc in
-                  let next = fall () in
-                  fun () ->
-                    Array.unsafe_set regs 0 (exec ());
-                    next ()
+                  let next = fall in
+                  fun st ->
+                    Array.unsafe_set st.regs 0 (exec st);
+                    next st
               | Isa.Ldx (d, slot) ->
-                  let next = fall () in
-                  fun () ->
-                    Array.unsafe_set regs d (Array.unsafe_get stack slot);
-                    next ()
+                  let next = fall in
+                  fun st ->
+                    Array.unsafe_set st.regs d (Array.unsafe_get st.stack slot);
+                    next st
               | Isa.Stx (slot, s) ->
-                  let next = fall () in
-                  fun () ->
-                    Array.unsafe_set stack slot (Array.unsafe_get regs s);
-                    next ()
-              | Isa.Exit -> fun () -> ()
+                  let next = fall in
+                  fun st ->
+                    Array.unsafe_set st.stack slot (Array.unsafe_get st.regs s);
+                    next st
+              | Isa.Exit -> fun _ -> ()
               | Isa.CallJcci (_, c, i, t) ->
                   call_jcci (Array.unsafe_get execs pc) c i (goto pc t)
-                    (fall ())
+                    fall
               | Isa.LdxJcci (c, d, slot, i, t) ->
-                  ldx_jcci c d slot i (goto pc t) (fall ())
+                  ldx_jcci c d slot i (goto pc t) fall
               | Isa.LdxJcc (c, a, d, slot, t) ->
-                  ldx_jcc c a d slot (goto pc t) (fall ())))
+                  ldx_jcc c a d slot (goto pc t) fall))
     done;
-    let entry = conts.(0) in
-    fun (env : Env.t) ->
-      env_ref := env;
-      Array.fill regs 0 Isa.num_regs 0;
-      gen := Atomic.fetch_and_add run_gen 1;
-      count := 0;
-      fuel := max_steps;
-      entry ()
+    { entry = conts.(0); max_steps; stack_words = Isa.stack_extent code }
   end
 
-let compile ?max_steps (flat : int array) : Env.t -> unit =
+let compile ?max_steps (flat : int array) : code =
   compile_code ?max_steps (Flat.decode flat)
+
+let instantiate { entry; max_steps; stack_words } : Env.t -> unit =
+  let st =
+    {
+      regs = Array.make Isa.num_regs 0;
+      stack = Array.make stack_words 0;
+      env = Vm.detached;
+      fuel = 0;
+      pkts = Array.make 64 Packet.dummy;
+      count = 0;
+      gen = 0;
+    }
+  in
+  fun env ->
+    st.env <- env;
+    Array.fill st.regs 0 Isa.num_regs 0;
+    st.gen <- Atomic.fetch_and_add run_gen 1;
+    st.count <- 0;
+    st.fuel <- max_steps;
+    entry st

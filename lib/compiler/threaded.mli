@@ -12,16 +12,24 @@ val default_max_steps : int
     length, so this bounds total work like the VM's per-instruction
     budget). *)
 
-val compile :
-  ?max_steps:int -> int array -> Progmp_runtime.Env.t -> unit
-(** [compile flat] builds the closure chain for a {!Flat}-encoded,
-    verifier-accepted program. The result is not reentrant (scratch
-    registers, stack and packet table are compiled in, like
-    [Vm.prog]); run it once per prepared environment.
-    @raise Vm.Fault at run time on invalid handles, bad queue codes or
-    an exhausted budget — same failure surface as {!Vm.run}. *)
+type code
+(** A program's closure chain, built once: immutable and shareable
+    across instances and domains. Each instruction closure takes the
+    instance's scratch (registers, stack, packet-handle table, budget)
+    as its argument. *)
 
-val compile_code :
-  ?max_steps:int -> Isa.instr array -> Progmp_runtime.Env.t -> unit
+val compile : ?max_steps:int -> int array -> code
+(** [compile flat] runs the analysis (jump targets, call-site argument
+    sources, liveness, slot-update fusion) and builds the closure chain
+    for a {!Flat}-encoded, verifier-accepted program. *)
+
+val compile_code : ?max_steps:int -> Isa.instr array -> code
 (** As {!compile}, from decoded instructions (tests; callers must only
     pass verifier-accepted code). *)
+
+val instantiate : code -> Progmp_runtime.Env.t -> unit
+(** [instantiate code] allocates one instance's scratch and returns its
+    decision function. An instance is not reentrant; run it once per
+    prepared environment.
+    @raise Vm.Fault at run time on invalid handles, bad queue codes or
+    an exhausted budget — same failure surface as {!Vm.run}. *)

@@ -21,25 +21,20 @@ type prog = {
   spill_slots : int;
   specialized_for : int option;
       (** compiled for a constant subflow count; the engine guards on it *)
-  scratch_regs : int array;  (** reusable per-execution register file *)
-  scratch_stack : int array;  (** reusable stack frame *)
-  scratch_packets : (int, Progmp_runtime.Packet.t) Hashtbl.t;
-      (** reusable handle table; reset per execution *)
+  stack_extent : int;  (** an instance's stack size ({!Isa.stack_extent}) *)
 }
 
-(** Wrap verified code into an executable program with its scratch
-    state. Programs are not reentrant (one execution at a time), exactly
-    like a per-scheduler kernel object. [flat] selects the flat-encoded
-    fast path; pass it only for code the verifier has accepted. *)
+(** Wrap verified code into an immutable program. Any number of
+    instances ({!instantiate}) may run it, on any domain. [flat]
+    selects the flat-encoded fast path; pass it only for code the
+    verifier has accepted. *)
 let make_prog ?specialized_for ?(flat = [||]) ~spill_slots code =
   {
     code;
     flat;
     spill_slots;
     specialized_for;
-    scratch_regs = Array.make Isa.num_regs 0;
-    scratch_stack = Array.make Isa.stack_words 0;
-    scratch_packets = Hashtbl.create 32;
+    stack_extent = Isa.stack_extent code;
   }
 
 exception Fault of string
@@ -49,12 +44,29 @@ let fault fmt = Fmt.kstr (fun m -> raise (Fault m)) fmt
 (** Default execution budget, in executed instructions. *)
 let default_max_steps = 1_000_000
 
+(* One instance's scratch: reset per execution, reused across them. *)
 type state = {
-  env : Env.t;
+  mutable env : Env.t;
   regs : int array;
   stack : int array;
   packets : (int, Packet.t) Hashtbl.t;  (** handle (= packet id) -> packet *)
 }
+
+(* Stands in for the environment between executions; never run against. *)
+let detached = Env.create ()
+
+let fresh_state prog =
+  {
+    env = detached;
+    regs = Array.make Isa.num_regs 0;
+    stack = Array.make prog.stack_extent 0;
+    packets = Hashtbl.create 32;
+  }
+
+let reset st env =
+  st.env <- env;
+  Array.fill st.regs 0 Isa.num_regs 0;
+  Hashtbl.reset st.packets
 
 let queue_of_code st = function
   | 0 -> st.env.Env.q
@@ -360,24 +372,21 @@ let run_flat st (f : int array) max_steps =
   in
   if Array.length f > 0 then go 0
 
-(** Run a compiled scheduler for one execution against [env] (prepared
-    with {!Progmp_runtime.Env.begin_execution}). Programs carrying a
-    flat encoding run on the fast path; everything else runs on the
-    boxed interpreter. @raise Fault on invalid handles, bad queue codes
-    or an exhausted step budget. *)
-let run ?(max_steps = default_max_steps) (prog : prog) (env : Env.t) =
-  Array.fill prog.scratch_regs 0 Isa.num_regs 0;
-  Hashtbl.reset prog.scratch_packets;
-  let st =
-    {
-      env;
-      regs = prog.scratch_regs;
-      stack = prog.scratch_stack;
-      packets = prog.scratch_packets;
-    }
-  in
-  if Array.length prog.flat > 0 then run_flat st prog.flat max_steps
-  else run_boxed st prog.code max_steps
+(** An instance of [prog]: its own register file, stack and packet
+    table, reused by every execution it runs (one at a time). Programs
+    carrying a flat encoding run on the fast path; everything else runs
+    on the boxed interpreter. @raise Fault on invalid handles, bad queue
+    codes or an exhausted step budget. *)
+let instantiate ?(max_steps = default_max_steps) (prog : prog) =
+  let st = fresh_state prog in
+  if Array.length prog.flat > 0 then fun env ->
+    reset st env;
+    run_flat st prog.flat max_steps
+  else fun env ->
+    reset st env;
+    run_boxed st prog.code max_steps
+
+let run ?max_steps prog env = instantiate ?max_steps prog env
 
 (* A separate copy of the boxed stepper with the per-pc hook: keeping
    the hot [run_boxed]/[run_flat] loops free of callback dispatch means
@@ -441,16 +450,8 @@ let step_traced ~trace st (code : Isa.instr array) max_steps =
     {!Bopt.fuse_profiled} (pair it with {!Profile.tracer}). *)
 let run_traced ?(max_steps = default_max_steps) ~trace (prog : prog)
     (env : Env.t) =
-  Array.fill prog.scratch_regs 0 Isa.num_regs 0;
-  Hashtbl.reset prog.scratch_packets;
-  let st =
-    {
-      env;
-      regs = prog.scratch_regs;
-      stack = prog.scratch_stack;
-      packets = prog.scratch_packets;
-    }
-  in
+  let st = fresh_state prog in
+  reset st env;
   step_traced ~trace st prog.code max_steps
 
 (** Number of instructions — the analogue of the paper's per-scheduler

@@ -12,10 +12,10 @@ type prog = {
   spill_slots : int;
   specialized_for : int option;
       (** compiled for a constant subflow count; the engine guards on it *)
-  scratch_regs : int array;
-  scratch_stack : int array;
-  scratch_packets : (int, Progmp_runtime.Packet.t) Hashtbl.t;
+  stack_extent : int;
+      (** stack words an instance allocates ({!Isa.stack_extent}) *)
 }
+(** Immutable: share one program across instances and domains. *)
 
 val make_prog :
   ?specialized_for:int ->
@@ -23,11 +23,9 @@ val make_prog :
   spill_slots:int ->
   Isa.instr array ->
   prog
-(** Wrap verified code into an executable program with reusable scratch
-    state (programs are not reentrant, like a per-scheduler kernel
-    object). [flat] (default [[||]], meaning the boxed interpreter)
-    selects the flat-encoded fast path and must only be passed for code
-    the verifier has accepted. *)
+(** Wrap verified code into a program. [flat] (default [[||]], meaning
+    the boxed interpreter) selects the flat-encoded fast path and must
+    only be passed for code the verifier has accepted. *)
 
 exception Fault of string
 (** Invalid handle, bad queue code, stack violation or exhausted step
@@ -35,9 +33,19 @@ exception Fault of string
 
 val default_max_steps : int
 
+val detached : Progmp_runtime.Env.t
+(** The environment an idle instance points at between executions; no
+    execution ever runs against it. *)
+
+val instantiate : ?max_steps:int -> prog -> Progmp_runtime.Env.t -> unit
+(** [instantiate prog] allocates an instance's scratch (register file,
+    stack, packet table) and returns its decision function. Each call
+    runs one execution against an environment prepared with
+    [Env.begin_execution]; an instance is not reentrant.
+    @raise Fault as above. *)
+
 val run : ?max_steps:int -> prog -> Progmp_runtime.Env.t -> unit
-(** Execute one scheduler run against an environment prepared with
-    [Env.begin_execution]. @raise Fault as above. *)
+(** One execution on a fresh instance ([instantiate prog env]). *)
 
 val run_traced :
   ?max_steps:int ->

@@ -17,12 +17,13 @@
     peak at their own times). The shard-invariance property test pins
     this contract.
 
-    Discipline mirrors {!Sweep}: everything shared (engine registry,
-    scheduler zoo, one private instantiation per engine) is resolved on
-    the calling domain before any worker exists; workers only read. *)
+    Discipline mirrors {!Sweep}: the engine registry and scheduler zoo
+    are resolved on the calling domain before any worker exists. The
+    scheduler compiles once, at the first slot any shard fills (the
+    engine's compiled-code cache is shared under a mutex); every slot
+    of every shard then instantiates from that code. *)
 
 open Mptcp_sim
-module R = Progmp_runtime
 
 type shard_result = {
   sr_fleet : Fleet.t;
@@ -41,9 +42,6 @@ let run ?(interval = 1.0) ?paths ~scheduler ~cc ~seed ~loss ~duration ~groups
   let paths =
     match paths with Some p -> p | None -> Scenarios.fleet_group_paths ~loss
   in
-  let sched, engine = scheduler in
-  (* warm every factory code path single-threaded before spawning *)
-  if shards > 1 then ignore (R.Scheduler.instantiate_private sched ~engine);
   let run_shard idx () =
     let fleet =
       Fleet.create ~seed ~cc ~scheduler ~groups ~shard:(idx, shards) ~paths ()

@@ -5,8 +5,9 @@
     stealing, no shared mutable simulation state. Every run owns its
     entire world: a fresh {!Connection} (event queue, links, RNG seeded
     from the run's own seed) and a {e private} scheduler instance
-    ({!Progmp_runtime.Scheduler.instantiate_private}) so no decision
-    closure's scratch state is ever entered from two domains. All
+    ({!Progmp_runtime.Scheduler.instantiate_private}): the engine's
+    compiled code is shared read-only, and each run owns its instance's
+    scratch, so no scratch is ever entered from two domains. All
     cross-domain communication is the counter, the per-index result
     slots (published by [Domain.join]), and read-only registries
     populated before any domain spawns.
@@ -88,8 +89,8 @@ let rec first_error = function
 (** Resolve and validate everything shared, on the calling domain,
     before any worker exists: force the default-scheduler lazy, load the
     zoo, resolve scheduler and engine names, parse fault scripts, and
-    pre-instantiate one private engine per (scheduler, engine) pair so
-    every factory code path has run at least once single-threaded.
+    instantiate each (scheduler, engine) pair once, so every pair is
+    compiled here and workers only instantiate from the cached code.
     Workers afterwards only read these registries. *)
 let prepare (spec : Spec.t) =
   Progmp_compiler.Compile.register_engines ();

@@ -326,11 +326,14 @@ and compile_block (b : Tast.block) : unit code =
   let cs = List.map compile_stmt b in
   fun fr -> List.iter (fun c -> c fr) cs
 
-(** [compile p] translates the program once; the returned engine can be
-    executed many times. *)
-let compile (p : Tast.program) : Env.t -> unit =
-  let body = compile_block p.Tast.body in
-  let n = max 1 p.Tast.num_slots in
-  fun env ->
-    let fr = { env; slots = Array.make n (Vint 0) } in
-    try body fr with Returned_aot -> ()
+type compiled = { body : unit code; num_slots : int }
+
+(** [compile p] translates the program once into a closure tree. The
+    tree holds no mutable state (each execution allocates its own
+    frame), so it may be shared by any number of instances and domains. *)
+let compile (p : Tast.program) : compiled =
+  { body = compile_block p.Tast.body; num_slots = max 1 p.Tast.num_slots }
+
+let instantiate { body; num_slots } env =
+  let fr = { env; slots = Array.make num_slots (Vint 0) } in
+  try body fr with Returned_aot -> ()

@@ -5,5 +5,12 @@
     of closures, removing all per-execution dispatch on IR constructors.
     Semantics are identical to {!Interpreter} (differentially tested). *)
 
-val compile : Progmp_lang.Tast.program -> Env.t -> unit
-(** [compile p] translates once; the returned engine runs many times. *)
+type compiled
+(** A program's closure tree: immutable, shareable across domains. *)
+
+val compile : Progmp_lang.Tast.program -> compiled
+(** [compile p] translates once. *)
+
+val instantiate : compiled -> Env.t -> unit
+(** [instantiate c] is a decision function running [c]; it allocates
+    its variable frame per execution, so instances need no scratch. *)

@@ -40,8 +40,15 @@ IF (!RQ.EMPTY) {
 }
 |}
 
+(* When the zoo already registered this same specification as
+   "default", keep that entry: replacing it would drop the engine a
+   caller selected on it (and build an instance nobody asked for). *)
 let default_scheduler =
-  lazy (Scheduler.load ~name:"default" default_scheduler_source)
+  lazy
+    (let digest = Digest.to_hex (Digest.string default_scheduler_source) in
+     match Scheduler.find "default" with
+     | Some s when String.equal s.Scheduler.digest digest -> s
+     | Some _ | None -> Scheduler.load ~name:"default" default_scheduler_source)
 
 let create ?(name = "socket") () =
   {

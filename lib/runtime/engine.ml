@@ -22,6 +22,43 @@ let register ?caps name factory =
   in
   Hashtbl.replace registry name { engine_name = name; caps; factory }
 
+(* Compiled-code cache, one table per engine, keyed on the program
+   itself: [Scheduler]'s front-end cache interns one program per source
+   digest, so physical identity stands for the digest. The hash reads
+   only the head of the body, never the whole source text. Ephemerons
+   let the code of a program nobody holds any more (a fuzz case, a
+   one-off test program) be collected with it. *)
+module Code_cache = Ephemeron.K1.Make (struct
+  type t = Progmp_lang.Tast.program
+
+  let equal = ( == )
+  let hash (p : t) = Hashtbl.hash p.Progmp_lang.Tast.body
+end)
+
+let cache_hits = Atomic.make 0
+
+let cache_misses = Atomic.make 0
+
+let cache_stats () = (Atomic.get cache_hits, Atomic.get cache_misses)
+
+let register_compiled ?caps name ~compile ~instantiate =
+  let cache = Code_cache.create 16 and lock = Mutex.create () in
+  (* The compile runs under the lock, so domains racing to the first
+     instantiation of a program still compile it exactly once. *)
+  let code program =
+    Mutex.protect lock (fun () ->
+        match Code_cache.find_opt cache program with
+        | Some code ->
+            Atomic.incr cache_hits;
+            code
+        | None ->
+            Atomic.incr cache_misses;
+            let code = compile program in
+            Code_cache.replace cache program code;
+            code)
+  in
+  register ?caps name (fun program -> instantiate (code program))
+
 let find name = Hashtbl.find_opt registry name
 
 let names () =
@@ -38,49 +75,26 @@ let get name =
            (Fmt.str "unknown engine %s (available: %s)" name
               (String.concat ", " (names ()))))
 
-(* Instantiation cache: (engine name, source digest) -> decision
-   function. Keyed by the source digest so N schedulers loaded from the
-   same specification share one compilation per engine. *)
-let cache : (string * string, Env.t -> unit) Hashtbl.t = Hashtbl.create 32
-
-let cache_hits = ref 0
-
-let cache_misses = ref 0
-
-let cache_stats () = (!cache_hits, !cache_misses)
-
-let instantiate ?digest name program =
-  let e = get name in
-  match digest with
-  | None -> e.factory program
-  | Some d -> (
-      let key = (name, d) in
-      match Hashtbl.find_opt cache key with
-      | Some run ->
-          incr cache_hits;
-          run
-      | None ->
-          incr cache_misses;
-          let run = e.factory program in
-          Hashtbl.replace cache key run;
-          run)
+let instantiate name program = (get name).factory program
 
 (* The two runtime-resident backends register themselves when this
-   library is linked; [Progmp_compiler.Compile] adds "vm". *)
+   library is linked; [Progmp_compiler.Compile] adds "vm". The
+   interpreter's code is the program itself and needs no scratch; the
+   AOT's is its closure tree, which allocates its frame per execution. *)
 let () =
-  register "interpreter"
+  register_compiled "interpreter"
     ~caps:
       {
         compiled = false;
         verified = false;
         description = "reference tree-walking interpreter over the typed IR";
       }
-    (fun program env -> Interpreter.run program env);
-  register "aot"
+    ~compile:Fun.id ~instantiate:Interpreter.run;
+  register_compiled "aot"
     ~caps:
       {
         compiled = true;
         verified = false;
         description = "ahead-of-time closure compiler (the paper's AOT backend)";
       }
-    Aot.compile
+    ~compile:Aot.compile ~instantiate:Aot.instantiate

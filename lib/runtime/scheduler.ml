@@ -6,12 +6,13 @@
     kept in a global registry so applications can reuse them by name
     without re-compilation; compilation itself is cached by source
     digest, so N connections loading the same specification share one
-    typechecked program and one compiled engine instance. *)
+    typechecked program, and each engine compiles that program once;
+    every connection then takes its own cheap instance. *)
 
 type t = {
   name : string;
   program : Progmp_lang.Tast.program;
-  digest : string;  (** digest of the source text, the compilation-cache key *)
+  digest : string;  (** digest of the source text, the front-end cache key *)
   mutable engine : string;  (** name of the selected engine *)
   mutable run : Env.t -> unit;
 }
@@ -67,14 +68,14 @@ let of_source ~name src =
     program;
     digest;
     engine = "interpreter";
-    run = Engine.instantiate ~digest "interpreter" program;
+    run = Engine.instantiate "interpreter" program;
   }
 
 (** Select an execution engine by registry name ("interpreter", "aot",
-    "vm", ...). Instantiation is cached per (engine, source digest).
+    "vm", ...): a fresh instance of the engine's cached compilation.
     @raise Engine.Unknown when no such engine is registered. *)
 let set_engine t name =
-  t.run <- Engine.instantiate ~digest:t.digest name t.program;
+  t.run <- Engine.instantiate name t.program;
   t.engine <- name
 
 (** Install an ad-hoc decision function that is not a registry backend —
@@ -86,13 +87,12 @@ let install_custom t ~name run =
 
 let engine_label t = t.engine
 
-(** A private copy of [t] with its own, uncached engine instance.
-    Registry-cached instances are shared across every connection using
-    the same (engine, digest) pair and their decision closures carry
-    per-instance scratch state, so they must not be entered from two
-    domains. A private instance shares the (immutable) typechecked
-    program but nothing mutable — the parallel sweep runner gives each
-    run its own.
+(** A private copy of [t] with its own engine instance. An instance
+    carries mutable scratch and must not be entered from two domains (or
+    two connections), so the registry entry [t] is never shared that
+    way; a private copy shares the immutable program and compiled code
+    and owns only its scratch — the parallel sweep runner and every
+    fleet slot take one.
     @raise Engine.Unknown when no such engine is registered. *)
 let instantiate_private t ~engine =
   { t with engine; run = Engine.instantiate engine t.program }

@@ -3,14 +3,15 @@
     A scheduler is a checked + optimized program plus an execution
     engine selected by name from the {!Engine} registry. Loaded
     schedulers live in a global registry so applications can reuse them
-    by name without recompilation (paper §3.2); the front end and the
-    per-engine instantiation are both cached by source digest, so many
-    connections loading one specification share one compilation. *)
+    by name without recompilation (paper §3.2). The front end is cached
+    by source digest, so one specification yields one program; each
+    engine compiles that program once ({!Engine}), and every connection
+    takes its own instance, which costs only its scratch. *)
 
 type t = {
   name : string;
   program : Progmp_lang.Tast.program;
-  digest : string;  (** digest of the source text, the compilation-cache key *)
+  digest : string;  (** digest of the source text, the front-end cache key *)
   mutable engine : string;  (** name of the selected engine *)
   mutable run : Env.t -> unit;
 }
@@ -26,7 +27,7 @@ val of_source : name:string -> string -> t
 
 val set_engine : t -> string -> unit
 (** Select an execution engine by registry name ("interpreter", "aot",
-    "vm", ...); instantiation is cached per (engine, source digest).
+    "vm", ...): a fresh instance of the engine's cached compilation.
     @raise Engine.Unknown when no such engine is registered. *)
 
 val install_custom : t -> name:string -> (Env.t -> unit) -> unit
@@ -37,11 +38,11 @@ val install_custom : t -> name:string -> (Env.t -> unit) -> unit
 val engine_label : t -> string
 
 val instantiate_private : t -> engine:string -> t
-(** A copy of [t] driving its own, uncached engine instance — sharing
-    the immutable typechecked program but no mutable state with the
-    original or with registry-cached instances (whose decision closures
-    carry per-instance scratch and are not reentrant across domains).
-    Parallel runners give every run a private instance.
+(** A copy of [t] driving its own engine instance — sharing the
+    immutable program and compiled code, but no mutable state, with the
+    original or any other instance (an instance's scratch is not
+    reentrant across domains or connections). Parallel runners give
+    every run a private instance; fleet slots each hold one.
     @raise Engine.Unknown when no such engine is registered. *)
 
 val compilation_cache_stats : unit -> int * int

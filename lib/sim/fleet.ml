@@ -47,9 +47,9 @@ type group = {
 (* ---------- slots ---------- *)
 
 (* A slot hosts at most one live connection at a time and survives
-   retirement: its private scheduler instance (engine scratch included)
-   is reused by every connection recycled through it, bounding
-   instantiation work by peak concurrency rather than total arrivals. *)
+   retirement: its private scheduler instance (engine scratch) is reused
+   by every connection recycled through it. The engine's compiled code
+   is shared by all slots; a new slot only allocates scratch. *)
 and slot = {
   slot_id : int;
   group : group;

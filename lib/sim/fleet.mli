@@ -2,11 +2,13 @@
     {!Eventq} — the simulator-side analogue of a kernel serving heavy
     multi-user traffic. Connections arrive, transfer a bounded flow over
     their group's shared links, complete and are recycled into a free
-    slot pool; per-slot private scheduler instances
-    ({!Progmp_runtime.Scheduler.instantiate_private}) are reused across
-    recycles so instantiation work is bounded by peak concurrency, not
-    total arrivals, and fleet-owned packet/entry arenas bound per-packet
-    structures by peak in-flight data. Single-domain and fully
+    slot pool. Every slot holds a private scheduler instance
+    ({!Progmp_runtime.Scheduler.instantiate_private}), reused across
+    recycles. The engine compiles the scheduler once, at the first
+    slot's instantiation, and every slot shares that code: a slot costs
+    only its scratch (register file, stack, packet-handle table), so any
+    engine can host a fleet. Fleet-owned packet/entry arenas bound
+    per-packet structures by peak in-flight data. Single-domain and fully
     deterministic: all randomness derives from the fleet seed via
     {!Rng.stream} / {!Rng.stream_seed}; arrivals are placed on groups by
     arrival index, so a fleet can be sharded by group across domains

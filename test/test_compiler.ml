@@ -406,7 +406,10 @@ let fusion_suite =
               "loop pair hotter than straight-line pair" true
               (Profile.count t (pair 1 2) > Profile.count t (pair 0 1)));
         tc "threaded engine charges the step budget" (fun () ->
-            let run = Threaded.compile_code ~max_steps:100 [| Isa.Jmp 0 |] in
+            let run =
+              Threaded.instantiate
+                (Threaded.compile_code ~max_steps:100 [| Isa.Jmp 0 |])
+            in
             let env, views = build default_env_spec in
             Progmp_runtime.Env.begin_execution env ~subflows:views;
             match run env with

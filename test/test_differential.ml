@@ -155,6 +155,57 @@ let zoo_cases =
         specs)
     Schedulers.Specs.all
 
+(* Compiled code is shared across domains; only an instance's scratch is
+   private. Four domains instantiate every (engine, zoo scheduler) pair
+   from one cached compile, several times over, and run the zoo inputs
+   at the same time: every tape must equal the interpreter's, and the
+   cache must have compiled each pair exactly once. *)
+let cross_domain_case =
+  tc "four domains share one compile per engine and program" (fun () ->
+      let domains = 4 and rounds = 3 in
+      let engines = Engine.names () in
+      (* fresh programs: none has been compiled by an earlier test *)
+      let programs =
+        List.map
+          (fun (name, src) -> (name, Progmp_lang.Typecheck.compile_source src))
+          Schedulers.Specs.all
+      in
+      let tapes run program =
+        List.map (fun (_, spec) -> observe run program spec) specs
+      in
+      let reference =
+        List.map (fun (name, p) -> (name, tapes (Interpreter.run p) p)) programs
+      in
+      let hits0, misses0 = Engine.cache_stats () in
+      let worker () =
+        List.concat_map
+          (fun engine ->
+            List.concat_map
+              (fun (name, program) ->
+                List.init rounds (fun _ ->
+                    let run = Engine.instantiate engine program in
+                    (engine, name, tapes run program)))
+              programs)
+          engines
+      in
+      let results =
+        List.concat_map Domain.join
+          (List.init domains (fun _ -> Domain.spawn worker))
+      in
+      List.iter
+        (fun (engine, name, got) ->
+          Alcotest.(check (list obs_testable))
+            (Fmt.str "%s on %s agrees with the interpreter" name engine)
+            (List.assoc name reference) got)
+        results;
+      let hits1, misses1 = Engine.cache_stats () in
+      let pairs = List.length engines * List.length programs in
+      Alcotest.(check int) "one compile per (engine, program)" pairs
+        (misses1 - misses0);
+      Alcotest.(check int) "every other instantiation hit the cache"
+        ((domains * rounds * pairs) - pairs)
+        (hits1 - hits0))
+
 (* Native oracles: the hand-written OCaml schedulers must match their DSL
    counterparts action-for-action. *)
 let native_cases =
@@ -308,6 +359,7 @@ let sim_fault_cases =
 let suite =
   [
     ("differential-zoo", zoo_cases);
+    ("differential-domains", [ cross_domain_case ]);
     ("differential-native", native_cases);
     ( "differential-random",
       [ QCheck_alcotest.to_alcotest random_diff ] );

@@ -550,6 +550,66 @@ let scenarios_suite =
                   || List.mem_assoc "completed" shared.Sweep.r_extra)))
           [ "bulk"; "stream"; "short-flows"; "http2"; "dash"; "fairness" ]
       @ [
+          tc "every engine hosts a fleet from one compile" (fun () ->
+              (* engines are a fleet axis: identical totals on each, and
+                 each compiles the scheduler once however many slots it
+                 fills *)
+              let open Mptcp_sim in
+              let module R = Progmp_runtime in
+              let template =
+                R.Scheduler.of_source ~name:"fleet-engine-axis"
+                  Schedulers.Specs.default
+              in
+              let template =
+                (* a program no earlier test compiled *)
+                {
+                  template with
+                  R.Scheduler.program =
+                    Progmp_lang.Optimize.program
+                      (Progmp_lang.Typecheck.compile_source
+                         Schedulers.Specs.default);
+                }
+              in
+              let seed = 5 in
+              let host engine =
+                let _, misses0 = R.Engine.cache_stats () in
+                let fleet =
+                  Fleet.create ~seed ~scheduler:(template, engine) ~groups:4
+                    ~paths:(Sweep.fleet_group_paths ~loss:0.01)
+                    ()
+                in
+                let sizes = Rng.stream ~seed 2 in
+                Traffic.drive ~clock:(Fleet.clock fleet)
+                  ~rng:(Rng.stream ~seed 1)
+                  ~rate:(fun _ -> 200.0)
+                  ~until:0.5
+                  (fun () ->
+                    Fleet.arrive fleet
+                      ~size:(Traffic.draw_size Traffic.default_pareto sizes));
+                ignore (Fleet.run ~until:10.0 fleet);
+                let _, misses1 = R.Engine.cache_stats () in
+                Alcotest.(check bool)
+                  (engine ^ ": many slots") true (Fleet.slot_count fleet > 8);
+                Alcotest.(check int)
+                  (engine ^ ": compiled once for the whole fleet") 1
+                  (misses1 - misses0);
+                let t = Fleet.totals fleet in
+                ( t.Fleet.t_executions,
+                  (t.Fleet.t_delivered_bytes, t.Fleet.t_wire_bytes),
+                  (t.Fleet.t_completed, Printf.sprintf "%h" t.Fleet.t_fct_sum) )
+              in
+              let reference = host "interpreter" in
+              let (executions, _, (completed, _)) = reference in
+              Alcotest.(check bool)
+                "flows completed" true (completed > 0 && executions > 0);
+              List.iter
+                (fun engine ->
+                  Alcotest.(check (triple int (pair int int) (pair int string)))
+                    (engine ^ " totals equal the interpreter's")
+                    reference (host engine))
+                (List.filter
+                   (fun e -> e <> "interpreter")
+                   (R.Engine.names ())));
           tc "thin-link fleet: every flow completes" (fun () ->
               (* idle subflows throttled by TSQ once waited for an ack
                  that never came, stranding flows with data queued *)
