@@ -58,22 +58,11 @@ let compile_cmd =
       & info [ "subflows" ]
           ~doc:"Specialize for a constant number of subflows (§4.1).")
   in
-  let fuse_top =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "fuse-top" ]
-          ~doc:
-            "Form superinstructions only for the $(docv) hottest fusable \
-             opcode pairs of the (static) profile; also report the \
-             selected fused set."
-          ~docv:"K")
-  in
-  let run spec disasm subflow_count fuse_k =
+  let run spec disasm subflow_count =
     let src = read_spec spec in
     let sched = load src in
     match
-      Progmp_compiler.Compile.compile_with_stats ?subflow_count ?fuse_k
+      Progmp_compiler.Compile.compile_with_stats ?subflow_count
         sched.Progmp_runtime.Scheduler.program
     with
     | prog, stats ->
@@ -85,19 +74,19 @@ let compile_cmd =
           stats.Progmp_compiler.Compile.instrs
           stats.Progmp_compiler.Compile.spill_slots
           stats.Progmp_compiler.Compile.spilled_vregs;
-        if Option.is_some fuse_k then
-          Fmt.pr "%a@." Progmp_compiler.Disasm.pp_fused
-            prog.Progmp_compiler.Vm.code;
         if disasm then
           print_string (Progmp_compiler.Disasm.to_string prog.Progmp_compiler.Vm.code)
     | exception Progmp_compiler.Compile.Rejected msg ->
         Fmt.epr "%s@." msg;
         exit 1
+    | exception Invalid_argument msg ->
+        Fmt.epr "error: %s@." msg;
+        exit 2
   in
   Cmd.v
     (Cmd.info "compile"
        ~doc:"Compile a specification to eBPF-style bytecode and verify it")
-    Term.(const run $ spec_arg $ disasm $ subflows $ fuse_top)
+    Term.(const run $ spec_arg $ disasm $ subflows)
 
 (* ---- run (dry run against a synthetic environment) ---- *)
 

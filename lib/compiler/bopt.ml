@@ -7,7 +7,7 @@
     operand is reloaded even when the value is still in a register, and
     structured control flow produces jump-to-jump chains. The passes
     here — the classic bytecode-interpreter pipeline of Ertl & Gregg —
-    remove that chatter and then fuse frequent instruction pairs into
+    remove that chatter and then fuse instruction pairs into
     the {!Isa} superinstructions:
 
     - {!thread_jumps}: jump-to-jump chains land on their final target,
@@ -610,11 +610,10 @@ let sink_alu_results code = fix sink_alu_results_once code
 (* ------------------------------------------------------------------ *)
 
 (* Fuse an instruction with the branch that follows it when no jump
-   lands between the two and [select] approves the pair's mnemonic
-   class. The fused forms keep every architectural effect of the pair
-   (the loaded/returned value stays in its register), so fusion needs
-   no liveness information at all. *)
-let fuse_once ~select (code : Isa.instr array) =
+   lands between the two. The fused forms keep every architectural
+   effect of the pair (the loaded/returned value stays in its register),
+   so fusion needs no liveness information at all. *)
+let fuse_once (code : Isa.instr array) =
   let len = Array.length code in
   let is_target = jump_targets code in
   let keep = Array.make len true in
@@ -622,12 +621,7 @@ let fuse_once ~select (code : Isa.instr array) =
   let pc = ref 0 in
   while !pc < len - 1 do
     let fused =
-      if
-        is_target.(!pc + 1)
-        || not
-             (select
-                (Profile.classify code.(!pc), Profile.classify code.(!pc + 1)))
-      then None
+      if is_target.(!pc + 1) then None
       else
         match (code.(!pc), code.(!pc + 1)) with
         | Isa.Call h, Isa.Jcci (c, 0, n, t) ->
@@ -649,36 +643,7 @@ let fuse_once ~select (code : Isa.instr array) =
   done;
   compact out keep
 
-let fuse code = fix (fuse_once ~select:(fun _ -> true)) code
-
-(* The pair classes the peephole above can actually fuse: a helper call
-   or a spill reload followed by a conditional branch on its result. *)
-let fusable_pair ((a, b) : Profile.key) =
-  let cond = [ "jeq"; "jne"; "jlt"; "jle"; "jgt"; "jge" ] in
-  let is_cond = List.mem b cond in
-  let is_condi = List.exists (fun c -> String.equal b (c ^ "i")) cond in
-  match a with
-  | "call" -> is_condi
-  | "ldx" -> is_cond || is_condi
-  | _ -> false
-
-(* Generous enough that no scheduler in the zoo truncates (each uses a
-   handful of distinct fusable classes); small enough that a measured
-   profile still prunes cold one-off pairs in larger programs. *)
-let default_fuse_k = 8
-
-(* Profile-guided fusion: only pairs among the [k] hottest fusable
-   classes of [profile] are formed. Selection depends on nothing but
-   the profile (ties in {!Profile.top_pairs} break on the class name),
-   so equal profiles fuse identically, and re-running with the same
-   profile is a no-op: every selected site is already fused, every
-   unselected site stays a plain pair. *)
-let fuse_profiled ?(k = default_fuse_k) ~profile code =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun (key, _) -> Hashtbl.replace tbl key ())
-    (Profile.top_pairs ~k ~keep:fusable_pair profile);
-  fix (fuse_once ~select:(Hashtbl.mem tbl)) code
+let fuse code = fix fuse_once code
 
 (* ------------------------------------------------------------------ *)
 (* the pipeline                                                        *)
@@ -701,19 +666,12 @@ let passes =
    store; a sunk ALU result leaves a no-op move for the next
    propagation; a deleted store shortens a block), so they run as a
    joint fixpoint; fusion runs last so peepholes see the final
-   instruction sequence. Fusion is profile-guided: a measured [profile]
-   (flight-recorder or {!Vm.run_traced} harvest) selects the hot pairs;
-   without one, {!Profile.static_estimate} of the cleaned code stands
-   in. *)
-let optimize ?profile ?(fuse_k = default_fuse_k) code =
+   instruction sequence. *)
+let optimize code =
   let cleanup code =
     fold_compare_chains
       (eliminate_dead_slot_stores
          (eliminate_dead_stores
             (sink_alu_results (propagate_copies (thread_jumps code)))))
   in
-  let code = fix cleanup code in
-  let profile =
-    match profile with Some p -> p | None -> Profile.static_estimate code
-  in
-  fuse_profiled ~k:fuse_k ~profile code
+  fuse (fix cleanup code)

@@ -39,28 +39,12 @@ val fold_compare_chains : Isa.instr array -> Isa.instr array
 val fuse : Isa.instr array -> Isa.instr array
 (** Peephole formation of the {!Isa} superinstructions: [CallJcci]
     (load-field-then-compare) and [LdxJcci]/[LdxJcc] (fused
-    compare-and-branch on spilled operands). Unconditional — every
-    fusable pair is formed (the profile-agnostic pass of the
-    {!passes} pipeline). *)
-
-val fusable_pair : Profile.key -> bool
-(** Whether a pair class is one {!fuse} can form. *)
-
-val default_fuse_k : int
-(** Default selection width of {!fuse_profiled} and {!optimize}. *)
-
-val fuse_profiled :
-  ?k:int -> profile:Profile.t -> Isa.instr array -> Isa.instr array
-(** Profile-guided fusion: form only the pairs among the [k] hottest
-    fusable classes of [profile]. Deterministic in the profile (equal
-    profiles select identically) and idempotent for a fixed profile. *)
+    compare-and-branch on spilled operands). Every fusable pair is
+    formed. *)
 
 val passes : (string * (Isa.instr array -> Isa.instr array)) list
 (** The named passes above, in pipeline order (for property tests). *)
 
-val optimize :
-  ?profile:Profile.t -> ?fuse_k:int -> Isa.instr array -> Isa.instr array
+val optimize : Isa.instr array -> Isa.instr array
 (** The full middle-end: cleanup passes to a joint fixpoint, then
-    profile-guided fusion — driven by [profile] when supplied (e.g. a
-    {!Vm.run_traced} harvest weighted by flight-recorder invocation
-    counts), by {!Profile.static_estimate} otherwise. *)
+    {!fuse}. *)

@@ -20,7 +20,7 @@ exception Rejected of string
 type stats = {
   vinstrs : int;  (** virtual instructions before lowering *)
   raw_instrs : int;  (** emitted instructions before the middle-end *)
-  instrs : int;  (** final instruction count (= raw when unoptimized) *)
+  instrs : int;  (** final instruction count *)
   spill_slots : int;
   spilled_vregs : int;
 }
@@ -35,24 +35,21 @@ let verify_or_reject what code =
               Fmt.(list ~sep:(any "@\n") Verifier.pp_error)
               errors))
 
-let compile_with_stats ?(optimize = true) ?profile ?fuse_k ?subflow_count
-    (p : Progmp_lang.Tast.program) : Vm.prog * stats =
+let compile_with_stats ?subflow_count (p : Progmp_lang.Tast.program) :
+    Vm.prog * stats =
+  (match subflow_count with
+  | Some n when n < 0 ->
+      invalid_arg (Fmt.str "subflow count must be non-negative, got %d" n)
+  | _ -> ());
   let vcode = Codegen.generate ?subflow_count p in
   let alloc = Regalloc.allocate vcode in
   let raw = Emit.emit vcode alloc in
-  let code = if optimize then Bopt.optimize ?profile ?fuse_k raw else raw in
+  let code = Bopt.optimize raw in
   verify_or_reject "compiled" code;
-  let flat =
-    if optimize then begin
-      (* Re-verify the flattened artifact itself: decode must round-trip
-         to verifier-accepted code before the unchecked fast path may
-         run it. *)
-      let f = Flat.encode code in
-      verify_or_reject "flattened" (Flat.decode f);
-      f
-    end
-    else [||]
-  in
+  (* Re-verify the flattened artifact itself: decode must round-trip to
+     verifier-accepted code before the unchecked fast path may run it. *)
+  let flat = Flat.encode code in
+  verify_or_reject "flattened" (Flat.decode flat);
   ( Vm.make_prog ?specialized_for:subflow_count ~flat
       ~spill_slots:alloc.Regalloc.spill_slots code,
     {
@@ -63,8 +60,7 @@ let compile_with_stats ?(optimize = true) ?profile ?fuse_k ?subflow_count
       spilled_vregs = alloc.Regalloc.spilled;
     } )
 
-let compile ?optimize ?profile ?fuse_k ?subflow_count p =
-  fst (compile_with_stats ?optimize ?profile ?fuse_k ?subflow_count p)
+let compile ?subflow_count p = fst (compile_with_stats ?subflow_count p)
 
 (** An instance of a compiled program: fresh scratch over the shared
     [prog]. When the program was specialized for a constant subflow
@@ -84,12 +80,9 @@ let engine ?fallback (prog : Vm.prog) : Progmp_runtime.Env.t -> unit =
 
 (** Register the bytecode engines with the runtime's
     {!Progmp_runtime.Engine} registry: "vm" is the optimized,
-    flat-encoded fast path; "vm-noopt" the escape hatch running the
-    un-optimized emit output on the boxed interpreter (the baseline
-    [bench engines] measures the middle-end against); "threaded" runs
-    the verified flat code as a closure chain. Each compiles once per
-    program (the registry caches the result) and instantiates by
-    allocating scratch only. Runs once when this module is linked;
+    flat-encoded fast path; "threaded" runs the verified flat code as a
+    closure chain. Each compiles once per program (the registry caches
+    the result) and instantiates by allocating scratch only. Runs once when this module is linked;
     binaries that select engines purely by name call it explicitly so
     the linker cannot drop this module (and its registration) as
     unreferenced. *)
@@ -109,17 +102,6 @@ let register_engines =
           }
         ~compile:(fun program -> compile program)
         ~instantiate:(fun prog -> engine prog);
-      Progmp_runtime.Engine.register_compiled "vm-noopt"
-        ~caps:
-          {
-            Progmp_runtime.Engine.compiled = true;
-            verified = true;
-            description =
-              "bytecode VM without the middle-end optimizer or flat \
-               encoding (escape hatch / optimization baseline)";
-          }
-        ~compile:(fun program -> compile ~optimize:false program)
-        ~instantiate:(fun prog -> engine prog);
       Progmp_runtime.Engine.register_compiled "threaded"
         ~caps:
           {
@@ -127,7 +109,7 @@ let register_engines =
             verified = true;
             description =
               "threaded-code engine: verified bytecode compiled to chained \
-               closures, no dispatch loop (profile-guided superinstructions)";
+               closures, no dispatch loop";
           }
         ~compile:(fun program -> Threaded.compile (compile program).Vm.flat)
         ~instantiate:Threaded.instantiate

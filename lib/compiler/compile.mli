@@ -15,32 +15,19 @@ exception Rejected of string
 type stats = {
   vinstrs : int;  (** virtual instructions before lowering *)
   raw_instrs : int;  (** emitted instructions before the middle-end *)
-  instrs : int;  (** final instruction count (= raw when unoptimized) *)
+  instrs : int;  (** final instruction count *)
   spill_slots : int;
   spilled_vregs : int;
 }
 
 val compile_with_stats :
-  ?optimize:bool ->
-  ?profile:Profile.t ->
-  ?fuse_k:int ->
-  ?subflow_count:int ->
-  Progmp_lang.Tast.program ->
-  Vm.prog * stats
+  ?subflow_count:int -> Progmp_lang.Tast.program -> Vm.prog * stats
 (** Compile and verify; [subflow_count] specializes for a constant
-    number of subflows (§4.1). [optimize] (default [true]) runs the
-    bytecode middle-end and produces the flat encoding; [false] is the
-    "vm-noopt" escape hatch. [profile]/[fuse_k] steer profile-guided
-    superinstruction selection (see {!Bopt.optimize}).
-    @raise Rejected on verifier failure. *)
+    number of subflows (§4.1).
+    @raise Rejected on verifier failure.
+    @raise Invalid_argument if [subflow_count] is negative. *)
 
-val compile :
-  ?optimize:bool ->
-  ?profile:Profile.t ->
-  ?fuse_k:int ->
-  ?subflow_count:int ->
-  Progmp_lang.Tast.program ->
-  Vm.prog
+val compile : ?subflow_count:int -> Progmp_lang.Tast.program -> Vm.prog
 
 val engine :
   ?fallback:(Progmp_runtime.Env.t -> unit) ->
@@ -52,11 +39,11 @@ val engine :
     count differs. *)
 
 val register_engines : unit -> unit
-(** Register the "vm" (optimized + flat-encoded), "vm-noopt"
-    (escape-hatch baseline) and "threaded" (closure-chain, no dispatch
-    loop) engines with {!Progmp_runtime.Engine}, each as a compile step
-    (cached per program by the registry) and a scratch-only instantiate
-    step. Compiles nothing itself. Idempotent; also runs automatically when this module is linked.
+(** Register the "vm" (optimized + flat-encoded) and "threaded"
+    (closure-chain, no dispatch loop) engines with
+    {!Progmp_runtime.Engine}, each as a compile step (cached per program
+    by the registry) and a scratch-only instantiate step. Compiles
+    nothing itself. Idempotent; also runs automatically when this module is linked.
     Call it from binaries that select engines only by name, so the
     linker keeps this module. *)
 

@@ -44,29 +44,3 @@ let pp_flat ppf (f : int array) =
     code
 
 let flat_to_string f = Fmt.str "%a" pp_flat f
-
-(** The fused set of a program: constituent mnemonic pairs of the
-    superinstructions present, with occurrence counts, sorted — what
-    profile-guided selection actually chose, in a golden-friendly
-    one-line form. *)
-let fused_pairs (code : Isa.instr array) =
-  let tbl = Hashtbl.create 8 in
-  Array.iter
-    (fun i ->
-      match Profile.pair_of_fused i with
-      | Some key ->
-          Hashtbl.replace tbl key
-            (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key))
-      | None -> ())
-    code;
-  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
-
-let pp_fused ppf code =
-  match fused_pairs code with
-  | [] -> Fmt.pf ppf "fused: none"
-  | pairs ->
-      Fmt.pf ppf "fused: %a"
-        Fmt.(
-          list ~sep:(any ", ") (fun ppf ((a, b), n) ->
-              pf ppf "%s+%s x%d" a b n))
-        pairs

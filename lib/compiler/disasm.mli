@@ -14,11 +14,3 @@ val pp_flat : Format.formatter -> int array -> unit
     word offset. @raise Invalid_argument on a malformed stream. *)
 
 val flat_to_string : int array -> string
-
-val fused_pairs : Isa.instr array -> (Profile.key * int) list
-(** Constituent mnemonic pairs of the superinstructions present, with
-    occurrence counts, sorted — the profile-selected fused set. *)
-
-val pp_fused : Format.formatter -> Isa.instr array -> unit
-(** One-line rendering of {!fused_pairs} ([fused: call+jeqi x2, ...]),
-    for the CLI and the cram goldens. *)

@@ -167,8 +167,9 @@ let exec_cond c a b =
   | Isa.Jge -> a >= b
 
 (* The boxed-variant interpreter: executes [Isa.instr array] directly,
-   with full bounds checking. This is the "vm-noopt" escape-hatch path
-   (and the path for hand-built programs that were never flattened). *)
+   with full bounds checking. This is the path for hand-built programs
+   that were never flattened, and the reference the middle-end's
+   property tests run raw code on. *)
 let run_boxed st (code : Isa.instr array) max_steps =
   let len = Array.length code in
   let steps = ref 0 in
@@ -233,8 +234,8 @@ let run_boxed st (code : Isa.instr array) max_steps =
    the end (the last instruction is an exit or an unconditional jump),
    so every pc this loop can reach is a valid instruction start. The
    opcode numbers must stay in sync with {!Flat} (pinned by the
-   encode/decode round-trip test and the vm/vm-noopt differential
-   suite). *)
+   encode/decode round-trip test and the boxed-vs-flat differential in
+   test/test_compiler.ml, which runs identical code both ways). *)
 let run_flat st (f : int array) max_steps =
   let regs = st.regs and stack = st.stack in
   let steps = ref 0 in
@@ -387,72 +388,6 @@ let instantiate ?(max_steps = default_max_steps) (prog : prog) =
     run_boxed st prog.code max_steps
 
 let run ?max_steps prog env = instantiate ?max_steps prog env
-
-(* A separate copy of the boxed stepper with the per-pc hook: keeping
-   the hot [run_boxed]/[run_flat] loops free of callback dispatch means
-   tracing support costs the vm-noopt baseline nothing. Kept
-   semantically identical to [run_boxed] (the profile-collection parity
-   test in test/test_compiler.ml pins this). *)
-let step_traced ~trace st (code : Isa.instr array) max_steps =
-  let len = Array.length code in
-  let steps = ref 0 in
-  let rec step pc =
-    if pc < 0 || pc >= len then fault "pc %d out of bounds" pc;
-    incr steps;
-    if !steps > max_steps then fault "step budget exhausted";
-    trace pc;
-    match code.(pc) with
-    | Isa.Mov (d, s) ->
-        st.regs.(d) <- st.regs.(s);
-        step (pc + 1)
-    | Isa.Movi (d, n) ->
-        st.regs.(d) <- n;
-        step (pc + 1)
-    | Isa.Alu (op, d, s) ->
-        st.regs.(d) <- exec_alu op st.regs.(d) st.regs.(s);
-        step (pc + 1)
-    | Isa.Alui (op, d, n) ->
-        st.regs.(d) <- exec_alu op st.regs.(d) n;
-        step (pc + 1)
-    | Isa.Jmp t -> step t
-    | Isa.Jcc (c, a, b, t) ->
-        if exec_cond c st.regs.(a) st.regs.(b) then step t else step (pc + 1)
-    | Isa.Jcci (c, a, n, t) ->
-        if exec_cond c st.regs.(a) n then step t else step (pc + 1)
-    | Isa.Call h ->
-        st.regs.(0) <- exec_helper st h;
-        step (pc + 1)
-    | Isa.Ldx (d, slot) ->
-        if slot < 0 || slot >= Isa.stack_words then fault "stack load oob";
-        st.regs.(d) <- st.stack.(slot);
-        step (pc + 1)
-    | Isa.Stx (slot, s) ->
-        if slot < 0 || slot >= Isa.stack_words then fault "stack store oob";
-        st.stack.(slot) <- st.regs.(s);
-        step (pc + 1)
-    | Isa.Exit -> ()
-    | Isa.CallJcci (h, c, n, t) ->
-        st.regs.(0) <- exec_helper st h;
-        if exec_cond c st.regs.(0) n then step t else step (pc + 1)
-    | Isa.LdxJcci (c, d, slot, n, t) ->
-        if slot < 0 || slot >= Isa.stack_words then fault "stack load oob";
-        st.regs.(d) <- st.stack.(slot);
-        if exec_cond c st.regs.(d) n then step t else step (pc + 1)
-    | Isa.LdxJcc (c, a, d, slot, t) ->
-        if slot < 0 || slot >= Isa.stack_words then fault "stack load oob";
-        st.regs.(d) <- st.stack.(slot);
-        if exec_cond c st.regs.(a) st.regs.(d) then step t else step (pc + 1)
-  in
-  if len > 0 then step 0
-
-(** Like {!run}, but always on the boxed instructions and reporting
-    every executed pc to [trace] — profile harvesting for
-    {!Bopt.fuse_profiled} (pair it with {!Profile.tracer}). *)
-let run_traced ?(max_steps = default_max_steps) ~trace (prog : prog)
-    (env : Env.t) =
-  let st = fresh_state prog in
-  reset st env;
-  step_traced ~trace st prog.code max_steps
 
 (** Number of instructions — the analogue of the paper's per-scheduler
     memory figures (§4.3). *)

@@ -47,15 +47,5 @@ val instantiate : ?max_steps:int -> prog -> Progmp_runtime.Env.t -> unit
 val run : ?max_steps:int -> prog -> Progmp_runtime.Env.t -> unit
 (** One execution on a fresh instance ([instantiate prog env]). *)
 
-val run_traced :
-  ?max_steps:int ->
-  trace:(int -> unit) ->
-  prog ->
-  Progmp_runtime.Env.t ->
-  unit
-(** Like {!run}, but always on the boxed instructions and reporting
-    every executed pc to [trace] — opcode-pair profile harvesting for
-    {!Bopt.fuse_profiled} (pair it with {!Profile.tracer}). *)
-
 val size : prog -> int
 (** Instruction count (the paper's per-scheduler memory analogue). *)

@@ -210,7 +210,7 @@ let memory () =
     fun () -> List.rev !acc )
 
 (** Callback sink: hand every event to [f] — in-process aggregation
-    (e.g. {!Profile}'s invocation counting) without serializing. *)
+    (e.g. counting invocations per scheduler) without serializing. *)
 let callback f =
   { write = (fun time ev -> f ~time ev); flush = (fun () -> ()); events = 0 }
 

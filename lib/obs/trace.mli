@@ -77,7 +77,7 @@ val memory : unit -> t * (unit -> (float * event) list)
 
 val callback : (time:float -> event -> unit) -> t
 (** Callback sink: hand every event to the function — in-process
-    aggregation (e.g. {!Profile}'s invocation counting) without
+    aggregation (e.g. counting invocations per scheduler) without
     serializing. *)
 
 val tee : t list -> t

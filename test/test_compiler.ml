@@ -243,6 +243,20 @@ let suite =
             Alcotest.(check string)
               "engine label" "vm"
               (Progmp_runtime.Scheduler.engine_label sched));
+        tc "negative subflow count is rejected" (fun () ->
+            let program =
+              Progmp_lang.Typecheck.compile_source Schedulers.Specs.default
+            in
+            (match Compile.compile ~subflow_count:(-1) program with
+            | (_ : Vm.prog) -> Alcotest.fail "expected Invalid_argument"
+            | exception Invalid_argument _ -> ());
+            ignore (Compile.compile ~subflow_count:0 program : Vm.prog));
+        tc "engine registry is aot, interpreter, threaded, vm" (fun () ->
+            Compile.register_engines ();
+            Alcotest.(check (list string))
+              "engines"
+              [ "aot"; "interpreter"; "threaded"; "vm" ]
+              (Progmp_runtime.Engine.names ()));
         tc "compile stats are sane" (fun () ->
             let program =
               Progmp_lang.Typecheck.compile_source Schedulers.Specs.default
@@ -258,15 +272,14 @@ let suite =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Profile-guided superinstruction selection and the threaded tier.   *)
+(* Middle-end semantics and the VM's two execution paths.             *)
 (* ------------------------------------------------------------------ *)
 
-(* Observable outcome of running [code] on a fresh default environment
-   through the boxed VM: action tape, queue contents and register
-   file — the yardstick for "fusion preserved the semantics". *)
-let run_code code =
-  let prog = Vm.make_prog ~spill_slots:Isa.stack_words code in
-  let env, views = build default_env_spec in
+(* Observable outcome of running [prog] on a fresh environment built
+   from [spec]: action tape, queue contents and register file — the
+   yardstick for "the middle-end preserved the semantics". *)
+let run_prog ?(spec = default_env_spec) prog =
+  let env, views = build spec in
   Progmp_runtime.Env.begin_execution env ~subflows:views;
   Vm.run prog env;
   ( List.map norm_action (Progmp_runtime.Env.finish_execution env),
@@ -275,136 +288,86 @@ let run_code code =
       seqs_of env.Progmp_runtime.Env.rq ),
     Array.to_list env.Progmp_runtime.Env.registers )
 
-let over_zoo f =
-  List.iter (fun (name, src) -> f name (raw_code src)) Schedulers.Specs.all
+(* [code] on the boxed VM (the bounds-checked reference path). *)
+let run_code ?spec code =
+  run_prog ?spec (Vm.make_prog ~spill_slots:Isa.stack_words code)
 
-let fusion_random =
-  QCheck2.Test.make
-    ~name:"profiled fusion: accepted, idempotent, behaviour-preserving"
-    ~count:100 Gen.gen_program (fun ast ->
+(* [code] on the flat-encoded fast path. *)
+let run_flat ?spec code =
+  run_prog ?spec
+    (Vm.make_prog ~flat:(Flat.encode code) ~spill_slots:Isa.stack_words code)
+
+(* The whole middle-end preserves behaviour: raw emit output and its
+   optimized form agree on the boxed VM. *)
+let optimize_agrees ~spec raw =
+  let opt = Bopt.optimize raw in
+  verifier_accepts opt && run_code ~spec raw = run_code ~spec opt
+
+(* Identical optimized code runs the same on the boxed and the flat
+   path. *)
+let boxed_agrees_with_flat ~spec raw =
+  let opt = Bopt.optimize raw in
+  run_code ~spec opt = run_flat ~spec opt
+
+(* A fixed sample of random environments for the zoo checks. *)
+let zoo_env_specs =
+  default_env_spec
+  :: QCheck2.Gen.generate ~n:16
+       ~rand:(Random.State.make [| 15 |])
+       Gen.gen_env_spec
+
+(* [agrees] holds for every zoo program on every sampled environment. *)
+let over_zoo_envs agrees =
+  List.iter
+    (fun (name, src) ->
+      let raw = raw_code src in
+      List.iteri
+        (fun i spec ->
+          if not (agrees ~spec raw) then
+            Alcotest.failf "%s: diverged on environment %d" name i)
+        zoo_env_specs)
+    Schedulers.Specs.all
+
+let random_agrees name agrees =
+  QCheck2.Test.make ~name ~count:200
+    QCheck2.Gen.(pair Gen.gen_program Gen.gen_env_spec)
+    (fun (ast, spec) ->
       let p = Progmp_lang.Typecheck.check ast in
       let vcode = Codegen.generate p in
-      let raw = Emit.emit vcode (Regalloc.allocate vcode) in
-      let profile = Profile.static_estimate raw in
-      let fused = Bopt.fuse_profiled ~profile raw in
-      verifier_accepts fused
-      && Bopt.fuse_profiled ~profile fused = fused
-      && run_code raw = run_code fused)
+      agrees ~spec (Emit.emit vcode (Regalloc.allocate vcode)))
 
-let fusion_suite =
+let is_superinstruction = function
+  | Isa.CallJcci _ | Isa.LdxJcci _ | Isa.LdxJcc _ -> true
+  | _ -> false
+
+let middle_end_suite =
   [
-    ( "profile-fusion",
+    ( "middle-end",
       [
-        tc "equal profiles select identically, whatever the insertion order"
-          (fun () ->
-            over_zoo (fun name raw ->
-                let p = Profile.static_estimate raw in
-                let q = Profile.of_pairs (List.rev (Profile.to_list p)) in
-                if not (Profile.equal p q) then
-                  Alcotest.failf "%s: reordered profile not equal" name;
-                if
-                  Bopt.fuse_profiled ~profile:p raw
-                  <> Bopt.fuse_profiled ~profile:q raw
-                then Alcotest.failf "%s: selection depends on insertion order" name));
-        tc "fuse_profiled is idempotent for a fixed profile" (fun () ->
-            over_zoo (fun name raw ->
-                let profile = Profile.static_estimate raw in
-                let once = Bopt.fuse_profiled ~profile raw in
-                if Bopt.fuse_profiled ~profile once <> once then
-                  Alcotest.failf "%s: second application changed the code" name));
-        tc "fused zoo: accepted and behaviour-preserving at every k"
-          (fun () ->
-            over_zoo (fun name raw ->
-                let reference = run_code raw in
-                List.iter
-                  (fun k ->
-                    let fused =
-                      Bopt.fuse_profiled ~k
-                        ~profile:(Profile.static_estimate raw) raw
-                    in
-                    if not (verifier_accepts fused) then
-                      Alcotest.failf "%s: k=%d output rejected" name k;
-                    if run_code fused <> reference then
-                      Alcotest.failf "%s: k=%d changed behaviour" name k)
-                  [ 0; 1; 2; 3; Bopt.default_fuse_k; 16 ]));
-        tc "k=0 forms no superinstructions" (fun () ->
-            over_zoo (fun name raw ->
-                let fused =
-                  Bopt.fuse_profiled ~k:0
-                    ~profile:(Profile.static_estimate raw) raw
-                in
-                match Disasm.fused_pairs fused with
-                | [] -> ()
-                | _ :: _ -> Alcotest.failf "%s: k=0 still fused" name));
-        tc "run_traced matches run on the zoo" (fun () ->
-            List.iter
-              (fun (name, src) ->
-                let observe run =
-                  let prog = compile_src src in
-                  let env, views = build default_env_spec in
-                  Progmp_runtime.Env.begin_execution env ~subflows:views;
-                  run prog env;
-                  ( List.map norm_action
-                      (Progmp_runtime.Env.finish_execution env),
-                    Array.to_list env.Progmp_runtime.Env.registers )
-                in
-                let plain = observe (fun p e -> Vm.run p e) in
-                let traced =
-                  observe (fun p e -> Vm.run_traced ~trace:ignore p e)
-                in
-                if plain <> traced then
-                  Alcotest.failf "%s: run_traced diverged from run" name)
-              Schedulers.Specs.all);
-        tc "tracer harvest drives accepted, behaviour-preserving fusion"
-          (fun () ->
-            let raw = raw_code Schedulers.Specs.round_robin in
-            let prog = Vm.make_prog ~spill_slots:Isa.stack_words raw in
-            let harvest = Profile.create () in
+        tc "optimized zoo: behaviour-preserving" (fun () ->
+            over_zoo_envs optimize_agrees);
+        tc "optimized zoo: boxed = flat" (fun () ->
+            over_zoo_envs boxed_agrees_with_flat);
+        tc "fused zoo: accepted and behaviour-preserving" (fun () ->
+            over_zoo_envs (fun ~spec raw ->
+                let fused = Bopt.fuse raw in
+                verifier_accepts fused
+                && run_code ~spec raw = run_code ~spec fused));
+        tc "optimize forms superinstructions on a loopy scheduler" (fun () ->
+            let opt = Bopt.optimize (raw_code Schedulers.Specs.round_robin) in
+            Alcotest.(check bool)
+              "has a superinstruction" true
+              (Array.exists is_superinstruction opt));
+        tc "flat path charges the step budget" (fun () ->
+            let code = [| Isa.Jmp 0 |] in
+            let prog =
+              Vm.make_prog ~flat:(Flat.encode code) ~spill_slots:0 code
+            in
             let env, views = build default_env_spec in
             Progmp_runtime.Env.begin_execution env ~subflows:views;
-            Vm.run_traced ~trace:(Profile.tracer harvest raw) prog env;
-            ignore (Progmp_runtime.Env.finish_execution env);
-            Alcotest.(check bool)
-              "harvest non-empty" false
-              (Profile.is_empty harvest);
-            List.iter
-              (fun ((a, b), c) ->
-                if c <= 0 then
-                  Alcotest.failf "non-positive count for (%s,%s)" a b)
-              (Profile.to_list harvest);
-            let fused = Bopt.fuse_profiled ~profile:harvest raw in
-            Alcotest.(check bool)
-              "fused output accepted" true (verifier_accepts fused);
-            Alcotest.(check bool)
-              "behaviour preserved" true
-              (run_code fused = run_code raw);
-            (* the dynamic profile of a loopy scheduler must surface at
-               least one fusable hot pair, and selection must act on it *)
-            let fusable =
-              List.exists
-                (fun (key, _) -> Bopt.fusable_pair key)
-                (Profile.to_list harvest)
-            in
-            Alcotest.(check bool) "harvest has a fusable pair" true fusable;
-            Alcotest.(check bool)
-              "selection formed a superinstruction" true
-              (Disasm.fused_pairs fused <> []));
-        tc "static_estimate weights loop bodies heavier" (fun () ->
-            let code =
-              [|
-                Isa.Movi (6, 0);
-                Isa.Alui (Isa.Add, 6, 1);
-                Isa.Jcci (Isa.Jlt, 6, 10, 1);
-                Isa.Exit;
-              |]
-            in
-            let t = Profile.static_estimate code in
-            let pair i j =
-              (Profile.classify code.(i), Profile.classify code.(j))
-            in
-            Alcotest.(check bool)
-              "loop pair hotter than straight-line pair" true
-              (Profile.count t (pair 1 2) > Profile.count t (pair 0 1)));
+            match Vm.run ~max_steps:100 prog env with
+            | () -> Alcotest.fail "expected a step-budget fault"
+            | exception Vm.Fault _ -> ());
         tc "threaded engine charges the step budget" (fun () ->
             let run =
               Threaded.instantiate
@@ -415,7 +378,12 @@ let fusion_suite =
             match run env with
             | () -> Alcotest.fail "expected a step-budget fault"
             | exception Vm.Fault _ -> ());
-        QCheck_alcotest.to_alcotest fusion_random;
+        QCheck_alcotest.to_alcotest
+          (random_agrees "optimize: accepted, behaviour-preserving"
+             optimize_agrees);
+        QCheck_alcotest.to_alcotest
+          (random_agrees "optimized random programs: boxed = flat"
+             boxed_agrees_with_flat);
       ] );
   ]
 
