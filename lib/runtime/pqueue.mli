@@ -3,17 +3,24 @@
     filtered [POP]), inspection without removal ([TOP]), and
     re-insertion at the front (the no-packet-loss guarantee).
 
-    Representation: a growable circular buffer; push/pop at the ends are
-    O(1), middle removal shifts the shorter side.
+    Representation: a growable circular buffer padded with the
+    {!Packet.dummy} sentinel, so a push stores the packet itself and
+    allocates nothing; push/pop at the ends are O(1), middle removal
+    shifts the shorter side. The queue also tracks whether its seqs are
+    non-decreasing from front to back: pushes keep that flag by
+    comparing with the neighbouring packet, removals preserve it, and
+    an emptied queue starts sorted again.
 
     Decision-path cost audit (the operations the VM's helpers hit on
     every scheduling decision): {!nth} is O(1) — an offset into the
     buffer, {e not} a list walk — and {!remove_at}[ t i] is
     O(min(i, length t - i)) element moves, so [pop_front] and
     back-removal are O(1) and the worst case (dead middle) is n/2 moves
-    of one array cell each. {!remove_packet}, {!mem} and {!remove_if}
-    scan by id and stay O(n); they run on the ACK path, not per
-    decision. *)
+    of one array cell each. {!remove_packet} and {!mem} scan by id and
+    stay O(n); they run on the ACK path, not per decision. The
+    cumulative-ack cleanup {!remove_below} is O(removed) on a sorted
+    queue (a head trim) and one allocation-free O(n) compacting pass
+    otherwise; either way it allocates only the returned list. *)
 
 type t
 
@@ -60,9 +67,11 @@ val iter : t -> (Packet.t -> unit) -> unit
 
 val fold : t -> ('a -> Packet.t -> 'a) -> 'a -> 'a
 
-val remove_if : t -> (Packet.t -> bool) -> Packet.t list
-(** Remove every packet satisfying the predicate; returns them in queue
-    order (cumulative-ack cleanup). *)
+val remove_below : t -> int -> Packet.t list
+(** [remove_below t upto] removes every packet with [seq < upto] and
+    returns them in queue order (cumulative-ack cleanup). The result is
+    the same whether or not the queue is sorted; only the cost
+    differs. *)
 
 val to_list : t -> Packet.t list
 

@@ -19,7 +19,11 @@
       byte counters consistent;
     - scheduler-visible views reflect ground truth at snapshot time
       (backup/lossy flags, cwnd, in-flight), so injected state
-      ([Set_backup], [Set_lossy], failures) is what schedulers observe.
+      ([Set_backup], [Set_lossy], failures) is what schedulers observe;
+    - queue hygiene: acknowledged packets leave every queue, so no
+      packet in Q, QU or RQ has a seq below [data_una], the cumulative
+      data ack. Scanned only when [data_una] moved since the last
+      check, so checked runs pay per ack, not per event.
 
     Violations are collected (capped), never raised mid-run: a sweep can
     finish and report everything at once. *)
@@ -39,6 +43,7 @@ type t = {
       (** subflow id -> rcv_expected when its data link went dark *)
   frozen_tx : (int, int * int) Hashtbl.t;
       (** subflow id -> (bytes_acked, snd_una) when its ack link went dark *)
+  mutable hygiene_una : int;  (** [data_una] at the last queue-hygiene scan *)
 }
 
 let violation t fmt =
@@ -128,10 +133,26 @@ let check_subflow t (m : Path_manager.managed) =
     violation t "%s: view in-flight=%d but subflow in-flight=%d" name
       v.Progmp_runtime.Subflow_view.skbs_in_flight inflight
 
+let check_queue_hygiene t (meta : Meta_socket.t) =
+  let una = meta.Meta_socket.data_una in
+  if una <> t.hygiene_una then begin
+    t.hygiene_una <- una;
+    let open Progmp_runtime in
+    let e = Meta_socket.env meta in
+    List.iter
+      (fun q ->
+        Pqueue.iter q (fun (p : Packet.t) ->
+            if p.seq < una then
+              violation t "meta: seq %d still in %s after data ack %d" p.seq
+                (Pqueue.name q) una))
+      [ e.Env.q; e.Env.qu; e.Env.rq ]
+  end
+
 (** Run every check now (also called automatically after each event). *)
 let check_now t =
   List.iter (check_subflow t) t.conn.Connection.paths;
   let meta = t.conn.Connection.meta in
+  check_queue_hygiene t meta;
   if meta.Meta_socket.rcv_ooo_bytes < 0 then
     violation t "meta: negative out-of-order byte count %d"
       meta.Meta_socket.rcv_ooo_bytes;
@@ -176,6 +197,7 @@ let attach ?(max_recorded = 20) (conn : Connection.t) =
       cwnd_hw = Hashtbl.create 8;
       frozen_rx = Hashtbl.create 8;
       frozen_tx = Hashtbl.create 8;
+      hygiene_una = conn.Connection.meta.Meta_socket.data_una;
     }
   in
   let meta = conn.Connection.meta in

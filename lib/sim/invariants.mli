@@ -15,7 +15,9 @@
     - meta-level bytes delivered exactly once — in order under [Ordered]
       delivery — with consistent byte counters;
     - scheduler-visible views ({!Tcp_subflow.view}) reflecting ground
-      truth, including injected backup/lossy state.
+      truth, including injected backup/lossy state;
+    - queue hygiene: after the cumulative data ack advances, no packet
+      below it is left in Q, QU or RQ (scanned only on an advance).
 
     Violations are collected rather than raised, so a run completes and
     everything can be reported at once. *)

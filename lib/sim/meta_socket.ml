@@ -239,19 +239,21 @@ let trigger t =
 
 (* ---------- sender-side callbacks from subflows ---------- *)
 
+let mark_acked = List.iter (fun (p : Packet.t) -> p.Packet.acked <- true)
+
 let on_data_ack t upto =
   if upto > t.data_una then t.data_una <- upto;
   if upto > 0 then begin
-    let is_acked (p : Packet.t) = p.Packet.seq < upto in
-    let newly (p : Packet.t) = is_acked p && not p.Packet.acked in
+    let e = env t in
+    (* acknowledged packets leave all queues; the ack made progress if
+       it covered an in-flight packet not acked before *)
+    let from_qu = Pqueue.remove_below e.Env.qu upto in
     let progressed =
-      Pqueue.fold (env t).Env.qu (fun acc p -> acc || newly p) false
+      List.exists (fun (p : Packet.t) -> not p.Packet.acked) from_qu
     in
-    (* acknowledged packets leave all queues *)
-    let mark ps = List.iter (fun (p : Packet.t) -> p.Packet.acked <- true) ps in
-    mark (Pqueue.remove_if (env t).Env.qu is_acked);
-    mark (Pqueue.remove_if (env t).Env.q is_acked);
-    mark (Pqueue.remove_if (env t).Env.rq is_acked);
+    mark_acked from_qu;
+    mark_acked (Pqueue.remove_below e.Env.q upto);
+    mark_acked (Pqueue.remove_below e.Env.rq upto);
     if progressed then trigger t
   end
 

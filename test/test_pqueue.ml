@@ -1,43 +1,65 @@
 (** Property tests for the augmented packet queue (mid-queue removal,
-    front reinsertion, predicate removal) against a list model. *)
+    front reinsertion, cumulative-ack removal) against a list model. *)
 
 open Progmp_runtime
 open Helpers
 
 type op =
+  | Push_next of int  (** push_back [d] past the largest seq so far *)
   | Push_back of int
   | Push_front of int
   | Pop_front
   | Remove_at of int
-  | Remove_if_even
+  | Remove_below of int  (** [upto] is the front seq plus [k] *)
 
+(* Mostly in-order pushes, as a send queue sees them, mixed with
+   out-of-order ones (arbitrary seqs at either end), so [remove_below]
+   runs both its head trim on sorted queues and its compacting pass on
+   unsorted ones — including compactions that leave the queue sorted
+   again. *)
 let gen_ops =
   let open QCheck2.Gen in
   small_list
-    (oneof
+    (frequency
        [
-         map (fun s -> Push_back (abs s mod 1000)) small_int;
-         map (fun s -> Push_front (abs s mod 1000)) small_int;
-         return Pop_front;
-         map (fun i -> Remove_at (abs i mod 12)) small_int;
-         return Remove_if_even;
+         (6, map (fun d -> Push_next (abs d mod 3)) small_int);
+         (1, map (fun s -> Push_back (abs s mod 64)) small_int);
+         (1, map (fun s -> Push_front (abs s mod 64)) small_int);
+         (1, return Pop_front);
+         (1, map (fun i -> Remove_at (abs i mod 12)) small_int);
+         (3, map (fun k -> Remove_below (abs k mod 12)) small_int);
        ])
 
+let rec is_sorted = function
+  | a :: (b :: _ as rest) -> a <= b && is_sorted rest
+  | _ -> true
+
+(* How often [Remove_below] met each queue shape, over the ops run by
+   [model_matches]: sorted, unsorted, and unsorted made sorted by the
+   removal. *)
+type coverage = { mutable trims : int; mutable compactions : int; mutable resorted : int }
+
 (* Execute ops against both the real queue and a list model; compare. *)
-let model_matches ops =
+let model_matches ?(cov = { trims = 0; compactions = 0; resorted = 0 }) ops =
   let q = Pqueue.create () in
   let model = ref [] in
-  let mk seq = Packet.create ~seq ~size:100 ~now:0.0 () in
+  let top = ref 0 in
+  let mk seq =
+    top := max !top seq;
+    Packet.create ~seq ~size:100 ~now:0.0 ()
+  in
   List.for_all
     (fun op ->
       (match op with
+      | Push_next d ->
+          let s = !top + d in
+          Pqueue.push_back q (mk s);
+          model := !model @ [ s ]
       | Push_back s ->
-          let p = mk s in
-          Pqueue.push_back q p;
+          Pqueue.push_back q (mk s);
           model := !model @ [ s ]
       | Push_front s ->
-          let p = mk s in
-          Pqueue.push_front q p;
+          Pqueue.push_front q (mk s);
           model := s :: !model
       | Pop_front -> (
           let got = Option.map (fun p -> p.Packet.seq) (Pqueue.pop_front q) in
@@ -53,20 +75,36 @@ let model_matches ops =
             model := List.filteri (fun j _ -> j <> i) !model
           end
           else assert (got = None))
-      | Remove_if_even ->
-          let removed =
-            List.map (fun p -> p.Packet.seq)
-              (Pqueue.remove_if q (fun p -> p.Packet.seq mod 2 = 0))
-          in
-          let expect_removed = List.filter (fun s -> s mod 2 = 0) !model in
+      | Remove_below k ->
+          let upto = match !model with [] -> k | x :: _ -> x + k in
+          let removed = List.map (fun p -> p.Packet.seq) (Pqueue.remove_below q upto) in
+          let expect_removed, kept = List.partition (fun s -> s < upto) !model in
           assert (removed = expect_removed);
-          model := List.filter (fun s -> s mod 2 <> 0) !model);
+          if is_sorted !model then cov.trims <- cov.trims + 1
+          else begin
+            cov.compactions <- cov.compactions + 1;
+            if is_sorted kept && removed <> [] then cov.resorted <- cov.resorted + 1
+          end;
+          model := kept);
       seqs_of q = !model && Pqueue.length q = List.length !model)
     ops
 
 let qprop =
   QCheck2.Test.make ~name:"pqueue behaves like a list model" ~count:1000
-    gen_ops model_matches
+    gen_ops (fun ops -> model_matches ops)
+
+let fill n =
+  let q = Pqueue.create () in
+  for i = 0 to n - 1 do
+    Pqueue.push_back q (Packet.create ~seq:i ~size:1 ~now:0.0 ())
+  done;
+  q
+
+(* Minor words allocated by [f ()]; [f]'s own result is dropped. *)
+let minor_words_of f =
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. before
 
 let suite =
   [
@@ -117,5 +155,52 @@ let suite =
             Pqueue.clear q;
             Alcotest.(check int) "len" 0 (Pqueue.length q));
         QCheck_alcotest.to_alcotest qprop;
+        tc "generated ops reach every remove_below shape" (fun () ->
+            let cov = { trims = 0; compactions = 0; resorted = 0 } in
+            let rand = Random.State.make [| 16 |] in
+            List.iter
+              (fun ops -> assert (model_matches ~cov ops))
+              (QCheck2.Gen.generate ~rand ~n:300 gen_ops);
+            Alcotest.(check bool) "head trims" true (cov.trims > 0);
+            Alcotest.(check bool) "compactions" true (cov.compactions > 0);
+            Alcotest.(check bool) "compactions that re-sort" true (cov.resorted > 0));
+        tc "remove_below: head trim, compaction, sorted again" (fun () ->
+            let q = Pqueue.create () in
+            List.iter
+              (fun s -> Pqueue.push_back q (Packet.create ~seq:s ~size:1 ~now:0.0 ()))
+              [ 3; 4; 9; 1; 6; 7 ];
+            Alcotest.(check (list int)) "unsorted: compacted" [ 3; 4; 1 ]
+              (List.map (fun p -> p.Packet.seq) (Pqueue.remove_below q 5));
+            Alcotest.(check (list int)) "kept in order" [ 9; 6; 7 ] (seqs_of q);
+            Alcotest.(check (list int)) "compacted again" [ 6; 7 ]
+              (List.map (fun p -> p.Packet.seq) (Pqueue.remove_below q 8));
+            Alcotest.(check (list int)) "sorted again" [ 9 ] (seqs_of q);
+            Pqueue.push_back q (Packet.create ~seq:12 ~size:1 ~now:0.0 ());
+            Alcotest.(check (list int)) "head trim" [ 9 ]
+              (List.map (fun p -> p.Packet.seq) (Pqueue.remove_below q 10));
+            Alcotest.(check (list int)) "rest" [ 12 ] (seqs_of q));
+        tc "remove_below allocates only the removed list" (fun () ->
+            let n = 10_000 in
+            let q = fill n in
+            let none = minor_words_of (fun () -> Pqueue.remove_below q 0) in
+            Alcotest.(check bool)
+              (Fmt.str "removing nothing: %.0f words" none)
+              true (none <= 8.0);
+            let k = 100 in
+            let some = minor_words_of (fun () -> Pqueue.remove_below q k) in
+            Alcotest.(check int) "k removed" (n - k) (Pqueue.length q);
+            Alcotest.(check bool)
+              (Fmt.str "removing %d: %.0f words" k some)
+              true
+              (some <= float_of_int (3 * k) +. 8.0);
+            (* an out-of-order packet at the front sends the next
+               removal down the compacting pass *)
+            Pqueue.push_front q (Packet.create ~seq:max_int ~size:1 ~now:0.0 ());
+            let some = minor_words_of (fun () -> Pqueue.remove_below q (2 * k)) in
+            Alcotest.(check int) "k more removed" (n - (2 * k) + 1) (Pqueue.length q);
+            Alcotest.(check bool)
+              (Fmt.str "compacting %d out: %.0f words" k some)
+              true
+              (some <= float_of_int (3 * k) +. 8.0));
       ] );
   ]

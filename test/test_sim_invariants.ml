@@ -234,3 +234,55 @@ let fault_sweep =
 
 let fault_suite =
   [ ("sim-fault-scripts", [ QCheck_alcotest.to_alcotest fault_sweep ]) ]
+
+(* Queue hygiene: a hook chained after the meta socket's data-ack
+   cleanup plants one packet below the new cumulative ack in QU, as a
+   cleanup that missed it would leave it. The checker must name it; the
+   same run without the hook stays clean. *)
+let run_with_stale_packet ~plant =
+  ignore (Schedulers.Specs.load_all ());
+  let paths = Apps.Scenario.mininet_two_subflows () in
+  let conn = Connection.create ~seed:1 ~paths () in
+  let checker = Invariants.attach conn in
+  let qu = (Meta_socket.env conn.Connection.meta).Env.qu in
+  let planted = ref None in
+  List.iter
+    (fun m ->
+      let s = m.Path_manager.subflow in
+      let cleanup = s.Tcp_subflow.on_data_ack in
+      s.Tcp_subflow.on_data_ack <-
+        (fun upto ->
+          cleanup upto;
+          if plant && upto > 10 && !planted = None then begin
+            planted := Some (upto - 1);
+            Pqueue.push_back qu
+              (Packet.create ~seq:(upto - 1) ~size:1 ~now:0.0 ())
+          end))
+    conn.Connection.paths;
+  Connection.write_at conn ~time:0.1 100_000;
+  Connection.run ~until:60.0 conn;
+  (checker, !planted)
+
+let hygiene_suite =
+  [
+    ( "sim-queue-hygiene",
+      [
+        Alcotest.test_case "a stale packet left in QU is reported" `Quick
+          (fun () ->
+            let clean, _ = run_with_stale_packet ~plant:false in
+            Alcotest.(check (option string))
+              "clean run" None (Invariants.report clean);
+            match run_with_stale_packet ~plant:true with
+            | _, None -> Alcotest.fail "the hook never planted a packet"
+            | checker, Some seq ->
+                let suffix =
+                  Fmt.str "meta: seq %d still in QU after data ack %d" seq (seq + 1)
+                in
+                let report = Invariants.report checker in
+                Alcotest.(check bool)
+                  (Fmt.str "reported: %s" (Option.value ~default:"nothing" report))
+                  true
+                  (List.exists (String.ends_with ~suffix)
+                     (Invariants.violations checker)));
+      ] );
+  ]
