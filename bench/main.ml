@@ -722,22 +722,29 @@ let fleet_ladder =
       fr_duration = 10.0; fr_shards = 4; fr_thin = true };
   ]
 
-(* The committed baseline's bytes-per-connection for the rung with
-   [target], or [None] when no comparable full-run baseline exists in
-   the cwd (fresh checkout, smoke baseline, rung set changed). *)
-let baseline_bytes_per_conn ~target =
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
-    nn > 0 && at 0
-  in
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
+  nn > 0 && at 0
+
+(* The lines of a full-ladder BENCH_fleet.json in the cwd, or [None]
+   when there is none (fresh checkout) or it holds a smoke record. *)
+let full_fleet_record () =
   if not (Sys.file_exists "BENCH_fleet.json") then None
   else
     let ic = open_in "BENCH_fleet.json" in
     let lines = In_channel.input_lines ic in
     close_in ic;
     if List.exists (fun l -> contains l "\"smoke\": true") lines then None
-    else
+    else Some lines
+
+(* The committed baseline's bytes-per-connection for the rung with
+   [target], or [None] when no comparable full-run baseline exists in
+   the cwd (fresh checkout, smoke baseline, rung set changed). *)
+let baseline_bytes_per_conn ~target =
+  match full_fleet_record () with
+  | None -> None
+  | Some lines ->
       let key = Fmt.str "\"target\": %d," target in
       List.find_map
         (fun line ->
@@ -789,8 +796,6 @@ let fleet_bench () =
   Fmt.pr "%9s %7s %9s %6s %7s %9s %9s %9s %8s %12s %10s %7s@." "target"
     "groups" "rate/s" "dur" "shards" "arrivals" "completed" "peak" "slots"
     "decis/wall-s" "B/conn" "compl";
-  (* capture the committed baseline's mid-rung footprint before this
-     run overwrites BENCH_fleet.json *)
   let mem_baseline =
     if !mem_smoke then
       baseline_bytes_per_conn ~target:(List.nth fleet_ladder 1).fr_target
@@ -900,38 +905,45 @@ let fleet_bench () =
          Fmt.pr
            "  mem-smoke: no comparable committed BENCH_fleet.json rung; \
             footprint measured but not gated@.");
-  let oc = open_out "BENCH_fleet.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"experiment\": \"fleet\",\n\
-    \  \"cores\": %d,\n\
-    \  \"smoke\": %b,\n\
-    \  \"rungs\": [\n"
-    (Domain.recommended_domain_count ())
-    (!smoke || !mem_smoke);
-  let last = List.length results - 1 in
-  List.iteri
-    (fun i (r, tot, slots, overload, dps, bpc, wall, heap_words) ->
-      Printf.fprintf oc
-        "    { \"target\": %d, \"groups\": %d, \"rate\": %.0f, \
-         \"duration_s\": %.0f, \"shards\": %d, \"arrivals\": %d, \
-         \"completed\": %d, \"completion_ratio\": %.4f, \"peak_live\": %d, \
-         \"overload\": %b, \
-         \"slots\": %d, \"decisions\": %d, \"decisions_per_sec\": %.0f, \
-         \"bytes_per_conn\": %.0f, \"wall_s\": %.2f, \"heap_words_over_base\": %d \
-         }%s\n"
-        r.fr_target r.fr_groups r.fr_rate r.fr_duration r.fr_shards
-        tot.Fleet.t_arrivals tot.Fleet.t_completed
-        (float_of_int tot.Fleet.t_completed
-        /. float_of_int (max 1 tot.Fleet.t_arrivals))
-        tot.Fleet.t_peak_live overload slots tot.Fleet.t_executions dps bpc
-        wall heap_words
-        (if i = last then "" else ","))
-    results;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
   Gc.set gc0;
-  Fmt.pr "  machine-readable results written to BENCH_fleet.json@."
+  (* a smoke run never replaces a full ladder record: the committed
+     BENCH_fleet.json is what the regression gate and --mem-smoke
+     compare against *)
+  if (!smoke || !mem_smoke) && full_fleet_record () <> None then
+    Fmt.pr "  BENCH_fleet.json holds a full ladder; smoke results not written@."
+  else begin
+    let oc = open_out "BENCH_fleet.json" in
+    Printf.fprintf oc
+      "{\n\
+      \  \"experiment\": \"fleet\",\n\
+      \  \"cores\": %d,\n\
+      \  \"smoke\": %b,\n\
+      \  \"rungs\": [\n"
+      (Domain.recommended_domain_count ())
+      (!smoke || !mem_smoke);
+    let last = List.length results - 1 in
+    List.iteri
+      (fun i (r, tot, slots, overload, dps, bpc, wall, heap_words) ->
+        Printf.fprintf oc
+          "    { \"target\": %d, \"groups\": %d, \"rate\": %.0f, \
+           \"duration_s\": %.0f, \"shards\": %d, \"arrivals\": %d, \
+           \"completed\": %d, \"completion_ratio\": %.4f, \"peak_live\": %d, \
+           \"overload\": %b, \
+           \"slots\": %d, \"decisions\": %d, \"decisions_per_sec\": %.0f, \
+           \"bytes_per_conn\": %.0f, \"wall_s\": %.2f, \"heap_words_over_base\": %d \
+           }%s\n"
+          r.fr_target r.fr_groups r.fr_rate r.fr_duration r.fr_shards
+          tot.Fleet.t_arrivals tot.Fleet.t_completed
+          (float_of_int tot.Fleet.t_completed
+          /. float_of_int (max 1 tot.Fleet.t_arrivals))
+          tot.Fleet.t_peak_live overload slots tot.Fleet.t_executions dps bpc
+          wall heap_words
+          (if i = last then "" else ","))
+      results;
+    Printf.fprintf oc "  ]\n}\n";
+    close_out oc;
+    Fmt.pr "  machine-readable results written to BENCH_fleet.json@."
+  end
 
 (* ------------------------------------------------------------------ *)
 (* eventq — event-core microbenchmark: binary heap vs timing wheel     *)

@@ -50,13 +50,25 @@ let default_scheduler =
      | Some s when String.equal s.Scheduler.digest digest -> s
      | Some _ | None -> Scheduler.load ~name:"default" default_scheduler_source)
 
+(** Return the socket to its freshly created state for a recycled
+    connection: a reset environment and zero default properties. The
+    selected scheduler stays: it is the host's choice, not per-flow
+    state. *)
+let reset sock =
+  Env.reset sock.env;
+  Array.fill sock.default_props 0 (Array.length sock.default_props) 0
+
 let create ?(name = "socket") () =
-  {
-    sock_name = name;
-    env = Env.create ();
-    scheduler = Lazy.force default_scheduler;
-    default_props = Array.make Progmp_lang.Props.num_user_props 0;
-  }
+  let sock =
+    {
+      sock_name = name;
+      env = Env.create ();
+      scheduler = Lazy.force default_scheduler;
+      default_props = Array.make Progmp_lang.Props.num_user_props 0;
+    }
+  in
+  reset sock;
+  sock
 
 (** [load_scheduler spec name] compiles [spec] and registers it under
     [name] for later {!set_scheduler} calls by any connection.

@@ -20,6 +20,11 @@ val default_scheduler_source : string
 
 val create : ?name:string -> unit -> socket
 
+val reset : socket -> unit
+(** Return the socket to its freshly created state in place (see
+    {!Env.reset}; default properties back to zero) for a recycled
+    connection. The selected scheduler is kept. *)
+
 val load_scheduler : string -> name:string -> unit
 (** Compile [spec] and register it for {!set_scheduler}.
     @raise Api_error when the specification does not compile. *)

@@ -48,27 +48,51 @@ type t = {
   mutable reg_writes : int;
 }
 
+(* Every mutable field's initial value lives here: {!create} builds a
+   record and resets it, and a recycled connection's environment is
+   reset in place to exactly that state. Queues shrink back to their
+   initial capacity once grown past the retention cap; the scratch
+   buffers ([actions], [popped_*], the subflow index) are rewritten
+   before they are read, so they keep their size. *)
+let reset t =
+  Pqueue.reset t.q;
+  Pqueue.reset t.qu;
+  Pqueue.reset t.rq;
+  t.subflows <- [||];
+  Array.fill t.registers 0 (Array.length t.registers) 0;
+  t.num_actions <- 0;
+  t.num_popped <- 0;
+  Hashtbl.reset t.handled;
+  Array.fill t.sbf_gen 0 (Array.length t.sbf_gen) (-1);
+  t.generation <- 0;
+  t.reg_reads <- 0;
+  t.reg_writes <- 0
+
 let create () =
-  {
-    q = Pqueue.create ~name:"Q" ();
-    qu = Pqueue.create ~name:"QU" ();
-    rq = Pqueue.create ~name:"RQ" ();
-    subflows = [||];
-    registers = Array.make Progmp_lang.Props.num_registers 0;
-    actions = [||];
-    num_actions = 0;
-    popped_src = [||];
-    popped_pkt = [||];
-    num_popped = 0;
-    handled = Hashtbl.create 4;
-    (* start tiny and grow on demand: a fleet of a million two-subflow
-       connections should not pay 64-entry index arrays each *)
-    sbf_slot = Array.make 4 0;
-    sbf_gen = Array.make 4 (-1);
-    generation = 0;
-    reg_reads = 0;
-    reg_writes = 0;
-  }
+  let t =
+    {
+      q = Pqueue.create ~name:"Q" ();
+      qu = Pqueue.create ~name:"QU" ();
+      rq = Pqueue.create ~name:"RQ" ();
+      subflows = [||];
+      registers = Array.make Progmp_lang.Props.num_registers 0;
+      actions = [||];
+      num_actions = 0;
+      popped_src = [||];
+      popped_pkt = [||];
+      num_popped = 0;
+      handled = Hashtbl.create 4;
+      (* start tiny and grow on demand: a fleet of a million two-subflow
+         connections should not pay 64-entry index arrays each *)
+      sbf_slot = Array.make 4 0;
+      sbf_gen = Array.make 4 (-1);
+      generation = 0;
+      reg_reads = 0;
+      reg_writes = 0;
+    }
+  in
+  reset t;
+  t
 
 let queue t : Progmp_lang.Ast.queue_id -> Pqueue.t = function
   | Send_queue -> t.q
@@ -167,14 +191,9 @@ let begin_execution t ~subflows =
     end
   done
 
-(** Finish one scheduler execution: returns the actions in program order
-    after re-inserting packets that were popped but neither pushed nor
-    dropped (in their original order, at the front of Q). *)
-let finish_execution t =
-  let actions = ref [] in
-  for i = t.num_actions - 1 downto 0 do
-    actions := t.actions.(i) :: !actions
-  done;
+(* Return packets that were popped but neither pushed nor dropped to
+   the front of their source queue, in their original order. *)
+let restore_orphans t =
   if t.num_popped > 0 then begin
     Hashtbl.clear t.handled;
     for i = 0 to t.num_actions - 1 do
@@ -191,6 +210,29 @@ let finish_execution t =
         Pqueue.push_front t.popped_src.(i) p
     done
   end;
-  t.num_popped <- 0;
+  t.num_popped <- 0
+
+(** Finish one scheduler execution: returns the actions in program order
+    after re-inserting packets that were popped but neither pushed nor
+    dropped (in their original order, at the front of Q). *)
+let finish_execution t =
+  let actions = ref [] in
+  for i = t.num_actions - 1 downto 0 do
+    actions := t.actions.(i) :: !actions
+  done;
+  restore_orphans t;
   t.num_actions <- 0;
   !actions
+
+(** Like {!finish_execution}, but hands each action to [apply] straight
+    from the buffer, in program order, and returns their count: the
+    compressed loop's allocation-free path. [apply] must not start
+    another execution on [t] — it would overwrite the buffer. *)
+let finish_execution_iter t apply =
+  restore_orphans t;
+  let n = t.num_actions in
+  t.num_actions <- 0;
+  for i = 0 to n - 1 do
+    apply t.actions.(i)
+  done;
+  n

@@ -37,6 +37,12 @@ type t = {
 
 val create : unit -> t
 
+val reset : t -> unit
+(** Return the environment to its freshly created state in place
+    (empty queues, zero registers, no snapshot) for a recycled
+    connection. Queues grown past {!Pqueue.retained_capacity} shrink
+    back to their initial size. *)
+
 val queue : t -> Progmp_lang.Ast.queue_id -> Pqueue.t
 
 val subflow_by_id : t -> int -> Subflow_view.t option
@@ -65,3 +71,9 @@ val begin_execution : t -> subflows:Subflow_view.t array -> unit
 val finish_execution : t -> Action.t list
 (** Actions in program order, after restoring orphaned pops. Orphan
     detection is O(actions + popped) via the reusable handled-id set. *)
+
+val finish_execution_iter : t -> (Action.t -> unit) -> int
+(** {!finish_execution} without the list: restores orphaned pops, then
+    passes each action to the callback in program order straight from
+    the buffer and returns how many there were. The callback must not
+    start another execution on the same environment. *)

@@ -123,10 +123,11 @@ module Pool = struct
         p.id <- Atomic.fetch_and_add next_id 1 + 1;
         p.seq <- seq;
         p.size <- size;
-        Array.fill p.user_props 0 (Array.length p.user_props) 0;
-        Array.iteri
-          (fun i v -> if i < Array.length p.user_props then p.user_props.(i) <- v)
-          props;
+        let n = Array.length p.user_props in
+        (* a loop, not Array.iteri: no closure per recycled packet *)
+        for i = 0 to n - 1 do
+          p.user_props.(i) <- (if i < Array.length props then props.(i) else 0)
+        done;
         p.sent_on_mask <- 0;
         p.sent_count <- 0;
         p.enqueue_time <- now;

@@ -24,8 +24,34 @@ type t = {
   name : string;
 }
 
+(* A fresh queue's capacity, and the largest one {!reset} keeps: a
+   queue reset for reuse shrinks back so a recycled owner does not hold
+   on to the high-water mark of every flow it ever carried. *)
+let initial_capacity = 4
+let retained_capacity = 64
+
+let clear t =
+  Array.fill t.buf 0 (Array.length t.buf) Packet.dummy;
+  t.head <- 0;
+  t.len <- 0;
+  t.sorted <- true
+
+let reset t =
+  let cap = Array.length t.buf in
+  if cap < initial_capacity || cap > retained_capacity then begin
+    t.buf <- Array.make initial_capacity Packet.dummy;
+    t.head <- 0;
+    t.len <- 0;
+    t.sorted <- true
+  end
+  else clear t
+
 let create ?(name = "queue") () =
-  { buf = Array.make 4 Packet.dummy; head = 0; len = 0; sorted = true; name }
+  let t = { buf = [||]; head = 0; len = 0; sorted = true; name } in
+  reset t;
+  t
+
+let capacity t = Array.length t.buf
 
 let name t = t.name
 
@@ -33,7 +59,7 @@ let length t = t.len
 
 let is_empty t = t.len = 0
 
-(* Capacity is always a power of two (4 at creation, doubled by
+(* Capacity is always a power of two (4 at creation or reset, doubled by
    [grow]), so the wrap-around is a mask, not a division — [phys_index]
    sits under every per-decision queue access. *)
 let mask t = Array.length t.buf - 1
@@ -191,12 +217,6 @@ let remove_below t upto =
   end
 
 let to_list t = List.rev (fold t (fun acc p -> p :: acc) [])
-
-let clear t =
-  Array.fill t.buf 0 (Array.length t.buf) Packet.dummy;
-  t.head <- 0;
-  t.len <- 0;
-  t.sorted <- true
 
 let pp ppf t =
   Fmt.pf ppf "%s[%a]" t.name Fmt.(list ~sep:(any "; ") Packet.pp) (to_list t)

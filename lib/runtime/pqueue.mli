@@ -76,5 +76,16 @@ val remove_below : t -> int -> Packet.t list
 val to_list : t -> Packet.t list
 
 val clear : t -> unit
+(** Empty the queue, keeping its capacity. *)
+
+val reset : t -> unit
+(** Empty the queue for reuse by a new owner: like {!clear}, but a
+    buffer grown past {!retained_capacity} goes back to the initial
+    capacity (4). {!create} is {!reset} on a new record. *)
+
+val retained_capacity : int
+
+val capacity : t -> int
+(** Current buffer capacity (the bounded-retention tests read it). *)
 
 val pp : Format.formatter -> t -> unit

@@ -129,14 +129,8 @@ let set_tracer f = tracer := Some f
 
 let clear_tracer () = tracer := None
 
-(** Run one scheduler execution against [env] with the given subflow
-    snapshot; returns the produced actions. *)
-let execute t (env : Env.t) ~subflows =
-  Env.begin_execution env ~subflows;
-  t.run env;
-  let reads = env.Env.reg_reads and writes = env.Env.reg_writes in
-  let actions = Env.finish_execution env in
-  (match !tracer with
+let trace t env ~reads ~writes actions =
+  match !tracer with
   | None -> ()
   | Some f ->
       f
@@ -147,7 +141,16 @@ let execute t (env : Env.t) ~subflows =
           xr_regs_read = reads;
           xr_regs_written = writes;
           xr_env = env;
-        });
+        }
+
+(** Run one scheduler execution against [env] with the given subflow
+    snapshot; returns the produced actions. *)
+let execute t (env : Env.t) ~subflows =
+  Env.begin_execution env ~subflows;
+  t.run env;
+  let reads = env.Env.reg_reads and writes = env.Env.reg_writes in
+  let actions = Env.finish_execution env in
+  trace t env ~reads ~writes actions;
   actions
 
 (** Compressed execution (paper §4.1): rather than triggering the
@@ -155,16 +158,27 @@ let execute t (env : Env.t) ~subflows =
     bounded by [max_rounds]. [apply] must apply each round's actions to
     the host state and [snapshot] must return fresh subflow views (so
     that e.g. QUEUED reflects earlier rounds and congestion-window checks
-    eventually stop the loop). Returns all actions in order. *)
+    eventually stop the loop). Returns the number of actions applied.
+    Untraced rounds hand the actions to [apply] straight from the
+    environment's buffer; the action list is built only for a tracer. *)
 let execute_compressed ?(max_rounds = 64) t (env : Env.t) ~snapshot ~apply =
-  let rec go rounds acc =
-    if rounds >= max_rounds then List.rev acc
-    else
-      let actions = execute t env ~subflows:(snapshot ()) in
-      if actions = [] then List.rev acc
-      else begin
-        List.iter apply actions;
-        go (rounds + 1) (List.rev_append actions acc)
-      end
-  in
-  go 0 []
+  let rounds = ref 0 and total = ref 0 and progress = ref true in
+  while !progress && !rounds < max_rounds do
+    let n =
+      match !tracer with
+      | None ->
+          Env.begin_execution env ~subflows:(snapshot ());
+          t.run env;
+          Env.finish_execution_iter env apply
+      | Some _ ->
+          let actions = execute t env ~subflows:(snapshot ()) in
+          List.iter apply actions;
+          List.length actions
+    in
+    if n = 0 then progress := false
+    else begin
+      incr rounds;
+      total := !total + n
+    end
+  done;
+  !total

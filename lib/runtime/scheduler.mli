@@ -84,8 +84,11 @@ val execute_compressed :
   Env.t ->
   snapshot:(unit -> Subflow_view.t array) ->
   apply:(Action.t -> unit) ->
-  Action.t list
+  int
 (** Compressed execution (paper §4.1): re-execute while the scheduler
     makes progress, bounded by [max_rounds] (default 64). [apply] must
     apply each action to the host state and [snapshot] must return fresh
-    views, so congestion-window checks eventually stop the loop. *)
+    views, so congestion-window checks eventually stop the loop. Returns
+    the number of actions applied. Without a tracer each action goes to
+    [apply] straight from the environment's buffer, so the loop builds
+    no list; [apply] must not execute a scheduler against [env]. *)

@@ -53,6 +53,25 @@ let create_on_links ?(seed = 42) ?(mss = 1448) ?(rcv_buffer = 4 lsl 20)
   install_cc cc managed;
   { clock; rng; meta; cc; paths = managed }
 
+(** Host a new flow on a connection whose last flow was scrapped
+    ({!scrap}): meta socket, socket environment, subflows and RNG go
+    back to the state {!create_on_links} built them in — [seed] plays
+    the role of its [seed] — and every path starts its handshake again
+    at its spec's establish time. The subflows' incarnations moved on at
+    the scrap, so the old flow's events still in flight find nothing to
+    act on. The links are the network's and keep their state. *)
+let recycle t ~seed =
+  Rng.reseed t.rng seed;
+  Meta_socket.reset t.meta;
+  List.iter
+    (fun m ->
+      let sbf = m.Path_manager.subflow in
+      Tcp_subflow.reset sbf;
+      sbf.Tcp_subflow.is_backup <- m.Path_manager.spec.Path_manager.backup;
+      Tcp_subflow.establish ~at:m.Path_manager.spec.Path_manager.establish_at
+        sbf)
+    t.paths
+
 let now t = Eventq.now t.clock
 
 (** Run the event loop (optionally up to an absolute time). *)

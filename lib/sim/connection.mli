@@ -48,6 +48,15 @@ val create_on_links :
     several connections the same data link and they compete for its
     bottleneck (§2.1 TCP-friendliness experiments). *)
 
+val recycle : t -> seed:int -> unit
+(** Host a new flow on a connection whose last flow was {!scrap}ped:
+    meta socket, socket environment (queues, registers, default
+    properties), subflows and RNG return in place to the state
+    {!create_on_links} builds — with [seed] as its seed — and every
+    path restarts its handshake at its spec's establish time. The
+    scheduler and the links are kept. Stale events of the old flow are
+    inert (see {!Tcp_subflow.scrap}). *)
+
 val now : t -> float
 
 val run : ?until:float -> t -> unit

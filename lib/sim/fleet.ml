@@ -3,8 +3,23 @@
     kernel serving heavy multi-user traffic. Connections arrive, run
     one bounded transfer over their group's shared links, complete and
     are retired into a per-group free slot pool, so long open-loop
-    campaigns reuse slot state (notably the per-slot private scheduler
-    instance) instead of growing without bound.
+    campaigns reuse slot state instead of growing without bound.
+
+    Slot lifecycle: a slot owns one connection {e shell} — its
+    {!Connection.t}, meta socket, socket environment and subflows,
+    wired to the slot's private scheduler instance — built at the
+    slot's first arrival. Retirement scraps the flow
+    ({!Connection.scrap}: packets and in-flight entries go back to the
+    fleet arenas, timers are disarmed, and each subflow's incarnation
+    is bumped); the next arrival on the slot resets the shell in place
+    ({!Connection.recycle}) instead of building a new object graph.
+    Events of the retired flow still in flight on the shared links —
+    duplicate copies, acks, a far path's handshake — carry the old
+    incarnation and do nothing when they fire, so they can neither
+    touch the next flow's state nor run the scheduler. A shell keeps
+    its wiring (callbacks, congestion hooks, ack cells) and its
+    buffers up to a small cap; buffers grown past it go back to their
+    initial size at the reset.
 
     Memory: every fleet owns a packet arena ({!Progmp_runtime.Packet.Pool})
     and an in-flight entry pool ({!Tcp_subflow.entry_pool}); a retiring
@@ -46,15 +61,17 @@ type group = {
 
 (* ---------- slots ---------- *)
 
-(* A slot hosts at most one live connection at a time and survives
-   retirement: its private scheduler instance (engine scratch) is reused
-   by every connection recycled through it. The engine's compiled code
-   is shared by all slots; a new slot only allocates scratch. *)
+(* A slot hosts at most one live flow at a time and survives
+   retirement: its connection shell and its private scheduler instance
+   (engine scratch) are reused by every flow recycled through it. The
+   engine's compiled code is shared by all slots; a new slot only
+   allocates scratch, and its shell waits for the first arrival (so
+   {!create} builds none). *)
 and slot = {
   slot_id : int;
   group : group;
   sched : R.Scheduler.t option;
-  mutable conn : Connection.t option;
+  mutable shell : Connection.t option;  (** built at the first arrival *)
   mutable flow_size : int;
   mutable arrived_at : float;
   mutable retiring : bool;
@@ -228,7 +245,7 @@ let new_slot t group =
       (match t.scheduler with
       | None -> None
       | Some (s, engine) -> Some (R.Scheduler.instantiate_private s ~engine));
-    conn = None;
+    shell = None;
     flow_size = 0;
     arrived_at = 0.0;
     retiring = false;
@@ -247,37 +264,64 @@ let harvest_conn t conn =
     conn.Connection.paths
 
 let retire t slot =
-  match slot.conn with
-  | None -> ()
-  | Some conn ->
+  match slot.shell with
+  | Some conn when slot.live_idx >= 0 ->
       let fct = Eventq.now t.clock -. slot.arrived_at in
       let delivered = Connection.delivered_bytes conn in
       harvest_conn t conn;
       t.fct_sum <- t.fct_sum +. fct;
       t.completed <- t.completed + 1;
       t.live <- t.live - 1;
-      (* Release the connection's packets and in-flight entries back to
-         the fleet arenas; this also disarms the RTO timers, so the
-         retired connection holds no pending heap nodes of its own.
-         Stray in-flight segment/ack events on the shared links fire
-         harmlessly on orphaned entries and drain. *)
+      (* Release the flow's packets and in-flight entries back to the
+         fleet arenas and disarm its timers, so the shell holds no
+         pending heap nodes of its own. The scrap also bumps every
+         subflow's incarnation: the flow's segments, acks and
+         handshakes still in flight on the shared links fire inert —
+         they no longer reach the meta socket or the scheduler. *)
       Connection.scrap conn
         ~release_pkt:(fun p -> R.Packet.Pool.release t.packet_pool p);
-      slot.conn <- None;
       live_remove t slot;
       slot.group.g_free <- slot :: slot.group.g_free;
       t.on_retire ~fct ~size:slot.flow_size ~delivered
+  | Some _ | None -> ()
+
+(* The slot's connection, wired once: the slot's scheduler instance and
+   a delivery hook that retires the slot's current flow once complete. *)
+let build_shell t slot ~seed =
+  let conn =
+    Connection.create_on_links ~seed ~mss:t.mss ~rcv_buffer:t.rcv_buffer
+      ~cc:t.cc ~entry_pool:t.entry_pool ~packet_pool:t.packet_pool
+      ~clock:t.clock ~links:slot.group.links ()
+  in
+  (match slot.sched with
+  | Some sched -> (Connection.sock conn).R.Api.scheduler <- sched
+  | None -> ());
+  let meta = conn.Connection.meta in
+  meta.Meta_socket.on_deliver <-
+    (fun ~seq:_ ~size:_ ~time:_ ->
+      if
+        (not slot.retiring)
+        && meta.Meta_socket.delivered_bytes >= slot.flow_size
+      then begin
+        slot.retiring <- true;
+        (* retire from a fresh event, not from inside ack processing *)
+        ignore
+          (Eventq.schedule t.clock ~at:(Eventq.now t.clock) (fun () ->
+               retire t slot))
+      end);
+  slot.shell <- Some conn;
+  conn
 
 (** One open-loop arrival: every shard of a fleet sees the same global
     arrival sequence and hosts only the arrivals whose group
     ([aid mod groups]) it owns — the caller (one traffic generator per
     shard, identical streams) calls this for {e every} arrival.
     Hosting an arrival takes a slot from the group's free pool (or
-    grows the fleet), builds a fresh connection over the group's shared
-    links with an arrival-indexed independent seed, installs the slot's
-    private scheduler instance, and writes [size] bytes. The connection
+    grows the fleet), recycles the slot's connection shell (building it
+    over the group's shared links at the slot's first arrival) with an
+    arrival-indexed independent seed, and writes [size] bytes. The flow
     retires itself — back into its group's pool — once the receiver has
-    delivered the whole flow. *)
+    delivered it whole. *)
 let arrive t ~size =
   if size <= 0 then Fmt.invalid_arg "Fleet.arrive: size %d <= 0" size;
   if Array.length t.groups = 0 || t.groups.(0).links = [] then
@@ -294,17 +338,14 @@ let arrive t ~size =
           s
       | [] -> new_slot t group
     in
+    let seed = Rng.stream_seed ~seed:t.seed aid in
     let conn =
-      Connection.create_on_links
-        ~seed:(Rng.stream_seed ~seed:t.seed aid)
-        ~mss:t.mss ~rcv_buffer:t.rcv_buffer ~cc:t.cc
-        ~entry_pool:t.entry_pool ~packet_pool:t.packet_pool ~clock:t.clock
-        ~links:group.links ()
+      match slot.shell with
+      | Some conn ->
+          Connection.recycle conn ~seed;
+          conn
+      | None -> build_shell t slot ~seed
     in
-    (match slot.sched with
-    | Some sched -> (Connection.sock conn).R.Api.scheduler <- sched
-    | None -> ());
-    slot.conn <- Some conn;
     slot.flow_size <- size;
     slot.arrived_at <- Eventq.now t.clock;
     slot.retiring <- false;
@@ -312,20 +353,7 @@ let arrive t ~size =
     t.live <- t.live + 1;
     if t.live > t.peak_live then t.peak_live <- t.live;
     live_push t slot;
-    let meta = conn.Connection.meta in
-    meta.Meta_socket.on_deliver <-
-      (fun ~seq:_ ~size:_ ~time:_ ->
-        if
-          (not slot.retiring)
-          && meta.Meta_socket.delivered_bytes >= slot.flow_size
-        then begin
-          slot.retiring <- true;
-          (* retire from a fresh event, not from inside ack processing *)
-          ignore
-            (Eventq.schedule t.clock ~at:(Eventq.now t.clock) (fun () ->
-                 retire t slot))
-        end);
-    ignore (Meta_socket.write meta size)
+    Meta_socket.enqueue conn.Connection.meta size
   end
 
 (** Adopt an externally built connection (it must share the fleet's
@@ -351,22 +379,25 @@ let slot_count t = t.slot_count
 let mean_fct t =
   if t.completed = 0 then 0.0 else t.fct_sum /. float_of_int t.completed
 
+(** Visit the connection of every live open-loop flow (adopted members
+    excluded), in no particular order. *)
+let iter_live t f =
+  for i = 0 to t.live_len - 1 do
+    Option.iter f t.live_arr.(i).shell
+  done
+
 (** Visit every packet currently referenced by a live (non-adopted)
     connection — queues, subflow rings and receiver buffers; the
     reachability side of the arena-recycling property tests. *)
 let iter_live_packets t f =
-  for i = 0 to t.live_len - 1 do
-    match t.live_arr.(i).conn with
-    | None -> ()
-    | Some conn ->
-        let e = Meta_socket.env conn.Connection.meta in
-        R.Pqueue.iter e.R.Env.q f;
-        R.Pqueue.iter e.R.Env.qu f;
-        R.Pqueue.iter e.R.Env.rq f;
-        List.iter
-          (fun m -> Tcp_subflow.iter_packets m.Path_manager.subflow f)
-          conn.Connection.paths
-  done
+  iter_live t (fun conn ->
+      let e = Meta_socket.env conn.Connection.meta in
+      R.Pqueue.iter e.R.Env.q f;
+      R.Pqueue.iter e.R.Env.qu f;
+      R.Pqueue.iter e.R.Env.rq f;
+      List.iter
+        (fun m -> Tcp_subflow.iter_packets m.Path_manager.subflow f)
+        conn.Connection.paths)
 
 (** Aggregate counters: harvested (retired) flows plus the current state
     of live connections and adopted members. *)
@@ -386,9 +417,7 @@ let totals t =
         e + meta.Meta_socket.sched_executions,
         p + meta.Meta_socket.pushes )
   in
-  for i = 0 to t.live_len - 1 do
-    Option.iter add t.live_arr.(i).conn
-  done;
+  iter_live t add;
   List.iter add t.members;
   let d, w, e, p = !acc in
   {

@@ -3,12 +3,17 @@
     multi-user traffic. Connections arrive, transfer a bounded flow over
     their group's shared links, complete and are recycled into a free
     slot pool. Every slot holds a private scheduler instance
-    ({!Progmp_runtime.Scheduler.instantiate_private}), reused across
-    recycles. The engine compiles the scheduler once, at the first
-    slot's instantiation, and every slot shares that code: a slot costs
-    only its scratch (register file, stack, packet-handle table), so any
-    engine can host a fleet. Fleet-owned packet/entry arenas bound
-    per-packet structures by peak in-flight data. Single-domain and fully
+    ({!Progmp_runtime.Scheduler.instantiate_private}) and one connection
+    shell (connection, meta socket, socket environment, subflows), both
+    reused across recycles: the shell is built at the slot's first
+    arrival, scrapped at each retirement — which makes the retired
+    flow's in-flight events inert — and reset in place
+    ({!Connection.recycle}) for the next arrival. The engine compiles
+    the scheduler once, at the first slot's instantiation, and every
+    slot shares that code: a slot costs only its scratch (register
+    file, stack, packet-handle table), so any engine can host a fleet.
+    Fleet-owned packet/entry arenas bound per-packet structures by peak
+    in-flight data. Single-domain and fully
     deterministic: all randomness derives from the fleet seed via
     {!Rng.stream} / {!Rng.stream_seed}; arrivals are placed on groups by
     arrival index, so a fleet can be sharded by group across domains
@@ -59,11 +64,11 @@ val create :
 
 val arrive : t -> size:int -> unit
 (** One open-loop arrival now: recycle (or create) a slot in the
-    arrival's group, build a connection over the group links with an
-    arrival-indexed independent seed, and write [size] bytes. The
-    connection retires itself into the group's free pool — releasing
-    its packets and entries to the fleet arenas — once the flow is
-    fully delivered. On a sharded fleet, arrivals for non-owned groups
+    arrival's group, reset its connection shell (built over the group
+    links at the slot's first arrival) with an arrival-indexed
+    independent seed, and write [size] bytes. The flow retires itself
+    into the group's free pool — releasing its packets and entries to
+    the fleet arenas — once it is fully delivered. On a sharded fleet, arrivals for non-owned groups
     only advance the arrival index. *)
 
 val adopt : t -> Connection.t -> unit
@@ -85,6 +90,11 @@ val packet_pool : t -> Progmp_runtime.Packet.Pool.t
 
 val entry_pool : t -> Tcp_subflow.entry_pool
 (** The fleet's in-flight entry arena. *)
+
+val iter_live : t -> (Connection.t -> unit) -> unit
+(** Visit the connection of every live open-loop flow (adopted members
+    excluded). A slot's connection is recycled for its next flow, so do
+    not hold on to one past its flow's retirement. *)
 
 val iter_live_packets : t -> (Progmp_runtime.Packet.t -> unit) -> unit
 (** Visit every packet referenced by a live open-loop connection —

@@ -62,40 +62,13 @@ type t = {
           segments leave the queues and rings long before the flow
           retires, so {!scrap} releases from this registry (release is
           deduplicated) to return the whole flow to the arena *)
+  mutable snapshot_fn : unit -> Subflow_view.t array;
+      (** the compressed loop's [snapshot] callback, built once *)
+  mutable apply_fn : Action.t -> unit;
+      (** the compressed loop's [apply] callback, built once *)
 }
 
 let env t = t.sock.Api.env
-
-let create ?(name = "conn") ?(mss = 1448) ?(rcv_buffer = 4 lsl 20)
-    ?(compressed = true) ?(ordering = Ordered) ~clock () =
-  {
-    name;
-    clock;
-    sock = Api.create ~name ();
-    mss;
-    subflows = [];
-    next_seq = 0;
-    data_una = 0;
-    compressed;
-    scheduling = false;
-    ordering;
-    rcv_expected = 0;
-    rcv_ooo = Hashtbl.create 4;
-    rcv_ooo_bytes = 0;
-    rcv_buffer_bytes = rcv_buffer;
-    on_deliver = (fun ~seq:_ ~size:_ ~time:_ -> ());
-    delivery_time = Hashtbl.create 4;
-    delivered_bytes = 0;
-    delivered_segments = 0;
-    app_segments = 0;
-    pushes = 0;
-    drops = 0;
-    data_dropped = 0;
-    sched_executions = 0;
-    view_arena = [||];
-    packet_pool = None;
-    pool_pkts = [];
-  }
 
 (* ---------- receiver ---------- *)
 
@@ -153,10 +126,7 @@ let on_meta_receive t pkt =
   | Ordered -> on_meta_receive_ordered t pkt
   | Unordered -> on_meta_receive_unordered t pkt
 
-(* ---------- scheduler triggering and actions ---------- *)
-
-let established_subflows t =
-  List.filter (fun s -> s.Tcp_subflow.established) t.subflows
+(* ---------- snapshots and actions ---------- *)
 
 (* Per-trigger subflow snapshot. The array is an arena owned by the
    meta socket: in steady state (stable established count) each trigger
@@ -208,6 +178,76 @@ let apply_action t (a : Action.t) =
       if pkt.Packet.sent_count = 0 && not pkt.Packet.acked then
         t.data_dropped <- t.data_dropped + 1
 
+(* ---------- construction and reset ---------- *)
+
+(** Return the meta socket to its freshly created state, in place: the
+    connection-recycle path, valid once {!scrap} has released what the
+    last flow held. Configuration, the subflow list, the delivery hook,
+    the packet arena and the snapshot arena survive. *)
+let reset t =
+  Api.reset t.sock;
+  t.next_seq <- 0;
+  t.data_una <- 0;
+  t.scheduling <- false;
+  t.rcv_expected <- 0;
+  Hashtbl.reset t.rcv_ooo;
+  t.rcv_ooo_bytes <- 0;
+  Hashtbl.reset t.delivery_time;
+  t.delivered_bytes <- 0;
+  t.delivered_segments <- 0;
+  t.app_segments <- 0;
+  t.pushes <- 0;
+  t.drops <- 0;
+  t.data_dropped <- 0;
+  t.sched_executions <- 0;
+  t.pool_pkts <- []
+
+(* The record literal only allocates; {!reset} sets the per-flow
+   state. *)
+let create ?(name = "conn") ?(mss = 1448) ?(rcv_buffer = 4 lsl 20)
+    ?(compressed = true) ?(ordering = Ordered) ~clock () =
+  let t =
+    {
+      name;
+      clock;
+      sock = Api.create ~name ();
+      mss;
+      subflows = [];
+      next_seq = 0;
+      data_una = 0;
+      compressed;
+      scheduling = false;
+      ordering;
+      rcv_expected = 0;
+      rcv_ooo = Hashtbl.create 4;
+      rcv_ooo_bytes = 0;
+      rcv_buffer_bytes = rcv_buffer;
+      on_deliver = (fun ~seq:_ ~size:_ ~time:_ -> ());
+      delivery_time = Hashtbl.create 4;
+      delivered_bytes = 0;
+      delivered_segments = 0;
+      app_segments = 0;
+      pushes = 0;
+      drops = 0;
+      data_dropped = 0;
+      sched_executions = 0;
+      view_arena = [||];
+      packet_pool = None;
+      pool_pkts = [];
+      snapshot_fn = (fun () -> [||]);
+      apply_fn = ignore;
+    }
+  in
+  t.snapshot_fn <-
+    (fun () ->
+      t.sched_executions <- t.sched_executions + 1;
+      snapshot t);
+  t.apply_fn <- apply_action t;
+  reset t;
+  t
+
+(* ---------- scheduler triggering ---------- *)
+
 (** Run the scheduler now (one of the calling-model events fired). *)
 let trigger t =
   if not t.scheduling then begin
@@ -216,11 +256,8 @@ let trigger t =
     let e = env t in
     if t.compressed then
       ignore
-        (Scheduler.execute_compressed sched e
-           ~snapshot:(fun () ->
-             t.sched_executions <- t.sched_executions + 1;
-             snapshot t)
-           ~apply:(apply_action t))
+        (Scheduler.execute_compressed sched e ~snapshot:t.snapshot_fn
+           ~apply:t.apply_fn)
     else begin
       t.sched_executions <- t.sched_executions + 1;
       let actions = Scheduler.execute sched e ~subflows:(snapshot t) in
@@ -229,7 +266,9 @@ let trigger t =
     (* a trigger also acts as a window update: blocking conditions (the
        advertised receive window, a reopened congestion window) may have
        cleared for subflows that have no ack of their own pending *)
-    List.iter Tcp_subflow.kick (established_subflows t);
+    List.iter
+      (fun s -> if s.Tcp_subflow.established then Tcp_subflow.kick s)
+      t.subflows;
     (* data left queued may wait on a throttled subflow that no ack
        will wake *)
     if not (Pqueue.is_empty e.Env.q && Pqueue.is_empty e.Env.rq) then
@@ -303,14 +342,16 @@ let attach t (sbf : Tcp_subflow.t) =
 
 (* ---------- application interface ---------- *)
 
+let segment_count t bytes = max 1 ((bytes + t.mss - 1) / t.mss)
+
 (** Write [bytes] of application data: segments enter the sending queue Q
     stamped with the socket's current packet properties, and the
-    scheduler is triggered. Returns the data sequence numbers used. *)
-let write ?props t bytes =
+    scheduler is triggered. {!write} without the list of sequence
+    numbers — what a fleet arrival calls. *)
+let enqueue ?props t bytes =
   let props = match props with Some p -> p | None -> Api.current_packet_props t.sock in
   let now = Eventq.now t.clock in
-  let nsegs = max 1 ((bytes + t.mss - 1) / t.mss) in
-  let seqs = ref [] in
+  let nsegs = segment_count t bytes in
   for i = 0 to nsegs - 1 do
     let size = if i = nsegs - 1 then bytes - ((nsegs - 1) * t.mss) else t.mss in
     let size = max 1 size in
@@ -325,11 +366,15 @@ let write ?props t bytes =
           p
       | None -> Packet.create ~props ~seq ~size ~now ()
     in
-    Pqueue.push_back (env t).Env.q pkt;
-    seqs := seq :: !seqs
+    Pqueue.push_back (env t).Env.q pkt
   done;
-  trigger t;
-  List.rev !seqs
+  trigger t
+
+(** {!enqueue}, returning the data sequence numbers used. *)
+let write ?props t bytes =
+  let first = t.next_seq in
+  enqueue ?props t bytes;
+  List.init (segment_count t bytes) (fun i -> first + i)
 
 (** All data written so far has been delivered in order to the receiving
     application. *)

@@ -42,6 +42,10 @@ type t = {
   mutable pool_pkts : Packet.t list;
       (** every packet drawn from [packet_pool], newest first — the
           release registry {!scrap} drains back to the arena *)
+  mutable snapshot_fn : unit -> Subflow_view.t array;
+      (** the compressed loop's [snapshot] callback, built once *)
+  mutable apply_fn : Action.t -> unit;
+      (** the compressed loop's [apply] callback, built once *)
 }
 
 
@@ -56,12 +60,19 @@ val create :
   clock:Eventq.t ->
   unit ->
   t
+(** A new meta socket; the record is allocated, then {!reset} sets its
+    per-flow state. *)
+
+val reset : t -> unit
+(** Return the meta socket to its freshly created state in place
+    (sequence spaces, receiver buffers, counters, the socket's
+    environment and default properties) so a recycled connection can
+    host a new flow; call it after {!scrap}. Configuration, the subflow
+    list, the delivery hook and the packet arena survive. *)
 
 val rwnd_bytes : t -> int
 (** Advertised receive window: buffer capacity minus out-of-order
     bytes. *)
-
-val established_subflows : t -> Tcp_subflow.t list
 
 val snapshot : t -> Subflow_view.t array
 (** Immutable views of the established subflows for one execution. The
@@ -89,6 +100,10 @@ val on_suspected_loss : t -> Packet.t -> unit
 
 val attach : t -> Tcp_subflow.t -> unit
 (** Wire a subflow's callbacks to this meta socket. *)
+
+val enqueue : ?props:int array -> t -> int -> unit
+(** {!write} without building the list of sequence numbers (a fleet
+    arrival's write). *)
 
 val write : ?props:int array -> t -> int -> int list
 (** Segment application data into Q (stamped with the socket's current

@@ -7,7 +7,14 @@
 
 type t = { mutable state : int64 }
 
-let create seed = { state = Int64.of_int seed }
+(** Restart [t] from [seed] in place: afterwards it draws exactly what
+    [create seed] would (a recycled connection reuses its generator). *)
+let reseed t seed = t.state <- Int64.of_int seed
+
+let create seed =
+  let t = { state = 0L } in
+  reseed t seed;
+  t
 
 (* SplitMix64 step (Steele, Lea, Flood 2014). *)
 let next_int64 t =

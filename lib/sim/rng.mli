@@ -6,6 +6,10 @@ type t
 
 val create : int -> t
 
+val reseed : t -> int -> unit
+(** Restart the generator in place: it then draws exactly what
+    [create seed] would. *)
+
 val float : t -> float
 (** Uniform in [0, 1). *)
 

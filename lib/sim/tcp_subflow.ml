@@ -43,8 +43,10 @@ type delivery_mode =
     so a stale arrival (duplicate copy in the air when the segment was
     acked, or the owning connection retired) can never observe a
     recycled entry. [e_sbf = None] marks an orphan: the owning
-    connection was scrapped, the arrival is swallowed. [e_gen] counts
-    recyclings (the property-test generation stamp). *)
+    connection was scrapped, the arrival is swallowed. [e_inc] is the
+    owner's incarnation at transmission: a copy of an incarnation since
+    scrapped is stale and must not reach the owner's current state.
+    [e_gen] counts recyclings (the property-test generation stamp). *)
 type entry = {
   mutable e_sbf : t option;  (** owner; [None] = free or orphaned *)
   mutable e_seq : int;
@@ -55,6 +57,7 @@ type entry = {
   mutable e_lost : bool;  (** marked lost by SACK-style hole detection *)
   mutable e_in_ring : bool;  (** currently in its owner's in-flight ring *)
   mutable e_pending : int;  (** scheduled arrival events not yet fired *)
+  mutable e_inc : int;  (** owner's incarnation when allocated *)
   mutable e_gen : int;  (** recycle count (pool generation stamp) *)
   e_pool : entry_pool;
   mutable e_fire : unit -> unit;  (** arrival event, knotted once *)
@@ -75,10 +78,12 @@ and entry_pool = {
     a knot in [send_ack]) and reads the two mutable fields at arrival
     time; cells are recycled through the subflow's freelist the moment
     they fire or fail to send, so a steady ack clock reuses one cell
-    instead of allocating a closure per ack. *)
+    instead of allocating a closure per ack. [a_inc] is the incarnation
+    that sent the ack: a cell arriving after a {!scrap} fires inert. *)
 and ack_cell = {
   mutable a_sbf : int;
   mutable a_data : int;
+  mutable a_inc : int;
   mutable a_fire : unit -> unit;
 }
 
@@ -94,6 +99,10 @@ and t = {
   ack_link : Link.t;
   delivery_mode : delivery_mode;
   pool : entry_pool;
+  mutable incarnation : int;
+      (** bumped by {!scrap}: deferred work (segment arrivals, acks,
+          handshakes) of an earlier incarnation finds it changed and
+          does nothing *)
   (* --- sender state --- *)
   mutable established : bool;
   mutable cwnd : float;  (** segments *)
@@ -205,6 +214,7 @@ let dummy_entry =
     e_lost = false;
     e_in_ring = false;
     e_pending = 0;
+    e_inc = 0;
     e_gen = 0;
     e_pool = { ep_free = []; ep_created = 0; ep_outstanding = 0; ep_releases = 0 };
     e_fire = ignore;
@@ -358,20 +368,24 @@ let throughput_estimate t =
   let now = Eventq.now t.clock in
   (* samples are newest-first, so the scan can stop at the first stale
      one; this sits on the per-snapshot decision path and must not
-     allocate (the filtered-list version rebuilt the history per call) *)
-  let rec max_recent best seen = function
-    | (ts, r) :: rest when now -. ts <= rate_window ->
-        max_recent (Float.max best r) true rest
-    | _ :: _ | [] -> if seen then Some best else None
-  in
-  match max_recent 0.0 false t.rate_samples with
-  | Some best -> int_of_float best
-  | None ->
-      let rtt =
-        if t.rtt_samples = 0 then 2.0 *. Link.delay t.data_link else t.srtt
-      in
-      if rtt <= 0.0 then 0
-      else int_of_float (t.cwnd *. float_of_int t.mss /. rtt)
+     allocate: local float refs stay unboxed, where an option or a
+     float returned from a recursive scan would be boxed per call *)
+  let best = ref 0.0 and seen = ref false and rest = ref t.rate_samples in
+  let scanning = ref true in
+  while !scanning do
+    match !rest with
+    | (ts, r) :: tl when now -. ts <= rate_window ->
+        best := Float.max !best r;
+        seen := true;
+        rest := tl
+    | _ :: _ | [] -> scanning := false
+  done;
+  if !seen then int_of_float !best
+  else
+    let rtt =
+      if t.rtt_samples = 0 then 2.0 *. Link.delay t.data_link else t.srtt
+    in
+    if rtt <= 0.0 then 0 else int_of_float (t.cwnd *. float_of_int t.mss /. rtt)
 
 let update_rate_estimate t =
   let now = Eventq.now t.clock in
@@ -582,27 +596,32 @@ and on_segment_arrival t seq pkt =
     if t.delivery_mode = Immediate then t.on_meta_deliver pkt
   end;
   (* duplicate segments (seq < expected) still trigger an ack *)
-  send_ack t
+  send_ack t ~inc:t.incarnation
 
-and send_ack t =
+(* [inc] is the incarnation the ack belongs to; only the current one's
+   acks reach {!on_ack} when they arrive. *)
+and send_ack t ~inc =
   let cell =
     match t.ack_free with
     | c :: rest ->
         t.ack_free <- rest;
         c
     | [] ->
-        let c = { a_sbf = 0; a_data = 0; a_fire = ignore } in
+        let c = { a_sbf = 0; a_data = 0; a_inc = 0; a_fire = ignore } in
         c.a_fire <-
           (fun () ->
             (* copy to locals before recycling: a recursive send during
                [on_ack] may grab this very cell *)
             let sbf_ack = c.a_sbf and data_ack = c.a_data in
+            let current = c.a_inc = t.incarnation in
             t.ack_free <- c :: t.ack_free;
-            if Link.is_up t.ack_link then on_ack t ~sbf_ack ~data_ack);
+            if current && Link.is_up t.ack_link then
+              on_ack t ~sbf_ack ~data_ack);
         c
   in
   cell.a_sbf <- t.rcv_expected;
   cell.a_data <- t.data_ack_value ();
+  cell.a_inc <- inc;
   if not (Link.control_send t.ack_link cell.a_fire) then
     (* destroyed at send (link down): recycle immediately *)
     t.ack_free <- cell :: t.ack_free
@@ -674,12 +693,20 @@ and on_ack t ~sbf_ack ~data_ack =
    Owned entries behave exactly as a per-entry closure did — including
    duplicate arrivals for entries already acked out of the ring. An
    orphaned entry (owner scrapped by fleet recycling) swallows the
-   arrival; either way the entry returns to the freelist when the last
-   pending event has fired and it is no longer in a ring. *)
+   arrival. A duplicate of a scrapped incarnation, acked out of the ring
+   before the scrap, is stale: its receiver would only have re-acked
+   it, so it sends that ack — the shared ack link carries the same
+   events whether or not the subflow was recycled since — stamped with
+   the old incarnation, which makes it inert on arrival. Either way the
+   entry returns to the freelist when the last pending event has fired
+   and it is no longer in a ring. *)
 and entry_fire e () =
   e.e_pending <- e.e_pending - 1;
   (match e.e_sbf with
-  | Some t -> if Link.arrival t.data_link then on_segment_arrival t e.e_seq e.e_pkt
+  | Some t ->
+      if Link.arrival t.data_link then
+        if e.e_inc = t.incarnation then on_segment_arrival t e.e_seq e.e_pkt
+        else send_ack t ~inc:e.e_inc
   | None -> ());
   if (not e.e_in_ring) && e.e_pending = 0 && e.e_sbf <> None then
     entry_release e
@@ -707,6 +734,7 @@ and entry_alloc t ~seq ~pkt =
             e_lost = false;
             e_in_ring = false;
             e_pending = 0;
+            e_inc = 0;
             e_gen = 0;
             e_pool = pool;
             e_fire = ignore;
@@ -717,6 +745,7 @@ and entry_alloc t ~seq ~pkt =
   in
   pool.ep_outstanding <- pool.ep_outstanding + 1;
   e.e_sbf <- Some t;
+  e.e_inc <- t.incarnation;
   e.e_seq <- seq;
   e.e_pkt <- pkt;
   e.e_size <- pkt.Packet.size;
@@ -725,10 +754,75 @@ and entry_alloc t ~seq ~pkt =
   e.e_lost <- false;
   e
 
-(* ---------- construction ---------- *)
+(* ---------- construction and reset ---------- *)
+
+(* Congestion, RTT, TSQ and rate-estimator state: how a fresh subflow
+   starts, and what {!reestablish} restarts from. *)
+let restart_path_state t =
+  t.cwnd <- float_of_int initial_cwnd;
+  t.ssthresh <- 1e9;
+  t.dupacks <- 0;
+  t.recover <- -1;
+  t.srtt <- 0.0;
+  t.rttvar <- 0.0;
+  t.rtt_avg <- 0.0;
+  t.rtt_samples <- 0;
+  t.rto <- 1.0;
+  t.lost_skbs <- 0;
+  t.tsq_head <- 0;
+  t.tsq_len <- 0;
+  t.tsq_bytes <- 0;
+  t.rate_anchor_t <- 0.0;
+  t.rate_anchor_bytes <- 0;
+  t.rate_ewma <- 0.0;
+  t.rate_samples <- []
+
+(** Largest ring capacity {!reset} keeps; a larger ring goes back to
+    its initial size, so a recycled subflow does not hold on to the
+    high-water mark of every flow it ever carried. *)
+let retained_capacity = 64
+
+(* A ring for the next flow: the old one emptied when its capacity is
+   within [initial, retained_capacity], otherwise a new one of the
+   initial size. *)
+let reset_ring arr ~initial fill =
+  let cap = Array.length arr in
+  if cap < initial || cap > retained_capacity then Array.make initial fill
+  else begin
+    Array.fill arr 0 cap fill;
+    arr
+  end
+
+(** Return the subflow to the state {!create} gives it, in place: the
+    connection-recycle path, valid once {!scrap} has released what the
+    last flow held. Configuration (id, links, mss, delivery mode,
+    backup flag), the meta-socket callbacks, the congestion hook, the
+    ack-cell freelist and the incarnation survive. *)
+let reset t =
+  Eventq.timer_cancel t.rto_timer;
+  Eventq.timer_cancel t.tsq_timer;
+  t.established <- false;
+  t.forced_lossy <- false;
+  t.snd_nxt <- 0;
+  t.snd_una <- 0;
+  t.infl <- reset_ring t.infl ~initial:8 dummy_entry;
+  t.infl_count <- 0;
+  t.sq <- reset_ring t.sq ~initial:4 Packet.dummy;
+  t.sq_head <- 0;
+  t.sq_len <- 0;
+  restart_path_state t;
+  t.rcv_expected <- 0;
+  Hashtbl.reset t.rcv_ooo;
+  t.segs_sent <- 0;
+  t.segs_retx <- 0;
+  t.bytes_sent <- 0;
+  t.bytes_acked <- 0;
+  t.tsq_time <- reset_ring t.tsq_time ~initial:4 0.0;
+  t.tsq_size <- reset_ring t.tsq_size ~initial:4 0
 
 (* Defined after the sender/receiver event chain: the RTO timer's single
-   action closure captures [t] and calls {!on_rto}. *)
+   action closure captures [t] and calls {!on_rto}. The record literal
+   only allocates; {!reset} sets every piece of per-flow state. *)
 let create ~id ~clock ~data_link ~ack_link ?(mss = 1448) ?(is_backup = false)
     ?(min_rto = 0.2) ?(delivery_mode = Immediate) ?entry_pool:pool () =
   let pool = match pool with Some p -> p | None -> entry_pool () in
@@ -743,23 +837,24 @@ let create ~id ~clock ~data_link ~ack_link ?(mss = 1448) ?(is_backup = false)
       ack_link;
       delivery_mode;
       pool;
+      incarnation = 0;
       established = false;
-      cwnd = float_of_int initial_cwnd;
-      ssthresh = 1e9;
+      cwnd = 0.0;
+      ssthresh = 0.0;
       snd_nxt = 0;
       snd_una = 0;
-      infl = Array.make 8 dummy_entry;
+      infl = [||];
       infl_count = 0;
-      sq = Array.make 4 Packet.dummy;
+      sq = [||];
       sq_head = 0;
       sq_len = 0;
       dupacks = 0;
-      recover = -1;
+      recover = 0;
       srtt = 0.0;
       rttvar = 0.0;
       rtt_avg = 0.0;
       rtt_samples = 0;
-      rto = 1.0;
+      rto = 0.0;
       min_rto;
       rto_timer = Eventq.timer ignore (* replaced below *);
       lost_skbs = 0;
@@ -770,8 +865,8 @@ let create ~id ~clock ~data_link ~ack_link ?(mss = 1448) ?(is_backup = false)
       segs_retx = 0;
       bytes_sent = 0;
       bytes_acked = 0;
-      tsq_time = Array.make 4 0.0;
-      tsq_size = Array.make 4 0;
+      tsq_time = [||];
+      tsq_size = [||];
       tsq_head = 0;
       tsq_len = 0;
       tsq_bytes = 0;
@@ -794,6 +889,7 @@ let create ~id ~clock ~data_link ~ack_link ?(mss = 1448) ?(is_backup = false)
   in
   t.rto_timer <- Eventq.timer (fun () -> on_rto t);
   t.tsq_timer <- Eventq.timer (fun () -> t.on_sender_event ());
+  reset t;
   t
 
 (* ---------- scheduler-facing operations ---------- *)
@@ -805,20 +901,26 @@ let send t pkt =
   try_transmit t
 
 (** Complete the (abstracted) handshake after one RTT and seed the RTT
-    estimator with the handshake sample, then notify the sender. *)
+    estimator with the handshake sample, then notify the sender. The
+    handshake belongs to the current incarnation: if the subflow is
+    scrapped meanwhile, its completion does nothing (the event still
+    runs, so event counts do not depend on recycling). *)
 let establish ?(at = 0.0) t =
+  let inc = t.incarnation in
   ignore
     (Eventq.schedule t.clock ~at (fun () ->
          ignore
            (Eventq.schedule_in t.clock ~delay:(2.0 *. Link.delay t.data_link)
               (fun () ->
-                Sim_log.debug (fun m ->
-                    m "sbf#%d established (handshake rtt %.1f ms)" t.id
-                      (2.0 *. Link.delay t.data_link *. 1e3));
-                t.established <- true;
-                sample_rtt t (2.0 *. Link.delay t.data_link);
-                try_transmit t;
-                t.on_sender_event ()))))
+                if t.incarnation = inc then begin
+                  Sim_log.debug (fun m ->
+                      m "sbf#%d established (handshake rtt %.1f ms)" t.id
+                        (2.0 *. Link.delay t.data_link *. 1e3));
+                  t.established <- true;
+                  sample_rtt t (2.0 *. Link.delay t.data_link);
+                  try_transmit t;
+                  t.on_sender_event ()
+                end))))
 
 (** Tear the subflow down (e.g. WiFi loss during handover): everything in
     flight or buffered is reported as suspected lost so the scheduler can
@@ -857,26 +959,11 @@ let fail t =
     level by {!fail}, so the receiver forgets the stale gap and expects
     the fresh connection's first segment. *)
 let reestablish ?(at = 0.0) t =
+  let inc = t.incarnation in
   ignore
     (Eventq.schedule t.clock ~at (fun () ->
-         if not t.established then begin
-           t.cwnd <- float_of_int initial_cwnd;
-           t.ssthresh <- 1e9;
-           t.dupacks <- 0;
-           t.recover <- -1;
-           t.srtt <- 0.0;
-           t.rttvar <- 0.0;
-           t.rtt_avg <- 0.0;
-           t.rtt_samples <- 0;
-           t.rto <- 1.0;
-           t.lost_skbs <- 0;
-           t.tsq_head <- 0;
-           t.tsq_len <- 0;
-           t.tsq_bytes <- 0;
-           t.rate_anchor_t <- 0.0;
-           t.rate_anchor_bytes <- 0;
-           t.rate_ewma <- 0.0;
-           t.rate_samples <- [];
+         if t.incarnation = inc && not t.established then begin
+           restart_path_state t;
            (* resync: the new connection's sequence space starts at
               snd_nxt; whatever the old receiver buffered out of order is
               covered by the meta-level re-queue in {!fail} *)
@@ -906,9 +993,12 @@ let iter_packets t f =
     and recycle or orphan the in-flight entries. Entries with arrival
     events still in the air are orphaned — their fire swallows the
     arrival and returns them to the pool once drained — so no recycled
-    slot can ever be reached from a stale event. The subflow object
-    itself is garbage once the fleet drops the connection. *)
+    slot can ever be reached from a stale event. Bumping the
+    incarnation makes every other deferred event of this flow — acks in
+    flight, a handshake still completing, copies acked out of the ring —
+    inert, so the subflow can be {!reset} and host the next flow. *)
 let scrap t ~release_pkt =
+  t.incarnation <- t.incarnation + 1;
   cancel_rto t;
   Eventq.timer_cancel t.tsq_timer;
   t.established <- false;

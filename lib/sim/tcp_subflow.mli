@@ -25,8 +25,10 @@ type delivery_mode =
 (** Pooled in-flight entry. [e_pending] counts scheduled arrival events
     that have not fired; an entry returns to its pool only once drained,
     so stale arrivals can never observe a recycled entry. [e_sbf = None]
-    marks a free or orphaned (owner scrapped) entry. [e_gen] counts
-    recyclings — the generation stamp the arena property tests check. *)
+    marks a free or orphaned (owner scrapped) entry. [e_inc] stamps the
+    owner's incarnation, so a copy outliving a {!scrap} cannot reach
+    the owner's next flow. [e_gen] counts recyclings — the generation
+    stamp the arena property tests check. *)
 type entry = {
   mutable e_sbf : t option;  (** owner; [None] = free or orphaned *)
   mutable e_seq : int;
@@ -37,6 +39,7 @@ type entry = {
   mutable e_lost : bool;  (** marked lost by SACK-style hole detection *)
   mutable e_in_ring : bool;  (** currently in its owner's in-flight ring *)
   mutable e_pending : int;  (** scheduled arrival events not yet fired *)
+  mutable e_inc : int;  (** owner's incarnation when allocated *)
   mutable e_gen : int;  (** recycle count (pool generation stamp) *)
   e_pool : entry_pool;
   mutable e_fire : unit -> unit;  (** arrival event, knotted once *)
@@ -55,10 +58,12 @@ and entry_pool = {
 and ack_cell = {
   mutable a_sbf : int;
   mutable a_data : int;
+  mutable a_inc : int;  (** incarnation that sent the ack *)
   mutable a_fire : unit -> unit;
 }
 (** Pooled in-flight ack (subflow + data ack values); recycled through
-    the subflow's freelist when it fires or fails to send. *)
+    the subflow's freelist when it fires or fails to send. An ack of an
+    earlier incarnation fires inert. *)
 
 and t = {
   id : int;
@@ -72,6 +77,10 @@ and t = {
   ack_link : Link.t;
   delivery_mode : delivery_mode;
   pool : entry_pool;
+  mutable incarnation : int;
+      (** bumped by {!scrap}; deferred events (segment arrivals, acks,
+          handshake completion, re-establishment) of an earlier
+          incarnation do nothing *)
   (* --- sender state --- *)
   mutable established : bool;
   mutable cwnd : float;  (** segments *)
@@ -185,6 +194,18 @@ val create :
   ?entry_pool:entry_pool ->
   unit ->
   t
+(** A new subflow; the record is allocated, then {!reset} sets its
+    per-flow state. *)
+
+val retained_capacity : int
+(** Largest in-flight, send or TSQ ring capacity {!reset} keeps. *)
+
+val reset : t -> unit
+(** Return the subflow to the state {!create} gives it, in place, so a
+    recycled connection can host a new flow; call it after {!scrap}.
+    Rings grown past {!retained_capacity} go back to their initial
+    size. Configuration, callbacks, the congestion hook and the
+    incarnation survive. *)
 
 val in_flight_count : t -> int
 
@@ -236,7 +257,8 @@ val kick : t -> unit
     may have cleared). *)
 
 val establish : ?at:float -> t -> unit
-(** Complete the abstracted handshake one RTT after [at]. *)
+(** Complete the abstracted handshake one RTT after [at]. A completion
+    that finds the subflow scrapped since does nothing. *)
 
 val fail : t -> unit
 (** Connection break: everything in flight or buffered is handed to
@@ -246,7 +268,8 @@ val reestablish : ?at:float -> t -> unit
 (** Re-establish a previously failed subflow at [at]: congestion and RTT
     state restart from scratch and the subflow-level sequence spaces are
     resynchronized (the meta level already re-queued what the old
-    connection lost). A no-op on an established subflow. *)
+    connection lost). A no-op on an established subflow, or on one
+    scrapped before [at]. *)
 
 val iter_packets : t -> (Packet.t -> unit) -> unit
 (** Visit every packet still referenced by this subflow (in-flight
@@ -256,7 +279,8 @@ val scrap : t -> release_pkt:(Packet.t -> unit) -> unit
 (** Dismantle a retired connection's subflow: release every referenced
     packet through [release_pkt] and recycle the in-flight entries
     (entries with arrival events still in the air are orphaned and
-    recycle themselves once drained). *)
+    recycle themselves once drained), then bump the incarnation so the
+    flow's other deferred events become inert. *)
 
 val inject_arrival : t -> seq:int -> Packet.t -> unit
 (** Testing hook (packetdrill analogue, §4.2): inject a segment arrival

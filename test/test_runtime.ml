@@ -99,23 +99,24 @@ let suite =
             let snapshot () =
               [| { Subflow_view.default with Subflow_view.cwnd = 3; queued = !queued } |]
             in
-            let actions =
+            let applied =
               Scheduler.execute_compressed sched env ~snapshot ~apply:(function
                 | Action.Push _ -> incr queued
                 | Action.Drop _ -> ())
             in
-            Alcotest.(check int) "three pushes" 3 (List.length actions);
+            Alcotest.(check int) "three pushes" 3 applied;
+            Alcotest.(check int) "each one applied" 3 !queued;
             Alcotest.(check int) "seven remain" 7 (Pqueue.length env.Env.q));
         tc "compressed execution respects max_rounds" (fun () ->
             let sched = load_anon "SET(R1, R1 + 1); SUBFLOWS.GET(0).PUSH(Q.TOP);" in
             let env = Env.create () in
             Pqueue.push_back env.Env.q (Packet.create ~seq:0 ~size:1 ~now:0.0 ());
             let snapshot () = [| Subflow_view.default |] in
-            let actions =
+            let applied =
               Scheduler.execute_compressed ~max_rounds:5 sched env ~snapshot
                 ~apply:(fun _ -> ())
             in
-            Alcotest.(check int) "bounded" 5 (List.length actions);
+            Alcotest.(check int) "bounded" 5 applied;
             Alcotest.(check int) "five rounds ran" 5 (Env.get_register env 0));
         tc "api: set/get register" (fun () ->
             let sock = Api.create () in
