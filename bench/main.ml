@@ -130,8 +130,6 @@ let backends_for src =
   let interp = fresh "interp" in
   let aot = fresh "aot" in
   Scheduler.set_engine aot "aot";
-  let vm = fresh "vm" in
-  Scheduler.set_engine vm "vm";
   let threaded = fresh "threaded" in
   Scheduler.set_engine threaded "threaded";
   let native = fresh "native" in
@@ -139,7 +137,7 @@ let backends_for src =
   let gen = fresh "generated" in
   Scheduler.install_custom gen ~name:"aot-source" Gen_default.engine;
   [ ("native (C analogue)", native); ("aot (generated source)", gen);
-    ("interpreter", interp); ("aot (closure)", aot); ("ebpf-vm", vm);
+    ("interpreter", interp); ("aot (closure)", aot);
     ("threaded (closure chain)", threaded) ]
 
 let bechamel_ns_per_run tests =
@@ -256,7 +254,7 @@ let fig9 () =
     (fun (label, prog) ->
       let env, views = overhead_env ~subflows:2 ~packets:64 in
       let iters = 30_000 in
-      let run = Progmp_compiler.Vm.instantiate prog in
+      let run = Progmp_compiler.Compile.engine prog in
       let t0 = Unix.gettimeofday () in
       for _ = 1 to iters do
         Env.begin_execution env ~subflows:views;
@@ -332,6 +330,35 @@ let smoke = ref false
    the measured heap bytes per live connection against the committed
    BENCH_fleet.json — the memory-footprint regression gate. *)
 let mem_smoke = ref false
+
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
+  nn > 0 && at 0
+
+(* The lines of a full-run record [file] in the cwd, or [None] when there
+   is none (fresh checkout) or it holds a smoke record. *)
+let full_record file =
+  if not (Sys.file_exists file) then None
+  else
+    let ic = open_in file in
+    let lines = In_channel.input_lines ic in
+    close_in ic;
+    if List.exists (fun l -> contains l "\"smoke\": true") lines then None
+    else Some lines
+
+(* Write a machine-readable record to [file] in the cwd. A smoke run
+   never replaces a full-run record: the committed BENCH_*.json files
+   are what the regression gate and --mem-smoke compare against. *)
+let write_record ~smoke file write =
+  if smoke && full_record file <> None then
+    Fmt.pr "  %s holds a full run; smoke results not written@." file
+  else begin
+    let oc = open_out file in
+    write oc;
+    close_out oc;
+    Fmt.pr "  machine-readable results written to %s@." file
+  end
 
 let engines_bench () =
   section "engines"
@@ -422,19 +449,16 @@ let engines_bench () =
     Schedulers.Specs.all;
   (* Compile once, instantiate cheaply: a slot's instance must cost a
      small fraction of the compile it no longer repeats. *)
-  if !smoke then
-    List.iter
-      (fun engine ->
-        match List.assoc_opt ("default", engine) !setup_costs with
-        | Some (compile_us, instantiate_us)
-          when instantiate_us > compile_us /. 20.0 ->
-            Fmt.epr
-              "engines: %s instantiates default in %.3f us, more than 1/20 of \
-               its %.1f us compile@."
-              engine instantiate_us compile_us;
-            exit 1
-        | Some _ | None -> ())
-      [ "vm"; "threaded" ];
+  if !smoke then (
+    match List.assoc_opt ("default", "threaded") !setup_costs with
+    | Some (compile_us, instantiate_us)
+      when instantiate_us > compile_us /. 20.0 ->
+        Fmt.epr
+          "engines: threaded instantiates default in %.3f us, more than 1/20 \
+           of its %.1f us compile@."
+          instantiate_us compile_us;
+        exit 1
+    | Some _ | None -> ());
   (* Each engine's speed relative to the interpreter (interpreter ns /
      engine ns, so > 1 is faster), per scheduler and as a geomean. Rows
      come from the interpreter column: every scheduler has one. *)
@@ -475,7 +499,7 @@ let engines_bench () =
     Fmt.pr "%-28s%a@." "geomean"
       Fmt.(list ~sep:nop (fun ppf e -> pf ppf " %11.2fx" (geomean e)))
       engines;
-  let oc = open_out "BENCH_engines.json" in
+  write_record ~smoke:!smoke "BENCH_engines.json" @@ fun oc ->
   (* The "engines" list names every backend this run measured; the
      regression gate diffs it against the committed baseline so a
      backend silently dropping out of the registry fails the build
@@ -491,8 +515,8 @@ let engines_bench () =
     (Domain.recommended_domain_count ())
     iters !smoke
     (String.concat ", " (List.map (Printf.sprintf "%S") engines));
-  (* one "<engine>_ns_per_decision" key per engine (the gate reads the
-     vm and threaded columns) *)
+  (* one "<engine>_ns_per_decision" key per engine (the gate reads
+     every column the "engines" list names) *)
   let last = List.length rows - 1 in
   List.iteri
     (fun i (name, _, per_engine) ->
@@ -503,9 +527,7 @@ let engines_bench () =
               per_engine))
         (if i = last then "" else ","))
     rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  Fmt.pr "  machine-readable results written to BENCH_engines.json@."
+  Printf.fprintf oc "  ]\n}\n"
 
 (* ------------------------------------------------------------------ *)
 (* obs — overhead of the flight-recorder observability layer           *)
@@ -562,11 +584,12 @@ let obs_bench () =
   Fmt.pr "  null tracer %.1f%% of baseline, jsonl %.1f%% of baseline (%d \
           executions traced)@."
     (pct null) (pct jsonl) !traced;
-  let oc = open_out "BENCH_obs.json" in
+  write_record ~smoke:!smoke "BENCH_obs.json" @@ fun oc ->
   Printf.fprintf oc
     "{\n\
     \  \"experiment\": \"obs\",\n\
     \  \"cores\": %d,\n\
+    \  \"smoke\": %b,\n\
     \  \"scheduler\": \"default\",\n\
     \  \"iterations\": %d,\n\
     \  \"ns_per_decision\": {\n\
@@ -580,10 +603,8 @@ let obs_bench () =
     \  }\n\
      }\n"
     (Domain.recommended_domain_count ())
-    iters (snd baseline) (snd null) (snd jsonl)
-    (pct null -. 100.0) (pct jsonl -. 100.0);
-  close_out oc;
-  Fmt.pr "  machine-readable results written to BENCH_obs.json@."
+    !smoke iters (snd baseline) (snd null) (snd jsonl)
+    (pct null -. 100.0) (pct jsonl -. 100.0)
 
 (* ------------------------------------------------------------------ *)
 (* sweep — throughput and scaling of the parallel campaign engine      *)
@@ -653,7 +674,7 @@ let sweep_bench () =
             (jobs, wall, rps, speedup))
       jobs_list
   in
-  let oc = open_out "BENCH_sweep.json" in
+  write_record ~smoke:!smoke "BENCH_sweep.json" @@ fun oc ->
   Printf.fprintf oc
     "{\n\
     \  \"experiment\": \"sweep\",\n\
@@ -673,9 +694,7 @@ let sweep_bench () =
         jobs wall rps speedup
         (if i = List.length series - 1 then "" else ","))
     series;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  Fmt.pr "  machine-readable results written to BENCH_sweep.json@."
+  Printf.fprintf oc "  ]\n}\n"
 
 (* ------------------------------------------------------------------ *)
 (* fleet — hosting capacity of the single-process fleet simulator      *)
@@ -722,27 +741,11 @@ let fleet_ladder =
       fr_duration = 10.0; fr_shards = 4; fr_thin = true };
   ]
 
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
-  nn > 0 && at 0
-
-(* The lines of a full-ladder BENCH_fleet.json in the cwd, or [None]
-   when there is none (fresh checkout) or it holds a smoke record. *)
-let full_fleet_record () =
-  if not (Sys.file_exists "BENCH_fleet.json") then None
-  else
-    let ic = open_in "BENCH_fleet.json" in
-    let lines = In_channel.input_lines ic in
-    close_in ic;
-    if List.exists (fun l -> contains l "\"smoke\": true") lines then None
-    else Some lines
-
 (* The committed baseline's bytes-per-connection for the rung with
    [target], or [None] when no comparable full-run baseline exists in
    the cwd (fresh checkout, smoke baseline, rung set changed). *)
 let baseline_bytes_per_conn ~target =
-  match full_fleet_record () with
+  match full_record "BENCH_fleet.json" with
   | None -> None
   | Some lines ->
       let key = Fmt.str "\"target\": %d," target in
@@ -906,44 +909,35 @@ let fleet_bench () =
            "  mem-smoke: no comparable committed BENCH_fleet.json rung; \
             footprint measured but not gated@.");
   Gc.set gc0;
-  (* a smoke run never replaces a full ladder record: the committed
-     BENCH_fleet.json is what the regression gate and --mem-smoke
-     compare against *)
-  if (!smoke || !mem_smoke) && full_fleet_record () <> None then
-    Fmt.pr "  BENCH_fleet.json holds a full ladder; smoke results not written@."
-  else begin
-    let oc = open_out "BENCH_fleet.json" in
-    Printf.fprintf oc
-      "{\n\
-      \  \"experiment\": \"fleet\",\n\
-      \  \"cores\": %d,\n\
-      \  \"smoke\": %b,\n\
-      \  \"rungs\": [\n"
-      (Domain.recommended_domain_count ())
-      (!smoke || !mem_smoke);
-    let last = List.length results - 1 in
-    List.iteri
-      (fun i (r, tot, slots, overload, dps, bpc, wall, heap_words) ->
-        Printf.fprintf oc
-          "    { \"target\": %d, \"groups\": %d, \"rate\": %.0f, \
-           \"duration_s\": %.0f, \"shards\": %d, \"arrivals\": %d, \
-           \"completed\": %d, \"completion_ratio\": %.4f, \"peak_live\": %d, \
-           \"overload\": %b, \
-           \"slots\": %d, \"decisions\": %d, \"decisions_per_sec\": %.0f, \
-           \"bytes_per_conn\": %.0f, \"wall_s\": %.2f, \"heap_words_over_base\": %d \
-           }%s\n"
-          r.fr_target r.fr_groups r.fr_rate r.fr_duration r.fr_shards
-          tot.Fleet.t_arrivals tot.Fleet.t_completed
-          (float_of_int tot.Fleet.t_completed
-          /. float_of_int (max 1 tot.Fleet.t_arrivals))
-          tot.Fleet.t_peak_live overload slots tot.Fleet.t_executions dps bpc
-          wall heap_words
-          (if i = last then "" else ","))
-      results;
-    Printf.fprintf oc "  ]\n}\n";
-    close_out oc;
-    Fmt.pr "  machine-readable results written to BENCH_fleet.json@."
-  end
+  write_record ~smoke:(!smoke || !mem_smoke) "BENCH_fleet.json" @@ fun oc ->
+  Printf.fprintf oc
+    "{\n\
+    \  \"experiment\": \"fleet\",\n\
+    \  \"cores\": %d,\n\
+    \  \"smoke\": %b,\n\
+    \  \"rungs\": [\n"
+    (Domain.recommended_domain_count ())
+    (!smoke || !mem_smoke);
+  let last = List.length results - 1 in
+  List.iteri
+    (fun i (r, tot, slots, overload, dps, bpc, wall, heap_words) ->
+      Printf.fprintf oc
+        "    { \"target\": %d, \"groups\": %d, \"rate\": %.0f, \
+         \"duration_s\": %.0f, \"shards\": %d, \"arrivals\": %d, \
+         \"completed\": %d, \"completion_ratio\": %.4f, \"peak_live\": %d, \
+         \"overload\": %b, \
+         \"slots\": %d, \"decisions\": %d, \"decisions_per_sec\": %.0f, \
+         \"bytes_per_conn\": %.0f, \"wall_s\": %.2f, \"heap_words_over_base\": %d \
+         }%s\n"
+        r.fr_target r.fr_groups r.fr_rate r.fr_duration r.fr_shards
+        tot.Fleet.t_arrivals tot.Fleet.t_completed
+        (float_of_int tot.Fleet.t_completed
+        /. float_of_int (max 1 tot.Fleet.t_arrivals))
+        tot.Fleet.t_peak_live overload slots tot.Fleet.t_executions dps bpc
+        wall heap_words
+        (if i = last then "" else ","))
+    results;
+  Printf.fprintf oc "  ]\n}\n"
 
 (* ------------------------------------------------------------------ *)
 (* eventq — event-core microbenchmark: binary heap vs timing wheel     *)
@@ -1094,7 +1088,7 @@ let eventq_bench () =
           heap wheel)
       pendings
   in
-  let oc = open_out "BENCH_eventq.json" in
+  write_record ~smoke:!smoke "BENCH_eventq.json" @@ fun oc ->
   Printf.fprintf oc
     "{\n\
     \  \"experiment\": \"eventq\",\n\
@@ -1112,9 +1106,7 @@ let eventq_bench () =
         w n h_ns wl_ns
         (if i = last then "" else ","))
     rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  Fmt.pr "  machine-readable results written to BENCH_eventq.json@."
+  Printf.fprintf oc "  ]\n}\n"
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 10b — FCT vs flow size for the redundancy family               *)

@@ -324,12 +324,11 @@ let main =
        ~doc:"ProgMP: application-defined Multipath TCP scheduling toolchain")
     [
       check_cmd; compile_cmd; run_cmd; gen_ocaml_cmd; list_cmd; show_cmd;
-      engines_cmd; Mptcp_exp.Sweep_cli.cmd ~prog:"progmp sweep";
-      Mptcp_exp.Fleet_cli.cmd;
+      engines_cmd;
     ]
 
 let () =
-  (* Force-link the compiler so its "vm" engine registration runs even
+  (* Force-link the compiler so its "threaded" engine registration runs even
      though this binary only selects engines by name. *)
   Progmp_compiler.Compile.register_engines ();
   exit (Cmd.eval main)

@@ -286,12 +286,12 @@ let group =
       Cmd.v
         (Cmd.info "run" ~doc:"Run a single scenario (the default command)")
         scenario_term;
-      Mptcp_exp.Sweep_cli.cmd ~prog:"simulate sweep";
+      Mptcp_exp.Sweep_cli.cmd;
       Mptcp_exp.Fleet_cli.cmd;
     ]
 
 let () =
-  (* Force-link the compiler so its "vm" engine registration runs even
+  (* Force-link the compiler so its "threaded" engine registration runs even
      though this binary only selects engines by name. *)
   Progmp_compiler.Compile.register_engines ();
   (* cmdliner's Cmd.group treats every first positional argument as a

@@ -37,12 +37,12 @@ let () =
   Progmp_runtime.Api.load_scheduler my_scheduler ~name:"min-jitter";
   Progmp_runtime.Api.set_scheduler sock "min-jitter";
 
-  (* Optional: run it as compiled bytecode instead of interpreted, by
-     selecting the "vm" engine from the registry. *)
+  (* Optional: run it as verified, compiled bytecode instead of
+     interpreted, by selecting the "threaded" engine from the registry. *)
   Progmp_compiler.Compile.register_engines ();
   (match Progmp_runtime.Scheduler.find "min-jitter" with
   | Some sched ->
-      Progmp_runtime.Scheduler.set_engine sched "vm";
+      Progmp_runtime.Scheduler.set_engine sched "threaded";
       Fmt.pr "scheduler now runs on the %s engine@."
         (Progmp_runtime.Scheduler.engine_label sched)
   | None -> assert false);

@@ -6,14 +6,12 @@
     (calling-convention lowering, label resolution) -> {!Bopt.optimize}
     (bytecode middle-end: copy propagation, dead-store elimination,
     jump threading, superinstruction fusion) -> {!Verifier.verify} ->
-    {!Flat.encode} (packed int encoding for the VM's fast path).
+    {!Threaded.compile} (closure chain, the JIT stand-in).
 
-    Verification runs on the optimized program — the artifact that
-    actually executes — and the flat encoding is decoded back and
-    verified again before installation, so both representations carry
-    the verifier's guarantees. A program that fails verification is
-    never installed — mirroring the kernel refusing to load an eBPF
-    object. *)
+    Verification runs once, on the optimized program — exactly the
+    code the threaded engine compiles. A program that fails
+    verification is never installed — mirroring the kernel refusing to
+    load an eBPF object. *)
 
 exception Rejected of string
 
@@ -46,11 +44,7 @@ let compile_with_stats ?subflow_count (p : Progmp_lang.Tast.program) :
   let raw = Emit.emit vcode alloc in
   let code = Bopt.optimize raw in
   verify_or_reject "compiled" code;
-  (* Re-verify the flattened artifact itself: decode must round-trip to
-     verifier-accepted code before the unchecked fast path may run it. *)
-  let flat = Flat.encode code in
-  verify_or_reject "flattened" (Flat.decode flat);
-  ( Vm.make_prog ?specialized_for:subflow_count ~flat
+  ( Vm.make_prog ?specialized_for:subflow_count
       ~spill_slots:alloc.Regalloc.spill_slots code,
     {
       vinstrs = Array.length vcode.Vcode.code;
@@ -62,14 +56,14 @@ let compile_with_stats ?subflow_count (p : Progmp_lang.Tast.program) :
 
 let compile ?subflow_count p = fst (compile_with_stats ?subflow_count p)
 
-(** An instance of a compiled program: fresh scratch over the shared
-    [prog]. When the program was specialized for a constant subflow
-    count (§4.1, "constant subflow number" optimization), executions
-    with a different count fall back to [fallback] (normally the generic
-    compiled or interpreted version), like the paper's JIT returning to
-    the original version. *)
+(** A threaded-code instance of a compiled program. When the program
+    was specialized for a constant subflow count (§4.1, "constant
+    subflow number" optimization), executions with a different count
+    fall back to [fallback] (normally the generic compiled or
+    interpreted version), like the paper's JIT returning to the
+    original version. *)
 let engine ?fallback (prog : Vm.prog) : Progmp_runtime.Env.t -> unit =
-  let run = Vm.instantiate prog in
+  let run = Threaded.instantiate (Threaded.compile prog.Vm.code) in
   match (prog.Vm.specialized_for, fallback) with
   | None, _ -> run
   | Some k, fallback ->
@@ -78,30 +72,18 @@ let engine ?fallback (prog : Vm.prog) : Progmp_runtime.Env.t -> unit =
         if Array.length env.Progmp_runtime.Env.subflows <> k then fallback env
         else run env
 
-(** Register the bytecode engines with the runtime's
-    {!Progmp_runtime.Engine} registry: "vm" is the optimized,
-    flat-encoded fast path; "threaded" runs the verified flat code as a
-    closure chain. Each compiles once per program (the registry caches
-    the result) and instantiates by allocating scratch only. Runs once when this module is linked;
-    binaries that select engines purely by name call it explicitly so
-    the linker cannot drop this module (and its registration) as
-    unreferenced. *)
+(** Register the "threaded" engine with the runtime's
+    {!Progmp_runtime.Engine} registry: verified bytecode compiled to a
+    closure chain. It compiles once per program (the registry caches
+    the result) and instantiates by allocating scratch only. Runs once
+    when this module is linked; binaries that select engines purely by
+    name call it explicitly so the linker cannot drop this module (and
+    its registration) as unreferenced. *)
 let register_engines =
   let registered = ref false in
   fun () ->
     if not !registered then begin
       registered := true;
-      Progmp_runtime.Engine.register_compiled "vm"
-        ~caps:
-          {
-            Progmp_runtime.Engine.compiled = true;
-            verified = true;
-            description =
-              "eBPF-style bytecode VM (codegen -> regalloc -> emit -> \
-               bytecode opt -> verifier -> flat encoding)";
-          }
-        ~compile:(fun program -> compile program)
-        ~instantiate:(fun prog -> engine prog);
       Progmp_runtime.Engine.register_compiled "threaded"
         ~caps:
           {
@@ -111,7 +93,7 @@ let register_engines =
               "threaded-code engine: verified bytecode compiled to chained \
                closures, no dispatch loop";
           }
-        ~compile:(fun program -> Threaded.compile (compile program).Vm.flat)
+        ~compile:(fun program -> Threaded.compile (compile program).Vm.code)
         ~instantiate:Threaded.instantiate
     end
 
@@ -120,12 +102,12 @@ let () = register_engines ()
 (** Compile [sched]'s program specialized for a constant subflow count
     (§4.1) and install an instance of the result, falling back to the
     scheduler's previous engine when the live count differs. Generic
-    (unspecialized) VM selection goes through
-    [Scheduler.set_engine sched "vm"] instead. *)
+    (unspecialized) selection goes through
+    [Scheduler.set_engine sched "threaded"] instead. *)
 let install_specialized ~subflow_count (sched : Progmp_runtime.Scheduler.t) =
   let previous = sched.Progmp_runtime.Scheduler.run in
   let prog = compile ~subflow_count sched.Progmp_runtime.Scheduler.program in
   Progmp_runtime.Scheduler.install_custom sched
-    ~name:(Fmt.str "vm[%d]" subflow_count)
+    ~name:(Fmt.str "threaded[%d]" subflow_count)
     (engine ~fallback:previous prog);
   prog

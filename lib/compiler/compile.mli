@@ -3,10 +3,10 @@
 
     Pipeline: {!Codegen.generate} -> {!Regalloc.allocate} ->
     {!Emit.emit} -> {!Bopt.optimize} -> {!Verifier.verify} ->
-    {!Flat.encode}. Verification runs on the optimized program, and the
-    flat encoding is decoded and verified again before installation. A
-    program that fails verification is never installed, mirroring the
-    kernel refusing an eBPF object. *)
+    {!Threaded.compile}. Verification runs once, on the optimized
+    program the threaded engine compiles. A program that fails
+    verification is never installed, mirroring the kernel refusing an
+    eBPF object. *)
 
 exception Rejected of string
 (** The verifier rejected the generated code (a compiler bug by
@@ -34,15 +34,15 @@ val engine :
   Vm.prog ->
   Progmp_runtime.Env.t ->
   unit
-(** A fresh instance of [prog] (its own scratch, {!Vm.instantiate}); a
-    specialized program falls back to [fallback] when the live subflow
-    count differs. *)
+(** A fresh threaded-code instance of [prog] ({!Threaded.compile}, then
+    {!Threaded.instantiate}); a specialized program falls back to
+    [fallback] when the live subflow count differs. *)
 
 val register_engines : unit -> unit
-(** Register the "vm" (optimized + flat-encoded) and "threaded"
-    (closure-chain, no dispatch loop) engines with
-    {!Progmp_runtime.Engine}, each as a compile step (cached per program
-    by the registry) and a scratch-only instantiate step. Compiles
+(** Register the "threaded" engine (verified bytecode compiled to a
+    closure chain, no dispatch loop) with {!Progmp_runtime.Engine}, as a
+    compile step (cached per program by the registry) and a
+    scratch-only instantiate step. Compiles
     nothing itself. Idempotent; also runs automatically when this module is linked.
     Call it from binaries that select engines only by name, so the
     linker keeps this module. *)
@@ -50,7 +50,8 @@ val register_engines : unit -> unit
 val install_specialized :
   subflow_count:int -> Progmp_runtime.Scheduler.t -> Vm.prog
 (** Compile the scheduler's program specialized for a constant subflow
-    count and install it, falling back to the scheduler's previous
-    engine when the live count differs. Returns the compiled program
-    for inspection. Generic VM selection goes through
-    [Scheduler.set_engine sched "vm"]. *)
+    count and install it on the threaded engine, labelled
+    ["threaded[k]"], falling back to the scheduler's previous engine
+    when the live count differs. Returns the compiled program for
+    inspection. Generic selection goes through
+    [Scheduler.set_engine sched "threaded"]. *)

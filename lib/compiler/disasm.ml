@@ -1,8 +1,7 @@
 (** Disassembler for compiled scheduler code, for the CLI and debugging
     (the analogue of the paper's proc-based introspection interface).
     Superinstructions print as one mnemonic so golden tests show where
-    the middle-end fused; flat-encoded programs are decoded back to
-    {!Isa} instructions first. *)
+    the middle-end fused. *)
 
 let pp_instr ppf (i : Isa.instr) =
   match i with
@@ -32,15 +31,3 @@ let pp_program ppf (code : Isa.instr array) =
   Array.iteri (fun pc i -> Fmt.pf ppf "%4d: %a@\n" pc pp_instr i) code
 
 let to_string code = Fmt.str "%a" pp_program code
-
-(** Disassemble a flat-encoded stream (see {!Flat}): decoded back to
-    instructions, printed with both the instruction index and the word
-    offset the fast path actually jumps between. *)
-let pp_flat ppf (f : int array) =
-  let code = Flat.decode f in
-  Array.iteri
-    (fun pc i ->
-      Fmt.pf ppf "%4d @%5d: %a@\n" pc (pc * Flat.words_per_instr) pp_instr i)
-    code
-
-let flat_to_string f = Fmt.str "%a" pp_flat f

@@ -1,8 +1,8 @@
 (** The threaded-code engine — the repo's stand-in for the paper's
-    AOT/JIT tier above the bytecode VM (execution alternative 2/3 of
-    §4.1, taken one step further than {!Vm}'s flat dispatch loop).
+    eBPF JIT tier (execution alternative 2/3 of §4.1), and the only
+    registered engine that runs verified bytecode.
 
-    A verified {!Flat} program is compiled once into an array of
+    A verified {!Isa} program is compiled once into an array of
     chained OCaml closures: every instruction becomes a direct call
     with its operands partially applied, and its continuation — the
     closure of the fall-through or jump target — captured in its
@@ -16,19 +16,20 @@
     argument, so one compiled chain serves any number of instances, on
     any domain, and {!instantiate} only allocates a [state].
 
-    Soundness of the unchecked accesses mirrors [Vm.run_flat]: programs
-    are only compiled from verifier-accepted code, so every register
-    index is < [Isa.num_regs], every stack slot < [Isa.stack_words],
-    every jump target is a valid instruction, and the program cannot
-    fall off the end. Closures are built back-to-front, so fall-through
-    and forward-jump continuations bind directly; back-edges go through
-    one extra indirection (the target closure does not exist yet when
-    the jump is compiled) and are the only place the step budget is
-    charged — straight-line progress between back-edges is bounded by
-    the program length, so budget-per-back-edge bounds total work just
-    like the VM's budget-per-instruction.
+    Register and stack accesses are unchecked. That is sound because
+    programs are only compiled from verifier-accepted code, so every
+    register index is < [Isa.num_regs], every stack slot <
+    [Isa.stack_words], every jump target is a valid instruction, and
+    the program cannot fall off the end. Closures are built
+    back-to-front, so fall-through and forward-jump continuations bind
+    directly; back-edges go through one extra indirection (the target
+    closure does not exist yet when the jump is compiled) and are the
+    only place the step budget is charged — straight-line progress
+    between back-edges is bounded by the program length, so
+    budget-per-back-edge bounds total work just like the reference
+    {!Vm}'s budget-per-instruction.
 
-    Two further liberties over the boxed VM, both invisible to the
+    Two further liberties over the reference {!Vm}, both invisible to the
     program (the type system never lets a packet handle convert to an
     observable integer, and handle identity is preserved):
 
@@ -160,7 +161,7 @@ let jump_targets (code : Isa.instr array) =
     code;
   t
 
-let compile_code ?(max_steps = default_max_steps) (code : Isa.instr array) :
+let compile ?(max_steps = default_max_steps) (code : Isa.instr array) :
     code =
   let n = Array.length code in
   if n = 0 then { entry = (fun _ -> ()); max_steps; stack_words = 0 }
@@ -767,9 +768,6 @@ let compile_code ?(max_steps = default_max_steps) (code : Isa.instr array) :
     done;
     { entry = conts.(0); max_steps; stack_words = Isa.stack_extent code }
   end
-
-let compile ?max_steps (flat : int array) : code =
-  compile_code ?max_steps (Flat.decode flat)
 
 let instantiate { entry; max_steps; stack_words } : Env.t -> unit =
   let st =

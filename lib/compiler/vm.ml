@@ -1,7 +1,10 @@
-(** The bytecode virtual machine — the stand-in for the kernel's eBPF
-    JIT execution (execution alternative 3 of §4.1).
+(** The reference bytecode executor: a bounds-checked interpreter of
+    {!Isa} code. It runs no registered engine — {!Threaded} is the
+    compiled tier — but it is the yardstick the middle-end, verifier
+    and threaded-engine properties compare against, and it runs
+    hand-built programs the verifier never saw.
 
-    Executes final {!Isa} code against a {!Progmp_runtime.Env}. Helpers
+    Executes {!Isa} code against a {!Progmp_runtime.Env}. Helpers
     implement the same graceful-failure semantics as the interpreter:
     NULL handles (0) make property reads yield 0 and PUSH/DROP no-ops;
     division/modulo by zero yield 0 (as in eBPF, where the verifier
@@ -13,25 +16,17 @@ open Progmp_runtime
 
 type prog = {
   code : Isa.instr array;
-  flat : int array;
-      (** {!Flat} encoding of [code], or [[||]] to run the boxed
-          interpreter. Only ever non-empty for verifier-accepted code:
-          the fast path executes it without bounds checks, relying on
-          the verifier's jump/register/stack guarantees. *)
   spill_slots : int;
   specialized_for : int option;
       (** compiled for a constant subflow count; the engine guards on it *)
   stack_extent : int;  (** an instance's stack size ({!Isa.stack_extent}) *)
 }
 
-(** Wrap verified code into an immutable program. Any number of
-    instances ({!instantiate}) may run it, on any domain. [flat]
-    selects the flat-encoded fast path; pass it only for code the
-    verifier has accepted. *)
-let make_prog ?specialized_for ?(flat = [||]) ~spill_slots code =
+(** Wrap code into an immutable program. Any number of instances
+    ({!instantiate}) may run it, on any domain. *)
+let make_prog ?specialized_for ~spill_slots code =
   {
     code;
-    flat;
     spill_slots;
     specialized_for;
     stack_extent = Isa.stack_extent code;
@@ -167,9 +162,9 @@ let exec_cond c a b =
   | Isa.Jge -> a >= b
 
 (* The boxed-variant interpreter: executes [Isa.instr array] directly,
-   with full bounds checking. This is the path for hand-built programs
-   that were never flattened, and the reference the middle-end's
-   property tests run raw code on. *)
+   with full bounds checking, so it also runs hand-built programs the
+   verifier never saw. It is the reference the middle-end's and the
+   threaded engine's property tests run code on. *)
 let run_boxed st (code : Isa.instr array) max_steps =
   let len = Array.length code in
   let steps = ref 0 in
@@ -223,167 +218,13 @@ let run_boxed st (code : Isa.instr array) max_steps =
   in
   if len > 0 then step 0
 
-(* The flat-encoded fast path: a tight dispatch loop over the packed
-   int stream of {!Flat}, with the ALU operation and branch condition
-   folded into the opcode so each arm is straight-line code. Array
-   accesses are unchecked ([Array.unsafe_get]/[unsafe_set]) — sound
-   because [prog.flat] is only ever built from verifier-accepted code:
-   every jump target is in range and on the instruction grid (encode
-   pre-scales them), every register index is < [Isa.num_regs], every
-   stack slot is < [Isa.stack_words], and the program cannot fall off
-   the end (the last instruction is an exit or an unconditional jump),
-   so every pc this loop can reach is a valid instruction start. The
-   opcode numbers must stay in sync with {!Flat} (pinned by the
-   encode/decode round-trip test and the boxed-vs-flat differential in
-   test/test_compiler.ml, which runs identical code both ways). *)
-let run_flat st (f : int array) max_steps =
-  let regs = st.regs and stack = st.stack in
-  let steps = ref 0 in
-  let rec go pc =
-    incr steps;
-    if !steps > max_steps then fault "step budget exhausted";
-    match Array.unsafe_get f pc with
-    | 0 -> () (* exit *)
-    | 1 ->
-        (* mov *)
-        Array.unsafe_set regs
-          (Array.unsafe_get f (pc + 1))
-          (Array.unsafe_get regs (Array.unsafe_get f (pc + 2)));
-        go (pc + 4)
-    | 2 ->
-        (* movi *)
-        Array.unsafe_set regs
-          (Array.unsafe_get f (pc + 1))
-          (Array.unsafe_get f (pc + 2));
-        go (pc + 4)
-    | 3 -> go (Array.unsafe_get f (pc + 1)) (* jmp *)
-    | 4 ->
-        (* call *)
-        Array.unsafe_set regs 0
-          (exec_helper st (Flat.helper_of_code (Array.unsafe_get f (pc + 1))));
-        go (pc + 4)
-    | 5 ->
-        (* ldx *)
-        Array.unsafe_set regs
-          (Array.unsafe_get f (pc + 1))
-          (Array.unsafe_get stack (Array.unsafe_get f (pc + 2)));
-        go (pc + 4)
-    | 6 ->
-        (* stx *)
-        Array.unsafe_set stack
-          (Array.unsafe_get f (pc + 1))
-          (Array.unsafe_get regs (Array.unsafe_get f (pc + 2)));
-        go (pc + 4)
-    | 8 -> alu_rr pc (fun a b -> a + b)
-    | 9 -> alu_rr pc (fun a b -> a - b)
-    | 10 -> alu_rr pc (fun a b -> a * b)
-    | 11 -> alu_rr pc (fun a b -> if b = 0 then 0 else a / b)
-    | 12 -> alu_rr pc (fun a b -> if b = 0 then 0 else a mod b)
-    | 13 -> alu_rr pc (fun a b -> a land b)
-    | 14 -> alu_rr pc (fun a b -> a lor b)
-    | 15 -> alu_rr pc (fun a b -> a lxor b)
-    | 16 -> alu_rr pc (fun a b -> if b < 0 || b >= 63 then 0 else a lsl b)
-    | 17 -> alu_rr pc (fun a b -> if b < 0 || b >= 63 then 0 else a asr b)
-    | 18 -> alu_ri pc (fun a b -> a + b)
-    | 19 -> alu_ri pc (fun a b -> a - b)
-    | 20 -> alu_ri pc (fun a b -> a * b)
-    | 21 -> alu_ri pc (fun a b -> if b = 0 then 0 else a / b)
-    | 22 -> alu_ri pc (fun a b -> if b = 0 then 0 else a mod b)
-    | 23 -> alu_ri pc (fun a b -> a land b)
-    | 24 -> alu_ri pc (fun a b -> a lor b)
-    | 25 -> alu_ri pc (fun a b -> a lxor b)
-    | 26 -> alu_ri pc (fun a b -> if b < 0 || b >= 63 then 0 else a lsl b)
-    | 27 -> alu_ri pc (fun a b -> if b < 0 || b >= 63 then 0 else a asr b)
-    | 28 -> jcc_rr pc (fun a b -> a = b)
-    | 29 -> jcc_rr pc (fun a b -> a <> b)
-    | 30 -> jcc_rr pc (fun a b -> a < b)
-    | 31 -> jcc_rr pc (fun a b -> a <= b)
-    | 32 -> jcc_rr pc (fun a b -> a > b)
-    | 33 -> jcc_rr pc (fun a b -> a >= b)
-    | 34 -> jcc_ri pc (fun a b -> a = b)
-    | 35 -> jcc_ri pc (fun a b -> a <> b)
-    | 36 -> jcc_ri pc (fun a b -> a < b)
-    | 37 -> jcc_ri pc (fun a b -> a <= b)
-    | 38 -> jcc_ri pc (fun a b -> a > b)
-    | 39 -> jcc_ri pc (fun a b -> a >= b)
-    | 40 -> call_jcci pc (fun a b -> a = b)
-    | 41 -> call_jcci pc (fun a b -> a <> b)
-    | 42 -> call_jcci pc (fun a b -> a < b)
-    | 43 -> call_jcci pc (fun a b -> a <= b)
-    | 44 -> call_jcci pc (fun a b -> a > b)
-    | 45 -> call_jcci pc (fun a b -> a >= b)
-    | 46 -> ldx_jcci pc (fun a b -> a = b)
-    | 47 -> ldx_jcci pc (fun a b -> a <> b)
-    | 48 -> ldx_jcci pc (fun a b -> a < b)
-    | 49 -> ldx_jcci pc (fun a b -> a <= b)
-    | 50 -> ldx_jcci pc (fun a b -> a > b)
-    | 51 -> ldx_jcci pc (fun a b -> a >= b)
-    | 52 -> ldx_jcc pc (fun a b -> a = b)
-    | 53 -> ldx_jcc pc (fun a b -> a <> b)
-    | 54 -> ldx_jcc pc (fun a b -> a < b)
-    | 55 -> ldx_jcc pc (fun a b -> a <= b)
-    | 56 -> ldx_jcc pc (fun a b -> a > b)
-    | 57 -> ldx_jcc pc (fun a b -> a >= b)
-    | op -> fault "bad flat opcode %d" op
-  and[@inline] alu_rr pc op =
-    let d = Array.unsafe_get f (pc + 1) in
-    Array.unsafe_set regs d
-      (op (Array.unsafe_get regs d)
-         (Array.unsafe_get regs (Array.unsafe_get f (pc + 2))));
-    go (pc + 4)
-  and[@inline] alu_ri pc op =
-    let d = Array.unsafe_get f (pc + 1) in
-    Array.unsafe_set regs d
-      (op (Array.unsafe_get regs d) (Array.unsafe_get f (pc + 2)));
-    go (pc + 4)
-  and[@inline] jcc_rr pc cmp =
-    if
-      cmp
-        (Array.unsafe_get regs (Array.unsafe_get f (pc + 1)))
-        (Array.unsafe_get regs (Array.unsafe_get f (pc + 2)))
-    then go (Array.unsafe_get f (pc + 3))
-    else go (pc + 4)
-  and[@inline] jcc_ri pc cmp =
-    if
-      cmp
-        (Array.unsafe_get regs (Array.unsafe_get f (pc + 1)))
-        (Array.unsafe_get f (pc + 2))
-    then go (Array.unsafe_get f (pc + 3))
-    else go (pc + 4)
-  and[@inline] call_jcci pc cmp =
-    let r =
-      exec_helper st (Flat.helper_of_code (Array.unsafe_get f (pc + 1)))
-    in
-    Array.unsafe_set regs 0 r;
-    if cmp r (Array.unsafe_get f (pc + 2)) then go (Array.unsafe_get f (pc + 3))
-    else go (pc + 4)
-  and[@inline] ldx_jcci pc cmp =
-    let ds = Array.unsafe_get f (pc + 1) in
-    let v = Array.unsafe_get stack (ds lsr 4) in
-    Array.unsafe_set regs (ds land 15) v;
-    if cmp v (Array.unsafe_get f (pc + 2)) then go (Array.unsafe_get f (pc + 3))
-    else go (pc + 4)
-  and[@inline] ldx_jcc pc cmp =
-    let dsa = Array.unsafe_get f (pc + 1) in
-    let v = Array.unsafe_get stack (dsa lsr 8) in
-    Array.unsafe_set regs ((dsa lsr 4) land 15) v;
-    if cmp (Array.unsafe_get regs (dsa land 15)) v then
-      go (Array.unsafe_get f (pc + 2))
-    else go (pc + 4)
-  in
-  if Array.length f > 0 then go 0
-
 (** An instance of [prog]: its own register file, stack and packet
-    table, reused by every execution it runs (one at a time). Programs
-    carrying a flat encoding run on the fast path; everything else runs
-    on the boxed interpreter. @raise Fault on invalid handles, bad queue
-    codes or an exhausted step budget. *)
+    table, reused by every execution it runs (one at a time).
+    @raise Fault on invalid handles, bad queue codes or an exhausted
+    step budget. *)
 let instantiate ?(max_steps = default_max_steps) (prog : prog) =
   let st = fresh_state prog in
-  if Array.length prog.flat > 0 then fun env ->
-    reset st env;
-    run_flat st prog.flat max_steps
-  else fun env ->
+  fun env ->
     reset st env;
     run_boxed st prog.code max_steps
 

@@ -1,14 +1,11 @@
-(** The bytecode virtual machine — the stand-in for the kernel's eBPF
-    JIT execution. Helpers implement the same graceful-failure semantics
-    as the interpreter (NULL handles read as 0, PUSH/DROP of NULL are
-    no-ops, division by zero yields 0). *)
+(** The reference bytecode executor: a bounds-checked interpreter of
+    {!Isa} code, the yardstick the middle-end and threaded-engine
+    properties compare against. Helpers implement the same
+    graceful-failure semantics as the interpreter (NULL handles read as
+    0, PUSH/DROP of NULL are no-ops, division by zero yields 0). *)
 
 type prog = {
   code : Isa.instr array;
-  flat : int array;
-      (** {!Flat} encoding of [code], or [[||]] to run the boxed
-          interpreter; only ever non-empty for verifier-accepted code
-          (the fast path runs it without bounds checks) *)
   spill_slots : int;
   specialized_for : int option;
       (** compiled for a constant subflow count; the engine guards on it *)
@@ -18,14 +15,9 @@ type prog = {
 (** Immutable: share one program across instances and domains. *)
 
 val make_prog :
-  ?specialized_for:int ->
-  ?flat:int array ->
-  spill_slots:int ->
-  Isa.instr array ->
-  prog
-(** Wrap verified code into a program. [flat] (default [[||]], meaning
-    the boxed interpreter) selects the flat-encoded fast path and must
-    only be passed for code the verifier has accepted. *)
+  ?specialized_for:int -> spill_slots:int -> Isa.instr array -> prog
+(** Wrap code into a program. Every access is bounds-checked, so the
+    code need not be verified. *)
 
 exception Fault of string
 (** Invalid handle, bad queue code, stack violation or exhausted step

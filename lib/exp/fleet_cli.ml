@@ -1,5 +1,4 @@
-(** The [fleet] subcommand shared by the [simulate] and [progmp]
-    binaries: host an open-loop fleet — Poisson arrivals, heavy-tailed
+(** The [simulate fleet] subcommand: host an open-loop fleet — Poisson arrivals, heavy-tailed
     flow sizes, recycled connection slots over shared link groups — in
     one process and print the aggregate summary ({!Mptcp_obs.Fleet_metrics}).
     The single-command face of the [fleet] sweep scenario: same

@@ -1,5 +1,4 @@
-(** The [fleet] subcommand shared by the [simulate] and [progmp]
-    binaries: host an open-loop fleet of concurrent MPTCP connections in
+(** The [simulate fleet] subcommand: host an open-loop fleet of concurrent MPTCP connections in
     one process and print the aggregate summary. Uses the same topology
     and RNG streams as the [fleet] sweep scenario, so a CLI run
     reproduces a sweep run bit for bit. *)

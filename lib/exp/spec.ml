@@ -9,7 +9,7 @@
     {v
     scenario bulk stream
     scheduler default redundant_if_no_q
-    engine interpreter vm
+    engine interpreter threaded
     loss 0.0 0.02
     seed 1..8
     fault none handover=clitest/handover.fault

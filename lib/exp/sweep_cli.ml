@@ -1,5 +1,4 @@
-(** The [sweep] subcommand shared by the [simulate] and [progmp]
-    binaries: parse a campaign file, execute it on a domain pool, print
+(** The [simulate sweep] subcommand: parse a campaign file, execute it on a domain pool, print
     the deterministic group summary to stdout (wall-clock timing goes to
     stderr, keeping stdout reproducible), and optionally emit the full
     per-run data as CSV and/or JSON. *)
@@ -74,7 +73,10 @@ let write_file file contents =
   Out_channel.with_open_text file (fun oc ->
       Out_channel.output_string oc contents)
 
-let run prog spec_file jobs force_jobs csv json cc topology eventq =
+(* prefixes every error message *)
+let prog = "simulate sweep"
+
+let run spec_file jobs force_jobs csv json cc topology eventq =
   (* before Sweep.execute spawns worker domains, so every run's clocks
      are built on the selected core *)
   Fleet_cli.set_eventq ~prog eventq;
@@ -139,12 +141,12 @@ let run prog spec_file jobs force_jobs csv json cc topology eventq =
             exit 3
           end)
 
-let cmd ~prog =
+let cmd =
   Cmd.v
     (Cmd.info "sweep"
        ~doc:
          "Run an experiment campaign (a parameter grid of simulations) in \
           parallel on OCaml domains")
     Term.(
-      const (run prog) $ spec_arg $ jobs_arg $ jobs_force_arg $ csv_arg
+      const run $ spec_arg $ jobs_arg $ jobs_force_arg $ csv_arg
       $ json_arg $ cc_arg $ topology_arg $ Fleet_cli.eventq_arg)

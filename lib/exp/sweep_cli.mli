@@ -1,8 +1,7 @@
-(** The [sweep] subcommand shared by the [simulate] and [progmp]
-    binaries. Stdout (the deterministic group summary) is reproducible;
+(** The [simulate sweep] subcommand. Stdout (the deterministic group summary) is reproducible;
     wall-clock timing goes to stderr. Exit codes: 2 for campaign-file,
     scheduler, engine or fault-script errors; 3 when invariant checking
     was on and any run violated an invariant. *)
 
-val cmd : prog:string -> unit Cmdliner.Cmd.t
-(** [cmd ~prog] is the subcommand; [prog] prefixes error messages. *)
+val cmd : unit Cmdliner.Cmd.t
+(** The subcommand; its error messages start with [simulate sweep:]. *)

@@ -78,7 +78,7 @@ let get name =
 let instantiate name program = (get name).factory program
 
 (* The two runtime-resident backends register themselves when this
-   library is linked; [Progmp_compiler.Compile] adds "vm". The
+   library is linked; [Progmp_compiler.Compile] adds "threaded". The
    interpreter's code is the program itself and needs no scratch; the
    AOT's is its closure tree, which allocates its frame per execution. *)
 let () =

@@ -4,8 +4,8 @@
     into an executable decision function [Env.t -> unit]. The registry
     makes the backends interchangeable and discoverable by name: the
     interpreter and the AOT closure compiler register themselves here,
-    and [Progmp_compiler] adds the bytecode VMs and the threaded-code
-    engine at link time. All backend selection — CLIs, benchmarks,
+    and [Progmp_compiler] adds the threaded-code engine, which runs
+    verified bytecode, at link time. All backend selection — CLIs, benchmarks,
     differential tests, the simulator — goes through this one registry.
 
     A built-in engine works in two steps, like a scheduler compiled once

@@ -70,8 +70,8 @@ let unsafe_get t i = Array.unsafe_get t.buf (phys_index t i)
 
 (** [nth t i] is the i-th packet from the front, or [None] when out of
     range. O(1): the circular buffer makes this an offset computation,
-    not a list walk — [H_q_nth] sits on the VM's per-decision hot
-    path. *)
+    not a list walk — [H_q_nth] sits on the bytecode engines'
+    per-decision hot path. *)
 let nth t i = if i < 0 || i >= t.len then None else Some (unsafe_get t i)
 
 (** [get t i] is the i-th packet without the option wrapper — the

@@ -11,7 +11,7 @@
     comparing with the neighbouring packet, removals preserve it, and
     an emptied queue starts sorted again.
 
-    Decision-path cost audit (the operations the VM's helpers hit on
+    Decision-path cost audit (the operations the bytecode helpers hit on
     every scheduling decision): {!nth} is O(1) — an offset into the
     buffer, {e not} a list walk — and {!remove_at}[ t i] is
     O(min(i, length t - i)) element moves, so [pop_front] and

@@ -72,7 +72,7 @@ let of_source ~name src =
   }
 
 (** Select an execution engine by registry name ("interpreter", "aot",
-    "vm", ...): a fresh instance of the engine's cached compilation.
+    "threaded"): a fresh instance of the engine's cached compilation.
     @raise Engine.Unknown when no such engine is registered. *)
 let set_engine t name =
   t.run <- Engine.instantiate name t.program;

@@ -27,7 +27,7 @@ val of_source : name:string -> string -> t
 
 val set_engine : t -> string -> unit
 (** Select an execution engine by registry name ("interpreter", "aot",
-    "vm", ...): a fresh instance of the engine's cached compilation.
+    "threaded"): a fresh instance of the engine's cached compilation.
     @raise Engine.Unknown when no such engine is registered. *)
 
 val install_custom : t -> name:string -> (Env.t -> unit) -> unit

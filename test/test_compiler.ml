@@ -96,14 +96,6 @@ let bopt_suite =
                   if Array.length opt > Array.length raw then
                     Alcotest.failf "%s: optimize grew %d -> %d" name
                       (Array.length raw) (Array.length opt)));
-          tc "flat encoding round-trips the optimized zoo" (fun () ->
-              over_zoo (fun name raw ->
-                  let opt = Bopt.optimize raw in
-                  let back = Flat.decode (Flat.encode opt) in
-                  if back <> opt then
-                    Alcotest.failf "%s: flat encode/decode is not exact" name;
-                  if not (verifier_accepts back) then
-                    Alcotest.failf "%s: decoded flat program rejected" name));
           QCheck_alcotest.to_alcotest
             (QCheck2.Test.make
                ~name:"passes accepted + idempotent on random programs"
@@ -118,9 +110,37 @@ let bopt_suite =
                    Bopt.passes
                  &&
                  let opt = Bopt.optimize raw in
-                 verifier_accepts opt && Flat.decode (Flat.encode opt) = opt));
+                 verifier_accepts opt));
         ] );
   ]
+
+(* [default] on an interpreter scheduler, then installed specialized
+   for 2 subflows. The counter records every execution that reaches the
+   interpreter it falls back to. *)
+let specialized_default () =
+  let sched = load_anon Schedulers.Specs.default in
+  let interp = sched.Progmp_runtime.Scheduler.run in
+  let fallbacks = ref 0 in
+  Progmp_runtime.Scheduler.install_custom sched ~name:"interpreter"
+    (fun env ->
+      incr fallbacks;
+      interp env);
+  ignore (Compile.install_specialized ~subflow_count:2 sched : Vm.prog);
+  (sched, fallbacks)
+
+let three_subflows =
+  {
+    default_env_spec with
+    views =
+      default_env_spec.views
+      @ [
+          {
+            Progmp_runtime.Subflow_view.default with
+            Progmp_runtime.Subflow_view.id = 2;
+            rtt_us = 5_000;
+          };
+        ];
+  }
 
 let suite =
   [
@@ -208,6 +228,20 @@ let suite =
             match Vm.run prog env with
             | () -> Alcotest.fail "expected fault"
             | exception Vm.Fault _ -> ());
+        tc "threaded engine faults on bad queue code" (fun () ->
+            let run =
+              Threaded.instantiate
+                (Threaded.compile
+                   [|
+                     Isa.Movi (1, 7); Isa.Movi (2, 0); Isa.Call Isa.H_q_nth;
+                     Isa.Exit;
+                   |])
+            in
+            let env, views = build default_env_spec in
+            Progmp_runtime.Env.begin_execution env ~subflows:views;
+            match run env with
+            | () -> Alcotest.fail "expected fault"
+            | exception Vm.Fault _ -> ());
         tc "specialization agrees on matching subflow count" (fun () ->
             let program =
               Progmp_lang.Typecheck.compile_source Schedulers.Specs.default
@@ -236,12 +270,35 @@ let suite =
             Progmp_runtime.Env.begin_execution env ~subflows:views;
             engine env;
             Alcotest.(check bool) "fell back" true !interp_called);
-        tc "registry selection swaps in the vm engine" (fun () ->
+        tc "installed specialization matches the generic engine on 2 subflows"
+          (fun () ->
+            let sched, fallbacks = specialized_default () in
+            Alcotest.(check string)
+              "engine label" "threaded[2]"
+              (Progmp_runtime.Scheduler.engine_label sched);
+            let ((tape, _, _) as got) = run_once sched default_env_spec in
+            Alcotest.(check bool) "decides something" true (tape <> []);
+            Alcotest.(check bool)
+              "tape, queues and registers" true
+              (got = run_once (load_anon Schedulers.Specs.default)
+                       default_env_spec);
+            Alcotest.(check int) "no fallback" 0 !fallbacks);
+        tc "installed specialization falls back on 3 subflows and matches"
+          (fun () ->
+            let sched, fallbacks = specialized_default () in
+            let ((tape, _, _) as got) = run_once sched three_subflows in
+            Alcotest.(check bool) "decides something" true (tape <> []);
+            Alcotest.(check bool)
+              "tape, queues and registers" true
+              (got = run_once (load_anon Schedulers.Specs.default)
+                       three_subflows);
+            Alcotest.(check int) "fell back once" 1 !fallbacks);
+        tc "registry selection swaps in the threaded engine" (fun () ->
             Compile.register_engines ();
             let sched = load_anon Schedulers.Specs.minrtt_minimal in
-            Progmp_runtime.Scheduler.set_engine sched "vm";
+            Progmp_runtime.Scheduler.set_engine sched "threaded";
             Alcotest.(check string)
-              "engine label" "vm"
+              "engine label" "threaded"
               (Progmp_runtime.Scheduler.engine_label sched));
         tc "negative subflow count is rejected" (fun () ->
             let program =
@@ -251,11 +308,11 @@ let suite =
             | (_ : Vm.prog) -> Alcotest.fail "expected Invalid_argument"
             | exception Invalid_argument _ -> ());
             ignore (Compile.compile ~subflow_count:0 program : Vm.prog));
-        tc "engine registry is aot, interpreter, threaded, vm" (fun () ->
+        tc "engine registry is aot, interpreter, threaded" (fun () ->
             Compile.register_engines ();
             Alcotest.(check (list string))
               "engines"
-              [ "aot"; "interpreter"; "threaded"; "vm" ]
+              [ "aot"; "interpreter"; "threaded" ]
               (Progmp_runtime.Engine.names ()));
         tc "compile stats are sane" (fun () ->
             let program =
@@ -272,16 +329,16 @@ let suite =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Middle-end semantics and the VM's two execution paths.             *)
+(* Middle-end semantics, and the threaded engine against the boxed VM. *)
 (* ------------------------------------------------------------------ *)
 
-(* Observable outcome of running [prog] on a fresh environment built
-   from [spec]: action tape, queue contents and register file — the
-   yardstick for "the middle-end preserved the semantics". *)
-let run_prog ?(spec = default_env_spec) prog =
+(* Observable outcome of one execution of [run] on a fresh environment
+   built from [spec]: action tape, queue contents and register file —
+   the yardstick for "the middle-end preserved the semantics". *)
+let observe ?(spec = default_env_spec) run =
   let env, views = build spec in
   Progmp_runtime.Env.begin_execution env ~subflows:views;
-  Vm.run prog env;
+  run env;
   ( List.map norm_action (Progmp_runtime.Env.finish_execution env),
     ( seqs_of env.Progmp_runtime.Env.q,
       seqs_of env.Progmp_runtime.Env.qu,
@@ -290,12 +347,11 @@ let run_prog ?(spec = default_env_spec) prog =
 
 (* [code] on the boxed VM (the bounds-checked reference path). *)
 let run_code ?spec code =
-  run_prog ?spec (Vm.make_prog ~spill_slots:Isa.stack_words code)
+  observe ?spec (Vm.run (Vm.make_prog ~spill_slots:Isa.stack_words code))
 
-(* [code] on the flat-encoded fast path. *)
-let run_flat ?spec code =
-  run_prog ?spec
-    (Vm.make_prog ~flat:(Flat.encode code) ~spill_slots:Isa.stack_words code)
+(* Verifier-accepted [code] on the threaded engine. *)
+let run_threaded ?spec code =
+  observe ?spec (Threaded.instantiate (Threaded.compile code))
 
 (* The whole middle-end preserves behaviour: raw emit output and its
    optimized form agree on the boxed VM. *)
@@ -303,11 +359,11 @@ let optimize_agrees ~spec raw =
   let opt = Bopt.optimize raw in
   verifier_accepts opt && run_code ~spec raw = run_code ~spec opt
 
-(* Identical optimized code runs the same on the boxed and the flat
-   path. *)
-let boxed_agrees_with_flat ~spec raw =
+(* Identical optimized code runs the same on the boxed VM and the
+   threaded engine. *)
+let boxed_agrees_with_threaded ~spec raw =
   let opt = Bopt.optimize raw in
-  run_code ~spec opt = run_flat ~spec opt
+  verifier_accepts opt && run_code ~spec opt = run_threaded ~spec opt
 
 (* A fixed sample of random environments for the zoo checks. *)
 let zoo_env_specs =
@@ -346,8 +402,8 @@ let middle_end_suite =
       [
         tc "optimized zoo: behaviour-preserving" (fun () ->
             over_zoo_envs optimize_agrees);
-        tc "optimized zoo: boxed = flat" (fun () ->
-            over_zoo_envs boxed_agrees_with_flat);
+        tc "optimized zoo: boxed = threaded" (fun () ->
+            over_zoo_envs boxed_agrees_with_threaded);
         tc "fused zoo: accepted and behaviour-preserving" (fun () ->
             over_zoo_envs (fun ~spec raw ->
                 let fused = Bopt.fuse raw in
@@ -358,20 +414,10 @@ let middle_end_suite =
             Alcotest.(check bool)
               "has a superinstruction" true
               (Array.exists is_superinstruction opt));
-        tc "flat path charges the step budget" (fun () ->
-            let code = [| Isa.Jmp 0 |] in
-            let prog =
-              Vm.make_prog ~flat:(Flat.encode code) ~spill_slots:0 code
-            in
-            let env, views = build default_env_spec in
-            Progmp_runtime.Env.begin_execution env ~subflows:views;
-            match Vm.run ~max_steps:100 prog env with
-            | () -> Alcotest.fail "expected a step-budget fault"
-            | exception Vm.Fault _ -> ());
         tc "threaded engine charges the step budget" (fun () ->
             let run =
               Threaded.instantiate
-                (Threaded.compile_code ~max_steps:100 [| Isa.Jmp 0 |])
+                (Threaded.compile ~max_steps:100 [| Isa.Jmp 0 |])
             in
             let env, views = build default_env_spec in
             Progmp_runtime.Env.begin_execution env ~subflows:views;
@@ -382,8 +428,8 @@ let middle_end_suite =
           (random_agrees "optimize: accepted, behaviour-preserving"
              optimize_agrees);
         QCheck_alcotest.to_alcotest
-          (random_agrees "optimized random programs: boxed = flat"
-             boxed_agrees_with_flat);
+          (random_agrees "optimized random programs: boxed = threaded"
+             boxed_agrees_with_threaded);
       ] );
   ]
 

@@ -257,10 +257,9 @@ let random_diff =
         specs)
 
 (* Whole-simulation differential under fault injection: the same
-   scheduler driven by the interpreter, the AOT engine and the bytecode
-   VM, over identical network dynamics (flapping outage, loss episode,
-   bandwidth change, subflow fail/reestablish), must make identical
-   scheduling decisions — observed as identical delivery order, subflow
+   scheduler driven by every registered engine, over identical network
+   dynamics (flapping outage, loss episode, bandwidth change, subflow
+   fail/reestablish), must make identical scheduling decisions — observed as identical delivery order, subflow
    counters and meta-socket statistics. *)
 
 type sim_fingerprint = {

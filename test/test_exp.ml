@@ -37,7 +37,7 @@ let spec_suite =
                 "# figure 10b\n\
                  scenario bulk stream\n\
                  scheduler default redundant_if_no_q\n\
-                 engine interpreter vm\n\
+                 engine interpreter threaded\n\
                  loss 0.0 0.02   # two loss points\n\
                  seed 1..3 7\n\
                  fault none outage=outage.fs\n\

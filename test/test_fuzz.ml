@@ -68,7 +68,8 @@ let fuzz_mutants =
     gen_mutant load_or_error
 
 (* Whatever parses and checks must also compile, verify and execute
-   without OCaml-level exceptions. *)
+   without OCaml-level exceptions, on the reference VM and on the
+   threaded engine. *)
 let fuzz_full_pipeline =
   QCheck2.Test.make ~name:"checked mutants run on all backends" ~count:500
     gen_mutant (fun src ->
@@ -86,6 +87,11 @@ let fuzz_full_pipeline =
               Progmp_runtime.Env.begin_execution env2 ~subflows:views2;
               Progmp_compiler.Vm.run prog env2;
               ignore (Progmp_runtime.Env.finish_execution env2);
+              let env3, views3 = build default_env_spec in
+              Progmp_runtime.Env.begin_execution env3 ~subflows:views3;
+              Progmp_compiler.(
+                Threaded.instantiate (Threaded.compile prog.Vm.code) env3);
+              ignore (Progmp_runtime.Env.finish_execution env3);
               true
           | exception Progmp_compiler.Compile.Rejected _ -> false))
 

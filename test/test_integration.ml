@@ -124,9 +124,9 @@ let suite =
             in
             Progmp_compiler.Compile.register_engines ();
             let interp = run (fun s -> Scheduler.set_engine s "interpreter") in
-            let vm = run (fun s -> Scheduler.set_engine s "vm") in
+            let threaded = run (fun s -> Scheduler.set_engine s "threaded") in
             let aot = run (fun s -> Scheduler.set_engine s "aot") in
-            Alcotest.(check bool) "vm identical" true (interp = vm);
+            Alcotest.(check bool) "threaded identical" true (interp = threaded);
             Alcotest.(check bool) "aot identical" true (interp = aot));
         tc "per-packet intents steer individual packets" (fun () ->
             load ();

@@ -1,14 +1,16 @@
 #!/usr/bin/env bash
 # Decision-throughput regression gate, run as part of `dune runtest`:
-# runs a fresh `bench engines --smoke` and compares the optimized VM's
-# ns/decision per scheduler against the committed full-run baseline
-# (BENCH_engines.json at the repo root). The geometric mean of the
+# runs a fresh `bench engines --smoke` and compares, for every engine
+# the committed full-run baseline (BENCH_engines.json at the repo root)
+# names in its "engines" list, that engine's ns/decision per scheduler
+# against the baseline's column. Per engine, the geometric mean of the
 # per-scheduler fresh/baseline ratios must stay within TOLERANCE x, and
 # no single scheduler may exceed HARD_CAP x — the mean absorbs the
 # noise of a single ~µs-scale smoke measurement on a contended test
-# machine, while the cap still catches one fast path falling off a
-# cliff (e.g. the flat encoding silently degrading to the boxed
-# interpreter). Also checks the committed BENCH_fleet.json hosting
+# machine, while the cap still catches one engine falling off a cliff
+# on one scheduler (e.g. the threaded engine's call-site
+# specialization silently degrading to generic helper calls). Also
+# checks the committed BENCH_fleet.json hosting
 # ladder: it must be a full (non-smoke) run whose top rung reaches the
 # 1M-concurrent / 1M-arrival headline with the 100k rung's decision
 # throughput within FLEET_DPS_RATIO x of the 10k rung's (per-connection
@@ -112,30 +114,19 @@ check_engines() {
       | sed 's/[[:space:]"]//g' | grep -v '^$'
   }
 
-  extract "$baseline" vm_ns_per_decision > "$tmp/base.txt"
-  extract "$fresh" vm_ns_per_decision > "$tmp/fresh.txt"
-  [ -s "$tmp/base.txt" ] || { echo "error: no vm entries in $baseline" >&2; return 1; }
-
   est=0
   # Every engine the baseline measured must still be registered: a backend
   # dropping out of Engine.names() would otherwise silently vanish from
   # the comparison instead of failing the gate.
   engines_of "$baseline" > "$tmp/base_engines.txt"
   engines_of "$fresh" > "$tmp/fresh_engines.txt"
+  [ -s "$tmp/base_engines.txt" ] || { echo "error: no engines list in $baseline" >&2; return 1; }
   while read -r engine; do
     if ! grep -qx "$engine" "$tmp/fresh_engines.txt"; then
       echo "error: engine $engine present in baseline but missing from fresh bench run" >&2
       est=1
     fi
   done < "$tmp/base_engines.txt"
-
-  # Every baseline scheduler must still be measured.
-  while read -r sched _; do
-    if ! awk -v s="$sched" '$1 == s { found = 1 } END { exit !found }' "$tmp/fresh.txt"; then
-      echo "error: scheduler $sched present in baseline but missing from fresh bench run" >&2
-      est=1
-    fi
-  done < "$tmp/base.txt"
 
 compare() { # $1 = base pairs, $2 = fresh pairs, $3 = engine label
   awk -v tol="$TOLERANCE" -v cap="$HARD_CAP" -v eng="$3" '
@@ -160,16 +151,24 @@ compare() { # $1 = base pairs, $2 = fresh pairs, $3 = engine label
     }' "$1" "$2"
 }
 
-  compare "$tmp/base.txt" "$tmp/fresh.txt" vm || est=1
-
-  # The threaded-code tier gets the same per-column guard; older
-  # baselines without the column skip it (the engines diff above already
-  # caught a disappearing backend).
-  extract "$baseline" threaded_ns_per_decision > "$tmp/base_threaded.txt"
-  extract "$fresh" threaded_ns_per_decision > "$tmp/fresh_threaded.txt"
-  if [ -s "$tmp/base_threaded.txt" ]; then
-    compare "$tmp/base_threaded.txt" "$tmp/fresh_threaded.txt" threaded || est=1
-  fi
+  # Each engine's column is gated on its own; every baseline scheduler
+  # must still be measured in it.
+  while read -r engine; do
+    extract "$baseline" "${engine}_ns_per_decision" > "$tmp/base_$engine.txt"
+    extract "$fresh" "${engine}_ns_per_decision" > "$tmp/fresh_$engine.txt"
+    if [ ! -s "$tmp/base_$engine.txt" ]; then
+      echo "error: no $engine entries in $baseline" >&2
+      est=1
+      continue
+    fi
+    while read -r sched _; do
+      if ! awk -v s="$sched" '$1 == s { found = 1 } END { exit !found }' "$tmp/fresh_$engine.txt"; then
+        echo "error: scheduler $sched present in baseline but missing from fresh bench run" >&2
+        est=1
+      fi
+    done < "$tmp/base_$engine.txt"
+    compare "$tmp/base_$engine.txt" "$tmp/fresh_$engine.txt" "$engine" || est=1
+  done < "$tmp/base_engines.txt"
 
   if [ "$est" -ne 0 ]; then
     echo "hint: if the slowdown is expected, refresh the baseline with:" >&2
