@@ -940,26 +940,22 @@ let fleet_bench () =
   Printf.fprintf oc "  ]\n}\n"
 
 (* ------------------------------------------------------------------ *)
-(* eventq — event-core microbenchmark: binary heap vs timing wheel     *)
+(* eventq — event-core microbenchmark: the hierarchical timing wheel  *)
 (* ------------------------------------------------------------------ *)
 
 (* Isolated cost of the event core itself, outside any protocol logic:
    schedule, cancel, timer re-arm, drain and steady-state churn, each
-   against 1k / 100k / 1M pending events, on both cores. Delays are
-   exponential around a link-delay scale — the distribution the fleet's
-   transmit and RTO events actually produce — and every workload feeds
-   both cores the same pre-drawn delays, so executed-event totals must
-   agree exactly (asserted; a cheap standing differential check at
-   scales the property suite cannot reach). Results land in
-   BENCH_eventq.json for the regression gate. *)
+   against 1k / 100k / 1M pending events. Delays are exponential around
+   a link-delay scale — the distribution the fleet's transmit and RTO
+   events actually produce. Results land in BENCH_eventq.json for the
+   regression gate. *)
 
 let eventq_bench () =
   section "eventq"
     "event-core microbenchmark: schedule/cancel/re-arm/drain/churn at 1k, \
-     100k and 1M pending events, binary heap vs hierarchical timing wheel"
-    "wheel ns/op stays flat as pending events grow 1000x (O(1) buckets) \
-     while heap ns/op grows with log n; both cores execute identical \
-     event counts";
+     100k and 1M pending events on the hierarchical timing wheel"
+    "schedule, cancel and re-arm ns/op stay flat as pending events grow \
+     1000x (O(1) buckets)";
   let pendings =
     if !smoke then [ 1_000 ] else [ 1_000; 100_000; 1_000_000 ]
   in
@@ -971,9 +967,9 @@ let eventq_bench () =
     let ops = f () in
     (ns (Unix.gettimeofday () -. t0) ops, ops)
   in
-  (* per (workload, pending) row: measure one core *)
-  let measure core ~n =
-    let mk () = Eventq.create ~core () in
+  (* per (workload, pending) row *)
+  let measure ~n =
+    let mk () = Eventq.create () in
     let draw seed k =
       let rng = Rng.create seed in
       Array.init k (fun _ -> Rng.exponential rng ~mean:mean_delay)
@@ -1049,43 +1045,30 @@ let eventq_bench () =
      work: take the per-workload minimum over a few passes — min filters
      purely-additive scheduling noise that a mean would keep. *)
   let reps = if !smoke then 5 else 3 in
-  let measure_min core ~n =
-    let best = ref (measure core ~n) in
+  let measure_min ~n =
+    let best = ref (measure ~n) in
     for _ = 2 to reps do
       best :=
         List.map2
           (fun (w, ns, ops) (w', ns', ops') ->
             assert (w = w' && ops = ops');
             (w, Float.min ns ns', ops))
-          !best (measure core ~n)
+          !best (measure ~n)
     done;
     !best
   in
-  Fmt.pr "%-9s %9s %12s %12s %9s@." "workload" "pending" "heap ns/op"
-    "wheel ns/op" "speedup";
+  Fmt.pr "%-9s %9s %12s@." "workload" "pending" "wheel ns/op";
   let rows =
     List.concat_map
       (fun n ->
-        let heap = measure_min Eventq.Heap ~n in
-        let wheel = measure_min Eventq.Wheel ~n in
-        List.map2
-          (fun (w, h_ns, h_ops) (w', wl_ns, wl_ops) ->
-            assert (w = w');
-            if h_ops <> wl_ops then begin
-              Fmt.epr
-                "eventq bench: cores diverged on %s @ %d pending: heap \
-                 executed %d ops, wheel %d@."
-                w n h_ops wl_ops;
-              exit 2
-            end;
-            Fmt.pr "%-9s %9d %12.1f %12.1f %8.2fx@." w n h_ns wl_ns
-              (h_ns /. Float.max 1e-9 wl_ns);
+        List.map
+          (fun (w, ns, _) ->
+            Fmt.pr "%-9s %9d %12.1f@." w n ns;
             csv ~experiment:"eventq"
-              ~header:
-                [ "workload"; "pending"; "heap_ns_per_op"; "wheel_ns_per_op" ]
-              [ w; string_of_int n; Fmt.str "%.1f" h_ns; Fmt.str "%.1f" wl_ns ];
-            (w, n, h_ns, wl_ns))
-          heap wheel)
+              ~header:[ "workload"; "pending"; "wheel_ns_per_op" ]
+              [ w; string_of_int n; Fmt.str "%.1f" ns ];
+            (w, n, ns))
+          (measure_min ~n))
       pendings
   in
   write_record ~smoke:!smoke "BENCH_eventq.json" @@ fun oc ->
@@ -1099,11 +1082,11 @@ let eventq_bench () =
     !smoke;
   let last = List.length rows - 1 in
   List.iteri
-    (fun i (w, n, h_ns, wl_ns) ->
+    (fun i (w, n, ns) ->
       Printf.fprintf oc
-        "    { \"workload\": \"%s\", \"pending\": %d, \"heap_ns_per_op\": \
-         %.1f, \"wheel_ns_per_op\": %.1f }%s\n"
-        w n h_ns wl_ns
+        "    { \"workload\": \"%s\", \"pending\": %d, \"wheel_ns_per_op\": \
+         %.1f }%s\n"
+        w n ns
         (if i = last then "" else ","))
     rows;
   Printf.fprintf oc "  ]\n}\n"

@@ -156,10 +156,8 @@ let print_result scenario ~topo ~cc (o : Scenarios.outcome) =
   | _ -> summary (List.hd o.conns)
 
 let run_scenario scenario scheduler seed loss duration engine faults_file
-    check_inv trace_file metrics_file metrics_interval verbose cc topology
-    eventq =
+    check_inv trace_file metrics_file metrics_interval verbose cc topology =
   setup_logging verbose;
-  Fleet_cli.set_eventq ~prog:"simulate" eventq;
   let sched = setup_scheduler scheduler engine in
   let cc_policy =
     match Congestion.of_string cc with
@@ -268,7 +266,7 @@ let scenario_term =
     $ Fleet_cli.seed_arg $ Fleet_cli.loss_arg $ duration_arg
     $ Fleet_cli.engine_arg $ faults_arg $ invariants_arg $ trace_arg
     $ metrics_arg $ metrics_interval_arg $ verbose_arg $ Fleet_cli.cc_arg
-    $ topology_arg $ Fleet_cli.eventq_arg)
+    $ topology_arg)
 
 let scenario_cmd =
   Cmd.v

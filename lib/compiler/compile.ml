@@ -44,8 +44,7 @@ let compile_with_stats ?subflow_count (p : Progmp_lang.Tast.program) :
   let raw = Emit.emit vcode alloc in
   let code = Bopt.optimize raw in
   verify_or_reject "compiled" code;
-  ( Vm.make_prog ?specialized_for:subflow_count
-      ~spill_slots:alloc.Regalloc.spill_slots code,
+  ( Vm.make_prog ?specialized_for:subflow_count code,
     {
       vinstrs = Array.length vcode.Vcode.code;
       raw_instrs = Array.length raw;

@@ -16,7 +16,6 @@ open Progmp_runtime
 
 type prog = {
   code : Isa.instr array;
-  spill_slots : int;
   specialized_for : int option;
       (** compiled for a constant subflow count; the engine guards on it *)
   stack_extent : int;  (** an instance's stack size ({!Isa.stack_extent}) *)
@@ -24,13 +23,8 @@ type prog = {
 
 (** Wrap code into an immutable program. Any number of instances
     ({!instantiate}) may run it, on any domain. *)
-let make_prog ?specialized_for ~spill_slots code =
-  {
-    code;
-    spill_slots;
-    specialized_for;
-    stack_extent = Isa.stack_extent code;
-  }
+let make_prog ?specialized_for code =
+  { code; specialized_for; stack_extent = Isa.stack_extent code }
 
 exception Fault of string
 

@@ -6,7 +6,6 @@
 
 type prog = {
   code : Isa.instr array;
-  spill_slots : int;
   specialized_for : int option;
       (** compiled for a constant subflow count; the engine guards on it *)
   stack_extent : int;
@@ -14,8 +13,7 @@ type prog = {
 }
 (** Immutable: share one program across instances and domains. *)
 
-val make_prog :
-  ?specialized_for:int -> spill_slots:int -> Isa.instr array -> prog
+val make_prog : ?specialized_for:int -> Isa.instr array -> prog
 (** Wrap code into a program. Every access is bounds-checked, so the
     code need not be verified. *)
 

@@ -97,28 +97,10 @@ let cc_arg =
           "Congestion-control coupling across subflows: \
            reno|lia|olia|coupled|ecoupled[:EPS].")
 
-let eventq_arg =
-  Arg.(
-    value
-    & opt string (Eventq.core_kind_to_string (Eventq.default_core ()))
-    & info [ "eventq" ] ~docv:"CORE"
-        ~doc:
-          "Event-queue core: $(b,wheel) (hierarchical timing wheel, O(1) \
-           schedule/cancel, the default) or $(b,heap) (binary min-heap \
-           escape hatch). Results are bit-identical; only speed differs.")
-
-let set_eventq ~prog s =
-  match Eventq.core_kind_of_string s with
-  | Ok k -> Eventq.set_default_core k
-  | Error msg ->
-      Fmt.epr "%s: --eventq: %s@." prog msg;
-      exit 2
-
 let fail fmt = Fmt.kstr (fun msg -> Fmt.epr "fleet: %s@." msg; exit 2) fmt
 
 let run scheduler engine seed loss duration groups rate size ramp metrics
-    interval shards cc eventq =
-  set_eventq ~prog:"fleet" eventq;
+    interval shards cc =
   if groups < 1 then fail "--groups must be >= 1";
   if rate <= 0.0 then fail "--rate must be > 0";
   if shards < 1 then fail "--shards must be >= 1";
@@ -205,4 +187,4 @@ let cmd =
     Term.(
       const run $ scheduler_arg $ engine_arg $ seed_arg $ loss_arg
       $ duration_arg $ groups_arg $ rate_arg $ size_arg $ ramp_arg
-      $ metrics_arg $ interval_arg $ shards_arg $ cc_arg $ eventq_arg)
+      $ metrics_arg $ interval_arg $ shards_arg $ cc_arg)

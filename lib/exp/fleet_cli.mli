@@ -13,12 +13,3 @@ val engine_arg : string Cmdliner.Term.t
 val seed_arg : int Cmdliner.Term.t
 val loss_arg : float Cmdliner.Term.t
 val cc_arg : string Cmdliner.Term.t
-
-val eventq_arg : string Cmdliner.Term.t
-(** [--eventq wheel|heap]: shared flag selecting the event-queue core. *)
-
-val set_eventq : prog:string -> string -> unit
-(** Validate the [--eventq] value and install it as the process-wide
-    default core ({!Mptcp_sim.Eventq.set_default_core}) — call before
-    any queue (or shard domain) is created. Exits with code 2 and a
-    [prog]-prefixed message on an unknown core name. *)

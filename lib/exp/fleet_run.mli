@@ -5,10 +5,8 @@
     arrivals, so aggregate totals match the unsharded run up to float
     summation order in [t_fct_sum]; merged [t_peak_live] sums per-shard
     peaks (upper bound on the simultaneous peak). Each shard's clock is
-    built by {!Mptcp_sim.Fleet.create}: the process-default event core
-    (set the [--eventq] choice via {!Mptcp_sim.Eventq.set_default_core}
-    {e before} calling {!run}, which spawns the domains) with a wheel
-    quantum derived from the minimum link delay of the topology. *)
+    built by {!Mptcp_sim.Fleet.create}: a timing wheel whose quantum is
+    derived from the minimum link delay of the topology. *)
 
 open Mptcp_sim
 

@@ -76,10 +76,7 @@ let write_file file contents =
 (* prefixes every error message *)
 let prog = "simulate sweep"
 
-let run spec_file jobs force_jobs csv json cc topology eventq =
-  (* before Sweep.execute spawns worker domains, so every run's clocks
-     are built on the selected core *)
-  Fleet_cli.set_eventq ~prog eventq;
+let run spec_file jobs force_jobs csv json cc topology =
   match Spec.load spec_file with
   | Error msg ->
       Fmt.epr "%s: %s@." prog msg;
@@ -149,4 +146,4 @@ let cmd =
           parallel on OCaml domains")
     Term.(
       const run $ spec_arg $ jobs_arg $ jobs_force_arg $ csv_arg
-      $ json_arg $ cc_arg $ topology_arg $ Fleet_cli.eventq_arg)
+      $ json_arg $ cc_arg $ topology_arg)

@@ -13,7 +13,8 @@ type sample = {
   s_peak_live : int;
   s_arrivals : int;
   s_completed : int;
-  s_heap_nodes : int;  (** event-queue size, compaction visible *)
+  s_heap_nodes : int;
+      (** live event-queue nodes ({!Mptcp_sim.Eventq.live_nodes}) *)
   s_executions : int;  (** cumulative scheduler decisions *)
   s_decisions_per_sec : float;
       (** decisions over the last interval, per simulated second *)
@@ -93,7 +94,7 @@ let sample_now t =
       s_peak_live = tot.Mptcp_sim.Fleet.t_peak_live;
       s_arrivals = tot.Mptcp_sim.Fleet.t_arrivals;
       s_completed = tot.Mptcp_sim.Fleet.t_completed;
-      s_heap_nodes = Mptcp_sim.Eventq.heap_nodes clock;
+      s_heap_nodes = Mptcp_sim.Eventq.live_nodes clock;
       s_executions = tot.Mptcp_sim.Fleet.t_executions;
       s_decisions_per_sec =
         (if dt > 0.0 then float_of_int d_exec /. dt else 0.0);

@@ -11,7 +11,8 @@ type sample = {
   s_peak_live : int;
   s_arrivals : int;
   s_completed : int;
-  s_heap_nodes : int;  (** event-queue size, compaction visible *)
+  s_heap_nodes : int;
+      (** live event-queue nodes ({!Mptcp_sim.Eventq.live_nodes}) *)
   s_executions : int;  (** cumulative scheduler decisions *)
   s_decisions_per_sec : float;
       (** decisions over the last interval, per simulated second *)

@@ -3,35 +3,31 @@
     order (a monotone sequence number breaks ties), which keeps runs
     deterministic.
 
-    Two interchangeable cores implement the queue behind the
-    {!EVENT_CORE} signature, selected at {!create}:
+    The queue is a hierarchical timing wheel (Varghese–Lauck). Fire
+    times are quantized to an integer tick ([time / quantum]) and events
+    hang off power-of-two bucket arrays — 13 levels of 32 slots, level
+    [l] spanning [32^l] ticks per slot — so [schedule], [cancel] and
+    [timer_arm] are O(1): no sift, no pointer-chasing across a
+    multi-million-node array. Dispatch is batched: the next due bucket
+    is drained whole into a small "due" heap and executed from there.
+    The quantum only decides which events share a bucket; within a
+    bucket events are ordered by their exact [(time, seq)] key, so the
+    execution order — and therefore the run — is bit-identical for
+    {e any} quantum. At a quantum coarser than every fire time all
+    ticks are 0: after the first drain every event goes straight to the
+    due heap, and the wheel degenerates into a plain indexed binary
+    heap — the oracle the differential property suite replays finer
+    quanta against.
 
-    - [Wheel] (default): a hierarchical timing wheel (Varghese–Lauck).
-      Fire times are quantized to an integer tick ([time / quantum]) and
-      events hang off power-of-two bucket arrays — 13 levels of 32 slots,
-      level [l] spanning [32^l] ticks per slot — so [schedule], [cancel]
-      and [timer_arm] are O(1): no sift, no pointer-chasing across a
-      multi-million-node array. Dispatch is batched: the next due bucket
-      is drained whole into a small "due" heap and executed from there.
-      The quantum only decides which events share a bucket; within a
-      bucket events are ordered by their exact [(time, seq)] key, so the
-      execution order — and therefore the run — is bit-identical to the
-      binary heap for {e any} quantum.
-    - [Heap]: a binary min-heap. O(log n) but proportional to live
-      events only, which can beat the wheel when events are few and
-      spread across wildly different timescales. Kept as the escape
-      hatch ([--eventq heap]) and as the oracle for the differential
-      property suite.
-
-    Cancellation is {e physical} in both cores: every event tracks its
-    slot in whatever structure holds it, so {!cancel} swap-removes it —
-    O(1) from a wheel bucket, O(log n) from a heap — releasing the node
-    and its action closure immediately. No structure ever holds a
-    cancelled event, so there is no lazy dead count, no compaction
-    heuristic, and the final clock of a run can never depend on internal
-    bookkeeping; it also means a {!timer}'s event cell is always free
-    for reuse when re-armed, making the RTO pattern (re-arm on every
-    ack) allocation-free. *)
+    Cancellation is {e physical}: every event tracks its slot in
+    whatever structure holds it, so {!cancel} swap-removes it — O(1)
+    from a bucket, O(log n) from the due heap — releasing the node and
+    its action closure immediately. No structure ever holds a cancelled
+    event, so there is no lazy dead count, no compaction heuristic, and
+    the final clock of a run can never depend on internal bookkeeping;
+    it also means a {!timer}'s event cell is always free for reuse when
+    re-armed, making the RTO pattern (re-arm on every ack)
+    allocation-free. *)
 
 (* [qshared] is the per-queue state shared with every event of that
    queue, so {!cancel} — which has no queue handle — can check the
@@ -51,8 +47,7 @@ type event = {
       (** the wheel bucket physically holding this event, or
           [dummy_bucket] *)
   mutable hh : heap;
-      (** the (due or core) heap physically holding this event, or
-          [dummy_heap] *)
+      (** the due heap physically holding this event, or [dummy_heap] *)
   mutable pos : int;
       (** index in [home.b_evs] or [hh.h_arr]; -1 when the event is in
           no structure (not yet inserted, fired, or cancelled) *)
@@ -100,9 +95,8 @@ let before (a : event) (b : event) =
   a.time < b.time || (a.time = b.time && a.seq < b.seq)
 
 (* ---------- indexed binary heap primitives ----------
-   Used both as the [Heap] core and as the wheel's due set. Every move
-   maintains the resident events' [pos] so {!cancel} can delete from
-   the middle. *)
+   The wheel's due set. Every move maintains the resident events' [pos]
+   so {!cancel} can delete from the middle. *)
 
 let heap_make () = { h_arr = Array.make 256 dummy_event; h_size = 0 }
 
@@ -353,73 +347,16 @@ let wheel_pop w =
     Some (hpop w.w_due)
   end
 
-(* ---------- the core seam ---------- *)
+let wheel_make ~quantum =
+  {
+    w_inv_quantum = 1.0 /. quantum;
+    w_levels =
+      Array.init wheel_levels (fun _ -> Array.make wheel_slots dummy_bucket);
+    w_cur = 0;
+    w_due = heap_make ();
+    w_count = 0;
+  }
 
-(** What a queue core must provide. [insert] takes ownership of an
-    event whose [time]/[seq] fields are already set and records the
-    event's physical location in it; [pop] yields events in exact
-    [(time, seq)] order. Cores never hold cancelled events —
-    {!cancel} removes them physically through the location fields. *)
-module type EVENT_CORE = sig
-  type state
-
-  val name : string
-  val make : quantum:float -> state
-  val insert : state -> event -> unit
-  val pop : state -> event option
-  val nodes : state -> int
-end
-
-module Heap_core : EVENT_CORE with type state = heap = struct
-  type state = heap
-
-  let name = "heap"
-  let make ~quantum:_ = heap_make ()
-  let insert = hpush
-  let pop h = if h.h_size = 0 then None else Some (hpop h)
-  let nodes h = h.h_size
-end
-
-module Wheel_core : EVENT_CORE with type state = wheel = struct
-  type state = wheel
-
-  let name = "wheel"
-
-  let make ~quantum =
-    {
-      w_inv_quantum = 1.0 /. quantum;
-      w_levels =
-        Array.init wheel_levels (fun _ -> Array.make wheel_slots dummy_bucket);
-      w_cur = 0;
-      w_due = heap_make ();
-      w_count = 0;
-    }
-
-  let insert = wheel_place
-  let pop = wheel_pop
-  let nodes = wheel_nodes
-end
-
-type core = Core : (module EVENT_CORE with type state = 's) * 's -> core
-type core_kind = Wheel | Heap
-
-let core_kind_to_string = function Wheel -> "wheel" | Heap -> "heap"
-let core_names = [ "wheel"; "heap" ]
-
-let core_kind_of_string = function
-  | "wheel" -> Ok Wheel
-  | "heap" -> Ok Heap
-  | s ->
-      Error
-        (Printf.sprintf "unknown event core %S (expected one of: %s)" s
-           (String.concat ", " core_names))
-
-(* Process-wide default, so a single [--eventq heap] flag reaches every
-   queue a scenario creates internally (per-connection clocks, sweep
-   scenarios, fleet shards). Set it before spawning shard domains. *)
-let default_core_ref = ref Wheel
-let set_default_core k = default_core_ref := k
-let default_core () = !default_core_ref
 let default_quantum = 1e-4
 
 (* A tick a comfortable factor below the minimum propagation delay keeps
@@ -437,33 +374,23 @@ type t = {
   qs : qshared;
   mutable observers : (unit -> unit) list;
       (** run after every executed event, in registration order *)
-  core : core;
-  kind : core_kind;
+  wheel : wheel;
   quantum : float;
 }
 
-let create ?core:kind ?(quantum = default_quantum) () =
+let create ?(quantum = default_quantum) () =
   if not (Float.is_finite quantum && quantum > 0.0) then
     invalid_arg "Eventq.create: quantum must be positive and finite";
-  let kind = match kind with Some k -> k | None -> !default_core_ref in
-  let core =
-    match kind with
-    | Heap -> Core ((module Heap_core), Heap_core.make ~quantum)
-    | Wheel -> Core ((module Wheel_core), Wheel_core.make ~quantum)
-  in
   {
     now = 0.0;
     next_seq = 0;
     qs = { in_observer = false };
     observers = [];
-    core;
-    kind;
+    wheel = wheel_make ~quantum;
     quantum;
   }
 
 let now t = t.now
-let core t = t.kind
-let core_name t = core_kind_to_string t.kind
 let quantum t = t.quantum
 
 (** Register [f] to run after every executed (non-cancelled) event —
@@ -478,16 +405,6 @@ let obs_guard (qs : qshared) op =
       ("Eventq." ^ op
      ^ ": called from inside an Eventq observer (observers are read-only \
         and must not schedule or cancel events)")
-
-(* ---------- shared core wrappers ---------- *)
-
-let core_insert t ev =
-  let (Core ((module C), st)) = t.core in
-  C.insert st ev
-
-let core_pop t =
-  let (Core ((module C), st)) = t.core in
-  C.pop st
 
 (** Schedule [action] at absolute time [at] (>= now). Returns a handle
     that {!cancel} accepts. *)
@@ -507,7 +424,7 @@ let schedule t ~at action =
     }
   in
   t.next_seq <- t.next_seq + 1;
-  core_insert t ev;
+  wheel_place t.wheel ev;
   ev
 
 (** Schedule relative to the current time. *)
@@ -526,7 +443,7 @@ let cancel (ev : event) =
 (** A timer is a re-armable event whose action closure is built exactly
     once, at creation, and whose event cell is reused across arms:
     cancellation is physical, so by the time {!timer_arm} runs, the
-    previous arm's cell is always out of the core and the new deadline
+    previous arm's cell is always out of the wheel and the new deadline
     is written into it in place — no closure, no node, no allocation.
     One sequence number is consumed per arm (exactly like
     cancel-then-schedule), so event traces match the closure-per-arm
@@ -564,7 +481,7 @@ let timer_arm t tm ~at =
       ev.seq <- t.next_seq;
       ev.cancelled <- false;
       t.next_seq <- t.next_seq + 1;
-      core_insert t ev
+      wheel_place t.wheel ev
   | _ ->
       (* first arm on this queue (or the cell belongs to another
          queue): allocate the cell *)
@@ -582,20 +499,14 @@ let timer_arm t tm ~at =
       in
       t.next_seq <- t.next_seq + 1;
       tm.cell <- Some ev;
-      core_insert t ev);
+      wheel_place t.wheel ev);
   tm.t_armed <- true
 
 let timer_arm_in t tm ~delay = timer_arm t tm ~at:(t.now +. delay)
 
-(** Physical nodes held by the core. Cancellation is physical in both
-    cores, so this always equals {!live_nodes}; both names are kept
-    because tests and fleet metrics read them. *)
-let heap_nodes t =
-  let (Core ((module C), st)) = t.core in
-  C.nodes st
-
-(** Nodes holding live (not cancelled) events. *)
-let live_nodes t = heap_nodes t
+(** Nodes holding live events. Cancellation is physical, so this is
+    also every node the wheel holds. *)
+let live_nodes t = wheel_nodes t.wheel
 
 (** Run events until the queue drains or the clock passes [until]
     (default: drain). Returns the number of events executed. *)
@@ -603,11 +514,11 @@ let run ?until t =
   let executed = ref 0 in
   let limit = match until with Some u -> u | None -> infinity in
   let rec loop () =
-    match core_pop t with
+    match wheel_pop t.wheel with
     | None -> ()
     | Some ev when ev.time > limit ->
         (* put it back: future runs may extend the horizon *)
-        core_insert t ev;
+        wheel_place t.wheel ev;
         t.now <- limit
     | Some ev ->
         t.now <- ev.time;

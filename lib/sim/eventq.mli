@@ -2,57 +2,32 @@
     queue. Events scheduled for the same instant fire in scheduling
     order, keeping runs deterministic.
 
-    The queue is backed by one of two cores selected at {!create}
-    (see the [EVENT_CORE] seam in the implementation):
+    The queue is a hierarchical timing wheel — O(1) schedule, cancel
+    and timer re-arm, batched bucket drains. Fire times are quantized
+    to a tick only to pick a bucket; events within a bucket are ordered
+    by their exact [(time, sequence)] key, so execution order, executed
+    counts and the final clock are bit-identical for any quantum.
 
-    - [Wheel] (default): a hierarchical timing wheel — O(1) schedule,
-      cancel and timer re-arm, batched bucket drains. Fire times are
-      quantized to a tick only to pick a bucket; events within a bucket
-      are ordered by their exact [(time, sequence)] key, so execution
-      order, executed counts and the final clock are bit-identical to
-      the heap core for any quantum.
-    - [Heap]: a binary min-heap — O(log n), kept as an escape hatch
-      ([--eventq heap]) and as the oracle for the differential test
-      suite.
-
-    Cancellation is physical in both cores (every event knows its slot
-    and is swap-removed on {!cancel}), so no structure ever holds a
-    cancelled event and every observable of a run — execution order,
-    executed counts, the final clock, even {!heap_nodes} — is identical
-    across cores. *)
+    Cancellation is physical (every event knows its slot and is
+    swap-removed on {!cancel}), so no structure ever holds a cancelled
+    event and {!live_nodes} is exact at every step. *)
 
 type t
 
 type event
 (** Handle for cancellation. *)
 
-type core_kind = Wheel | Heap
-
-val core_kind_of_string : string -> (core_kind, string) result
-val core_kind_to_string : core_kind -> string
-
-val core_names : string list
-(** Accepted spellings for CLI flags, default first. *)
-
-val set_default_core : core_kind -> unit
-(** Set the core used by every subsequent {!create} without an explicit
-    [?core] — how a single [--eventq] flag reaches queues created deep
-    inside scenarios. Call it before spawning shard domains. *)
-
-val default_core : unit -> core_kind
-
 val derive_quantum : min_delay:float -> float
 (** A wheel tick a comfortable factor below [min_delay] (the smallest
-    propagation delay in the topology), clamped to a sane range. The
-    quantum affects bucket occupancy only, never simulated timestamps. *)
+    propagation delay in the topology), clamped to [[1e-7, 1e-2]]; a
+    [min_delay] that is not positive and finite gets the default
+    quantum. The quantum affects bucket occupancy only, never simulated
+    timestamps. *)
 
-val create : ?core:core_kind -> ?quantum:float -> unit -> t
-(** [core] defaults to {!default_core}; [quantum] (wheel tick width in
-    simulated seconds, default [1e-4]) must be positive and finite and
-    is ignored by the heap core. *)
+val create : ?quantum:float -> unit -> t
+(** [quantum] (wheel tick width in simulated seconds, default [1e-4])
+    must be positive and finite; [Invalid_argument] otherwise. *)
 
-val core : t -> core_kind
-val core_name : t -> string
 val quantum : t -> float
 val now : t -> float
 
@@ -63,7 +38,7 @@ val schedule_in : t -> delay:float -> (unit -> unit) -> event
 
 val cancel : event -> unit
 (** Physically remove the event — O(1) from a wheel bucket, O(log n)
-    from a heap — releasing its node and action closure immediately.
+    from the due heap — releasing its node and action closure immediately.
     Idempotent. *)
 
 type timer
@@ -103,10 +78,6 @@ val run : ?until:float -> t -> int
     to [until] when a pending event lies beyond it; a run that drains
     the queue leaves the clock at the last executed event. *)
 
-val heap_nodes : t -> int
-(** Physical nodes held by the core. Cancellation is physical, so this
-    always equals {!live_nodes}; exposed (under its historical name)
-    for tests and fleet metrics. *)
-
 val live_nodes : t -> int
-(** Nodes holding live (not cancelled) events. *)
+(** Nodes holding live (not cancelled) events. Cancellation is
+    physical, so this is also every node the queue holds. *)

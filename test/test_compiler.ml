@@ -209,7 +209,7 @@ let suite =
             | [] -> Alcotest.fail "expected rejection"
             | _ :: _ -> ());
         tc "vm step budget faults on infinite loop" (fun () ->
-            let prog = Vm.make_prog ~spill_slots:0 [| Isa.Jmp 0 |] in
+            let prog = Vm.make_prog [| Isa.Jmp 0 |] in
             let env, views = build default_env_spec in
             Progmp_runtime.Env.begin_execution env ~subflows:views;
             match Vm.run ~max_steps:1000 prog env with
@@ -217,7 +217,7 @@ let suite =
             | exception Vm.Fault _ -> ());
         tc "vm faults on bad queue code" (fun () ->
             let prog =
-              Vm.make_prog ~spill_slots:0
+              Vm.make_prog
                 [|
                   Isa.Movi (1, 7); Isa.Movi (2, 0); Isa.Call Isa.H_q_nth;
                   Isa.Exit;
@@ -347,7 +347,7 @@ let observe ?(spec = default_env_spec) run =
 
 (* [code] on the boxed VM (the bounds-checked reference path). *)
 let run_code ?spec code =
-  observe ?spec (Vm.run (Vm.make_prog ~spill_slots:Isa.stack_words code))
+  observe ?spec (Vm.run (Vm.make_prog code))
 
 (* Verifier-accepted [code] on the threaded engine. *)
 let run_threaded ?spec code =

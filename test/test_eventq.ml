@@ -1,10 +1,11 @@
 (** Property tests for the event queue: pop order equals a stable sort
-    by (time, scheduling order) on every core, the heap and wheel cores
-    are observationally identical on random scripts (the differential
-    suite that locks the [EVENT_CORE] seam), physical cancellation
-    keeps node accounting exact, and re-armable timers behave like
-    cancel-then-schedule (one sequence number per arm) while reusing
-    one event cell. *)
+    by (time, scheduling order) at every wheel quantum, wheels at
+    wildly different quanta are observationally identical on random
+    scripts (the differential suite, whose oracle is a wheel so coarse
+    that every event runs through the plain due heap), physical
+    cancellation keeps node accounting exact, and re-armable timers
+    behave like cancel-then-schedule (one sequence number per arm)
+    while reusing one event cell. *)
 
 open Mptcp_sim
 open Helpers
@@ -93,7 +94,7 @@ let qprop_model name mk =
     ~name:("pops in (time, scheduling order) [" ^ name ^ "]")
     ~count:500 gen_ops (model_matches ~mk)
 
-(* ---------- heap/wheel differential suite ---------- *)
+(* ---------- quantum differential suite ---------- *)
 
 (* A richer op language than the model test: chained events that
    schedule more events from inside their own action (the pattern every
@@ -102,8 +103,11 @@ let qprop_model name mk =
    on past and future handles, and [run ~until] segments that stop the
    clock between batches. Identical scripts must produce identical
    (tag, time) traces, per-segment executed counts and final clocks on
-   the heap core and on wheel cores at wildly different quanta — the
-   quantum may only affect bucket occupancy, never observable order. *)
+   wheels at wildly different quanta — the quantum may only affect
+   bucket occupancy, never observable order. The oracle runs at a
+   quantum of 1e12 s: every fire time then has tick 0, so after the
+   first bucket drain every event goes straight into the due heap and
+   the wheel is a plain indexed binary heap. *)
 type dop =
   | DSched of float * int  (* delay bucket, tag *)
   | DSchedCancel of float * int  (* delay, cancel k ops later *)
@@ -130,8 +134,8 @@ let gen_dops =
 (* second component: run ~until horizons, applied before the final
    drain *)
 
-let run_dscript ~core ~quantum (script, segments) =
-  let q = Eventq.create ~core ~quantum () in
+let run_dscript ~quantum (script, segments) =
+  let q = Eventq.create ~quantum () in
   let trace = ref [] in
   let record tag = trace := (tag, Eventq.now q) :: !trace in
   let tm = Eventq.timer (fun () -> record (-1)) in
@@ -167,15 +171,14 @@ let run_dscript ~core ~quantum (script, segments) =
   (List.rev !trace, execs, final, Eventq.now q)
 
 let differential_matches script =
-  let oracle = run_dscript ~core:Eventq.Heap ~quantum:1e-4 script in
+  let oracle = run_dscript ~quantum:1e12 script in
   List.for_all
-    (fun quantum ->
-      run_dscript ~core:Eventq.Wheel ~quantum script = oracle)
+    (fun quantum -> run_dscript ~quantum script = oracle)
     [ 1e-6; 1e-4; 0.37; 53.0 ]
 
 let qprop_differential =
   QCheck2.Test.make
-    ~name:"wheel cores (any quantum) replay the heap core bit-identically"
+    ~name:"wheels at any quantum replay the all-due wheel bit-identically"
     ~count:500 gen_dops differential_matches
 
 (* ---------- physical cancellation ---------- *)
@@ -211,10 +214,7 @@ let cancellation_model ~mk ops =
              Eventq.cancel h;
              model := List.filter (fun (i, _) -> i <> cid) !model
          | None -> ());
-      if
-        Eventq.heap_nodes q <> List.length !model
-        || Eventq.live_nodes q <> Eventq.heap_nodes q
-      then exact := false)
+      if Eventq.live_nodes q <> List.length !model then exact := false)
     ops;
   ignore (Eventq.run q);
   let expected =
@@ -231,19 +231,18 @@ let qprop_cancellation name mk =
     ~name:("cancellation is physical and order-transparent [" ^ name ^ "]")
     ~count:100 gen_cancel_ops (cancellation_model ~mk)
 
-let cores =
+let quanta =
   [
-    ("heap", fun () -> Eventq.create ~core:Eventq.Heap ());
-    ("wheel", fun () -> Eventq.create ~core:Eventq.Wheel ());
-    ( "wheel q=0.31",
-      fun () -> Eventq.create ~core:Eventq.Wheel ~quantum:0.31 () );
+    ("wheel q=1e12 (all due)", fun () -> Eventq.create ~quantum:1e12 ());
+    ("wheel", fun () -> Eventq.create ());
+    ("wheel q=0.31", fun () -> Eventq.create ~quantum:0.31 ());
   ]
 
 let suite =
   [
     ( "eventq",
       [
-        tc "same-timestamp events fire FIFO (all cores)" (fun () ->
+        tc "same-timestamp events fire FIFO (all quanta)" (fun () ->
             List.iter
               (fun (name, mk) ->
                 let q : Eventq.t = mk () in
@@ -255,7 +254,7 @@ let suite =
                 ignore (Eventq.run q);
                 Alcotest.(check (list int))
                   ("order " ^ name) (List.init 10 Fun.id) (List.rev !fired))
-              cores);
+              quanta);
         tc "run ~until keeps later events" (fun () ->
             let q = Eventq.create () in
             let fired = ref [] in
@@ -293,14 +292,15 @@ let suite =
             Alcotest.(check (list (float 1e-9)))
               "fires once, at the later arm's time" [ 1.0 ] (List.rev !times));
         QCheck_alcotest.to_alcotest
-          (qprop_model "heap" (fun () -> Eventq.create ~core:Eventq.Heap ()));
+          (qprop_model "wheel q=1e12 (all due)" (fun () ->
+               Eventq.create ~quantum:1e12 ()));
         QCheck_alcotest.to_alcotest
-          (qprop_model "wheel" (fun () -> Eventq.create ~core:Eventq.Wheel ()));
+          (qprop_model "wheel" (fun () -> Eventq.create ()));
         QCheck_alcotest.to_alcotest
           (qprop_model "wheel q=0.31" (fun () ->
-               Eventq.create ~core:Eventq.Wheel ~quantum:0.31 ()));
+               Eventq.create ~quantum:0.31 ()));
         QCheck_alcotest.to_alcotest qprop_differential;
-        tc "re-arming a timer reuses one cell (all cores)" (fun () ->
+        tc "re-arming a timer reuses one cell (all quanta)" (fun () ->
             List.iter
               (fun (name, mk) ->
                 let q : Eventq.t = mk () in
@@ -308,12 +308,12 @@ let suite =
                 for i = 1 to 10_000 do
                   Eventq.timer_arm q timer ~at:(float_of_int i);
                   Alcotest.(check int)
-                    ("one node " ^ name) 1 (Eventq.heap_nodes q)
+                    ("one node " ^ name) 1 (Eventq.live_nodes q)
                 done;
-                Alcotest.(check int)
-                  ("one live event " ^ name) 1 (Eventq.live_nodes q))
-              cores);
-        tc "mass cancellation releases every node at once (all cores)"
+                Alcotest.(check bool)
+                  ("still armed " ^ name) true (Eventq.timer_armed timer))
+              quanta);
+        tc "mass cancellation releases every node at once (all quanta)"
           (fun () ->
             List.iter
               (fun (name, mk) ->
@@ -324,17 +324,15 @@ let suite =
                 in
                 List.iter Eventq.cancel handles;
                 Alcotest.(check int) ("no live " ^ name) 0 (Eventq.live_nodes q);
-                Alcotest.(check int)
-                  ("no nodes " ^ name) 0 (Eventq.heap_nodes q);
                 let fired = ref 0 in
                 ignore (Eventq.schedule q ~at:0.5 (fun () -> incr fired));
                 Alcotest.(check int)
-                  ("only the new event " ^ name) 1 (Eventq.heap_nodes q);
+                  ("only the new event " ^ name) 1 (Eventq.live_nodes q);
                 ignore (Eventq.run q);
                 Alcotest.(check int) ("it fires " ^ name) 1 !fired;
-                Alcotest.(check int) ("drained " ^ name) 0 (Eventq.heap_nodes q))
-              cores);
-        tc "run ~until put-back keeps node accounting exact (all cores)"
+                Alcotest.(check int) ("drained " ^ name) 0 (Eventq.live_nodes q))
+              quanta);
+        tc "run ~until put-back keeps node accounting exact (all quanta)"
           (fun () ->
             List.iter
               (fun (name, mk) ->
@@ -344,22 +342,20 @@ let suite =
                 Eventq.cancel a;
                 ignore (Eventq.run ~until:1.0 q);
                 Alcotest.(check int)
-                  ("survivor kept " ^ name) 1 (Eventq.heap_nodes q);
-                Alcotest.(check int) ("one live " ^ name) 1 (Eventq.live_nodes q);
+                  ("survivor kept " ^ name) 1 (Eventq.live_nodes q);
                 Alcotest.(check (float 1e-9))
                   ("clock at horizon " ^ name) 1.0 (Eventq.now q);
                 ignore (Eventq.run q);
-                Alcotest.(check int) ("drained " ^ name) 0 (Eventq.heap_nodes q))
-              cores);
+                Alcotest.(check int) ("drained " ^ name) 0 (Eventq.live_nodes q))
+              quanta);
         QCheck_alcotest.to_alcotest
-          (qprop_cancellation "heap" (fun () ->
-               Eventq.create ~core:Eventq.Heap ()));
+          (qprop_cancellation "wheel q=1e12 (all due)" (fun () ->
+               Eventq.create ~quantum:1e12 ()));
         QCheck_alcotest.to_alcotest
-          (qprop_cancellation "wheel" (fun () ->
-               Eventq.create ~core:Eventq.Wheel ()));
+          (qprop_cancellation "wheel" (fun () -> Eventq.create ()));
         tc "a timer can migrate between queues" (fun () ->
-            let q1 = Eventq.create ~core:Eventq.Wheel () in
-            let q2 = Eventq.create ~core:Eventq.Heap () in
+            let q1 = Eventq.create () in
+            let q2 = Eventq.create ~quantum:0.37 () in
             let count = ref 0 in
             let timer = Eventq.timer (fun () -> incr count) in
             Eventq.timer_arm q1 timer ~at:1.0;
@@ -367,8 +363,8 @@ let suite =
             Eventq.timer_arm q2 timer ~at:1.0;
             ignore (Eventq.run q2);
             Alcotest.(check int) "fired on both queues" 2 !count;
-            Alcotest.(check int) "q1 clean" 0 (Eventq.heap_nodes q1);
-            Alcotest.(check int) "q2 clean" 0 (Eventq.heap_nodes q2));
+            Alcotest.(check int) "q1 clean" 0 (Eventq.live_nodes q1);
+            Alcotest.(check int) "q2 clean" 0 (Eventq.live_nodes q2));
         tc "observers are read-only (enforced)" (fun () ->
             let attempts =
               [
@@ -408,8 +404,9 @@ let suite =
                       (Fmt.str "usable after %s attempt (%s)" what name)
                       1 !fired)
                   attempts)
-              cores);
-        tc "one fleet rung is identical on heap and wheel cores" (fun () ->
+              quanta);
+        tc "one fleet rung is identical at the derived and all-due quanta"
+          (fun () ->
             Progmp_compiler.Compile.register_engines ();
             ignore (Schedulers.Specs.load_all ());
             let sched =
@@ -417,53 +414,75 @@ let suite =
               | Some s -> s
               | None -> assert false
             in
-            let rung core =
-              let saved = Eventq.default_core () in
-              Eventq.set_default_core core;
-              Fun.protect
-                ~finally:(fun () -> Eventq.set_default_core saved)
-                (fun () ->
-                  Mptcp_exp.Fleet_run.run ~interval:2.0
-                    ~scheduler:(sched, "interpreter")
-                    ~cc:Congestion.Lia ~seed:11 ~loss:0.01 ~duration:6.0
-                    ~groups:4 ~shards:1
-                    ~rate:(fun _ -> 400.0)
-                    ~dist:Mptcp_exp.Traffic.default_pareto ())
+            let seed = 11 and duration = 6.0 in
+            let rung ?clock () =
+              let fleet =
+                Fleet.create ?clock ~seed ~cc:Congestion.Lia
+                  ~scheduler:(sched, "interpreter") ~groups:4
+                  ~paths:(Mptcp_exp.Scenarios.fleet_group_paths ~loss:0.01)
+                  ()
+              in
+              Mptcp_exp.Scenarios.drive_arrivals fleet ~seed
+                ~rate:(fun _ -> 400.0)
+                ~until:duration Mptcp_exp.Traffic.default_pareto;
+              ignore (Fleet.run ~until:duration fleet);
+              fleet
             in
-            let h = rung Eventq.Heap and w = rung Eventq.Wheel in
-            Alcotest.(check string)
-              "heap rung really ran on the heap core" "heap"
-              (Eventq.core_name (Fleet.clock h.(0).Mptcp_exp.Fleet_run.sr_fleet));
-            Alcotest.(check string)
-              "wheel rung really ran on the wheel core" "wheel"
-              (Eventq.core_name (Fleet.clock w.(0).Mptcp_exp.Fleet_run.sr_fleet));
-            let th = Mptcp_exp.Fleet_run.merged_totals h in
-            let tw = Mptcp_exp.Fleet_run.merged_totals w in
+            let d = rung () in
+            let c = rung ~clock:(Eventq.create ~quantum:1e12 ()) () in
             Alcotest.(check bool)
-              (Fmt.str "rung hosts real churn (%d arrivals)" th.Fleet.t_arrivals)
-              true (th.Fleet.t_arrivals > 1000);
-            Alcotest.(check int) "arrivals" th.Fleet.t_arrivals
-              tw.Fleet.t_arrivals;
-            Alcotest.(check int) "completed" th.Fleet.t_completed
-              tw.Fleet.t_completed;
-            Alcotest.(check int) "live" th.Fleet.t_live tw.Fleet.t_live;
-            Alcotest.(check int) "peak live" th.Fleet.t_peak_live
-              tw.Fleet.t_peak_live;
-            Alcotest.(check int) "delivered bytes" th.Fleet.t_delivered_bytes
-              tw.Fleet.t_delivered_bytes;
-            Alcotest.(check int) "wire bytes" th.Fleet.t_wire_bytes
-              tw.Fleet.t_wire_bytes;
-            Alcotest.(check int) "executions" th.Fleet.t_executions
-              tw.Fleet.t_executions;
-            Alcotest.(check int) "pushes" th.Fleet.t_pushes tw.Fleet.t_pushes;
-            Alcotest.(check (float 1e-12))
-              "fct sum" th.Fleet.t_fct_sum tw.Fleet.t_fct_sum;
-            Alcotest.(check int) "slots"
-              (Mptcp_exp.Fleet_run.slot_count h)
-              (Mptcp_exp.Fleet_run.slot_count w);
+              (Fmt.str "derived quantum is fine-grained (%g s)"
+                 (Eventq.quantum (Fleet.clock d)))
+              true
+              (Eventq.quantum (Fleet.clock d) <= 1e-2);
+            let td = Fleet.totals d and tc = Fleet.totals c in
+            Alcotest.(check bool)
+              (Fmt.str "rung hosts real churn (%d arrivals)" td.Fleet.t_arrivals)
+              true (td.Fleet.t_arrivals > 1000);
+            Alcotest.(check int) "arrivals" td.Fleet.t_arrivals
+              tc.Fleet.t_arrivals;
+            Alcotest.(check int) "completed" td.Fleet.t_completed
+              tc.Fleet.t_completed;
+            Alcotest.(check int) "live" td.Fleet.t_live tc.Fleet.t_live;
+            Alcotest.(check int) "peak live" td.Fleet.t_peak_live
+              tc.Fleet.t_peak_live;
+            Alcotest.(check int) "delivered bytes" td.Fleet.t_delivered_bytes
+              tc.Fleet.t_delivered_bytes;
+            Alcotest.(check int) "wire bytes" td.Fleet.t_wire_bytes
+              tc.Fleet.t_wire_bytes;
+            Alcotest.(check int) "executions" td.Fleet.t_executions
+              tc.Fleet.t_executions;
+            Alcotest.(check int) "pushes" td.Fleet.t_pushes tc.Fleet.t_pushes;
+            Alcotest.(check (float 0.0))
+              "fct sum" td.Fleet.t_fct_sum tc.Fleet.t_fct_sum;
+            Alcotest.(check int) "slots" (Fleet.slot_count d)
+              (Fleet.slot_count c);
             Alcotest.(check (float 0.0))
               "final clock"
-              (Eventq.now (Fleet.clock h.(0).Mptcp_exp.Fleet_run.sr_fleet))
-              (Eventq.now (Fleet.clock w.(0).Mptcp_exp.Fleet_run.sr_fleet)));
+              (Eventq.now (Fleet.clock d))
+              (Eventq.now (Fleet.clock c)));
+        tc "create rejects a quantum that is not positive and finite"
+          (fun () ->
+            List.iter
+              (fun quantum ->
+                match Eventq.create ~quantum () with
+                | _ -> Alcotest.failf "quantum %g accepted" quantum
+                | exception Invalid_argument _ -> ())
+              [ 0.0; -1.0; Float.nan; Float.infinity ]);
+        tc "derive_quantum falls back to the default and clamps" (fun () ->
+            let default = Eventq.quantum (Eventq.create ()) in
+            List.iter
+              (fun min_delay ->
+                Alcotest.(check (float 0.0))
+                  (Fmt.str "default for min_delay %g" min_delay)
+                  default
+                  (Eventq.derive_quantum ~min_delay))
+              [ Float.nan; 0.0; Float.infinity ];
+            Alcotest.(check (float 0.0))
+              "clamped below" 1e-7
+              (Eventq.derive_quantum ~min_delay:1e-12);
+            Alcotest.(check (float 0.0))
+              "clamped above" 1e-2
+              (Eventq.derive_quantum ~min_delay:1e6));
       ] );
   ]

@@ -18,9 +18,9 @@
 # must stay within FLEET_CAP x of the baseline's decision throughput,
 # and a fresh mem-smoke mid rung must keep heap bytes per connection
 # within MEM_CAP x of the baseline's (asserted by the bench itself).
-# The committed BENCH_eventq.json (heap-vs-wheel event-core
+# The committed BENCH_eventq.json (timing-wheel event-core
 # microbenchmark) gets the same treatment: a fresh `bench eventq
-# --smoke` must keep the wheel core's ns/op within TOLERANCE x
+# --smoke` must keep the wheel's ns/op within TOLERANCE x
 # (geometric mean) / HARD_CAP x (single mix) of the baseline's.
 # Any baseline recorded on a machine with a different core count is
 # refused (skipped with a note) rather than compared. Skips silently
@@ -35,8 +35,8 @@ HARD_CAP=4.0
 FLEET_CAP=10.0
 # dps-flatness: with the O(1) timing-wheel event core the per-event cost
 # must not grow algorithmically with fleet size — the 100k rung's
-# decisions/sec may trail the 10k rung's by at most this factor
-# (was 4.0 in the heap era). The committed wheel ladder records ~1.42x:
+# decisions/sec may trail the 10k rung's by at most this factor. The
+# committed ladder records ~1.42x:
 # the residual slope is the last-level-cache cliff (the 10k rung's
 # ~139 MB marginal working set fits the recording box's 256 MB LLC,
 # the 100k rung's ~1.65 GB does not), not event-core cost — per-op
@@ -278,13 +278,11 @@ check_fleet() {
 }
 
 # --- event core ------------------------------------------------------------
-# The committed BENCH_eventq.json records the heap-vs-wheel event-core
+# The committed BENCH_eventq.json records the timing-wheel event-core
 # microbenchmark; the gate smoke-runs the same mixes and compares the
-# default (wheel) core's ns/op row by row — geometric mean within
-# TOLERANCE x, no single mix past HARD_CAP x — with the same
-# cross-machine refusal as the other gates. Both core columns must be
-# present in the fresh run: a build that silently dropped one core
-# would otherwise pass on the survivor's numbers.
+# wheel's ns/op row by row — geometric mean within TOLERANCE x, no
+# single mix past HARD_CAP x — with the same cross-machine refusal as
+# the other gates.
 check_eventq() {
   ebase="$dir/BENCH_eventq.json"
   if [ ! -f "$ebase" ]; then
@@ -307,23 +305,23 @@ check_eventq() {
   efresh="$tmp/eventq_smoke/BENCH_eventq.json"
   [ -f "$efresh" ] || { echo "error: eventq smoke run produced no BENCH_eventq.json" >&2; return 1; }
 
-  erows() { # $1 = file -> "workload:pending heap_ns wheel_ns" per line
-    sed -n 's/.*"workload": "\([^"]*\)", "pending": \([0-9]*\), "heap_ns_per_op": \([0-9.]*\), "wheel_ns_per_op": \([0-9.]*\).*/\1:\2 \3 \4/p' "$1"
+  erows() { # $1 = file -> "workload:pending wheel_ns" per line
+    sed -n 's/.*"workload": "\([^"]*\)", "pending": \([0-9]*\), "wheel_ns_per_op": \([0-9.]*\).*/\1:\2 \3/p' "$1"
   }
   erows "$ebase" > "$tmp/eventq_base.txt"
   erows "$efresh" > "$tmp/eventq_fresh.txt"
   [ -s "$tmp/eventq_base.txt" ] || { echo "error: no rows in $ebase" >&2; return 1; }
-  [ -s "$tmp/eventq_fresh.txt" ] || { echo "error: fresh eventq run has no complete rows (heap and wheel columns are both required)" >&2; return 1; }
+  [ -s "$tmp/eventq_fresh.txt" ] || { echo "error: fresh eventq run has no rows" >&2; return 1; }
 
   est=0
   awk -v tol="$TOLERANCE" -v cap="$HARD_CAP" '
-    NR == FNR { wheel[$1] = $3; next }
-    ($1 in wheel) && wheel[$1] > 0 && $3 > 0 {
-      ratio = $3 / wheel[$1]
+    NR == FNR { wheel[$1] = $2; next }
+    ($1 in wheel) && wheel[$1] > 0 && $2 > 0 {
+      ratio = $2 / wheel[$1]
       log_sum += log(ratio)
       n++
       if (ratio > cap) {
-        printf "error: eventq %s wheel ns/op fell off a cliff: %.1f vs baseline %.1f (> %.1fx)\n", $1, $3, wheel[$1], cap > "/dev/stderr"
+        printf "error: eventq %s wheel ns/op fell off a cliff: %.1f vs baseline %.1f (> %.1fx)\n", $1, $2, wheel[$1], cap > "/dev/stderr"
         bad = 1
       }
     }
