@@ -11,6 +11,7 @@
 
 open Mptcp_sim
 open Progmp_runtime
+module Figures = Mptcp_exp.Figures
 
 (* Optional CSV export: [--csv DIR] writes one plot-ready file per
    experiment next to the printed tables. *)
@@ -48,58 +49,32 @@ let load_zoo () = ignore (Schedulers.Specs.load_all ())
 (* Fig. 1 — motivation: MinRTT vs backup mode on an interactive stream *)
 (* ------------------------------------------------------------------ *)
 
-let stream_setup ~scheduler ~lte_backup ~seed =
-  load_zoo ();
-  let paths = Apps.Scenario.wifi_lte ~lte_backup () in
-  let conn = Connection.create ~seed ~paths () in
-  Api.set_scheduler (Connection.sock conn) scheduler;
-  let rate t = if t < 6.0 then 1_000_000.0 else 4_000_000.0 in
-  Apps.Workload.cbr ~signal_register:0 conn ~start:0.5 ~stop:15.0
-    ~interval:0.1 ~rate;
-  Apps.Scenario.fluctuate_wifi conn
-    ~rng:(Rng.create (seed + 1))
-    ~until:15.0 ~low:2_500_000.0 ~high:5_000_000.0 ();
-  (conn, rate)
-
-let stream_report label conn rate sampler =
-  let wifi = Connection.subflow conn 0 and lte = Connection.subflow conn 1 in
-  let total = wifi.Tcp_subflow.bytes_sent + lte.Tcp_subflow.bytes_sent in
-  let stalls =
-    List.length
-      (List.filter
-         (fun (t, r) -> t > 1.5 && t <= 15.0 && r < 0.9 *. rate t)
-         (Stats.delivery_rate sampler))
-  in
-  Fmt.pr "%-26s lte share %5.1f%%   stalled seconds %2d   delivered %5.1f MB@."
-    label
-    (100.0 *. float_of_int lte.Tcp_subflow.bytes_sent /. float_of_int (max 1 total))
-    stalls
-    (float_of_int (Connection.delivered_bytes conn) /. 1e6)
-
+(* prints one row and returns the run for its per-second series *)
 let run_stream label ~scheduler ~lte_backup =
-  let conn, rate = stream_setup ~scheduler ~lte_backup ~seed:7 in
-  let sampler = Stats.install conn ~interval:1.0 ~until:15.0 in
-  Connection.run ~until:25.0 conn;
-  stream_report label conn rate sampler
+  let r = Figures.stream ~scheduler ~lte_backup in
+  Fmt.pr "%-26s lte share %5.1f%%   stalled seconds %2d   delivered %5.1f MB@."
+    label r.Figures.lte_share r.Figures.stalled_s
+    (float_of_int r.Figures.delivered /. 1e6);
+  r
 
 let fig1 () =
   section "Fig. 1"
     "interactive stream (1 MB/s then 4 MB/s) over WiFi (10 ms) + LTE (40 ms)"
     "MinRTT places ~30% of the traffic on LTE even when WiFi would suffice; \
      backup mode silences LTE but starves the 4 MB/s phase";
-  run_stream "default (LTE regular)" ~scheduler:"default" ~lte_backup:false;
-  run_stream "default (LTE backup)" ~scheduler:"default" ~lte_backup:true;
+  let regular =
+    run_stream "default (LTE regular)" ~scheduler:"default" ~lte_backup:false
+  in
+  ignore
+    (run_stream "default (LTE backup)" ~scheduler:"default" ~lte_backup:true);
   (* per-second series, as plotted in the figure *)
-  let conn, _ = stream_setup ~scheduler:"default" ~lte_backup:false ~seed:7 in
-  let sampler = Stats.install conn ~interval:1.0 ~until:15.0 in
-  Connection.run ~until:25.0 conn;
   Fmt.pr "@.per-second goodput (MB/s), default scheduler, LTE regular:@.";
   Fmt.pr "%6s %8s %8s@." "t" "wifi" "lte";
   List.iter
     (fun (t, rates) ->
       if Array.length rates >= 2 then
         Fmt.pr "%6.1f %8.2f %8.2f@." t (rates.(0) /. 1e6) (rates.(1) /. 1e6))
-    (Stats.subflow_rates sampler)
+    regular.Figures.rates
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 9 — runtime overhead of the execution backends                 *)
@@ -224,19 +199,7 @@ let fig9 () =
   Fmt.pr "@.simulated bulk throughput per engine (must be identical):@.";
   List.iter
     (fun engine ->
-      load_zoo ();
-      let sched =
-        match Scheduler.find "default" with Some s -> s | None -> assert false
-      in
-      Scheduler.set_engine sched engine;
-      let paths = Apps.Scenario.mininet_two_subflows () in
-      let conn = Connection.create ~seed:5 ~paths () in
-      Apps.Workload.bulk conn ~at:0.1 ~bytes:4_000_000;
-      Connection.run ~until:60.0 conn;
-      match
-        Meta_socket.fct conn.Connection.meta ~first:0
-          ~last:(conn.Connection.meta.Meta_socket.next_seq - 1)
-      with
+      match (Figures.bulk ~engine ~compressed:true).Figures.finished_at with
       | Some t ->
           Fmt.pr "  %-12s %7.2f Mbit/s (FCT %.3f s)@." engine
             (4_000_000.0 *. 8.0 /. (t -. 0.1) /. 1e6)
@@ -268,18 +231,11 @@ let fig9 () =
   Fmt.pr "@.ablation — compressed executions (simulated bulk transfer):@.";
   List.iter
     (fun compressed ->
-      load_zoo ();
-      let paths = Apps.Scenario.mininet_two_subflows () in
-      let conn = Connection.create ~seed:5 ~compressed ~paths () in
-      Apps.Workload.bulk conn ~at:0.1 ~bytes:4_000_000;
-      Connection.run ~until:60.0 conn;
-      let meta = conn.Connection.meta in
-      match
-        Meta_socket.fct meta ~first:0 ~last:(meta.Meta_socket.next_seq - 1)
-      with
+      let r = Figures.bulk ~engine:"interpreter" ~compressed in
+      match r.Figures.finished_at with
       | Some t ->
           Fmt.pr "  compressed=%-5b %d scheduler executions, FCT %.3f s@."
-            compressed meta.Meta_socket.sched_executions t
+            compressed r.Figures.executions t
       | None -> Fmt.pr "  compressed=%-5b incomplete@." compressed)
     [ true; false ];
   (* memory/size analogues of §4.1/§4.3 *)
@@ -1104,7 +1060,6 @@ let fig10b () =
     "all redundant schedulers beat the default for small flows; \
      OpportunisticRedundant overtakes the existing redundant scheduler as \
      flows grow; RedundantIfNoQ is best overall";
-  load_zoo ();
   Fmt.pr "%-10s" "size(kB)";
   List.iter (fun s -> Fmt.pr " %25s" s) redundancy_schedulers;
   Fmt.pr "@.";
@@ -1113,16 +1068,8 @@ let fig10b () =
       Fmt.pr "%-10d" (size / 1000);
       List.iter
         (fun scheduler ->
-          let mk_conn ~seed =
-            let paths =
-              Apps.Scenario.mininet_two_subflows ~rtt_ratio:2.0 ~loss:0.02 ()
-            in
-            let conn = Connection.create ~seed ~paths () in
-            Api.set_scheduler (Connection.sock conn) scheduler;
-            conn
-          in
-          let fct, _, completed =
-            Apps.Workload.measure_flows ~mk_conn ~size ~reps:10 ()
+          let { Figures.fct; completed; _ } =
+            Figures.redundancy_flows ~scheduler ~size
           in
           csv ~experiment:"fig10b"
             ~header:[ "size_bytes"; "scheduler"; "mean_fct_ms"; "completed" ]
@@ -1143,27 +1090,8 @@ let fig10c () =
     "the existing redundant scheduler is pinned near 1x; for bulk (iPerf) \
      both new schedulers provide nearly the maximum achievable throughput; \
      bursty traffic reduces their advantage";
-  load_zoo ();
-  let measure ~paths ~scheduler ~bursty =
-    let conn = Connection.create ~seed:11 ~paths () in
-    Api.set_scheduler (Connection.sock conn) scheduler;
-    (* offered load well above the 2 x 1.25 MB/s aggregate capacity *)
-    if bursty then
-      Apps.Workload.bursty conn ~rng:(Rng.create 13) ~start:0.2 ~stop:10.2
-        ~burst_bytes:150_000 ~mean_gap:0.04
-    else
-      Apps.Workload.cbr conn ~start:0.2 ~stop:10.2 ~interval:0.05
-        ~rate:(fun _ -> 4_000_000.0);
-    (* throughput = bytes delivered within the 10 s load window *)
-    let window_bytes = ref 0 in
-    Connection.at conn ~time:10.2 (fun () ->
-        window_bytes := Connection.delivered_bytes conn);
-    Connection.run ~until:11.0 conn;
-    float_of_int !window_bytes /. 10.0
-  in
   let single ~bursty =
-    let paths = [ List.hd (Apps.Scenario.mininet_two_subflows ()) ] in
-    measure ~paths ~scheduler:"default" ~bursty
+    Figures.window_throughput ~single_path:true ~scheduler:"default" ~bursty
   in
   let base_bulk = single ~bursty:false in
   let base_bursty = single ~bursty:true in
@@ -1172,14 +1100,9 @@ let fig10c () =
   Fmt.pr "%-26s %14s %14s@." "scheduler" "iperf (norm.)" "bursty (norm.)";
   List.iter
     (fun scheduler ->
-      let bulk =
-        measure ~paths:(Apps.Scenario.mininet_two_subflows ()) ~scheduler
-          ~bursty:false
-      in
-      let bursty =
-        measure ~paths:(Apps.Scenario.mininet_two_subflows ()) ~scheduler
-          ~bursty:true
-      in
+      let measure = Figures.window_throughput ~single_path:false ~scheduler in
+      let bulk = measure ~bursty:false in
+      let bursty = measure ~bursty:true in
       Fmt.pr "%-26s %14.2f %14.2f@." scheduler (bulk /. base_bulk)
         (bursty /. base_bursty))
     redundancy_schedulers
@@ -1188,23 +1111,13 @@ let fig10c () =
 (* Fig. 12 — compensating the end of short flows                       *)
 (* ------------------------------------------------------------------ *)
 
+(* mean FCT (ms) and wire overhead of a fully completed measurement *)
+let fct_ms_overhead (r : Figures.flows) =
+  assert (r.Figures.completed = r.Figures.reps);
+  (r.Figures.fct *. 1e3, r.Figures.overhead)
+
 let fig12_measure ~scheduler ~rtt_ratio ~signal_end =
-  let mk_conn ~seed =
-    let paths =
-      Apps.Scenario.mininet_two_subflows ~rtt_ratio ~base_rtt:0.02 ()
-    in
-    let conn = Connection.create ~seed ~paths () in
-    Api.set_scheduler (Connection.sock conn) scheduler;
-    conn
-  in
-  let after_write conn =
-    if signal_end then Api.set_register (Connection.sock conn) 1 1
-  in
-  let fct, wire, completed =
-    Apps.Workload.measure_flows ~after_write ~mk_conn ~size:40_000 ~reps:12 ()
-  in
-  assert (completed = 12);
-  (fct *. 1e3, wire /. 40_000.0)
+  fct_ms_overhead (Figures.short_flows ~scheduler ~rtt_ratio ~signal_end)
 
 let fig12 () =
   section "Fig. 12"
@@ -1213,7 +1126,6 @@ let fig12 () =
      retains it at the cost of retransmission overhead that decreases for \
      higher ratios; Selective Compensation (ratio > 2) pays the overhead \
      only where it helps";
-  load_zoo ();
   Fmt.pr "%-10s %22s %26s %26s@." "RTT ratio" "default" "compensating"
     "selective compensation";
   List.iter
@@ -1244,43 +1156,19 @@ let fig12 () =
 (* ablation: which packet to retransmit when compensating              *)
 (* ------------------------------------------------------------------ *)
 
-let compensating_newest =
-  (* as Specs.compensating, but retransmits the newest (highest data seq)
-     unsent packet first instead of the oldest — the paper's TOP vs FIRST
-     variation (§5.3) *)
-  {|
-VAR open = SUBFLOWS.FILTER(sbf =>
-  sbf.CWND > sbf.SKBS_IN_FLIGHT + sbf.QUEUED);
-IF (!Q.EMPTY) {
-  VAR sbf = open.MIN(m => m.RTT);
-  IF (sbf != NULL) { sbf.PUSH(Q.POP()); }
-} ELSE {
-  IF (R2 == 1) {
-    FOREACH (VAR c IN SUBFLOWS) {
-      VAR skb = QU.FILTER(u => !u.SENT_ON(c)).MAX(x => x.SEQ);
-      IF (skb != NULL) { c.PUSH(skb); }
-    }
-  }
-}
-|}
-
 let ablate_compensate () =
   section "Ablation (§5.3)"
     "choice of the retransmitted packet in the Compensating scheduler"
     "retransmitting the oldest vs the newest unsent in-flight packet has \
      only minor impact on the FCT";
-  load_zoo ();
-  Api.load_scheduler compensating_newest ~name:"compensating_newest";
   Fmt.pr "%-10s %22s %22s@." "RTT ratio" "oldest-first" "newest-first";
   List.iter
     (fun rtt_ratio ->
-      let o_fct, _ =
-        fig12_measure ~scheduler:"compensating" ~rtt_ratio ~signal_end:true
+      let fct newest =
+        fst (fct_ms_overhead (Figures.compensate_flows ~newest ~rtt_ratio))
       in
-      let n_fct, _ =
-        fig12_measure ~scheduler:"compensating_newest" ~rtt_ratio
-          ~signal_end:true
-      in
+      let o_fct = fct false in
+      let n_fct = fct true in
       Fmt.pr "%-10.1f %19.1f ms %19.1f ms@." rtt_ratio o_fct n_fct)
     [ 2.0; 4.0; 8.0 ]
 
@@ -1294,13 +1182,12 @@ let fig13 () =
     "TAP sustains the signaled target rate like the default scheduler while \
      reducing the non-preferred LTE usage to the capacity deficit; backup \
      mode cannot sustain the 4 MB/s phase";
-  run_stream "default (LTE regular)" ~scheduler:"default" ~lte_backup:false;
-  run_stream "default (LTE backup)" ~scheduler:"default" ~lte_backup:true;
-  run_stream "TAP (target in R1)" ~scheduler:"tap" ~lte_backup:true;
+  ignore
+    (run_stream "default (LTE regular)" ~scheduler:"default" ~lte_backup:false);
+  ignore
+    (run_stream "default (LTE backup)" ~scheduler:"default" ~lte_backup:true);
+  let tap = run_stream "TAP (target in R1)" ~scheduler:"tap" ~lte_backup:true in
   (* the per-second usage series TAP is judged on *)
-  let conn, _ = stream_setup ~scheduler:"tap" ~lte_backup:true ~seed:7 in
-  let sampler = Stats.install conn ~interval:1.0 ~until:15.0 in
-  Connection.run ~until:25.0 conn;
   Fmt.pr "@.per-second goodput (MB/s), TAP:@.";
   Fmt.pr "%6s %8s %8s %8s@." "t" "wifi" "lte" "target";
   List.iter
@@ -1315,7 +1202,7 @@ let fig13 () =
           (rates.(1) /. 1e6)
           (if t <= 6.5 then 1.0 else 4.0)
       end)
-    (Stats.subflow_rates sampler)
+    tap.Figures.rates
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 14 — HTTP/2-aware scheduling                                   *)
@@ -1327,26 +1214,16 @@ let fig14 () =
     "the HTTP/2-aware scheduler keeps the dependency-retrieval time low and \
      flat as the WiFi RTT grows, and sharply reduces the bytes on the \
      metered LTE subflow, without hurting the full load time";
-  load_zoo ();
-  let page = Apps.Http2.optimized_page in
-  let run ~scheduler ~extra =
-    let paths =
-      Apps.Scenario.wifi_lte ~wifi_extra_delay:extra
-        ~lte_backup:(scheduler = "http2_aware") ()
-    in
-    let conn = Connection.create ~seed:21 ~paths () in
-    if scheduler = "http2_aware" then Apps.Webserver.prepare conn page;
-    match Apps.Webserver.serve_with ~scheduler_name:scheduler conn page with
-    | Some r -> r
-    | None -> failwith "page load incomplete"
-  in
   Fmt.pr "%-10s | %28s | %28s@." "" "default" "http2-aware";
   Fmt.pr "%-10s | %9s %9s %8s | %9s %9s %8s@." "rtt ratio" "dep(ms)"
     "load(ms)" "lte(kB)" "dep(ms)" "load(ms)" "lte(kB)";
   List.iter
     (fun extra ->
-      let d = run ~scheduler:"default" ~extra in
-      let h = run ~scheduler:"http2_aware" ~extra in
+      let load scheduler =
+        Figures.page_load ~scheduler ~wifi_extra_delay:extra
+      in
+      let d = load "default" in
+      let h = load "http2_aware" in
       List.iter
         (fun (sched, (r : Apps.Http2.load_result)) ->
           csv ~experiment:"fig14"
@@ -1378,40 +1255,9 @@ let handover () =
     "a handover-aware scheduler that aggressively retransmits the dying \
      subflow's in-flight packets on the new subflow shortens the delivery \
      gap the handover causes";
-  load_zoo ();
-  let run ~scheduler =
-    let paths = Apps.Scenario.wifi_lte ~lte_backup:false () in
-    let conn = Connection.create ~seed:3 ~paths () in
-    Api.set_scheduler (Connection.sock conn) scheduler;
-    (* proactive handover (cf. [18]): the device senses the WiFi decay and
-       flags LTE (id 1) as the target shortly before the blackout *)
-    if scheduler = "handover" then
-      Connection.at conn ~time:0.9 (fun () ->
-          Api.set_register (Connection.sock conn) 0 1;
-          Connection.notify_scheduler conn);
-    Apps.Workload.cbr conn ~start:0.2 ~stop:3.0 ~interval:0.05 ~rate:(fun _ ->
-        2_000_000.0);
-    (* WiFi goes silent at t = 1.0 (blackout: every packet is lost, no
-       clean failure signal); the connection break is detected at 1.5 *)
-    Connection.at conn ~time:1.0 (fun () ->
-        Link.set_loss (Connection.data_link conn 0) 1.0);
-    Connection.fail_path conn (List.hd conn.Connection.paths) ~at:1.5;
-    (* largest gap between consecutive in-order deliveries around the
-       handover (the first in-window delivery only seeds the clock) *)
-    let last = ref nan and max_gap = ref 0.0 in
-    conn.Connection.meta.Meta_socket.on_deliver <-
-      (fun ~seq:_ ~size:_ ~time ->
-        if time > 0.5 && time < 2.5 then begin
-          if not (Float.is_nan !last) then
-            max_gap := Float.max !max_gap (time -. !last);
-          last := time
-        end);
-    Connection.run ~until:30.0 conn;
-    (!max_gap, Meta_socket.all_delivered conn.Connection.meta)
-  in
   List.iter
     (fun scheduler ->
-      let gap, complete = run ~scheduler in
+      let gap, complete = Figures.handover_gap ~scheduler in
       Fmt.pr "%-12s delivery gap across handover %6.1f ms (complete: %b)@."
         scheduler (gap *. 1e3) complete)
     [ "default"; "handover" ]
@@ -1427,67 +1273,17 @@ let targets () =
      only when the target is violated (cf. [13]: ~15% of WiFi samples are \
      slower than LTE); the deadline scheduler keeps the non-preferred \
      subflow asleep unless a chunk would miss its deadline";
-  load_zoo ();
-  (* target RTT: WiFi RTT degrades in the middle of the run *)
-  let run_latency ~scheduler =
-    let paths = Apps.Scenario.wifi_lte () in
-    let conn = Connection.create ~seed:17 ~paths () in
-    Api.set_scheduler (Connection.sock conn) scheduler;
-    Api.set_register (Connection.sock conn) 0 30_000 (* tolerable RTT 30 ms *);
-    Connection.at conn ~time:2.0 (fun () ->
-        Link.set_delay (Connection.data_link conn 0) 0.080);
-    Connection.at conn ~time:4.0 (fun () ->
-        Link.set_delay (Connection.data_link conn 0) 0.005);
-    let latencies = ref [] in
-    let pending = Hashtbl.create 64 in
-    conn.Connection.meta.Meta_socket.on_deliver <-
-      (fun ~seq ~size:_ ~time ->
-        match Hashtbl.find_opt pending seq with
-        | Some t0 -> latencies := (time -. t0) :: !latencies
-        | None -> ());
-    let rec request t =
-      if t < 6.0 then
-        Connection.at conn ~time:t (fun () ->
-            let seqs = Connection.write conn 1448 in
-            List.iter
-              (fun s -> Hashtbl.replace pending s (Connection.now conn))
-              seqs;
-            request (t +. 0.05))
-    in
-    request 0.3;
-    Connection.run ~until:30.0 conn;
-    let lte = Connection.subflow conn 1 in
-    (Stats.percentile 0.95 !latencies, lte.Tcp_subflow.bytes_sent)
-  in
   List.iter
     (fun scheduler ->
-      let p95, lte = run_latency ~scheduler in
+      let p95, lte = Figures.target_latency ~scheduler in
       Fmt.pr "%-12s request p95 latency %6.1f ms, LTE bytes %7d@." scheduler
         (p95 *. 1e3) lte)
     [ "default"; "target_rtt" ];
   (* deadline-driven DASH with WiFi dips *)
-  Fmt.pr "@.DASH chunks (400 kB every 500 ms), WiFi dips to 0.5 MB/s twice:@.";
-  let run_dash ~scheduler =
-    let paths = Apps.Scenario.wifi_lte () in
-    let conn = Connection.create ~seed:19 ~paths () in
-    Api.set_scheduler (Connection.sock conn) scheduler;
-    List.iter
-      (fun (t, bw) ->
-        Connection.at conn ~time:t (fun () ->
-            Link.set_bandwidth (Connection.data_link conn 0) bw))
-      [
-        (2.0, 300_000.0); (3.5, 5_000_000.0); (5.0, 300_000.0);
-        (6.5, 5_000_000.0);
-      ];
-    let session =
-      Apps.Dash.start ~period:0.5 ~count:16 ~chunk_bytes:(fun _ -> 400_000) conn
-    in
-    Connection.run ~until:60.0 conn;
-    Apps.Dash.evaluate session
-  in
+  Fmt.pr "@.DASH chunks (400 kB every 500 ms), WiFi dips to 0.3 MB/s twice:@.";
   List.iter
     (fun scheduler ->
-      let o = run_dash ~scheduler in
+      let o = Figures.dash_deadlines ~scheduler in
       Fmt.pr "%-16s deadline misses %2d, backup (LTE) bytes %8d@." scheduler
         o.Apps.Dash.deadline_misses o.Apps.Dash.backup_bytes)
     [ "default"; "target_deadline" ]
@@ -1502,38 +1298,8 @@ let receiver () =
     "the stock two-layer receiver withholds data that is already in order \
      at the data level; the improved receiver delivers at the earliest \
      possible moment, reducing delivery latency";
-  load_zoo ();
-  let run ?(ordering = Meta_socket.Ordered) mode =
-    let paths =
-      Apps.Scenario.mininet_two_subflows ~rtt_ratio:4.0 ~loss:0.03 ()
-    in
-    let conn =
-      Connection.create ~seed:29 ~delivery_mode:mode ~ordering ~paths ()
-    in
-    (* the default scheduler reinjects suspected losses cross-subflow,
-       which is what exposes the two-layer receiver's head-of-line delay *)
-    Api.set_scheduler (Connection.sock conn) "default";
-    (* a thin periodic flow: the measured per-segment delivery latency
-       then isolates loss/reordering stalls rather than bulk queueing *)
-    let pending = Hashtbl.create 1024 in
-    let latencies = ref [] in
-    conn.Connection.meta.Meta_socket.on_deliver <-
-      (fun ~seq ~size:_ ~time ->
-        match Hashtbl.find_opt pending seq with
-        | Some t0 -> latencies := (time -. t0) :: !latencies
-        | None -> ());
-    let rec write t =
-      if t < 10.0 then
-        Connection.at conn ~time:t (fun () ->
-            let seqs = Connection.write conn 1_000 in
-            List.iter
-              (fun s -> Hashtbl.replace pending s (Connection.now conn))
-              seqs;
-            write (t +. 0.05))
-    in
-    write 0.2;
-    Connection.run ~until:120.0 conn;
-    (Stats.mean !latencies, Stats.percentile 0.95 !latencies)
+  let run ?(ordering = Meta_socket.Ordered) delivery_mode =
+    Figures.receiver_latency ~delivery_mode ~ordering
   in
   let m_imm, p_imm = run Tcp_subflow.Immediate in
   let m_two, p_two = run Tcp_subflow.Two_layer in
@@ -1584,29 +1350,19 @@ let opp_retx () =
     "when slow-subflow packets block the shared receive window, \
      retransmitting them on the fast subflow unblocks it instead of \
      idling — the feature the default scheduler gained in [44]";
-  load_zoo ();
-  let run ~scheduler ~buf =
-    let paths =
-      Apps.Scenario.mininet_two_subflows ~rtt_ratio:6.0 ~loss:0.01 ()
-    in
-    let conn = Connection.create ~seed:4 ~rcv_buffer:buf ~paths () in
-    Api.set_scheduler (Connection.sock conn) scheduler;
-    Connection.write_at conn ~time:0.1 600_000;
-    Connection.run ~until:120.0 conn;
-    let meta = conn.Connection.meta in
-    Meta_socket.fct meta ~first:0 ~last:(meta.Meta_socket.next_seq - 1)
-  in
   Fmt.pr "%-14s %18s %28s@." "rcv buffer" "default FCT" "opportunistic-retx FCT";
   List.iter
     (fun segs ->
-      let buf = segs * 1448 in
+      let fct scheduler =
+        Figures.receive_window_fct ~scheduler ~rcv_buffer:(segs * 1448)
+      in
       let show = function
-        | Some t -> Fmt.str "%8.1f ms" ((t -. 0.1) *. 1e3)
+        | Some t -> Fmt.str "%8.1f ms" (t *. 1e3)
         | None -> "incomplete"
       in
       Fmt.pr "%4d segments %18s %28s@." segs
-        (show (run ~scheduler:"default" ~buf))
-        (show (run ~scheduler:"opportunistic_retransmission" ~buf)))
+        (show (fct "default"))
+        (show (fct "opportunistic_retransmission")))
     [ 32; 16; 8 ]
 
 (* ------------------------------------------------------------------ *)
@@ -1620,47 +1376,9 @@ let proactive () =
      flow tail off slow subflows before the damage is done — the \
      proactive sibling of the (reactive) Compensating scheduler, at \
      near-zero retransmission overhead";
-  load_zoo ();
   let measure ~scheduler ~rtt_ratio =
-    let results =
-      List.filter_map
-        (fun i ->
-          let size = 40_000 in
-          let paths =
-            Apps.Scenario.mininet_two_subflows ~rtt_ratio ~base_rtt:0.02 ()
-          in
-          let conn = Connection.create ~seed:(1000 + (7919 * i)) ~paths () in
-          Api.set_scheduler (Connection.sock conn) scheduler;
-          (* the application's control loop keeps R1 = bytes remaining *)
-          let rec refresh t =
-            if t < 10.0 then
-              Connection.at conn ~time:t (fun () ->
-                  Api.set_register (Connection.sock conn) 0
-                    (max 0 (size - Connection.delivered_bytes conn));
-                  Connection.notify_scheduler conn;
-                  refresh (t +. 0.005))
-          in
-          if scheduler = "flow_size_aware" then refresh 0.2;
-          Connection.at conn ~time:0.2 (fun () ->
-              Api.set_register (Connection.sock conn) 0 size;
-              ignore (Connection.write conn size);
-              if scheduler = "compensating" then
-                Api.set_register (Connection.sock conn) 1 1);
-          Connection.run ~until:120.0 conn;
-          let meta = conn.Connection.meta in
-          match Meta_socket.fct meta ~first:0 ~last:(meta.Meta_socket.next_seq - 1) with
-          | None -> None
-          | Some t ->
-              let wire =
-                List.fold_left
-                  (fun a m -> a + m.Path_manager.subflow.Tcp_subflow.bytes_sent)
-                  0 conn.Connection.paths
-              in
-              Some (t -. 0.2, float_of_int wire /. float_of_int size))
-        (List.init 12 Fun.id)
-    in
-    ( Stats.mean (List.map fst results) *. 1e3,
-      Stats.mean (List.map snd results) )
+    let r = Figures.proactive_flows ~scheduler ~rtt_ratio in
+    (r.Figures.fct *. 1e3, r.Figures.overhead)
   in
   Fmt.pr "%-10s %22s %24s %26s@." "RTT ratio" "default" "flow_size_aware"
     "compensating";
@@ -1683,23 +1401,8 @@ let datacenter () =
     "redundancy over multiple paths compensates losses and improves the \
      tail FCT ([7], [27]: losses otherwise strand short flows on RTO \
      timeouts that dwarf the data-center RTT)";
-  load_zoo ();
   let fcts ~scheduler =
-    List.filter_map
-      (fun i ->
-        let mk_conn () =
-          let paths = Apps.Scenario.datacenter ~loss:0.01 ~n:2 () in
-          (* data-center min RTO: 5 ms, still ~25x the 200 us RTT *)
-          let conn =
-            Connection.create ~seed:(3000 + (13 * i)) ~min_rto:0.005 ~paths ()
-          in
-          Api.set_scheduler (Connection.sock conn) scheduler;
-          conn
-        in
-        Option.map
-          (fun r -> r.Apps.Workload.fct *. 1e3)
-          (Apps.Workload.measure_flow ~at:0.05 ~mk_conn ~size:100_000 ()))
-      (List.init 40 Fun.id)
+    List.map (fun t -> t *. 1e3) (Figures.datacenter_fcts ~scheduler)
   in
   Fmt.pr "%-26s %10s %10s %10s (40 flows of 100 kB, 1%% loss)@." "scheduler"
     "mean" "p95" "max";
@@ -1721,49 +1424,10 @@ let friendliness () =
     "coupled congestion control (LIA, RFC 6356) caps the aggregate \
      aggressiveness so MPTCP takes roughly a single flow's share, where \
      uncoupled subflows take about two thirds";
-  load_zoo ();
-  let params =
-    {
-      Link.default_params with
-      Link.bandwidth = 1_250_000.0;
-      delay = 0.02;
-      buffer_bytes = 128 * 1024;
-      loss = 0.005;
-    }
-  in
-  let compete cc =
-    let clock = Eventq.create () in
-    let rng = Rng.create 5 in
-    let bottleneck = Link.create ~params ~clock ~rng () in
-    let ack () =
-      Link.create
-        ~params:{ params with Link.bandwidth = 1e9; loss = 0.0 }
-        ~clock ~rng:(Rng.split rng) ()
-    in
-    let spec name = Path_manager.symmetric ~name params in
-    let mptcp =
-      Connection.create_on_links ~seed:1 ~cc ~clock
-        ~links:
-          (List.init 2 (fun i -> (spec (Fmt.str "m%d" i), bottleneck, ack ())))
-        ()
-    in
-    let single =
-      Connection.create_on_links ~seed:2 ~cc:Congestion.Reno ~clock
-        ~links:[ (spec "tcp", bottleneck, ack ()) ]
-        ()
-    in
-    Apps.Workload.cbr mptcp ~start:0.2 ~stop:40.0 ~interval:0.05
-      ~rate:(fun _ -> 1_600_000.0);
-    Apps.Workload.cbr single ~start:0.2 ~stop:40.0 ~interval:0.05
-      ~rate:(fun _ -> 1_600_000.0);
-    ignore (Eventq.run ~until:40.0 clock);
-    let m = Connection.delivered_bytes mptcp
-    and s = Connection.delivered_bytes single in
-    (float_of_int m /. float_of_int (m + s), m, s)
-  in
   List.iter
     (fun (label, cc) ->
-      let share, m, s = compete cc in
+      let m, s = Figures.friendliness ~cc in
+      let share = float_of_int m /. float_of_int (m + s) in
       Fmt.pr "%-18s mptcp share %.2f  (mptcp %.1f MB, tcp %.1f MB)@." label
         share
         (float_of_int m /. 1e6)

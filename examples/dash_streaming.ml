@@ -2,31 +2,16 @@
    Table 2).
 
    A video session fetches one 400 kB chunk every 500 ms over WiFi +
-   metered LTE. WiFi collapses twice. The application's control loop
-   keeps register R1 updated with the throughput required to meet the
-   outstanding chunk deadlines; the deadline scheduler wakes the
-   non-preferred LTE subflow only when that target is at risk.
+   metered LTE. WiFi collapses twice, to 0.3 MB/s. The application's
+   control loop keeps register R1 updated with the throughput required
+   to meet the outstanding chunk deadlines; the deadline scheduler wakes
+   the non-preferred LTE subflow only when that target is at risk. The
+   world is the DASH half of [bench targets].
 
    Run with: dune exec examples/dash_streaming.exe *)
 
-open Mptcp_sim
-
 let run label ~scheduler =
-  ignore (Schedulers.Specs.load_all ());
-  let paths = Apps.Scenario.wifi_lte () in
-  let conn = Connection.create ~seed:19 ~paths () in
-  Progmp_runtime.Api.set_scheduler (Connection.sock conn) scheduler;
-  (* two WiFi collapses to 0.3 MB/s *)
-  List.iter
-    (fun (t, bw) ->
-      Connection.at conn ~time:t (fun () ->
-          Link.set_bandwidth (Connection.data_link conn 0) bw))
-    [ (2.0, 300_000.0); (3.5, 5_000_000.0); (5.0, 300_000.0); (6.5, 5_000_000.0) ];
-  let session =
-    Apps.Dash.start ~period:0.5 ~count:16 ~chunk_bytes:(fun _ -> 400_000) conn
-  in
-  Connection.run ~until:60.0 conn;
-  let o = Apps.Dash.evaluate session in
+  let o = Mptcp_exp.Figures.dash_deadlines ~scheduler in
   Fmt.pr "%-26s misses %2d/16   worst lateness %6.0f ms   LTE bytes %8d@."
     label o.Apps.Dash.deadline_misses
     (o.Apps.Dash.worst_lateness *. 1e3)

@@ -16,7 +16,7 @@ open Mptcp_sim
 let run label ~scheduler ~mark_requests =
   ignore (Schedulers.Specs.load_all ());
   let paths =
-    Apps.Scenario.mininet_two_subflows ~rtt_ratio:2.0 ~loss:0.02 ()
+    Mptcp_exp.Scenarios.mininet_two_subflows ~rtt_ratio:2.0 ~loss:0.02 ()
   in
   let conn = Connection.create ~seed:23 ~paths () in
   Progmp_runtime.Api.set_scheduler (Connection.sock conn) scheduler;

@@ -23,91 +23,65 @@
    Run with: dune exec examples/fairness.exe *)
 
 open Mptcp_sim
+module Scenarios = Mptcp_exp.Scenarios
+module Spec = Mptcp_exp.Spec
 
-let duration = 20.0
-
-type outcome = {
-  cc : Congestion.policy;
-  topology : string;
-  ratio : float;  (** MPTCP aggregate goodput over single-path goodput *)
-  jain : float;
-  red_drops : int;
-}
-
-let run ~cc ~topology =
-  let topo =
-    match Topology.of_name topology with
-    | Some t -> t
-    | None -> Fmt.failwith "unknown builtin topology %s" topology
-  in
-  let clock = Eventq.create () in
-  let built = Topology.build ~seed:11 ~clock topo in
-  let mptcp = Topology.connect ~seed:11 ~cc built in
-  let via = (List.hd (Topology.spec built).Topology.t_links).Topology.l_name in
-  let single =
-    Topology.single built ~seed:(Rng.stream_seed ~seed:11 1) ~via ()
-  in
-  let saturate conn =
-    Apps.Workload.cbr conn ~start:0.1 ~stop:duration ~interval:0.05
-      ~rate:(fun _ -> 2_000_000.0)
-  in
-  saturate mptcp;
-  saturate single;
-  ignore (Eventq.run ~until:duration clock);
-  let span = duration -. 0.1 in
-  let goodput conn =
-    8.0 *. float_of_int (Connection.delivered_bytes conn) /. span
-  in
-  let g_mptcp = goodput mptcp and g_single = goodput single in
-  let red_drops =
-    List.fold_left
-      (fun acc (st : Topology.link_stats) -> acc + st.Topology.ls_red_dropped)
-      0 (Topology.stats built)
-  in
-  {
-    cc;
-    topology;
-    ratio = g_mptcp /. Float.max 1.0 g_single;
-    jain = Stats.jain [ g_mptcp; g_single ];
-    red_drops;
-  }
+let stock =
+  Progmp_runtime.Scheduler.of_source ~name:"default"
+    Progmp_runtime.Api.default_scheduler_source
 
 let () =
-  let matrix =
-    [
-      (Congestion.Lia, "dumbbell");
-      (Congestion.Lia, "dumbbell-red");
-      (Congestion.Reno, "dumbbell");
-      (Congestion.Reno, "dumbbell-red");
-    ]
-  in
-  let outcomes =
-    List.map (fun (cc, topology) -> run ~cc ~topology) matrix
-  in
-  let failures = ref 0 in
-  let check o =
-    let friendly_bound = 1.25 and greedy_bound = 1.5 in
+  let failures = ref 0 and red_engaged = ref false in
+  let friendly_bound = 1.25 and greedy_bound = 1.5 in
+  (* one run of the registry's [fairness] scenario per (cc, topology);
+     the connections keep the stock scheduler *)
+  let check (p : Spec.run_params) =
+    let o =
+      Scenarios.run
+        {
+          Scenarios.duration = 20.0;
+          scheduler = stock;
+          topology = Topology.of_name p.Spec.topology;
+          ramp = [];
+          install = ignore;
+          instrument = ignore;
+        }
+        p
+    in
+    let extra k = List.assoc k o.Scenarios.result.Scenarios.r_extra in
+    (* MPTCP aggregate goodput over single-path goodput *)
+    let ratio = extra "mptcp_share" in
+    let red_drops =
+      List.fold_left
+        (fun acc (st : Topology.link_stats) -> acc + st.Topology.ls_red_dropped)
+        0 o.Scenarios.links
+    in
+    if p.Spec.topology = "dumbbell-red" && red_drops > 0 then
+      red_engaged := true;
     let verdict =
-      match o.cc with
-      | Congestion.Lia when o.ratio <= friendly_bound -> "ok (friendly)"
-      | Congestion.Reno when o.ratio > greedy_bound -> "ok (greedy)"
+      match p.Spec.cc with
+      | "lia" when ratio <= friendly_bound -> "ok (friendly)"
+      | "reno" when ratio > greedy_bound -> "ok (greedy)"
       | _ ->
           incr failures;
           "FAIL"
     in
-    Fmt.pr "%-5s %-13s ratio %.2f jain %.3f red_drops %d  %s@."
-      (Congestion.to_string o.cc)
-      o.topology o.ratio o.jain o.red_drops verdict
+    Fmt.pr "%-5s %-13s ratio %.2f jain %.3f red_drops %d  %s@." p.Spec.cc
+      p.Spec.topology ratio (extra "jain") red_drops verdict
   in
   Fmt.pr "mptcp-aggregate / single-path goodput at a shared bottleneck@.";
-  List.iter check outcomes;
+  List.iter check
+    (Spec.runs
+       {
+         Spec.default with
+         scenarios = [ "fairness" ];
+         ccs = [ "lia"; "reno" ];
+         topologies = [ "dumbbell"; "dumbbell-red" ];
+         seeds = [ 11 ];
+       });
   (* RED must actually have engaged somewhere on the -red rows,
      otherwise the AQM matrix silently degenerated to drop-tail *)
-  let red_engaged =
-    List.exists (fun o -> o.topology = "dumbbell-red" && o.red_drops > 0)
-      outcomes
-  in
-  if not red_engaged then begin
+  if not !red_engaged then begin
     incr failures;
     Fmt.pr "FAIL: RED never dropped on any dumbbell-red run@."
   end;

@@ -43,7 +43,7 @@ let horizon = 12.0
    (pre-fault goodput, outage goodput, takeover latency, checker,
    metrics collector). *)
 let run ?trace_sink ~with_handover () =
-  let paths = Apps.Scenario.wifi_lte () in
+  let paths = Mptcp_exp.Scenarios.wifi_lte () in
   let conn = Connection.create ~seed ~paths () in
   let sock = Connection.sock conn in
   Progmp_runtime.Api.set_scheduler sock "default";

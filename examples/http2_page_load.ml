@@ -9,25 +9,9 @@
 
    Run with: dune exec examples/http2_page_load.exe *)
 
-open Mptcp_sim
+module Figures = Mptcp_exp.Figures
 
 let page = Apps.Http2.optimized_page
-
-let load ~scheduler ~wifi_extra_delay =
-  ignore (Schedulers.Specs.load_all ());
-  (* the default scheduler knows no preferences: for its baseline, LTE is
-     a regular subflow (the paper's complaint is precisely that it then
-     carries bulky below-the-fold content); the HTTP/2-aware scheduler
-     reads the backup flag as the non-preferred marker *)
-  let paths =
-    Apps.Scenario.wifi_lte ~wifi_extra_delay
-      ~lte_backup:(scheduler = "http2_aware") ()
-  in
-  let conn = Connection.create ~seed:21 ~paths () in
-  if scheduler = "http2_aware" then Apps.Webserver.prepare conn page;
-  match Apps.Webserver.serve_with ~scheduler_name:scheduler conn page with
-  | Some r -> r
-  | None -> failwith "page load did not complete"
 
 let () =
   Fmt.pr "page: %d resources, %d B total, %d B below the fold@.@."
@@ -41,8 +25,14 @@ let () =
     "lte (kB)";
   List.iter
     (fun extra ->
-      let d = load ~scheduler:"default" ~wifi_extra_delay:extra in
-      let h = load ~scheduler:"http2_aware" ~wifi_extra_delay:extra in
+      (* the default scheduler's baseline runs with LTE as a regular
+         subflow; the HTTP/2-aware scheduler reads LTE's backup flag as
+         the non-preferred marker *)
+      let load scheduler =
+        Figures.page_load ~scheduler ~wifi_extra_delay:extra
+      in
+      let d = load "default" in
+      let h = load "http2_aware" in
       let ratio = (0.005 +. extra) /. 0.020 in
       Fmt.pr "%-12.0f %-13.2f | %-11.1f %-9.1f %-9.1f | %-11.1f %-9.1f %-9.1f@."
         (extra *. 1e3) ratio

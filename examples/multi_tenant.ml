@@ -24,7 +24,7 @@ let () =
 
   (* tenant A: assistant over WiFi+LTE; WiFi degrades mid-run *)
   let assistant =
-    Connection.create ~clock ~seed:1 ~paths:(Apps.Scenario.wifi_lte ()) ()
+    Connection.create ~clock ~seed:1 ~paths:(Mptcp_exp.Scenarios.wifi_lte ()) ()
   in
   Api.set_scheduler (Connection.sock assistant) "target_rtt";
   Api.set_register (Connection.sock assistant) 0 30_000 (* 30 ms target *);
@@ -36,7 +36,7 @@ let () =
   (* tenant B: bulk upload over the same kind of paths, default policy *)
   let uploader =
     Connection.create ~clock ~seed:2
-      ~paths:(Apps.Scenario.wifi_lte ~lte_backup:false ())
+      ~paths:(Mptcp_exp.Scenarios.wifi_lte ~lte_backup:false ())
       ()
   in
   ignore (Api.scheduler_name (Connection.sock uploader)) (* default *);

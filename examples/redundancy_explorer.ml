@@ -4,29 +4,17 @@
    default scheduler and the three redundancy flavours: the existing
    fully-redundant scheduler, OpportunisticRedundant (redundancy only at
    first scheduling), and RedundantIfNoQ (fresh packets always first).
+   The world is [bench fig10b]'s.
 
    Run with: dune exec examples/redundancy_explorer.exe *)
-
-open Mptcp_sim
 
 let schedulers =
   [ "default"; "redundant"; "opportunistic_redundant"; "redundant_if_no_q" ]
 
 let measure ~scheduler ~size =
-  ignore (Schedulers.Specs.load_all ());
-  let mk_conn ~seed =
-    let paths =
-      Apps.Scenario.mininet_two_subflows ~rtt_ratio:2.0 ~loss:0.02 ()
-    in
-    let conn = Connection.create ~seed ~paths () in
-    Progmp_runtime.Api.set_scheduler (Connection.sock conn) scheduler;
-    conn
-  in
-  let fct, wire, completed =
-    Apps.Workload.measure_flows ~mk_conn ~size ~reps:12 ()
-  in
-  assert (completed = 12);
-  (fct *. 1e3, wire /. float_of_int size)
+  let r = Mptcp_exp.Figures.redundancy_flows ~scheduler ~size in
+  assert (r.completed = r.reps);
+  (r.fct *. 1e3, r.overhead)
 
 let () =
   Fmt.pr "short flows over 2 subflows with 2%% loss — mean FCT (wire/flow)@.@.";

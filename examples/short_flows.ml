@@ -1,38 +1,21 @@
 (* Boosting short flows with application signaling (paper §5.3, Fig. 12).
 
-   Short request/response flows over two subflows whose RTTs diverge. The
-   application tells the Compensating scheduler when a flow ends (register
-   R2); the scheduler then retransmits the packets still in flight on the
-   other subflows, so the flow never waits for the slow path's last
-   packet.
+   Short request/response flows (40 kB, ~28 segments: a typical short
+   web response) over two subflows whose RTTs diverge. The application
+   tells the Compensating scheduler when a flow ends (register R2); the
+   scheduler then retransmits the packets still in flight on the other
+   subflows, so the flow never waits for the slow path's last packet.
+   The world is [bench fig12]'s.
 
    Run with: dune exec examples/short_flows.exe *)
 
-open Mptcp_sim
-
-let flow_size = 40_000 (* ~28 segments: a typical short web response *)
-
 let measure ~scheduler ~rtt_ratio ~signal_end =
-  ignore (Schedulers.Specs.load_all ());
-  let mk_conn ~seed =
-    let paths = Apps.Scenario.mininet_two_subflows ~rtt_ratio ~base_rtt:0.02 () in
-    let conn = Connection.create ~seed ~paths () in
-    Progmp_runtime.Api.set_scheduler (Connection.sock conn) scheduler;
-    conn
-  in
-  let after_write conn =
-    if signal_end then
-      (* the flow ends with this write: signal it (R2 := 1) *)
-      Progmp_runtime.Api.set_register (Connection.sock conn) 1 1
-  in
-  let fct, wire, completed =
-    Apps.Workload.measure_flows ~after_write ~mk_conn ~size:flow_size ~reps:15 ()
-  in
-  assert (completed = 15);
-  (fct *. 1e3, wire /. float_of_int flow_size)
+  let r = Mptcp_exp.Figures.short_flows ~scheduler ~rtt_ratio ~signal_end in
+  assert (r.completed = r.reps);
+  (r.fct *. 1e3, r.overhead)
 
 let () =
-  Fmt.pr "short flows (%d B) over subflows with diverging RTTs@.@." flow_size;
+  Fmt.pr "short flows (40000 B) over subflows with diverging RTTs@.@.";
   Fmt.pr "%-10s %24s %28s@." "RTT ratio" "default FCT (overhead)"
     "compensating FCT (overhead)";
   List.iter

@@ -1,8 +1,9 @@
 (* Interactive streaming with path preferences (paper Figs. 1 and 13).
 
    A 1 MB/s stream switches to 4 MB/s after 6 seconds, over WiFi
-   (preferred, 10 ms RTT, fluctuating rate) and metered LTE (40 ms RTT).
-   Three configurations:
+   (preferred, 10 ms RTT, rate fluctuating between 2.5 and 5 MB/s, so
+   its average cannot sustain the 4 MB/s phase alone) and metered LTE
+   (40 ms RTT). Three configurations:
 
    - the default MinRTT scheduler with LTE as a normal subflow: LTE
      carries a large share even at 1 MB/s (Fig. 1's complaint);
@@ -11,42 +12,16 @@
    - the TAP scheduler with the target rate signalled in R1: LTE carries
      only the deficit.
 
+   A stalled second is one whose delivery rate fell below 90% of the
+   target. The world is [bench fig13]'s.
+
    Run with: dune exec examples/streaming_preferences.exe *)
 
-open Mptcp_sim
-
-let target_rate t = if t < 6.0 then 1_000_000.0 else 4_000_000.0
-
-let stop = 15.0
-
 let run label ~scheduler ~lte_backup =
-  ignore (Schedulers.Specs.load_all ());
-  let paths = Apps.Scenario.wifi_lte ~lte_backup () in
-  let conn = Connection.create ~seed:7 ~paths () in
-  Progmp_runtime.Api.set_scheduler (Connection.sock conn) scheduler;
-  Apps.Workload.cbr ~signal_register:0 conn ~start:0.5 ~stop ~interval:0.1
-    ~rate:target_rate;
-  (* WiFi fluctuates between 2.5 and 5 MB/s: its average cannot sustain
-     the 4 MB/s phase alone *)
-  Apps.Scenario.fluctuate_wifi conn ~rng:(Rng.create 99) ~until:stop
-    ~low:2_500_000.0 ~high:5_000_000.0 ();
-  let sampler = Stats.install conn ~interval:1.0 ~until:stop in
-  Connection.run ~until:(stop +. 10.0) conn;
-  let wifi = Connection.subflow conn 0 and lte = Connection.subflow conn 1 in
-  let total = wifi.Tcp_subflow.bytes_sent + lte.Tcp_subflow.bytes_sent in
-  (* a delivery-rate sample below 90% of the target while streaming is a
-     visible stall *)
-  let stalls =
-    List.length
-      (List.filter
-         (fun (t, rate) -> t > 1.5 && t <= stop && rate < 0.9 *. target_rate t)
-         (Stats.delivery_rate sampler))
-  in
+  let r = Mptcp_exp.Figures.stream ~scheduler ~lte_backup in
   Fmt.pr "%-28s lte share %4.1f%%  stalled seconds %2d  delivered %5.1f MB@."
-    label
-    (100.0 *. float_of_int lte.Tcp_subflow.bytes_sent /. float_of_int (max 1 total))
-    stalls
-    (float_of_int (Connection.delivered_bytes conn) /. 1e6)
+    label r.lte_share r.stalled_s
+    (float_of_int r.delivered /. 1e6)
 
 let () =
   Fmt.pr "interactive stream: 1 MB/s for 6 s, then 4 MB/s (WiFi+LTE)@.@.";

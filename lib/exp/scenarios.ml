@@ -1,10 +1,88 @@
 (** The scenario registry: one definition of each evaluation scenario
     (§5: bulk, streaming, short flows, HTTP/2, DASH, plus the open-loop
     fleet and the shared-bottleneck fairness probe). Drivers differ only
-    in the [install] and [instrument] hooks of {!ctx}. *)
+    in the [install] and [instrument] hooks of {!ctx}. The canonical
+    path sets below — the OCaml analogues of the paper's two testbeds —
+    are shared with {!Figures}, the examples and the tests. *)
 
 open Mptcp_sim
 module R = Progmp_runtime
+
+(** "In the wild" WiFi + LTE setup (Figs. 1, 13, 14): WiFi with a 10 ms
+    RTT and ~5 MB/s that fluctuates, LTE with a 40 ms RTT and 4 MB/s.
+    [lte_backup] flags LTE as the non-preferred subflow.
+    [wifi_extra_delay] adds one-way delay to WiFi (the RTT-ratio sweep of
+    Fig. 14). *)
+let wifi_lte ?(wifi_bw = 5_000_000.0) ?(lte_bw = 4_000_000.0)
+    ?(wifi_loss = 0.0) ?(lte_loss = 0.0) ?(wifi_extra_delay = 0.0)
+    ?(lte_backup = true) () =
+  [
+    Path_manager.symmetric ~name:"wifi"
+      {
+        Link.default_params with
+        Link.bandwidth = wifi_bw;
+        delay = 0.005 +. wifi_extra_delay;
+        loss = wifi_loss;
+        buffer_bytes = 512 * 1024;
+      };
+    Path_manager.symmetric ~name:"lte" ~backup:lte_backup
+      {
+        Link.default_params with
+        Link.bandwidth = lte_bw;
+        delay = 0.020;
+        loss = lte_loss;
+        buffer_bytes = 768 * 1024;
+      };
+  ]
+
+(** Install WiFi bandwidth fluctuation: every [interval], the WiFi rate
+    is redrawn uniformly from [low, high] (the dips visible in Fig. 13's
+    WiFi trace). Call after {!Connection.create}. *)
+let fluctuate_wifi (conn : Connection.t) ~rng ~until ?(interval = 0.5)
+    ~low ~high () =
+  match Connection.find_path conn "wifi" with
+  | None -> ()
+  | Some m ->
+      let link = m.Path_manager.data_link in
+      let rec tick time =
+        if time < until then
+          Connection.at conn ~time (fun () ->
+              let bw = low +. (Rng.float rng *. (high -. low)) in
+              Link.set_bandwidth link bw;
+              tick (time +. interval))
+      in
+      tick interval
+
+(** Mininet-style symmetric two-subflow setup (Figs. 10, 12): equal
+    bandwidth, base RTT of [base_rtt] on subflow 1 and
+    [base_rtt *. rtt_ratio] on subflow 2, [loss] on both. *)
+let mininet_two_subflows ?(bandwidth = 1_250_000.0) ?(base_rtt = 0.020)
+    ?(rtt_ratio = 1.0) ?(loss = 0.0) () =
+  let mk name rtt =
+    Path_manager.symmetric ~name
+      {
+        Link.default_params with
+        Link.bandwidth = bandwidth;
+        delay = rtt /. 2.0;
+        loss;
+        buffer_bytes = 256 * 1024;
+      }
+  in
+  [ mk "sbf1" base_rtt; mk "sbf2" (base_rtt *. rtt_ratio) ]
+
+(** Data-center-ish short-RTT paths (loss-compensation experiments). *)
+let datacenter ?(bandwidth = 125_000_000.0) ?(rtt = 0.0002) ?(loss = 0.0)
+    ?(n = 2) () =
+  List.init n (fun i ->
+      Path_manager.symmetric
+        ~name:(Fmt.str "dc%d" i)
+        {
+          Link.default_params with
+          Link.bandwidth;
+          delay = rtt /. 2.0;
+          loss;
+          buffer_bytes = 1 lsl 20;
+        })
 
 type run_result = {
   r_params : Spec.run_params;
@@ -63,11 +141,11 @@ let attach ctx conn =
   ctx.install conn;
   ctx.instrument conn
 
-let wifi_lte (p : Spec.run_params) =
-  Apps.Scenario.wifi_lte ~wifi_loss:p.Spec.loss ~lte_loss:p.Spec.loss ()
+let lossy_wifi_lte (p : Spec.run_params) =
+  wifi_lte ~wifi_loss:p.Spec.loss ~lte_loss:p.Spec.loss ()
 
 let mininet ~rtt_ratio (p : Spec.run_params) =
-  Apps.Scenario.mininet_two_subflows ~rtt_ratio ~loss:p.Spec.loss ()
+  mininet_two_subflows ~rtt_ratio ~loss:p.Spec.loss ()
 
 (* Aggregate result over hosted connections: byte and counter sums,
    completion = latest connection completion ([None] as soon as one
@@ -124,21 +202,20 @@ let totals p conns ~sim_time ~extra =
   }
 
 (* Host the run's [p.fleet] copies of the world [mk] on one shared clock
-   (an adopting fleet) and run it to [until]. Connection 0 is built with
-   the run's own seed, so a fleet-1 run is exactly the single-connection
-   scenario; the extra members draw independent stream seeds keyed by
-   their member index. *)
+   and run it to [until]. Connection 0 is built with the run's own seed,
+   so a fleet-1 run is exactly the single-connection scenario; the
+   extra copies draw independent stream seeds keyed by their index. *)
 let hosted ?until ?(extra = fun () -> []) ctx (p : Spec.run_params) mk =
-  let fleet = Fleet.create ~seed:p.Spec.seed ~paths:[] () in
-  let clock = Fleet.clock fleet in
-  for i = 0 to p.Spec.fleet - 1 do
-    let seed =
-      if i = 0 then p.Spec.seed else Rng.stream_seed ~seed:p.Spec.seed i
-    in
-    Fleet.adopt fleet (mk ~clock ~seed)
-  done;
-  ignore (Fleet.run ~until:(Option.value until ~default:ctx.duration) fleet);
-  let conns = Fleet.members fleet in
+  let clock = Eventq.create () in
+  (* [List.init] builds in index order, so connection 0 comes first *)
+  let conns =
+    List.init p.Spec.fleet (fun i ->
+        let seed =
+          if i = 0 then p.Spec.seed else Rng.stream_seed ~seed:p.Spec.seed i
+        in
+        mk ~clock ~seed)
+  in
+  ignore (Eventq.run ~until:(Option.value until ~default:ctx.duration) clock);
   {
     result = totals p conns ~sim_time:(Eventq.now clock) ~extra:(extra ());
     conns;
@@ -155,12 +232,12 @@ let bulk ctx p =
 let stream ctx p =
   let duration = ctx.duration in
   hosted ctx p (fun ~clock ~seed ->
-      let conn = connect ~clock ~seed p (wifi_lte p) in
+      let conn = connect ~clock ~seed p (lossy_wifi_lte p) in
       attach ctx conn;
       let rate t = if t < duration /. 3.0 then 1_000_000.0 else 4_000_000.0 in
       Apps.Workload.cbr ~signal_register:0 conn ~start:0.2
         ~stop:(duration -. 2.0) ~interval:0.1 ~rate;
-      Apps.Scenario.fluctuate_wifi conn
+      fluctuate_wifi conn
         ~rng:(Rng.create (seed + 1))
         ~until:duration ~low:3_000_000.0 ~high:5_500_000.0 ();
       conn)
@@ -220,7 +297,7 @@ let http2 ctx p =
   in
   (* the page-load horizon: start at 0.2 s plus a 120 s timeout *)
   hosted ~until:120.2 ~extra ctx p (fun ~clock ~seed ->
-      let conn = connect ~clock ~seed p (wifi_lte p) in
+      let conn = connect ~clock ~seed p (lossy_wifi_lte p) in
       ctx.instrument conn;
       ctx.install conn;
       handles := Apps.Http2.start conn Apps.Http2.optimized_page :: !handles;
@@ -243,7 +320,7 @@ let dash ctx p =
     ]
   in
   hosted ~extra ctx p (fun ~clock ~seed ->
-      let conn = connect ~clock ~seed p (wifi_lte p) in
+      let conn = connect ~clock ~seed p (lossy_wifi_lte p) in
       attach ctx conn;
       sessions :=
         Apps.Dash.start ~period:0.5

@@ -7,9 +7,62 @@
     and [instrument], which attaches per-connection observers (faults,
     invariant checkers, recorders). The scenario calls both on every
     connection it builds, in its own fixed order, runs the clock and
-    returns the measurements together with the hosted connections. *)
+    returns the measurements together with the hosted connections.
+
+    The module also holds the canonical path sets — the OCaml analogues
+    of the paper's two testbeds — that the scenarios, {!Figures}, the
+    examples and the tests build their worlds on. *)
 
 open Mptcp_sim
+
+(** {1 Canonical path sets} *)
+
+val wifi_lte :
+  ?wifi_bw:float ->
+  ?lte_bw:float ->
+  ?wifi_loss:float ->
+  ?lte_loss:float ->
+  ?wifi_extra_delay:float ->
+  ?lte_backup:bool ->
+  unit ->
+  Path_manager.path_spec list
+(** The in-the-wild setup of Figs. 1/13/14: WiFi 10 ms RTT ~5 MB/s,
+    LTE 40 ms RTT 4 MB/s; [lte_backup] (default true) flags LTE as the
+    non-preferred subflow; [wifi_extra_delay] adds one-way delay to
+    WiFi (Fig. 14's RTT-ratio sweep). *)
+
+val fluctuate_wifi :
+  Connection.t ->
+  rng:Rng.t ->
+  until:float ->
+  ?interval:float ->
+  low:float ->
+  high:float ->
+  unit ->
+  unit
+(** Redraw the WiFi rate uniformly in [low, high] every [interval]
+    (default 0.5 s; call after [Connection.create]). *)
+
+val mininet_two_subflows :
+  ?bandwidth:float ->
+  ?base_rtt:float ->
+  ?rtt_ratio:float ->
+  ?loss:float ->
+  unit ->
+  Path_manager.path_spec list
+(** The Mininet-style setup of Figs. 10/12: equal bandwidth, RTTs
+    [base_rtt] and [base_rtt *. rtt_ratio]. *)
+
+val datacenter :
+  ?bandwidth:float ->
+  ?rtt:float ->
+  ?loss:float ->
+  ?n:int ->
+  unit ->
+  Path_manager.path_spec list
+(** Short-RTT high-bandwidth paths (loss-compensation experiments). *)
+
+(** {1 The registry} *)
 
 type run_result = {
   r_params : Spec.run_params;

@@ -188,20 +188,18 @@ let tick_of w time =
   else if x > 0.0 then int_of_float x
   else 0
 
-(* Smallest level whose higher-order tick groups agree with the current
-   position: the event can be reached from [cur] without leaving that
-   level's window. *)
-let level_of cur tick =
-  let rec go l =
-    if l >= wheel_levels - 1 then wheel_levels - 1
-    else if tick lsr (wheel_bits * (l + 1)) = cur lsr (wheel_bits * (l + 1))
-    then l
-    else go (l + 1)
-  in
-  go 0
+(* Smallest level [>= l] whose higher-order tick groups agree with the
+   current position: the event can be reached from [cur] without leaving
+   that level's window. A top-level loop, not a local closure, so a
+   placement allocates nothing. *)
+let rec level_from cur tick l =
+  if l >= wheel_levels - 1 then wheel_levels - 1
+  else if tick lsr (wheel_bits * (l + 1)) = cur lsr (wheel_bits * (l + 1))
+  then l
+  else level_from cur tick (l + 1)
 
 let bucket_of w tick =
-  let l = level_of w.w_cur tick in
+  let l = level_from w.w_cur tick 0 in
   let idx = (tick lsr (wheel_bits * l)) land wheel_mask in
   let row = w.w_levels.(l) in
   let b = row.(idx) in
@@ -339,12 +337,15 @@ let advance w =
       invalid_arg "Eventq: timing wheel lost track of pending events"
   done
 
+(* The next event in (time, seq) order, or [dummy_event] when the wheel
+   is empty: a sentinel instead of an option keeps the dispatch loop
+   allocation-free. *)
 let wheel_pop w =
-  if w.w_due.h_size > 0 then Some (hpop w.w_due)
-  else if w.w_count = 0 then None
+  if w.w_due.h_size > 0 then hpop w.w_due
+  else if w.w_count = 0 then dummy_event
   else begin
     advance w;
-    Some (hpop w.w_due)
+    hpop w.w_due
   end
 
 let wheel_make ~quantum =
@@ -449,13 +450,13 @@ let cancel (ev : event) =
     cancel-then-schedule), so event traces match the closure-per-arm
     code bit for bit. *)
 type timer = {
-  mutable cell : event option;
+  mutable cell : event;  (** [dummy_event] until the first arm *)
   mutable t_armed : bool;
   mutable fire : unit -> unit;
 }
 
 let timer action =
-  let tm = { cell = None; t_armed = false; fire = ignore } in
+  let tm = { cell = dummy_event; t_armed = false; fire = ignore } in
   tm.fire <-
     (fun () ->
       tm.t_armed <- false;
@@ -466,7 +467,7 @@ let timer_armed tm = tm.t_armed
 
 let timer_cancel tm =
   if tm.t_armed then begin
-    (match tm.cell with Some ev -> cancel ev | None -> ());
+    cancel tm.cell;
     tm.t_armed <- false
   end
 
@@ -474,32 +475,36 @@ let timer_arm t tm ~at =
   obs_guard t.qs "timer_arm";
   timer_cancel tm;
   let at = if at < t.now then t.now else at in
-  (match tm.cell with
-  | Some ev when ev.pos < 0 && ev.qs == t.qs ->
-      (* the cell is free: re-arm in place, zero allocation *)
-      ev.time <- at;
-      ev.seq <- t.next_seq;
-      ev.cancelled <- false;
-      t.next_seq <- t.next_seq + 1;
-      wheel_place t.wheel ev
-  | _ ->
-      (* first arm on this queue (or the cell belongs to another
-         queue): allocate the cell *)
-      let ev =
-        {
-          time = at;
-          seq = t.next_seq;
-          cancelled = false;
-          action = tm.fire;
-          qs = t.qs;
-          home = dummy_bucket;
-          hh = dummy_heap;
-          pos = -1;
-        }
-      in
-      t.next_seq <- t.next_seq + 1;
-      tm.cell <- Some ev;
-      wheel_place t.wheel ev);
+  let ev = tm.cell in
+  (* [dummy_event]'s queue state is no queue's, so the sentinel never
+     passes this test *)
+  if ev.pos < 0 && ev.qs == t.qs then begin
+    (* the cell is free: re-arm in place, zero allocation *)
+    ev.time <- at;
+    ev.seq <- t.next_seq;
+    ev.cancelled <- false;
+    t.next_seq <- t.next_seq + 1;
+    wheel_place t.wheel ev
+  end
+  else begin
+    (* first arm on this queue (or the cell belongs to another
+       queue): allocate the cell *)
+    let ev =
+      {
+        time = at;
+        seq = t.next_seq;
+        cancelled = false;
+        action = tm.fire;
+        qs = t.qs;
+        home = dummy_bucket;
+        hh = dummy_heap;
+        pos = -1;
+      }
+    in
+    t.next_seq <- t.next_seq + 1;
+    tm.cell <- ev;
+    wheel_place t.wheel ev
+  end;
   tm.t_armed <- true
 
 let timer_arm_in t tm ~delay = timer_arm t tm ~at:(t.now +. delay)
@@ -514,26 +519,28 @@ let run ?until t =
   let executed = ref 0 in
   let limit = match until with Some u -> u | None -> infinity in
   let rec loop () =
-    match wheel_pop t.wheel with
-    | None -> ()
-    | Some ev when ev.time > limit ->
-        (* put it back: future runs may extend the horizon *)
-        wheel_place t.wheel ev;
-        t.now <- limit
-    | Some ev ->
-        t.now <- ev.time;
-        ev.action ();
-        incr executed;
-        (match t.observers with
-        | [] -> ()
-        | obs -> (
-            t.qs.in_observer <- true;
-            (try List.iter (fun f -> f ()) obs
-             with e ->
-               t.qs.in_observer <- false;
-               raise e);
-            t.qs.in_observer <- false));
-        loop ()
+    let ev = wheel_pop t.wheel in
+    if ev == dummy_event then ()
+    else if ev.time > limit then begin
+      (* put it back: future runs may extend the horizon *)
+      wheel_place t.wheel ev;
+      t.now <- limit
+    end
+    else begin
+      t.now <- ev.time;
+      ev.action ();
+      incr executed;
+      (match t.observers with
+      | [] -> ()
+      | obs -> (
+          t.qs.in_observer <- true;
+          (try List.iter (fun f -> f ()) obs
+           with e ->
+             t.qs.in_observer <- false;
+             raise e);
+          t.qs.in_observer <- false));
+      loop ()
+    end
   in
   loop ();
   !executed

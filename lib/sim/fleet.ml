@@ -125,7 +125,6 @@ type t = {
   entry_pool : Tcp_subflow.entry_pool;
   mutable slot_count : int;
   mutable next_arrival : int;
-  mutable members : Connection.t list;  (** adopted, newest first *)
   (* harvested counters: retired flows only; live state is summed on
      demand by {!totals} *)
   mutable arrivals : int;
@@ -149,6 +148,7 @@ let create ?clock ?(seed = 42) ?(mss = 1448) ?(rcv_buffer = 4 lsl 20)
     ?(cc = Congestion.Lia) ?scheduler ?(groups = 1) ?(shard = (0, 1)) ~paths ()
     =
   if groups < 1 then Fmt.invalid_arg "Fleet.create: groups %d < 1" groups;
+  if paths = [] then invalid_arg "Fleet.create: no paths";
   let shard_idx, shard_count = shard in
   if shard_count < 1 || shard_idx < 0 || shard_idx >= shard_count then
     Fmt.invalid_arg "Fleet.create: shard (%d, %d) invalid" shard_idx
@@ -162,8 +162,7 @@ let create ?clock ?(seed = 42) ?(mss = 1448) ?(rcv_buffer = 4 lsl 20)
     | None ->
         (* Derive the wheel tick from the smallest propagation delay in
            the topology: bucket granularity tracks the event spacing the
-           links actually produce. Timestamps are unaffected — an
-           adopt-only fleet (no paths) just gets the default quantum. *)
+           links actually produce. Timestamps are unaffected. *)
         let min_delay =
           List.fold_left
             (fun m (s : Path_manager.path_spec) ->
@@ -193,7 +192,6 @@ let create ?clock ?(seed = 42) ?(mss = 1448) ?(rcv_buffer = 4 lsl 20)
     entry_pool = Tcp_subflow.entry_pool ();
     slot_count = 0;
     next_arrival = 0;
-    members = [];
     arrivals = 0;
     completed = 0;
     live = 0;
@@ -324,8 +322,6 @@ let build_shell t slot ~seed =
     delivered it whole. *)
 let arrive t ~size =
   if size <= 0 then Fmt.invalid_arg "Fleet.arrive: size %d <= 0" size;
-  if Array.length t.groups = 0 || t.groups.(0).links = [] then
-    invalid_arg "Fleet.arrive: fleet created without paths (adopt-only)";
   let aid = t.next_arrival in
   t.next_arrival <- aid + 1;
   let g = aid mod t.total_groups in
@@ -356,18 +352,6 @@ let arrive t ~size =
     Meta_socket.enqueue conn.Connection.meta size
   end
 
-(** Adopt an externally built connection (it must share the fleet's
-    clock) as a permanent member: it is counted in the live gauge and
-    in {!totals} but never retired or recycled — the hosting mode the
-    sweep scenarios use for their fixed-duration workloads. *)
-let adopt t conn =
-  t.members <- conn :: t.members;
-  t.arrivals <- t.arrivals + 1;
-  t.live <- t.live + 1;
-  if t.live > t.peak_live then t.peak_live <- t.live
-
-let members t = List.rev t.members
-
 let run ?until t = Eventq.run ?until t.clock
 
 let live t = t.live
@@ -379,15 +363,13 @@ let slot_count t = t.slot_count
 let mean_fct t =
   if t.completed = 0 then 0.0 else t.fct_sum /. float_of_int t.completed
 
-(** Visit the connection of every live open-loop flow (adopted members
-    excluded), in no particular order. *)
+(** Visit the connection of every live flow, in no particular order. *)
 let iter_live t f =
   for i = 0 to t.live_len - 1 do
     Option.iter f t.live_arr.(i).shell
   done
 
-(** Visit every packet currently referenced by a live (non-adopted)
-    connection — queues, subflow rings and receiver buffers; the
+(** Visit every packet currently referenced by a live connection — queues, subflow rings and receiver buffers; the
     reachability side of the arena-recycling property tests. *)
 let iter_live_packets t f =
   iter_live t (fun conn ->
@@ -400,7 +382,7 @@ let iter_live_packets t f =
         conn.Connection.paths)
 
 (** Aggregate counters: harvested (retired) flows plus the current state
-    of live connections and adopted members. *)
+    of live connections. *)
 let totals t =
   let acc = ref (t.delivered_bytes, t.wire_bytes, t.executions, t.pushes) in
   let add conn =
@@ -418,7 +400,6 @@ let totals t =
         p + meta.Meta_socket.pushes )
   in
   iter_live t add;
-  List.iter add t.members;
   let d, w, e, p = !acc in
   {
     t_arrivals = t.arrivals;

@@ -55,10 +55,9 @@ val create :
     [g] with [g mod count = index] and silently skips arrivals it does
     not own — run [count] instances (one per domain, own clocks,
     identical traffic streams) and {!merge_totals} their results.
-    [count] must not exceed [groups]. An empty [paths] makes an
-    adopt-only fleet: {!adopt} works, {!arrive} raises. When [clock] is
-    omitted, the fleet builds one with a wheel quantum derived from the
-    minimum link propagation delay in [paths]
+    [count] must not exceed [groups]; [paths] must not be empty. When
+    [clock] is omitted, the fleet builds one with a wheel quantum
+    derived from the minimum link propagation delay in [paths]
     ({!Eventq.derive_quantum}); quantization never changes simulated
     timestamps, so results are identical either way. *)
 
@@ -70,15 +69,6 @@ val arrive : t -> size:int -> unit
     into the group's free pool — releasing its packets and entries to
     the fleet arenas — once it is fully delivered. On a sharded fleet, arrivals for non-owned groups
     only advance the arrival index. *)
-
-val adopt : t -> Connection.t -> unit
-(** Host an externally built connection (sharing the fleet's clock) as a
-    permanent member: counted in the live gauge and {!totals}, never
-    retired — the mode sweep scenarios use for fixed-duration
-    workloads. *)
-
-val members : t -> Connection.t list
-(** Adopted members, in adoption order. *)
 
 val run : ?until:float -> t -> int
 (** Run the shared event loop; returns executed events. *)
@@ -92,9 +82,9 @@ val entry_pool : t -> Tcp_subflow.entry_pool
 (** The fleet's in-flight entry arena. *)
 
 val iter_live : t -> (Connection.t -> unit) -> unit
-(** Visit the connection of every live open-loop flow (adopted members
-    excluded). A slot's connection is recycled for its next flow, so do
-    not hold on to one past its flow's retirement. *)
+(** Visit the connection of every live open-loop flow. A slot's
+    connection is recycled for its next flow, so do not hold on to one
+    past its flow's retirement. *)
 
 val iter_live_packets : t -> (Progmp_runtime.Packet.t -> unit) -> unit
 (** Visit every packet referenced by a live open-loop connection —
@@ -105,7 +95,7 @@ val set_on_retire : t -> (fct:float -> size:int -> delivered:int -> unit) -> uni
     metrics layer attaches its FCT histogram to. *)
 
 val live : t -> int
-(** Live connections now (open-loop plus adopted members). *)
+(** Live connections now. *)
 
 val peak_live : t -> int
 val arrivals : t -> int
@@ -119,7 +109,7 @@ val mean_fct : t -> float
 
 val totals : t -> totals
 (** Aggregate counters: harvested retired flows plus the current state
-    of live connections and adopted members. *)
+    of live connections. *)
 
 val merge_totals : totals -> totals -> totals
 (** Sum two shards' totals; [t_peak_live] adds per-shard peaks — an

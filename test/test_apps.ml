@@ -5,7 +5,7 @@ open Mptcp_sim
 open Progmp_runtime
 open Helpers
 
-let conn ?(seed = 3) ?(scheduler = "default") ?(paths = Apps.Scenario.wifi_lte ())
+let conn ?(seed = 3) ?(scheduler = "default") ?(paths = Mptcp_exp.Scenarios.wifi_lte ())
     () =
   ignore (Schedulers.Specs.load_all ());
   let c = Connection.create ~seed ~paths () in
@@ -136,7 +136,7 @@ let suite =
         tc "dash session misses deadlines when starved" (fun () ->
             (* both paths far too slow for the chunk rate *)
             let paths =
-              Apps.Scenario.wifi_lte ~wifi_bw:50_000.0 ~lte_bw:50_000.0 ()
+              Mptcp_exp.Scenarios.wifi_lte ~wifi_bw:50_000.0 ~lte_bw:50_000.0 ()
             in
             let c = conn ~paths ~scheduler:"target_deadline" () in
             let s =
@@ -148,7 +148,7 @@ let suite =
             let o = Apps.Dash.evaluate s in
             Alcotest.(check bool) "misses" true (o.Apps.Dash.deadline_misses > 0));
         tc "scenario wifi_lte has preferred wifi" (fun () ->
-            match Apps.Scenario.wifi_lte () with
+            match Mptcp_exp.Scenarios.wifi_lte () with
             | [ wifi; lte ] ->
                 Alcotest.(check bool) "wifi active" false
                   wifi.Path_manager.backup;
@@ -157,7 +157,7 @@ let suite =
         tc "fluctuation changes wifi bandwidth" (fun () ->
             let c = conn () in
             let rng = Rng.create 5 in
-            Apps.Scenario.fluctuate_wifi c ~rng ~until:2.0 ~low:1_000_000.0
+            Mptcp_exp.Scenarios.fluctuate_wifi c ~rng ~until:2.0 ~low:1_000_000.0
               ~high:2_000_000.0 ();
             Connection.run ~until:3.0 c;
             let bw = Link.bandwidth (Connection.data_link c 0) in

@@ -299,7 +299,7 @@ let sim_run sched_src ~name ~engine =
   let open Mptcp_sim in
   let sched = Scheduler.of_source ~name:(Fmt.str "simdiff-%s" name) sched_src in
   Scheduler.set_engine sched engine;
-  let paths = Apps.Scenario.mininet_two_subflows ~rtt_ratio:2.0 () in
+  let paths = Mptcp_exp.Scenarios.mininet_two_subflows ~rtt_ratio:2.0 () in
   let conn = Connection.create ~seed:11 ~paths () in
   (Connection.sock conn).Api.scheduler <- sched;
   Faults.apply conn sim_fault_script;

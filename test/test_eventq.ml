@@ -291,6 +291,27 @@ let suite =
             ignore (Eventq.run q);
             Alcotest.(check (list (float 1e-9)))
               "fires once, at the later arm's time" [ 1.0 ] (List.rev !times));
+        tc "draining scheduled events allocates nothing per event" (fun () ->
+            (* one instant (straight through the due heap) and 1 ms apart
+               (cascading down the wheel levels) *)
+            List.iter
+              (fun spacing ->
+                let q = Eventq.create () in
+                let n = 10_000 in
+                for i = 1 to n do
+                  ignore
+                    (Eventq.schedule q ~at:(float_of_int i *. spacing) ignore)
+                done;
+                let before = Gc.minor_words () in
+                let executed = Eventq.run q in
+                let words = Gc.minor_words () -. before in
+                Alcotest.(check int) "all executed" n executed;
+                Alcotest.(check bool)
+                  (Fmt.str "spacing %g: %.0f minor words for %d events" spacing
+                     words n)
+                  true
+                  (words <= float_of_int n /. 10.0))
+              [ 0.0; 1e-3 ]);
         QCheck_alcotest.to_alcotest
           (qprop_model "wheel q=1e12 (all due)" (fun () ->
                Eventq.create ~quantum:1e12 ()));

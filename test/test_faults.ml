@@ -360,7 +360,7 @@ let test_load_missing_file () =
 
 let handover_run ~with_handover =
   ignore (Schedulers.Specs.load_all ());
-  let conn = Connection.create ~seed:7 ~paths:(Apps.Scenario.wifi_lte ()) () in
+  let conn = Connection.create ~seed:7 ~paths:(Mptcp_exp.Scenarios.wifi_lte ()) () in
   let sock = Connection.sock conn in
   Progmp_runtime.Api.set_scheduler sock "default";
   let pre = ref 0 and during = ref 0 in

@@ -190,7 +190,7 @@ let sim_fingerprint src ~engine =
       src
   in
   Progmp_runtime.Scheduler.set_engine sched engine;
-  let paths = Apps.Scenario.wifi_lte () in
+  let paths = Mptcp_exp.Scenarios.wifi_lte () in
   let conn = Connection.create ~seed:23 ~paths () in
   (Connection.sock conn).Progmp_runtime.Api.scheduler <- sched;
   Faults.apply conn fault_script;

@@ -46,7 +46,7 @@ let suite =
               conn.Connection.paths);
         tc "subflow arriving mid-transfer gets used" (fun () ->
             load ();
-            let paths = Apps.Scenario.mininet_two_subflows () in
+            let paths = Mptcp_exp.Scenarios.mininet_two_subflows () in
             let conn = Connection.create ~seed:3 ~paths:[ List.hd paths ] () in
             Apps.Workload.bulk conn ~at:0.1 ~bytes:3_000_000;
             let late =
@@ -59,7 +59,7 @@ let suite =
               (late.Path_manager.subflow.Tcp_subflow.bytes_sent > 100_000));
         tc "handover in the middle of an HTTP/2 page load" (fun () ->
             load ();
-            let paths = Apps.Scenario.wifi_lte ~lte_backup:false () in
+            let paths = Mptcp_exp.Scenarios.wifi_lte ~lte_backup:false () in
             let conn = Connection.create ~seed:5 ~paths () in
             Connection.at conn ~time:0.25 (fun () ->
                 Link.set_loss (Connection.data_link conn 0) 1.0);
@@ -74,7 +74,7 @@ let suite =
             load ();
             let run ~scheduler ~ordering =
               let paths =
-                Apps.Scenario.mininet_two_subflows ~rtt_ratio:4.0 ~loss:0.05 ()
+                Mptcp_exp.Scenarios.mininet_two_subflows ~rtt_ratio:4.0 ~loss:0.05 ()
               in
               let conn = Connection.create ~seed:7 ~ordering ~paths () in
               Api.set_scheduler (Connection.sock conn) scheduler;
@@ -112,7 +112,7 @@ let suite =
               | Some s -> install s
               | None -> Alcotest.fail "scheduler missing");
               let paths =
-                Apps.Scenario.mininet_two_subflows ~rtt_ratio:3.0 ~loss:0.02 ()
+                Mptcp_exp.Scenarios.mininet_two_subflows ~rtt_ratio:3.0 ~loss:0.02 ()
               in
               let conn = Connection.create ~seed:11 ~paths () in
               Api.set_scheduler (Connection.sock conn) "redundant_if_no_q";
@@ -132,7 +132,7 @@ let suite =
             load ();
             (* packets marked PROP1=1 ride the fastest subflow only *)
             let paths =
-              Apps.Scenario.mininet_two_subflows ~rtt_ratio:4.0 ()
+              Mptcp_exp.Scenarios.mininet_two_subflows ~rtt_ratio:4.0 ()
             in
             let conn = Connection.create ~seed:13 ~paths () in
             Api.set_scheduler (Connection.sock conn) "http2_aware";
@@ -160,7 +160,7 @@ let suite =
             load ();
             (* compensating only acts when R2 = 1: flip it mid-connection *)
             let paths =
-              Apps.Scenario.mininet_two_subflows ~rtt_ratio:6.0 ~base_rtt:0.02 ()
+              Mptcp_exp.Scenarios.mininet_two_subflows ~rtt_ratio:6.0 ~base_rtt:0.02 ()
             in
             let conn = Connection.create ~seed:17 ~paths () in
             Api.set_scheduler (Connection.sock conn) "compensating";

@@ -11,7 +11,7 @@ let two_path_conn ?(seed = 1) ?(loss = 0.0) ?(scheduler = "default")
     ?(delivery_mode = Tcp_subflow.Immediate) () =
   ignore (Schedulers.Specs.load_all ());
   let paths =
-    Apps.Scenario.mininet_two_subflows ~rtt_ratio:3.0 ~loss ()
+    Mptcp_exp.Scenarios.mininet_two_subflows ~rtt_ratio:3.0 ~loss ()
   in
   let conn = Connection.create ~seed ~delivery_mode ~paths () in
   Api.set_scheduler (Connection.sock conn) scheduler;

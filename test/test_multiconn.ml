@@ -61,7 +61,7 @@ let suite =
             let clock = Eventq.create () in
             let mk seed =
               Connection.create ~clock ~seed
-                ~paths:(Apps.Scenario.mininet_two_subflows ())
+                ~paths:(Mptcp_exp.Scenarios.mininet_two_subflows ())
                 ()
             in
             let a = mk 1 and b = mk 2 in
@@ -104,12 +104,12 @@ let suite =
             let clock = Eventq.create () in
             let a =
               Connection.create ~clock ~seed:1
-                ~paths:(Apps.Scenario.wifi_lte ())
+                ~paths:(Mptcp_exp.Scenarios.wifi_lte ())
                 ()
             in
             let b =
               Connection.create ~clock ~seed:2
-                ~paths:(Apps.Scenario.wifi_lte ())
+                ~paths:(Mptcp_exp.Scenarios.wifi_lte ())
                 ()
             in
             Api.set_scheduler (Connection.sock a) "tap";
@@ -235,7 +235,7 @@ let unordered_suite =
       [
         tc "unordered delivers everything exactly once" (fun () ->
             let paths =
-              Apps.Scenario.mininet_two_subflows ~rtt_ratio:4.0 ~loss:0.05 ()
+              Mptcp_exp.Scenarios.mininet_two_subflows ~rtt_ratio:4.0 ~loss:0.05 ()
             in
             let conn =
               Connection.create ~seed:3 ~ordering:Meta_socket.Unordered ~paths ()
@@ -250,7 +250,7 @@ let unordered_suite =
               (Connection.delivered_bytes conn));
         tc "unordered delivery can be out of data order" (fun () ->
             let paths =
-              Apps.Scenario.mininet_two_subflows ~rtt_ratio:6.0 ~loss:0.05 ()
+              Mptcp_exp.Scenarios.mininet_two_subflows ~rtt_ratio:6.0 ~loss:0.05 ()
             in
             let conn =
               Connection.create ~seed:3 ~ordering:Meta_socket.Unordered ~paths ()
@@ -266,7 +266,7 @@ let unordered_suite =
         tc "unordered is never later than ordered per segment" (fun () ->
             let run ordering =
               let paths =
-                Apps.Scenario.mininet_two_subflows ~rtt_ratio:4.0 ~loss:0.05 ()
+                Mptcp_exp.Scenarios.mininet_two_subflows ~rtt_ratio:4.0 ~loss:0.05 ()
               in
               let conn = Connection.create ~seed:9 ~ordering ~paths () in
               Connection.write_at conn ~time:0.1 200_000;
@@ -289,7 +289,7 @@ let unordered_suite =
             done);
         tc "unordered keeps the receive window open" (fun () ->
             let paths =
-              Apps.Scenario.mininet_two_subflows ~rtt_ratio:6.0 ~loss:0.05 ()
+              Mptcp_exp.Scenarios.mininet_two_subflows ~rtt_ratio:6.0 ~loss:0.05 ()
             in
             let conn =
               Connection.create ~seed:3 ~ordering:Meta_socket.Unordered ~paths ()

@@ -31,7 +31,7 @@ let sweep =
       ignore (Schedulers.Specs.load_all ());
       let base_rtt = 0.02 in
       let paths =
-        Apps.Scenario.mininet_two_subflows ~bandwidth ~base_rtt ~rtt_ratio
+        Mptcp_exp.Scenarios.mininet_two_subflows ~bandwidth ~base_rtt ~rtt_ratio
           ~loss ()
       in
       let conn = Connection.create ~seed ~paths () in
@@ -184,7 +184,7 @@ let fault_sweep =
     gen_fault_script_config
     (fun (seed, sched, size, period, down_for, bw, loss, do_fail, jitter_seed) ->
       ignore (Schedulers.Specs.load_all ());
-      let paths = Apps.Scenario.mininet_two_subflows ~rtt_ratio:2.0 () in
+      let paths = Mptcp_exp.Scenarios.mininet_two_subflows ~rtt_ratio:2.0 () in
       let conn = Connection.create ~seed ~paths () in
       Api.set_scheduler (Connection.sock conn) sched;
       let script =
@@ -241,7 +241,7 @@ let fault_suite =
    same run without the hook stays clean. *)
 let run_with_stale_packet ~plant =
   ignore (Schedulers.Specs.load_all ());
-  let paths = Apps.Scenario.mininet_two_subflows () in
+  let paths = Mptcp_exp.Scenarios.mininet_two_subflows () in
   let conn = Connection.create ~seed:1 ~paths () in
   let checker = Invariants.attach conn in
   let qu = (Meta_socket.env conn.Connection.meta).Env.qu in

@@ -71,13 +71,18 @@ for f in $(git -C "$dir" ls-files -- 'lib/*.ml' 'lib/**/*.ml'); do
   fi
 done
 
-# Scenario worlds (paths, connections, workloads) are defined once, in
-# the registry lib/exp/scenarios.ml; a binary that builds one itself
-# has forked a scenario and will drift from the sweep's copy.
-for f in $(git -C "$dir" ls-files -- 'bin/*.ml'); do
-  hits=$(grep -nE 'Apps\.(Scenario|Workload)\.|Topology\.connect' "$dir/$f")
+# Scenario and experiment worlds (paths, connections, workloads) are
+# defined once, in lib/exp: the registry (scenarios.ml) and the paper
+# experiments (figures.ml). A binary or bench harness that builds one
+# itself — from a canonical path set, a workload generator, a
+# topology or a bare connection — has forked a world and will drift
+# from the shared copy.
+world='Scenarios\.(wifi_lte|fluctuate_wifi|mininet_two_subflows|datacenter)\b'
+world="$world"'|Apps\.Workload\.|Topology\.connect|Connection\.create'
+for f in $(git -C "$dir" ls-files -- 'bin/*.ml' 'bench/*.ml'); do
+  hits=$(grep -nE "$world" "$dir/$f")
   if [ -n "$hits" ]; then
-    echo "error: $f builds a scenario world; define it in lib/exp/scenarios.ml:" >&2
+    echo "error: $f builds a scenario world; define it in lib/exp/scenarios.ml or lib/exp/figures.ml:" >&2
     echo "$hits" >&2
     status=1
   fi
