@@ -126,11 +126,12 @@ let q_nth st q i =
   else 0
 
 let q_remove st q i =
-  match Pqueue.remove_at q i with
-  | Some p ->
-      Env.record_pop st.env q p;
-      register_packet st p
-  | None -> 0
+  let p = Pqueue.remove_at q i in
+  if p == Packet.dummy then 0
+  else begin
+    Env.record_pop st.env q p;
+    register_packet st p
+  end
 
 let pkt_reader (p : Progmp_lang.Props.packet_prop) : Packet.t -> int =
   match p with

@@ -86,13 +86,14 @@ let exec_helper st (h : Isa.helper) =
       match Pqueue.nth q (arg 1) with
       | Some p -> register_packet st p
       | None -> 0)
-  | Isa.H_q_remove -> (
+  | Isa.H_q_remove ->
       let q = queue_of_code st (arg 0) in
-      match Pqueue.remove_at q (arg 1) with
-      | Some p ->
-          Env.record_pop st.env q p;
-          register_packet st p
-      | None -> 0)
+      let p = Pqueue.remove_at q (arg 1) in
+      if p == Packet.dummy then 0
+      else begin
+        Env.record_pop st.env q p;
+        register_packet st p
+      end
   | Isa.H_sbf_count -> Array.length st.env.Env.subflows
   | Isa.H_sbf_prop -> (
       match subflow_of_handle st (arg 0) with

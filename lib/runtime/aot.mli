@@ -12,5 +12,6 @@ val compile : Progmp_lang.Tast.program -> compiled
 (** [compile p] translates once. *)
 
 val instantiate : compiled -> Env.t -> unit
-(** [instantiate c] is a decision function running [c]; it allocates
-    its variable frame per execution, so instances need no scratch. *)
+(** [instantiate c] allocates one variable frame ({!Interpreter.frame})
+    and returns the decision function running [c] on it; executions
+    allocate nothing beyond the actions they emit. Not reentrant. *)

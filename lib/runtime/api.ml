@@ -18,8 +18,10 @@ type socket = {
 exception Api_error of string
 
 (** The paper's default scheduler (minimum RTT with unexhausted congestion
-    window, reinjection first, backup semantics); installed on sockets
-    that never call {!set_scheduler}, mirroring the kernel default. *)
+    window, reinjection first, backup semantics); the registry's
+    "default" entry, loaded from this source when absent, runs on
+    sockets that never call {!set_scheduler}, mirroring the kernel
+    default. *)
 let default_scheduler_source =
   {|
 // reinjection queue has priority over new data
@@ -40,15 +42,24 @@ IF (!RQ.EMPTY) {
 }
 |}
 
-(* When the zoo already registered this same specification as
-   "default", keep that entry: replacing it would drop the engine a
-   caller selected on it (and build an instance nobody asked for). *)
-let default_scheduler =
-  lazy
-    (let digest = Digest.to_hex (Digest.string default_scheduler_source) in
-     match Scheduler.find "default" with
-     | Some s when String.equal s.Scheduler.digest digest -> s
-     | Some _ | None -> Scheduler.load ~name:"default" default_scheduler_source)
+(* The registry's current "default" entry, read at every socket
+   creation so that a later reload or engine choice reaches new sockets;
+   the stock specification is loaded under that name when nothing is
+   registered yet. *)
+let default_entry () =
+  match Scheduler.find "default" with
+  | Some s -> s
+  | None -> Scheduler.load ~name:"default" default_scheduler_source
+
+(* A socket's own instance of [s] on [s]'s engine: an instance carries
+   scratch and runs one execution at a time, so two sockets never share
+   one. A decision function installed with [Scheduler.install_custom]
+   is not a registry engine and cannot be re-instantiated: it is shared
+   as installed. *)
+let own (s : Scheduler.t) =
+  match Engine.find s.Scheduler.engine with
+  | Some _ -> Scheduler.instantiate_private s ~engine:s.Scheduler.engine
+  | None -> s
 
 (** Return the socket to its freshly created state for a recycled
     connection: a reset environment and zero default properties. The
@@ -63,7 +74,7 @@ let create ?(name = "socket") () =
     {
       sock_name = name;
       env = Env.create ();
-      scheduler = Lazy.force default_scheduler;
+      scheduler = own (default_entry ());
       default_props = Array.make Progmp_lang.Props.num_user_props 0;
     }
   in
@@ -77,12 +88,13 @@ let load_scheduler spec ~name =
   try ignore (Scheduler.load ~name spec)
   with Scheduler.Load_error msg -> raise (Api_error msg)
 
-(** Select a previously loaded scheduler for this connection. Following
-    the paper's advice, switching schedulers mid-connection is allowed but
-    registers are the preferred way to change behaviour at runtime. *)
+(** Select a previously loaded scheduler for this connection, on a
+    private instance of its engine. Following the paper's advice,
+    switching schedulers mid-connection is allowed but registers are the
+    preferred way to change behaviour at runtime. *)
 let set_scheduler sock name =
   match Scheduler.find name with
-  | Some s -> sock.scheduler <- s
+  | Some s -> sock.scheduler <- own s
   | None -> raise (Api_error (Fmt.str "scheduler %s is not loaded" name))
 
 (** Set scheduler register [reg] (0-based, R1..R6) for this connection. *)

@@ -16,9 +16,23 @@ exception Api_error of string
 
 val default_scheduler_source : string
 (** The paper's default scheduler (min-RTT, reinjections first, backup
-    semantics), installed on fresh sockets. *)
+    semantics); loaded as the registry's "default" entry when a socket
+    is created and no such entry exists. *)
 
 val create : ?name:string -> unit -> socket
+(** A fresh socket running the registry's {e current} "default" entry
+    (read at each creation, so a later reload or
+    [Scheduler.set_engine] reaches sockets created afterwards) on a
+    private instance of that entry's engine.
+
+    Every socket owns its instance: an engine instance carries mutable
+    scratch (the interpreter's and AOT's variable frame, the threaded
+    engine's registers) and must not be shared across connections or
+    domains. The one exception is an entry whose engine is not a
+    registry engine — a decision function installed with
+    [Scheduler.install_custom] (the profiler, a native oracle,
+    generated code): it cannot be re-instantiated and is shared as
+    installed, so the caller must not run it from two domains. *)
 
 val reset : socket -> unit
 (** Return the socket to its freshly created state in place (see
@@ -30,7 +44,9 @@ val load_scheduler : string -> name:string -> unit
     @raise Api_error when the specification does not compile. *)
 
 val set_scheduler : socket -> string -> unit
-(** Select a previously loaded scheduler for this connection.
+(** Select a previously loaded scheduler for this connection, on a
+    private instance of its engine (shared as installed when its engine
+    is not a registry engine, see {!create}).
     @raise Api_error when no scheduler of that name is loaded. *)
 
 val set_register : socket -> int -> int -> unit

@@ -79,8 +79,9 @@ let instantiate name program = (get name).factory program
 
 (* The two runtime-resident backends register themselves when this
    library is linked; [Progmp_compiler.Compile] adds "threaded". The
-   interpreter's code is the program itself and needs no scratch; the
-   AOT's is its closure tree, which allocates its frame per execution. *)
+   interpreter's code is the program itself, the AOT's its closure
+   tree; each instance of either allocates one typed variable frame
+   ({!Interpreter.frame}) and reuses it for every execution. *)
 let () =
   register_compiled "interpreter"
     ~caps:
@@ -89,7 +90,7 @@ let () =
         verified = false;
         description = "reference tree-walking interpreter over the typed IR";
       }
-    ~compile:Fun.id ~instantiate:Interpreter.run;
+    ~compile:Fun.id ~instantiate:Interpreter.instantiate;
   register_compiled "aot"
     ~caps:
       {

@@ -9,7 +9,7 @@
     The structure sits on the per-packet decision path, so per-execution
     state lives in reusable growable buffers rather than freshly
     allocated lists: {!begin_execution} only resets counters, and
-    {!finish_execution} does one O(actions + popped) pass. *)
+    {!finish_execution} checks each pop against the actions. *)
 
 (* Subflow ids are stable, 0-based and < 62 (see Subflow_view); ids in
    this range resolve through a constant-time index refreshed per
@@ -31,8 +31,6 @@ type t = {
   mutable popped_src : Pqueue.t array;
   mutable popped_pkt : Packet.t array;
   mutable num_popped : int;
-  handled : (int, unit) Hashtbl.t;
-      (** scratch: packet ids handled by an action, reused per execution *)
   (* subflow-id index: [sbf_slot.(id)] is the snapshot position of the
      subflow with that id when [sbf_gen.(id)] matches [generation];
      stale entries are invalidated by bumping [generation] instead of
@@ -62,7 +60,6 @@ let reset t =
   Array.fill t.registers 0 (Array.length t.registers) 0;
   t.num_actions <- 0;
   t.num_popped <- 0;
-  Hashtbl.reset t.handled;
   Array.fill t.sbf_gen 0 (Array.length t.sbf_gen) (-1);
   t.generation <- 0;
   t.reg_reads <- 0;
@@ -81,7 +78,6 @@ let create () =
       popped_src = [||];
       popped_pkt = [||];
       num_popped = 0;
-      handled = Hashtbl.create 4;
       (* start tiny and grow on demand: a fleet of a million two-subflow
          connections should not pay 64-entry index arrays each *)
       sbf_slot = Array.make 4 0;
@@ -162,7 +158,16 @@ let emit_drop t pkt = emit_action t (Action.Drop pkt)
 
 let action_count t = t.num_actions
 
+(* Subflow sets are bitmasks over snapshot positions in a 63-bit int
+   (the interpreter, the AOT and the bytecode alike): 62 positions, the
+   bound subflow ids already obey. *)
+let max_subflows = 62
+
 let begin_execution t ~subflows =
+  if Array.length subflows > max_subflows then
+    invalid_arg
+      (Printf.sprintf "Env.begin_execution: %d subflows, at most %d"
+         (Array.length subflows) max_subflows);
   t.subflows <- subflows;
   t.num_actions <- 0;
   t.num_popped <- 0;
@@ -191,25 +196,27 @@ let begin_execution t ~subflows =
     end
   done
 
+(* Some buffered action, at or after [i], hands on the packet with id
+   [id]. *)
+let rec handled t id i =
+  i < t.num_actions
+  && (match t.actions.(i) with
+     | Action.Push { pkt; _ } | Action.Drop pkt -> pkt.Packet.id = id
+     || handled t id (i + 1))
+
 (* Return packets that were popped but neither pushed nor dropped to
-   the front of their source queue, in their original order. *)
+   the front of their source queue, in their original order. An
+   execution pops and acts a handful of times, so each pop is checked
+   against the action buffer directly: O(popped x actions), and nothing
+   is allocated. *)
 let restore_orphans t =
-  if t.num_popped > 0 then begin
-    Hashtbl.clear t.handled;
-    for i = 0 to t.num_actions - 1 do
-      match t.actions.(i) with
-      | Action.Push { pkt; _ } | Action.Drop pkt ->
-          Hashtbl.replace t.handled pkt.Packet.id ()
-    done;
-    (* pops were recorded oldest-first; walking them newest-first and
-       pushing each orphan to the front restores the original queue
-       order *)
-    for i = t.num_popped - 1 downto 0 do
-      let p = t.popped_pkt.(i) in
-      if not (Hashtbl.mem t.handled p.Packet.id) then
-        Pqueue.push_front t.popped_src.(i) p
-    done
-  end;
+  (* pops were recorded oldest-first; walking them newest-first and
+     pushing each orphan to the front restores the original queue
+     order *)
+  for i = t.num_popped - 1 downto 0 do
+    let p = t.popped_pkt.(i) in
+    if not (handled t p.Packet.id 0) then Pqueue.push_front t.popped_src.(i) p
+  done;
   t.num_popped <- 0
 
 (** Finish one scheduler execution: returns the actions in program order

@@ -23,8 +23,6 @@ type t = {
       (** packets popped during the current execution, pop order; only
           the first [num_popped] entries are live *)
   mutable num_popped : int;
-  handled : (int, unit) Hashtbl.t;
-      (** scratch set of handled packet ids, reused per execution *)
   mutable sbf_slot : int array;  (** subflow id -> snapshot position *)
   mutable sbf_gen : int array;  (** generation stamp validating [sbf_slot] *)
   mutable generation : int;
@@ -66,11 +64,21 @@ val emit_drop : t -> Packet.t -> unit
 val action_count : t -> int
 (** Actions buffered so far in the current execution. *)
 
+val max_subflows : int
+(** 62: the largest snapshot an execution accepts. Every engine encodes
+    a subflow set as a bitmask over snapshot positions in one 63-bit
+    [int], and subflow ids are likewise 0-based and < 62. *)
+
 val begin_execution : t -> subflows:Subflow_view.t array -> unit
+(** Start an execution against [subflows] (reset the action and pop
+    buffers, refresh the id index).
+    @raise Invalid_argument when the snapshot holds more than
+    {!max_subflows} subflows. *)
 
 val finish_execution : t -> Action.t list
 (** Actions in program order, after restoring orphaned pops. Orphan
-    detection is O(actions + popped) via the reusable handled-id set. *)
+    detection checks each pop against the action buffer: O(popped x
+    actions), a handful of each per execution, and allocation-free. *)
 
 val finish_execution_iter : t -> (Action.t -> unit) -> int
 (** {!finish_execution} without the list: restores orphaned pops, then

@@ -5,42 +5,46 @@
     Graceful-failure semantics: selections over empty sets yield NULL,
     properties of NULL read as 0/false, PUSH/DROP of NULL are no-ops,
     division and modulo by zero yield 0. Queue filters evaluate with
-    late materialization (no view is ever built). *)
+    late materialization (no view is ever built). Operands evaluate left
+    to right, as in the bytecode.
 
-type value =
-  | Vint of int
-  | Vbool of bool
-  | Vpacket of Packet.t option
-  | Vsubflow of int option  (** index into [env.subflows] *)
-  | Vsubflows of int list  (** indices, in snapshot order *)
+    The walker is typed and allocates nothing per execution: an int,
+    bool (0/1), subflow (snapshot position, -1 for NULL) or subflow set
+    (bitmask over snapshot positions) is an [int]; a packet is a
+    {!Packet.t}, {!Packet.dummy} for NULL. *)
 
 exception Type_bug of string
 (** Only raised on interpreter bugs; the type checker rules these out
     for checked programs. *)
 
-val as_int : value -> int
+type frame = { mutable env : Env.t; ints : int array; pkts : Packet.t array }
+(** Variable storage of one instance: slot [i] lives in [ints.(i)] or,
+    when packet-typed, in [pkts.(i)]. [env] is the environment of the
+    execution in progress. *)
 
-val as_bool : value -> bool
+val frame : Progmp_lang.Tast.program -> frame
+(** A fresh frame sized for the program's slots. *)
 
-val as_packet : value -> Packet.t option
-
-val as_subflow : value -> int option
-
-val as_subflows : value -> int list
-
-type frame = { env : Env.t; slots : value array }
+val frame_of_size : int -> frame
+(** A fresh frame of [max 1 n] slots. *)
 
 exception Returned
-(** Internal control-flow marker for [RETURN]; escapes only from
+(** Control-flow marker for [RETURN]; escapes only from
     {!exec_stmt}/{!exec_block} when used directly (e.g. by the
-    profiler), never from {!run}. *)
+    profiler), never from an instance. *)
 
-val eval : frame -> Progmp_lang.Tast.expr -> value
+val eval_int : frame -> Progmp_lang.Tast.expr -> int
+(** Evaluate a non-packet expression. *)
+
+val eval_packet : frame -> Progmp_lang.Tast.expr -> Packet.t
+(** Evaluate a packet expression; NULL is {!Packet.dummy}. *)
 
 val exec_stmt : frame -> Progmp_lang.Tast.stmt -> unit
 
 val exec_block : frame -> Progmp_lang.Tast.block -> unit
 
-val run : Progmp_lang.Tast.program -> Env.t -> unit
-(** One scheduler execution against an environment prepared with
-    {!Env.begin_execution}; actions are buffered in the environment. *)
+val instantiate : Progmp_lang.Tast.program -> Env.t -> unit
+(** [instantiate p] allocates one frame and returns the decision
+    function running [p] on it: one execution per environment prepared
+    with {!Env.begin_execution}, actions buffered in the environment.
+    Not reentrant; each connection or domain takes its own instance. *)

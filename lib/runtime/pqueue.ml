@@ -111,9 +111,10 @@ let push_front t (p : Packet.t) =
 (** Remove and return the i-th packet, shifting the shorter side:
     O(min(i, len - i)) single-cell moves, so both ends are O(1) and the
     worst case (dead middle) is len/2. Removal keeps a sorted queue
-    sorted. *)
+    sorted. Out of range it removes nothing and returns {!Packet.dummy},
+    so a [POP] allocates no option. *)
 let remove_at t i =
-  if i < 0 || i >= t.len then None
+  if i < 0 || i >= t.len then Packet.dummy
   else begin
     let p = unsafe_get t i in
     if i < t.len - i - 1 then begin
@@ -131,7 +132,7 @@ let remove_at t i =
       t.buf.(phys_index t (t.len - 1)) <- Packet.dummy
     end;
     t.len <- t.len - 1;
-    Some p
+    p
   end
 
 let pop_front t = remove_at t 0
@@ -140,15 +141,16 @@ let pop_front t = remove_at t 0
     returns whether it was found. *)
 let remove_packet t (p : Packet.t) =
   let rec find i =
-    if i >= t.len then None
-    else if (unsafe_get t i).Packet.id = p.Packet.id then Some i
+    if i >= t.len then -1
+    else if (unsafe_get t i).Packet.id = p.Packet.id then i
     else find (i + 1)
   in
-  match find 0 with
-  | None -> false
-  | Some i ->
-      ignore (remove_at t i);
-      true
+  let i = find 0 in
+  i >= 0
+  && begin
+       ignore (remove_at t i : Packet.t);
+       true
+     end
 
 let mem t (p : Packet.t) =
   let rec find i =

@@ -52,10 +52,12 @@ val push_front : t -> Packet.t -> unit
 (** Re-insert at the front (e.g. a popped packet whose target subflow
     disappeared). *)
 
-val remove_at : t -> int -> Packet.t option
-(** Remove and return the i-th packet. *)
+val remove_at : t -> int -> Packet.t
+(** Remove and return the i-th packet; out of range, remove nothing and
+    return {!Packet.dummy} (no option is allocated). *)
 
-val pop_front : t -> Packet.t option
+val pop_front : t -> Packet.t
+(** [remove_at t 0]: the front packet, or {!Packet.dummy} when empty. *)
 
 val remove_packet : t -> Packet.t -> bool
 (** Remove the packet with the same id, if present. *)

@@ -73,24 +73,21 @@ let rec exec_istmt t (frame : Interpreter.frame) (s : istmt) =
   match s.node with
   | I_simple stmt -> Interpreter.exec_stmt frame stmt
   | I_if (cond, then_, else_) ->
-      if Interpreter.as_bool (Interpreter.eval frame cond) then
+      if Interpreter.eval_int frame cond <> 0 then
         List.iter (exec_istmt t frame) then_
       else List.iter (exec_istmt t frame) else_
   | I_foreach (slot, src, body) ->
-      let idxs = Interpreter.as_subflows (Interpreter.eval frame src) in
-      List.iter
-        (fun i ->
-          frame.Interpreter.slots.(slot) <- Interpreter.Vsubflow (Some i);
-          List.iter (exec_istmt t frame) body)
-        idxs
+      (* the source is a subflow bitmask over snapshot positions *)
+      let mask = Interpreter.eval_int frame src in
+      for i = 0 to Array.length frame.Interpreter.env.Env.subflows - 1 do
+        if mask land (1 lsl i) <> 0 then begin
+          frame.Interpreter.ints.(slot) <- i;
+          List.iter (exec_istmt t frame) body
+        end
+      done
 
-let run t (env : Env.t) =
-  let num_slots =
-    max 1 t.sched.Scheduler.program.Tast.num_slots
-  in
-  let frame =
-    { Interpreter.env; slots = Array.make num_slots (Interpreter.Vint 0) }
-  in
+let run t (frame : Interpreter.frame) (env : Env.t) =
+  frame.Interpreter.env <- env;
   let t0 = Unix.gettimeofday () in
   (try List.iter (exec_istmt t frame) t.body with Interpreter.Returned -> ());
   t.total_time <- t.total_time +. (Unix.gettimeofday () -. t0);
@@ -113,7 +110,8 @@ let attach (sched : Scheduler.t) : t =
       total_time = 0.0;
     }
   in
-  Scheduler.install_custom sched ~name:"profiled-interpreter" (run t);
+  Scheduler.install_custom sched ~name:"profiled-interpreter"
+    (run t (Interpreter.frame sched.Scheduler.program));
   t
 
 (** Render the annotated control-flow trace (the "proc file" content). *)

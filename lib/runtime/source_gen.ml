@@ -80,8 +80,8 @@ let rec emit_expr ctx (e : Tast.expr) : string =
         (emit_scan ctx view)
   | Tast.Q_pop view ->
       Fmt.str
-        "(let __q = %s in match %s with Some (__i, __p) -> ignore \
-         (Pqueue.remove_at __q __i); Env.record_pop env __q __p; Some __p | \
+        "(let __q = %s in match %s with Some (__i, _) -> let __p = \
+         Pqueue.remove_at __q __i in Env.record_pop env __q __p; Some __p | \
          None -> None)"
         (queue_expr view.Tast.base) (emit_scan ctx view)
   | Tast.Q_min (view, lam) -> emit_q_select ctx ~cmp:"<" view lam
@@ -176,30 +176,37 @@ and emit_q_select ctx ~cmp (view : Tast.queue_view) (lam : Tast.lambda) =
     (emit_filters ctx view.Tast.filters "__p")
     (slot_name lam.Tast.param) (emit_expr ctx lam.Tast.body) cmp
 
+(* Operands evaluate left to right, like the interpreter's and the
+   bytecode's: OCaml leaves the order of an operator's operands
+   unspecified, so both are bound first. *)
 and emit_binop ctx op (a : Tast.expr) (b : Tast.expr) =
   let ea = emit_expr ctx a and eb = emit_expr ctx b in
+  let strict fmt =
+    let x = fresh ctx "a" and y = fresh ctx "b" in
+    Fmt.str "(let %s = %s in let %s = %s in %s)" x ea y eb (fmt x y)
+  in
   match op with
-  | Tast.Add -> Fmt.str "(%s + %s)" ea eb
-  | Tast.Sub -> Fmt.str "(%s - %s)" ea eb
-  | Tast.Mul -> Fmt.str "(%s * %s)" ea eb
-  | Tast.Div -> Fmt.str "(let __d = %s in if __d = 0 then 0 else %s / __d)" eb ea
+  | Tast.Add -> strict (Fmt.str "%s + %s")
+  | Tast.Sub -> strict (Fmt.str "%s - %s")
+  | Tast.Mul -> strict (Fmt.str "%s * %s")
+  | Tast.Div -> strict (fun x y -> Fmt.str "if %s = 0 then 0 else %s / %s" y x y)
   | Tast.Mod ->
-      Fmt.str "(let __d = %s in if __d = 0 then 0 else %s mod __d)" eb ea
-  | Tast.Lt -> Fmt.str "(%s < %s)" ea eb
-  | Tast.Le -> Fmt.str "(%s <= %s)" ea eb
-  | Tast.Gt -> Fmt.str "(%s > %s)" ea eb
-  | Tast.Ge -> Fmt.str "(%s >= %s)" ea eb
+      strict (fun x y -> Fmt.str "if %s = 0 then 0 else %s mod %s" y x y)
+  | Tast.Lt -> strict (Fmt.str "%s < %s")
+  | Tast.Le -> strict (Fmt.str "%s <= %s")
+  | Tast.Gt -> strict (Fmt.str "%s > %s")
+  | Tast.Ge -> strict (Fmt.str "%s >= %s")
   | Tast.And -> Fmt.str "(%s && %s)" ea eb
   | Tast.Or -> Fmt.str "(%s || %s)" ea eb
   | Tast.Eq | Tast.Neq ->
       let eq =
         match a.Tast.ty with
         | Ty.Packet ->
-            Fmt.str
-              "(match (%s, %s) with None, None -> true | Some __x, Some __y \
-               -> __x.Packet.id = __y.Packet.id | _ -> false)"
-              ea eb
-        | _ -> Fmt.str "(%s = %s)" ea eb
+            strict
+              (Fmt.str
+                 "(match (%s, %s) with None, None -> true | Some __x, Some \
+                  __y -> __x.Packet.id = __y.Packet.id | _ -> false)")
+        | _ -> strict (Fmt.str "%s = %s")
       in
       if op = Tast.Eq then eq else Fmt.str "(not %s)" eq
 

@@ -50,12 +50,10 @@ let default (env : Env.t) =
         else None
       in
       (match queue with
-      | Some q -> (
-          match Pqueue.pop_front q with
-          | Some pkt ->
-              Env.record_pop env q pkt;
-              Env.emit_push env ~sbf_id:target.Subflow_view.id pkt
-          | None -> ())
+      | Some q ->
+          let pkt = Pqueue.pop_front q in
+          Env.record_pop env q pkt;
+          Env.emit_push env ~sbf_id:target.Subflow_view.id pkt
       | None -> ())
 
 (** Native round robin (same policy as {!Specs.round_robin}; the cursor
@@ -76,11 +74,10 @@ let round_robin (env : Env.t) =
     match List.nth_opt sbfs cursor with
     | Some v ->
         if window_open v then begin
-          match Pqueue.pop_front env.Env.q with
-          | Some pkt ->
-              Env.record_pop env env.Env.q pkt;
-              Env.emit_push env ~sbf_id:v.Subflow_view.id pkt
-          | None -> ()
+          (* Q is non-empty: the pop yields a packet *)
+          let pkt = Pqueue.pop_front env.Env.q in
+          Env.record_pop env env.Env.q pkt;
+          Env.emit_push env ~sbf_id:v.Subflow_view.id pkt
         end;
         Env.set_register env 2 (cursor + 1)
     | None -> ()
@@ -92,11 +89,9 @@ let redundant_if_no_q (env : Env.t) =
   List.iter
     (fun (v : Subflow_view.t) ->
       if not (Pqueue.is_empty env.Env.q) then begin
-        match Pqueue.pop_front env.Env.q with
-        | Some pkt ->
-            Env.record_pop env env.Env.q pkt;
-            Env.emit_push env ~sbf_id:v.Subflow_view.id pkt
-        | None -> ()
+        let pkt = Pqueue.pop_front env.Env.q in
+        Env.record_pop env env.Env.q pkt;
+        Env.emit_push env ~sbf_id:v.Subflow_view.id pkt
       end
       else begin
         let found = ref None in

@@ -64,7 +64,7 @@ let check_same name src engine =
   let program = Progmp_lang.Typecheck.compile_source src in
   List.iteri
     (fun i spec ->
-      let reference = observe (Interpreter.run program) spec in
+      let reference = observe (Interpreter.instantiate program) spec in
       let got = observe engine spec in
       if reference <> got then
         Alcotest.failf "%s: generated engine diverges on environment %d" name i)

@@ -174,7 +174,7 @@ let cross_domain_case =
         List.map (fun (_, spec) -> observe run program spec) specs
       in
       let reference =
-        List.map (fun (name, p) -> (name, tapes (Interpreter.run p) p)) programs
+        List.map (fun (name, p) -> (name, tapes (Interpreter.instantiate p) p)) programs
       in
       let hits0, misses0 = Engine.cache_stats () in
       let worker () =
@@ -225,7 +225,7 @@ let native_cases =
         (fun (spec_name, spec) ->
           tc (Fmt.str "native %s / %s" name spec_name) (fun () ->
               let reference =
-                observe (fun env -> Interpreter.run program env) program spec
+                observe (fun env -> Interpreter.instantiate program env) program spec
               in
               let o = observe native program spec in
               Alcotest.check obs_testable "native agrees" reference o))
@@ -355,9 +355,102 @@ let sim_fault_cases =
             (Engine.names ())))
     [ "default"; "round_robin"; "redundant"; "redundant_if_no_q"; "target_rtt" ]
 
+(* Subflow sets are bitmasks over snapshot positions, so a snapshot may
+   hold at most 62 subflows. At 61 and 62 — the last free bit and the
+   full mask — every engine must agree with the interpreter, on the zoo
+   and on a program that reads the highest positions through every set
+   operation; one more subflow is refused before any engine runs. *)
+let wide_program =
+  {|
+VAR all = SUBFLOWS;
+VAR open = all.FILTER(s => s.CWND > s.SKBS_IN_FLIGHT);
+SET(R1, open.COUNT);
+SET(R2, all.SUM(s => s.ID));
+SET(R3, all.GET(all.COUNT - 1).ID);
+SET(R4, all.MAX(s => s.RTT).ID);
+SET(R5, open.FILTER(s => s.ID > 55).COUNT);
+IF (!all.EMPTY) { all.GET(all.COUNT - 1).PUSH(Q.POP()); }
+FOREACH (VAR s IN open.FILTER(t => t.ID > 58)) { s.PUSH(Q.POP()); }
+|}
+
+let wide_spec n =
+  {
+    q_seqs = List.init 8 Fun.id;
+    qu_seqs = [ (20, [ 0; n - 1 ]); (21, [ 1 ]) ];
+    rq_seqs = [];
+    views =
+      List.init n (fun id ->
+          {
+            Subflow_view.default with
+            Subflow_view.id;
+            (* the RTT peaks at the last position; every third subflow
+               is congestion-blocked *)
+            rtt_us = 10_000 + (100 * id);
+            skbs_in_flight = (if id mod 3 = 0 then 10 else 0);
+          });
+    regs = [];
+  }
+
+let wide_cases =
+  List.concat_map
+    (fun n ->
+      let spec = wide_spec n in
+      tc (Fmt.str "%d subflows: registers read the top positions" n) (fun () ->
+          let program = Progmp_lang.Typecheck.compile_source wide_program in
+          List.iter
+            (fun (name, engine) ->
+              let o = observe engine program spec in
+              let ids = List.init n Fun.id in
+              let open_ = List.filter (fun id -> id mod 3 <> 0) ids in
+              Alcotest.(check (list int))
+                (name ^ " registers")
+                [
+                  List.length open_;
+                  List.fold_left ( + ) 0 ids;
+                  n - 1;
+                  n - 1;
+                  List.length (List.filter (fun id -> id > 55) open_);
+                  0;
+                ]
+                o.o_regs)
+            (backends program);
+          agree program spec)
+      :: List.map
+           (fun (sched_name, src) ->
+             tc (Fmt.str "%d subflows / %s" n sched_name) (fun () ->
+                 agree (Progmp_lang.Typecheck.compile_source src) spec))
+           Schedulers.Specs.all)
+    [ 61; 62 ]
+  @ [
+      tc "63 subflows are refused" (fun () ->
+          let env, views = build (wide_spec 63) in
+          match Env.begin_execution env ~subflows:views with
+          | () -> Alcotest.fail "expected Invalid_argument"
+          | exception Invalid_argument _ -> ());
+    ]
+
+(* Operands evaluate left to right on every engine: two POPs in one
+   expression take the front packet first. *)
+let order_case =
+  tc "operands evaluate left to right" (fun () ->
+      let program =
+        Progmp_lang.Typecheck.compile_source
+          "VAR d = Q.POP().SEQ - Q.POP().SEQ; SET(R1, d);
+           VAR q = Q.POP().SEQ / Q.POP().SEQ; SET(R2, q);"
+      in
+      let spec = { default_env_spec with q_seqs = [ 1; 2; 9; 3 ] } in
+      List.iter
+        (fun (name, engine) ->
+          let o = observe engine program spec in
+          Alcotest.(check (list int))
+            (name ^ ": R1 = 1 - 2, R2 = 9 / 3")
+            [ -1; 3; 0; 0; 0; 0 ] o.o_regs)
+        (backends program))
+
 let suite =
   [
     ("differential-zoo", zoo_cases);
+    ("differential-wide", order_case :: wide_cases);
     ("differential-domains", [ cross_domain_case ]);
     ("differential-native", native_cases);
     ( "differential-random",

@@ -79,7 +79,7 @@ let fuzz_full_pipeline =
           let program = Optimize.program program in
           let env, views = build default_env_spec in
           Progmp_runtime.Env.begin_execution env ~subflows:views;
-          Progmp_runtime.Interpreter.run program env;
+          Progmp_runtime.Interpreter.instantiate program env;
           ignore (Progmp_runtime.Env.finish_execution env);
           match Progmp_compiler.Compile.compile program with
           | prog ->

@@ -94,7 +94,7 @@ let preservation =
       let observe program =
         let env, views = build spec in
         Progmp_runtime.Env.begin_execution env ~subflows:views;
-        Progmp_runtime.Interpreter.run program env;
+        Progmp_runtime.Interpreter.instantiate program env;
         let actions =
           List.map norm_action (Progmp_runtime.Env.finish_execution env)
         in

@@ -30,6 +30,10 @@ let gen_ops =
          (3, map (fun k -> Remove_below (abs k mod 12)) small_int);
        ])
 
+(* The seq of a removed packet; [None] for the NULL packet an
+   out-of-range removal returns. *)
+let seq_opt (p : Packet.t) = if p == Packet.dummy then None else Some p.Packet.seq
+
 let rec is_sorted = function
   | a :: (b :: _ as rest) -> a <= b && is_sorted rest
   | _ -> true
@@ -62,14 +66,14 @@ let model_matches ?(cov = { trims = 0; compactions = 0; resorted = 0 }) ops =
           Pqueue.push_front q (mk s);
           model := s :: !model
       | Pop_front -> (
-          let got = Option.map (fun p -> p.Packet.seq) (Pqueue.pop_front q) in
+          let got = seq_opt (Pqueue.pop_front q) in
           match !model with
           | [] -> assert (got = None)
           | x :: rest ->
               assert (got = Some x);
               model := rest)
       | Remove_at i -> (
-          let got = Option.map (fun p -> p.Packet.seq) (Pqueue.remove_at q i) in
+          let got = seq_opt (Pqueue.remove_at q i) in
           if i < List.length !model then begin
             assert (got = Some (List.nth !model i));
             model := List.filteri (fun j _ -> j <> i) !model
@@ -114,7 +118,9 @@ let suite =
             let q = Pqueue.create () in
             Alcotest.(check bool) "empty" true (Pqueue.is_empty q);
             Alcotest.(check int) "len" 0 (Pqueue.length q);
-            Alcotest.(check bool) "pop none" true (Pqueue.pop_front q = None);
+            Alcotest.(check bool) "pop null" true (Pqueue.pop_front q == Packet.dummy);
+            Alcotest.(check bool) "remove_at null" true
+              (Pqueue.remove_at q (-1) == Packet.dummy);
             Alcotest.(check bool) "nth none" true (Pqueue.nth q 0 = None));
         tc "fifo order" (fun () ->
             let q = Pqueue.create () in

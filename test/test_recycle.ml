@@ -60,10 +60,9 @@ let env_fields (e : Env.t) =
     Fmt.str "q=%d qu=%d rq=%d" (Pqueue.length e.Env.q) (Pqueue.length e.Env.qu)
       (Pqueue.length e.Env.rq);
     Fmt.str "registers=%s" (ints e.Env.registers);
-    Fmt.str "snapshot=%d actions=%d popped=%d handled=%d"
+    Fmt.str "snapshot=%d actions=%d popped=%d"
       (Array.length e.Env.subflows)
-      e.Env.num_actions e.Env.num_popped
-      (Hashtbl.length e.Env.handled);
+      e.Env.num_actions e.Env.num_popped;
     Fmt.str "generation=%d sbf_gen=%s reads=%d writes=%d" e.Env.generation
       (ints e.Env.sbf_gen) e.Env.reg_reads e.Env.reg_writes;
   ]

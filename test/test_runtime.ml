@@ -24,7 +24,7 @@ let no_loss =
       let env, views = build spec in
       let before = seqs_of env.Env.q in
       Env.begin_execution env ~subflows:views;
-      Interpreter.run program env;
+      Interpreter.instantiate program env;
       let actions = Env.finish_execution env in
       let after = seqs_of env.Env.q in
       let handled seq =
@@ -149,6 +149,41 @@ let suite =
             match Api.set_packet_property sock ~prop:9 1 with
             | () -> Alcotest.fail "expected Api_error"
             | exception Api.Api_error _ -> ());
+        tc "api: a new socket runs the current default entry's engine"
+          (fun () ->
+            ignore (Api.create ());
+            let default = Option.get (Scheduler.find "default") in
+            let label = Scheduler.engine_label default
+            and run = default.Scheduler.run in
+            Fun.protect
+              ~finally:(fun () -> Scheduler.install_custom default ~name:label run)
+              (fun () ->
+                Scheduler.set_engine default "aot";
+                let sock = Api.create () in
+                Alcotest.(check string) "engine" "aot"
+                  (Scheduler.engine_label sock.Api.scheduler);
+                Alcotest.(check bool) "own instance" true
+                  (sock.Api.scheduler.Scheduler.run != default.Scheduler.run)));
+        tc "api: sockets never share a scheduler instance" (fun () ->
+            let s1 = Api.create () and s2 = Api.create () in
+            let run (s : Api.socket) = s.Api.scheduler.Scheduler.run in
+            Alcotest.(check bool) "created" true (run s1 != run s2);
+            Api.load_scheduler Schedulers.Specs.round_robin ~name:"rr-own";
+            Api.set_scheduler s1 "rr-own";
+            Api.set_scheduler s2 "rr-own";
+            let entry = Option.get (Scheduler.find "rr-own") in
+            Alcotest.(check bool) "selected" true (run s1 != run s2);
+            Alcotest.(check bool) "not the registry's" true
+              (run s1 != entry.Scheduler.run && run s2 != entry.Scheduler.run));
+        tc "api: a custom decision function is shared as installed" (fun () ->
+            Api.load_scheduler Schedulers.Specs.round_robin ~name:"rr-custom";
+            let entry = Option.get (Scheduler.find "rr-custom") in
+            let custom (_ : Env.t) = () in
+            Scheduler.install_custom entry ~name:"hand-written" custom;
+            let sock = Api.create () in
+            Api.set_scheduler sock "rr-custom";
+            Alcotest.(check bool) "shared" true
+              (sock.Api.scheduler.Scheduler.run == custom));
         tc "per-connection registers are isolated" (fun () ->
             let s1 = Api.create () and s2 = Api.create () in
             Api.set_register s1 0 1;
@@ -205,9 +240,9 @@ let suite =
             done;
             Env.begin_execution env ~subflows:[| Subflow_view.default |];
             for _ = 1 to n do
-              match Pqueue.pop_front env.Env.q with
-              | Some pkt -> Env.record_pop env env.Env.q pkt
-              | None -> Alcotest.fail "queue exhausted early"
+              let pkt = Pqueue.pop_front env.Env.q in
+              if pkt == Packet.dummy then Alcotest.fail "queue exhausted early";
+              Env.record_pop env env.Env.q pkt
             done;
             let actions = Env.finish_execution env in
             Alcotest.(check int) "no actions" 0 (List.length actions);
@@ -223,14 +258,13 @@ let suite =
             done;
             Env.begin_execution env ~subflows:[| Subflow_view.default |];
             (* pop two; push the first, leave the second orphaned *)
-            (match Pqueue.pop_front env.Env.q with
-            | Some pkt ->
-                Env.record_pop env env.Env.q pkt;
-                Env.emit_push env ~sbf_id:0 pkt
-            | None -> Alcotest.fail "empty");
-            (match Pqueue.pop_front env.Env.q with
-            | Some pkt -> Env.record_pop env env.Env.q pkt
-            | None -> Alcotest.fail "empty");
+            let first = Pqueue.pop_front env.Env.q in
+            Env.record_pop env env.Env.q first;
+            Env.emit_push env ~sbf_id:0 first;
+            let second = Pqueue.pop_front env.Env.q in
+            Env.record_pop env env.Env.q second;
+            Alcotest.(check (list int)) "popped the front two" [ 0; 1 ]
+              [ first.Packet.seq; second.Packet.seq ];
             let actions = Env.finish_execution env in
             Alcotest.(check int) "one push" 1 (List.length actions);
             Alcotest.(check (list int))
@@ -313,4 +347,129 @@ let perf_suite =
               (Fmt.str "%.1f us per execution" (per *. 1e6))
               true (per < 100e-6));
       ] );
+  ]
+
+(* Allocation ceilings on the decision path, in the style of the
+   warm-slot test: once an instance and its environment are warm, an
+   execution allocates only the [Action.Push] records it emits (3 words
+   each) — no value boxes, frames, options or closures. The queue is
+   refilled from a preallocated ring so every execution finds work. *)
+let words_per_execution ~engine src ~views =
+  let program = Progmp_lang.Typecheck.compile_source src in
+  let run = Engine.instantiate engine program in
+  let env = Env.create () in
+  let ring =
+    Array.init 64 (fun seq -> Packet.create ~seq ~size:1448 ~now:0.0 ())
+  in
+  let next = ref 0 in
+  let refill () =
+    while Pqueue.length env.Env.q < 8 do
+      Pqueue.push_back env.Env.q ring.(!next);
+      next := (!next + 1) mod Array.length ring
+    done
+  in
+  let apply (_ : Action.t) = () in
+  let execute () =
+    refill ();
+    Env.begin_execution env ~subflows:views;
+    run env;
+    Env.finish_execution_iter env apply
+  in
+  for _ = 1 to 100 do
+    ignore (execute ())
+  done;
+  let n = 1_000 and actions = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    actions := !actions + execute ()
+  done;
+  let words = Gc.minor_words () -. before in
+  (words, !actions)
+
+let alloc_suite =
+  let open_views =
+    Array.init 2 (fun id ->
+        { Subflow_view.default with Subflow_view.id; rtt_us = 10_000 * (id + 1) })
+  and blocked_views =
+    Array.init 2 (fun id ->
+        {
+          Subflow_view.default with
+          Subflow_view.id;
+          rtt_us = 10_000 * (id + 1);
+          cwnd = 2;
+          skbs_in_flight = 2;
+        })
+  in
+  Progmp_compiler.Compile.register_engines ();
+  [
+    ( "allocation",
+      List.concat_map
+        (fun engine ->
+          List.concat_map
+            (fun (name, src) ->
+              [
+                tc
+                  (Fmt.str "%s on %s: 3 words per action" name engine)
+                  (fun () ->
+                    let words, actions =
+                      words_per_execution ~engine src ~views:open_views
+                    in
+                    Alcotest.(check bool)
+                      (Fmt.str "%d actions emitted" actions)
+                      true (actions > 0);
+                    Alcotest.(check bool)
+                      (Fmt.str "%.0f words for %d actions" words actions)
+                      true
+                      (words <= 3.0 *. float_of_int actions));
+                tc
+                  (Fmt.str "%s on %s: nothing without actions" name engine)
+                  (fun () ->
+                    let words, actions =
+                      words_per_execution ~engine src ~views:blocked_views
+                    in
+                    Alcotest.(check int) "no actions" 0 actions;
+                    Alcotest.(check (float 0.0)) "words" 0.0 words);
+              ])
+            [
+              ("default", Schedulers.Specs.default);
+              ("redundant", Schedulers.Specs.redundant);
+            ])
+        (Engine.names ())
+      @ [
+          tc "a tiny interpreter bulk sweep stays within 100 words a decision"
+            (fun () ->
+              let spec =
+                match
+                  Mptcp_exp.Spec.parse
+                    "scenario bulk\n\
+                     scheduler default\n\
+                     engine interpreter\n\
+                     fleet 1\n\
+                     loss 0.02\n\
+                     seed 3\n\
+                     duration 30\n"
+                with
+                | Ok s -> s
+                | Error msg -> Alcotest.fail msg
+              in
+              let before = Gc.minor_words () in
+              let report =
+                match Mptcp_exp.Sweep.execute ~jobs:1 spec with
+                | Ok r -> r
+                | Error msg -> Alcotest.fail msg
+              in
+              let words = Gc.minor_words () -. before in
+              let decisions =
+                List.fold_left
+                  (fun n r -> n + r.Mptcp_exp.Sweep.r_executions)
+                  0 report.Mptcp_exp.Sweep.runs
+              in
+              Alcotest.(check bool)
+                (Fmt.str "%d decisions" decisions)
+                true (decisions > 1_000);
+              let per = words /. float_of_int decisions in
+              Alcotest.(check bool)
+                (Fmt.str "%.1f minor words per decision" per)
+                true (per <= 100.0));
+        ] );
   ]
