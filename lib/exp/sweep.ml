@@ -87,8 +87,8 @@ let rec first_error = function
   | (Error _ as e) :: _ -> e
 
 (** Resolve and validate everything shared, on the calling domain,
-    before any worker exists: force the default-scheduler lazy, load the
-    zoo, resolve scheduler and engine names, parse fault scripts, and
+    before any worker exists: register the stock default scheduler (the
+    entry every socket instantiates at creation), load the zoo, resolve scheduler and engine names, parse fault scripts, and
     instantiate each (scheduler, engine) pair once, so every pair is
     compiled here and workers only instantiate from the cached code.
     Workers afterwards only read these registries. *)

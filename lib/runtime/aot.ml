@@ -388,7 +388,7 @@ let compile (p : Tast.program) : compiled =
   { body = compile_block p.Tast.body; num_slots = p.Tast.num_slots }
 
 let instantiate { body; num_slots } =
-  let fr = frame_of_size num_slots in
+  let fr = frame num_slots in
   fun env ->
     fr.env <- env;
     try body fr with Returned_aot -> ()

@@ -16,7 +16,9 @@
       domain may read it: N connections, sweep workers or fleet shards
       running one scheduler share one compilation.
     - [instantiate : code -> Env.t -> unit] allocates only the
-      per-instance scratch (register file, stack, packet-handle table).
+      per-instance scratch (the interpreter's and AOT's variable frame;
+      the threaded engine's register file, stack and packet-handle
+      table), so an execution allocates nothing of its own.
       An instance is not reentrant: it runs one execution at a time, on
       one domain. Instantiating again is cheap, so each connection or
       worker takes its own instance.

@@ -12,7 +12,7 @@
     {!eval_packet}, chosen by its static type, so no value is ever
     boxed. Ints, booleans (0/1), subflows (snapshot position, -1 for
     NULL) and subflow sets (a bitmask over snapshot positions, the
-    encoding {!Progmp_compiler.Codegen} gives the bytecode) are all
+    encoding [Progmp_compiler.Codegen] gives the bytecode) are all
     ints; a packet is the packet itself, {!Packet.dummy} for NULL.
     Operands are evaluated left to right, like the bytecode engines.
 
@@ -31,11 +31,9 @@ type frame = { mutable env : Env.t; ints : int array; pkts : Packet.t array }
    (every execution binds its own first) and never written. *)
 let unbound = Env.create ()
 
-let frame_of_size n =
+let frame n =
   let n = max 1 n in
   { env = unbound; ints = Array.make n 0; pkts = Array.make n Packet.dummy }
-
-let frame (p : Tast.program) = frame_of_size p.Tast.num_slots
 
 let is_null (p : Packet.t) = p == Packet.dummy
 
@@ -289,7 +287,7 @@ and exec_block frame = function
     Actions are buffered in the environment; the caller collects them
     with {!Env.finish_execution}. *)
 let instantiate (p : Tast.program) =
-  let frame = frame p and body = p.Tast.body in
+  let frame = frame p.Tast.num_slots and body = p.Tast.body in
   fun env ->
     frame.env <- env;
     try exec_block frame body with Returned -> ()

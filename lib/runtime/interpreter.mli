@@ -22,11 +22,9 @@ type frame = { mutable env : Env.t; ints : int array; pkts : Packet.t array }
     when packet-typed, in [pkts.(i)]. [env] is the environment of the
     execution in progress. *)
 
-val frame : Progmp_lang.Tast.program -> frame
-(** A fresh frame sized for the program's slots. *)
-
-val frame_of_size : int -> frame
-(** A fresh frame of [max 1 n] slots. *)
+val frame : int -> frame
+(** [frame n] is a fresh frame of [max 1 n] slots (a program's
+    [num_slots]). *)
 
 exception Returned
 (** Control-flow marker for [RETURN]; escapes only from

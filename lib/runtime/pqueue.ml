@@ -141,16 +141,15 @@ let pop_front t = remove_at t 0
     returns whether it was found. *)
 let remove_packet t (p : Packet.t) =
   let rec find i =
-    if i >= t.len then -1
-    else if (unsafe_get t i).Packet.id = p.Packet.id then i
+    if i >= t.len then None
+    else if (unsafe_get t i).Packet.id = p.Packet.id then Some i
     else find (i + 1)
   in
-  let i = find 0 in
-  i >= 0
-  && begin
-       ignore (remove_at t i : Packet.t);
-       true
-     end
+  match find 0 with
+  | None -> false
+  | Some i ->
+      ignore (remove_at t i);
+      true
 
 let mem t (p : Packet.t) =
   let rec find i =

@@ -111,7 +111,7 @@ let attach (sched : Scheduler.t) : t =
     }
   in
   Scheduler.install_custom sched ~name:"profiled-interpreter"
-    (run t (Interpreter.frame sched.Scheduler.program));
+    (run t (Interpreter.frame sched.Scheduler.program.Tast.num_slots));
   t
 
 (** Render the annotated control-flow trace (the "proc file" content). *)

@@ -91,8 +91,8 @@ let engine_label t = t.engine
     carries mutable scratch and must not be entered from two domains (or
     two connections), so the registry entry [t] is never shared that
     way; a private copy shares the immutable program and compiled code
-    and owns only its scratch — the parallel sweep runner and every
-    fleet slot take one.
+    and owns only its scratch — every [Api] socket, parallel sweep run
+    and fleet slot takes one.
     @raise Engine.Unknown when no such engine is registered. *)
 let instantiate_private t ~engine =
   { t with engine; run = Engine.instantiate engine t.program }

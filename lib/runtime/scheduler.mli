@@ -41,8 +41,8 @@ val instantiate_private : t -> engine:string -> t
 (** A copy of [t] driving its own engine instance — sharing the
     immutable program and compiled code, but no mutable state, with the
     original or any other instance (an instance's scratch is not
-    reentrant across domains or connections). Parallel runners give
-    every run a private instance; fleet slots each hold one.
+    reentrant across domains or connections). Every [Api] socket,
+    parallel run and fleet slot holds one.
     @raise Engine.Unknown when no such engine is registered. *)
 
 val compilation_cache_stats : unit -> int * int
