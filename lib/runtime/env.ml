@@ -200,8 +200,8 @@ let begin_execution t ~subflows =
    [id]. *)
 let rec handled t id i =
   i < t.num_actions
-  && (match t.actions.(i) with
-     | Action.Push { pkt; _ } | Action.Drop pkt -> pkt.Packet.id = id
+  && ((match t.actions.(i) with
+      | Action.Push { pkt; _ } | Action.Drop pkt -> pkt.Packet.id = id)
      || handled t id (i + 1))
 
 (* Return packets that were popped but neither pushed nor dropped to
