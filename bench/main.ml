@@ -900,16 +900,17 @@ let fleet_bench () =
 (* ------------------------------------------------------------------ *)
 
 (* Isolated cost of the event core itself, outside any protocol logic:
-   schedule, cancel, timer re-arm, drain and steady-state churn, each
-   against 1k / 100k / 1M pending events. Delays are exponential around
+   schedule, cancel, timer re-arm, drain and steady-state churn (on
+   [schedule] handles, and on recycled [post] cells), each against
+   1k / 100k / 1M pending events. Delays are exponential around
    a link-delay scale — the distribution the fleet's transmit and RTO
    events actually produce. Results land in BENCH_eventq.json for the
    regression gate. *)
 
 let eventq_bench () =
   section "eventq"
-    "event-core microbenchmark: schedule/cancel/re-arm/drain/churn at 1k, \
-     100k and 1M pending events on the hierarchical timing wheel"
+    "event-core microbenchmark: schedule/cancel/re-arm/drain/churn/post at \
+     1k, 100k and 1M pending events on the hierarchical timing wheel"
     "schedule, cancel and re-arm ns/op stay flat as pending events grow \
      1000x (O(1) buckets)";
   let pendings =
@@ -987,12 +988,30 @@ let eventq_bench () =
         (Eventq.schedule_in q ~delay:(Rng.exponential rng ~mean:mean_delay) act)
     done;
     let churn_ns, churned = time (fun () -> Eventq.run q) in
+    (* post: the same hold model on pooled one-shot events — each
+       execution posts its successor with its pre-built closure, and
+       the fired event's cell is recycled for the next post, as the
+       simulator's packet, ack and handshake events are *)
+    let q = mk () in
+    let rng = Rng.create (73 + n) in
+    let remaining = ref (2 * n) in
+    for _ = 1 to n do
+      let rec act () =
+        if !remaining > 0 then begin
+          decr remaining;
+          Eventq.post_in q ~delay:(Rng.exponential rng ~mean:mean_delay) act
+        end
+      in
+      Eventq.post_in q ~delay:(Rng.exponential rng ~mean:mean_delay) act
+    done;
+    let post_ns, posted = time (fun () -> Eventq.run q) in
     [
       ("schedule", sched_ns, n);
       ("drain", drain_ns, drained);
       ("cancel", cancel_ns, n);
       ("re-arm", rearm_ns, rearm_iters);
       ("churn", churn_ns, churned);
+      ("post", post_ns, posted);
     ]
   in
   (* Each pass times windows as short as ~40 µs (schedule @ 1k), where a

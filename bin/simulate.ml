@@ -115,7 +115,7 @@ let summary conn =
          cwnd %.1f@."
         m.Path_manager.spec.Path_manager.path_name s.Tcp_subflow.bytes_sent
         s.Tcp_subflow.segs_sent s.Tcp_subflow.segs_retx
-        (s.Tcp_subflow.srtt *. 1e3) s.Tcp_subflow.cwnd)
+        (s.Tcp_subflow.f.srtt *. 1e3) s.Tcp_subflow.f.cwnd)
     conn.Connection.paths;
   Fmt.pr "scheduler events   : %d executions, %d pushes, %d drops@."
     meta.Meta_socket.sched_executions meta.Meta_socket.pushes
@@ -228,14 +228,14 @@ let run_scenario scenario scheduler seed loss duration engine faults_file
       seed;
     }
   in
-  (* the scenario's connections use the registry's shared instance of
-     the scheduler, on the engine selected above *)
-  let install conn =
-    Progmp_runtime.Api.set_scheduler (Connection.sock conn) scheduler
+  (* every connection's socket owns an instance of the registry's
+     scheduler, on the engine selected above *)
+  let instance () =
+    Some (Progmp_runtime.Scheduler.instantiate_private sched ~engine)
   in
   let outcome =
     Scenarios.run
-      { duration; scheduler = sched; topology = topo; ramp = []; install;
+      { duration; scheduler = sched; topology = topo; ramp = []; instance;
         instrument }
       params
   in

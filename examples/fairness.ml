@@ -43,7 +43,7 @@ let () =
           scheduler = stock;
           topology = Topology.of_name p.Spec.topology;
           ramp = [];
-          install = ignore;
+          instance = (fun () -> None);
           instrument = ignore;
         }
         p

@@ -86,15 +86,15 @@ type bulk = { finished_at : float option; executions : int }
 
 let bulk ~engine ~compressed =
   Lazy.force zoo;
+  (* the stock default scheduler, on its own instance of [engine] *)
+  let scheduler =
+    Scheduler.instantiate_private (Option.get (Scheduler.find "default")) ~engine
+  in
   let conn =
-    Connection.create ~seed:5 ~compressed
+    Connection.create ~seed:5 ~compressed ~scheduler
       ~paths:(Scenarios.mininet_two_subflows ())
       ()
   in
-  (* the stock default scheduler, on its own instance of [engine] *)
-  let sock = Connection.sock conn in
-  sock.Api.scheduler <-
-    Scheduler.instantiate_private sock.Api.scheduler ~engine;
   Apps.Workload.bulk conn ~at:0.1 ~bytes:4_000_000;
   Connection.run ~until:60.0 conn;
   {

@@ -103,7 +103,7 @@ type ctx = {
   scheduler : R.Scheduler.t;
   topology : Topology.t option;
   ramp : Traffic.ramp;
-  install : Connection.t -> unit;
+  instance : unit -> R.Scheduler.t option;
   instrument : Connection.t -> unit;
 }
 
@@ -134,12 +134,11 @@ let cc_of (p : Spec.run_params) =
   | Ok c -> c
   | Error msg -> invalid_arg msg
 
-let connect ?clock ~seed (p : Spec.run_params) paths =
-  Connection.create ?clock ~seed ~cc:(cc_of p) ~paths ()
+let connect ctx ?clock ~seed (p : Spec.run_params) paths =
+  Connection.create ?clock ~seed ~cc:(cc_of p) ?scheduler:(ctx.instance ())
+    ~paths ()
 
-let attach ctx conn =
-  ctx.install conn;
-  ctx.instrument conn
+let attach ctx conn = ctx.instrument conn
 
 let lossy_wifi_lte (p : Spec.run_params) =
   wifi_lte ~wifi_loss:p.Spec.loss ~lte_loss:p.Spec.loss ()
@@ -224,7 +223,7 @@ let hosted ?until ?(extra = fun () -> []) ctx (p : Spec.run_params) mk =
 
 let bulk ctx p =
   hosted ctx p (fun ~clock ~seed ->
-      let conn = connect ~clock ~seed p (mininet ~rtt_ratio:2.0 p) in
+      let conn = connect ctx ~clock ~seed p (mininet ~rtt_ratio:2.0 p) in
       attach ctx conn;
       Apps.Workload.bulk conn ~at:0.1 ~bytes:4_000_000;
       conn)
@@ -232,7 +231,7 @@ let bulk ctx p =
 let stream ctx p =
   let duration = ctx.duration in
   hosted ctx p (fun ~clock ~seed ->
-      let conn = connect ~clock ~seed p (lossy_wifi_lte p) in
+      let conn = connect ctx ~clock ~seed p (lossy_wifi_lte p) in
       attach ctx conn;
       let rate t = if t < duration /. 3.0 then 1_000_000.0 else 4_000_000.0 in
       Apps.Workload.cbr ~signal_register:0 conn ~start:0.2
@@ -247,7 +246,7 @@ let stream ctx p =
 let short_flows ctx (p : Spec.run_params) =
   let conns = ref [] in
   let mk_conn ~seed =
-    let conn = connect ~seed:(p.Spec.seed + seed) p (mininet ~rtt_ratio:4.0 p) in
+    let conn = connect ctx ~seed:(p.Spec.seed + seed) p (mininet ~rtt_ratio:4.0 p) in
     attach ctx conn;
     conns := conn :: !conns;
     conn
@@ -297,9 +296,8 @@ let http2 ctx p =
   in
   (* the page-load horizon: start at 0.2 s plus a 120 s timeout *)
   hosted ~until:120.2 ~extra ctx p (fun ~clock ~seed ->
-      let conn = connect ~clock ~seed p (lossy_wifi_lte p) in
+      let conn = connect ctx ~clock ~seed p (lossy_wifi_lte p) in
       ctx.instrument conn;
-      ctx.install conn;
       handles := Apps.Http2.start conn Apps.Http2.optimized_page :: !handles;
       conn)
 
@@ -320,7 +318,7 @@ let dash ctx p =
     ]
   in
   hosted ~extra ctx p (fun ~clock ~seed ->
-      let conn = connect ~clock ~seed p (lossy_wifi_lte p) in
+      let conn = connect ctx ~clock ~seed p (lossy_wifi_lte p) in
       attach ctx conn;
       sessions :=
         Apps.Dash.start ~period:0.5
@@ -421,7 +419,10 @@ let fairness ctx (p : Spec.run_params) =
   let duration = ctx.duration in
   let clock = Eventq.create () in
   let built = Topology.build ~seed:p.Spec.seed ~clock topo in
-  let mptcp = Topology.connect ~seed:p.Spec.seed ~cc:(cc_of p) built in
+  let mptcp =
+    Topology.connect ~seed:p.Spec.seed ~cc:(cc_of p)
+      ?scheduler:(ctx.instance ()) built
+  in
   attach ctx mptcp;
   let via = (List.hd (Topology.spec built).Topology.t_links).Topology.l_name in
   let bg =

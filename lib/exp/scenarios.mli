@@ -3,11 +3,12 @@
     shared by every driver ([simulate], {!Sweep}, the tests).
 
     A driver hands {!run} the run's {!Spec.run_params} plus two hooks:
-    [install], which puts the run's scheduler instance on a connection,
-    and [instrument], which attaches per-connection observers (faults,
-    invariant checkers, recorders). The scenario calls both on every
-    connection it builds, in its own fixed order, runs the clock and
-    returns the measurements together with the hosted connections.
+    [instance], which makes the scheduler instance a new connection's
+    socket is created with, and [instrument], which attaches
+    per-connection observers (faults, invariant checkers, recorders).
+    The scenario calls both for every connection it builds, in its own
+    fixed order, runs the clock and returns the measurements together
+    with the hosted connections.
 
     The module also holds the canonical path sets — the OCaml analogues
     of the paper's two testbeds — that the scenarios, {!Figures}, the
@@ -85,8 +86,10 @@ type ctx = {
   topology : Topology.t option;
       (** [fairness]: the resolved shared-link topology *)
   ramp : Traffic.ramp;  (** [fleet]: diurnal arrival-rate ramp *)
-  install : Connection.t -> unit;
-      (** put the run's scheduler instance on a fresh connection *)
+  instance : unit -> Progmp_runtime.Scheduler.t option;
+      (** the scheduler instance for the next connection's socket;
+          [None] leaves it the registry's "default" (see
+          {!Progmp_runtime.Api.create}) *)
   instrument : Connection.t -> unit;
       (** attach observers to a fresh connection; [fleet] hosts transient
           connections and never calls it *)

@@ -87,14 +87,14 @@ let rec first_error = function
   | (Error _ as e) :: _ -> e
 
 (** Resolve and validate everything shared, on the calling domain,
-    before any worker exists: register the stock default scheduler (the
-    entry every socket instantiates at creation), load the zoo, resolve scheduler and engine names, parse fault scripts, and
+    before any worker exists: load the zoo (which registers the
+    "default" entry a socket created without a scheduler instantiates),
+    resolve scheduler and engine names, parse fault scripts, and
     instantiate each (scheduler, engine) pair once, so every pair is
     compiled here and workers only instantiate from the cached code.
     Workers afterwards only read these registries. *)
 let prepare (spec : Spec.t) =
   Progmp_compiler.Compile.register_engines ();
-  ignore (R.Api.create ~name:"sweep-warmup" ());
   ignore (Schedulers.Specs.load_all ());
   let schedulers = Hashtbl.create 8 and fault_scripts = Hashtbl.create 8 in
   let resolve_scheduler name =
@@ -211,10 +211,9 @@ let run_one ctx (p : Spec.run_params) =
         scheduler = sched;
         topology = Hashtbl.find_opt ctx.topologies p.Spec.topology;
         ramp = ctx.ramp;
-        install =
-          (fun conn ->
-            (Connection.sock conn).R.Api.scheduler <-
-              R.Scheduler.instantiate_private sched ~engine:p.Spec.engine);
+        instance =
+          (fun () ->
+            Some (R.Scheduler.instantiate_private sched ~engine:p.Spec.engine));
         instrument;
       }
       p

@@ -126,22 +126,23 @@ let rate_at ~(ramp : ramp) ~base t =
     rates that vary slowly against the arrival scale, as diurnal ramps
     do). [arrive] fires once per arrival; arrivals stop after [until].
     A zero rate parks the process and re-probes every 100 ms until the
-    ramp brings the rate back. *)
+    ramp brings the rate back. The two event actions are built once per
+    drive and {!Eventq.post}ed, so an arrival allocates no closure and
+    no event record. *)
 let drive ~clock ~rng ~rate ~until arrive =
   let rec next () =
     let now = Eventq.now clock in
     let r = rate now in
     if r > 0.0 then begin
       let at = now +. Rng.exponential rng ~mean:(1.0 /. r) in
-      if at <= until then
-        ignore
-          (Eventq.schedule clock ~at (fun () ->
-               arrive ();
-               next ()))
+      if at <= until then Eventq.post clock ~at fire
     end
     else begin
       let at = now +. 0.1 in
-      if at <= until then ignore (Eventq.schedule clock ~at next)
+      if at <= until then Eventq.post clock ~at next
     end
+  and fire () =
+    arrive ();
+    next ()
   in
   next ()

@@ -139,10 +139,9 @@ let attach ?(interval = 1.0) ?(on_retire = fun ~fct:_ ~size:_ ~delivered:_ -> ()
   let clock = Mptcp_sim.Fleet.clock fleet in
   let rec tick at =
     if at <= until then
-      ignore
-        (Mptcp_sim.Eventq.schedule clock ~at (fun () ->
-             ignore (sample_now t);
-             tick (at +. interval)))
+      Mptcp_sim.Eventq.post clock ~at (fun () ->
+          ignore (sample_now t);
+          tick (at +. interval))
   in
   tick (Mptcp_sim.Eventq.now clock +. interval);
   t

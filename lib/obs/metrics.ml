@@ -122,9 +122,9 @@ let sample_subflow ~time ~interval ~prev_acked ~delivered (m : Path_manager.mana
     time;
     sbf = s.Tcp_subflow.id;
     path = m.Path_manager.spec.Path_manager.path_name;
-    cwnd = s.Tcp_subflow.cwnd;
-    ssthresh = s.Tcp_subflow.ssthresh;
-    srtt_ms = s.Tcp_subflow.srtt *. 1e3;
+    cwnd = s.Tcp_subflow.f.cwnd;
+    ssthresh = s.Tcp_subflow.f.ssthresh;
+    srtt_ms = s.Tcp_subflow.f.srtt *. 1e3;
     rto_ms = s.Tcp_subflow.rto *. 1e3;
     in_flight = Tcp_subflow.in_flight_count s;
     queued = Tcp_subflow.queued_count s;

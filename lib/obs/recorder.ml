@@ -52,10 +52,10 @@ let baseline (s : Tcp_subflow.t) =
     p_bytes_acked = s.Tcp_subflow.bytes_acked;
     p_snd_una = s.Tcp_subflow.snd_una;
     p_lost_skbs = s.Tcp_subflow.lost_skbs;
-    p_cwnd = s.Tcp_subflow.cwnd;
-    p_ssthresh = s.Tcp_subflow.ssthresh;
-    p_srtt = s.Tcp_subflow.srtt;
-    p_rttvar = s.Tcp_subflow.rttvar;
+    p_cwnd = s.Tcp_subflow.f.cwnd;
+    p_ssthresh = s.Tcp_subflow.f.ssthresh;
+    p_srtt = s.Tcp_subflow.f.srtt;
+    p_rttvar = s.Tcp_subflow.f.rttvar;
     p_rto = s.Tcp_subflow.rto;
     p_established = s.Tcp_subflow.established;
   }
@@ -81,27 +81,27 @@ let diff_subflow t ~time (s : Tcp_subflow.t) =
          the 60 s cap leave no delta and are not re-reported. *)
       if
         s.Tcp_subflow.rto > p.p_rto
-        && s.Tcp_subflow.cwnd = 1.0
+        && s.Tcp_subflow.f.cwnd = 1.0
         && s.Tcp_subflow.rto = Float.min 60.0 (p.p_rto *. 2.0)
       then emit (Trace.Rto_fired { sbf; rto = s.Tcp_subflow.rto });
       p.p_rto <- s.Tcp_subflow.rto;
       if
-        s.Tcp_subflow.cwnd <> p.p_cwnd
-        || s.Tcp_subflow.ssthresh <> p.p_ssthresh
+        s.Tcp_subflow.f.cwnd <> p.p_cwnd
+        || s.Tcp_subflow.f.ssthresh <> p.p_ssthresh
       then begin
         emit
           (Trace.Cwnd
-             { sbf; cwnd = s.Tcp_subflow.cwnd; ssthresh = s.Tcp_subflow.ssthresh });
-        p.p_cwnd <- s.Tcp_subflow.cwnd;
-        p.p_ssthresh <- s.Tcp_subflow.ssthresh
+             { sbf; cwnd = s.Tcp_subflow.f.cwnd; ssthresh = s.Tcp_subflow.f.ssthresh });
+        p.p_cwnd <- s.Tcp_subflow.f.cwnd;
+        p.p_ssthresh <- s.Tcp_subflow.f.ssthresh
       end;
-      if s.Tcp_subflow.srtt <> p.p_srtt || s.Tcp_subflow.rttvar <> p.p_rttvar
+      if s.Tcp_subflow.f.srtt <> p.p_srtt || s.Tcp_subflow.f.rttvar <> p.p_rttvar
       then begin
         emit
           (Trace.Srtt
-             { sbf; srtt = s.Tcp_subflow.srtt; rttvar = s.Tcp_subflow.rttvar });
-        p.p_srtt <- s.Tcp_subflow.srtt;
-        p.p_rttvar <- s.Tcp_subflow.rttvar
+             { sbf; srtt = s.Tcp_subflow.f.srtt; rttvar = s.Tcp_subflow.f.rttvar });
+        p.p_srtt <- s.Tcp_subflow.f.srtt;
+        p.p_rttvar <- s.Tcp_subflow.f.rttvar
       end;
       if s.Tcp_subflow.segs_sent > p.p_segs_sent then begin
         emit

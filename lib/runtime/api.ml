@@ -69,12 +69,13 @@ let reset sock =
   Env.reset sock.env;
   Array.fill sock.default_props 0 (Array.length sock.default_props) 0
 
-let create ?(name = "socket") () =
+let create ?(name = "socket") ?scheduler () =
   let sock =
     {
       sock_name = name;
       env = Env.create ();
-      scheduler = own (default_entry ());
+      scheduler =
+        (match scheduler with Some s -> s | None -> own (default_entry ()));
       default_props = Array.make Progmp_lang.Props.num_user_props 0;
     }
   in

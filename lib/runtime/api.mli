@@ -19,11 +19,15 @@ val default_scheduler_source : string
     semantics); loaded as the registry's "default" entry when a socket
     is created and no such entry exists. *)
 
-val create : ?name:string -> unit -> socket
-(** A fresh socket running the registry's {e current} "default" entry
-    (read at each creation, so a later reload or
-    [Scheduler.set_engine] reaches sockets created afterwards) on a
-    private instance of that entry's engine.
+val create : ?name:string -> ?scheduler:Scheduler.t -> unit -> socket
+(** A fresh socket running [scheduler], which becomes the socket's own
+    (pass an instance nothing else runs, e.g. from
+    [Scheduler.instantiate_private]). Without it, the socket runs the
+    registry's {e current} "default" entry (read at each creation, so a
+    later reload or [Scheduler.set_engine] reaches sockets created
+    afterwards) on a private instance of that entry's engine; a host
+    with its own instance passes it here rather than replacing the
+    default afterwards, so no instance is built only to be dropped.
 
     Every socket owns its instance: an engine instance carries mutable
     scratch (the interpreter's and AOT's variable frame, the threaded

@@ -93,48 +93,55 @@ module Pool = struct
   let fresh = create
 
   type t = {
-    mutable free : packet list;
+    mutable free : packet array;
+        (** a stack: the first [free_len] cells, the rest {!dummy} *)
+    mutable free_len : int;
     mutable created : int;  (** records ever allocated by this pool *)
     mutable outstanding : int;  (** live (allocated, not yet released) *)
     mutable releases : int;  (** total releases = total recyclings *)
   }
 
-  let create () = { free = []; created = 0; outstanding = 0; releases = 0 }
+  let create () =
+    { free = [||]; free_len = 0; created = 0; outstanding = 0; releases = 0 }
 
   let created t = t.created
   let outstanding t = t.outstanding
   let releases t = t.releases
-  let free_count t = List.length t.free
+  let free_count t = t.free_len
 
   (** Like {!val-create} but drawing from the freelist when possible.
       Recycled packets are re-minted with a fresh process-unique id, so
       a stale holder from a prior generation can never alias the new
       incarnation by id. *)
-  let alloc t ?(props = [||]) ~seq ~size ~now () =
-    match t.free with
-    | [] ->
-        t.created <- t.created + 1;
-        t.outstanding <- t.outstanding + 1;
-        fresh ~props ~seq ~size ~now ()
-    | p :: rest ->
-        t.free <- rest;
-        t.outstanding <- t.outstanding + 1;
-        p.pooled <- false;
-        p.id <- Atomic.fetch_and_add next_id 1 + 1;
-        p.seq <- seq;
-        p.size <- size;
-        let n = Array.length p.user_props in
-        (* a loop, not Array.iteri: no closure per recycled packet *)
-        for i = 0 to n - 1 do
-          p.user_props.(i) <- (if i < Array.length props then props.(i) else 0)
-        done;
-        p.sent_on_mask <- 0;
-        p.sent_count <- 0;
-        p.enqueue_time <- now;
-        p.acked <- false;
-        p.reg_stamp <- 0;
-        p.reg_handle <- 0;
-        p
+  let alloc t ~props ~seq ~size ~now =
+    if t.free_len = 0 then begin
+      t.created <- t.created + 1;
+      t.outstanding <- t.outstanding + 1;
+      fresh ~props ~seq ~size ~now ()
+    end
+    else begin
+      let n = t.free_len - 1 in
+      let p = t.free.(n) in
+      t.free.(n) <- dummy;
+      t.free_len <- n;
+      t.outstanding <- t.outstanding + 1;
+      p.pooled <- false;
+      p.id <- Atomic.fetch_and_add next_id 1 + 1;
+      p.seq <- seq;
+      p.size <- size;
+      let n = Array.length p.user_props in
+      (* a loop, not Array.iteri: no closure per recycled packet *)
+      for i = 0 to n - 1 do
+        p.user_props.(i) <- (if i < Array.length props then props.(i) else 0)
+      done;
+      p.sent_on_mask <- 0;
+      p.sent_count <- 0;
+      p.enqueue_time <- now;
+      p.acked <- false;
+      p.reg_stamp <- 0;
+      p.reg_handle <- 0;
+      p
+    end
 
   (** Return [p] to the freelist. Idempotent per incarnation: a packet
       referenced from several queues is released once ([pooled] flag);
@@ -145,7 +152,14 @@ module Pool = struct
       p.pool_gen <- p.pool_gen + 1;
       t.outstanding <- t.outstanding - 1;
       t.releases <- t.releases + 1;
-      t.free <- p :: t.free
+      let n = t.free_len in
+      if n = Array.length t.free then begin
+        let a = Array.make (max 64 (2 * n)) dummy in
+        Array.blit t.free 0 a 0 n;
+        t.free <- a
+      end;
+      t.free.(n) <- p;
+      t.free_len <- n + 1
     end
 end
 

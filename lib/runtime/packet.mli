@@ -45,10 +45,11 @@ module Pool : sig
 
   val create : unit -> t
 
-  val alloc :
-    t -> ?props:int array -> seq:int -> size:int -> now:float -> unit -> packet
-  (** Freelist-backed {!val-create}: recycled records get a fresh
-      process-unique id and fully reset fields. *)
+  val alloc : t -> props:int array -> seq:int -> size:int -> now:float -> packet
+  (** Freelist-backed {!val-create} ([props] is copied, as there):
+      recycled records get a fresh process-unique id and fully reset
+      fields. [props] is not optional so that a call allocates no
+      [Some]. *)
 
   val release : t -> packet -> unit
   (** Return a packet to the freelist; idempotent per incarnation, and
@@ -64,7 +65,7 @@ module Pool : sig
   (** Total releases (= recyclings). *)
 
   val free_count : t -> int
-  (** Records currently in the freelist (O(n)). *)
+  (** Records currently in the freelist. *)
 end
 
 val sent_on : t -> sbf_id:int -> bool

@@ -151,12 +151,15 @@ let remove_packet t (p : Packet.t) =
       ignore (remove_at t i);
       true
 
+(* A loop rather than a local recursive closure: [mem] runs on every
+   PUSH and suspected loss, and the closure would be allocated per
+   call. *)
 let mem t (p : Packet.t) =
-  let rec find i =
-    if i >= t.len then false
-    else (unsafe_get t i).Packet.id = p.Packet.id || find (i + 1)
-  in
-  find 0
+  let i = ref 0 in
+  while !i < t.len && (unsafe_get t !i).Packet.id <> p.Packet.id do
+    incr i
+  done;
+  !i < t.len
 
 let iter t f =
   for i = 0 to t.len - 1 do
@@ -183,28 +186,30 @@ let drop_front t k =
     compacting pass slides the kept packets towards the back, conses
     the removed ones in queue order and recomputes [sorted]. Either way
     the only allocation is the returned list. *)
-let remove_below t upto =
+(* Remove every packet with [seq < upto], folding [visit] over the
+   removed ones from back to front. *)
+let fold_below t upto visit acc =
   if t.sorted then begin
     let k = ref 0 in
     while !k < t.len && (unsafe_get t !k).Packet.seq < upto do
       incr k
     done;
-    let removed = ref [] in
+    let acc = ref acc in
     for i = !k - 1 downto 0 do
-      removed := unsafe_get t i :: !removed
+      acc := visit (unsafe_get t i) !acc
     done;
     drop_front t !k;
-    !removed
+    !acc
   end
   else begin
     (* [w] is the next free cell from the back; kept packets are visited
        back to front, so [next_seq] is the seq of the kept packet that
        will follow the current one *)
-    let removed = ref [] and w = ref (t.len - 1) in
+    let acc = ref acc and w = ref (t.len - 1) in
     let sorted = ref true and next_seq = ref max_int in
     for i = t.len - 1 downto 0 do
       let p = unsafe_get t i in
-      if p.Packet.seq < upto then removed := p :: !removed
+      if p.Packet.seq < upto then acc := visit p !acc
       else begin
         if p.Packet.seq > !next_seq then sorted := false;
         next_seq := p.Packet.seq;
@@ -214,8 +219,17 @@ let remove_below t upto =
     done;
     drop_front t (!w + 1);
     t.sorted <- !sorted;
-    !removed
+    !acc
   end
+
+let remove_below t upto = fold_below t upto List.cons []
+
+let ack_one (p : Packet.t) progressed =
+  let fresh = not p.Packet.acked in
+  p.Packet.acked <- true;
+  progressed || fresh
+
+let ack_below t upto = fold_below t upto ack_one false
 
 let to_list t = List.rev (fold t (fun acc p -> p :: acc) [])
 

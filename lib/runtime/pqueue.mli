@@ -75,6 +75,11 @@ val remove_below : t -> int -> Packet.t list
     the same whether or not the queue is sorted; only the cost
     differs. *)
 
+val ack_below : t -> int -> bool
+(** {!remove_below} for a cumulative data ack, without building the
+    list: marks every removed packet [acked] and returns [true] when
+    one of them was not acked before. Allocates nothing. *)
+
 val to_list : t -> Packet.t list
 
 val clear : t -> unit

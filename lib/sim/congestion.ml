@@ -71,41 +71,55 @@ let established subflows =
 
 let rtt s =
   Float.max 1e-4
-    (if s.Tcp_subflow.rtt_samples = 0 then 0.05 else s.Tcp_subflow.srtt)
+    (if s.Tcp_subflow.rtt_samples = 0 then 0.05 else s.Tcp_subflow.f.srtt)
 
 let total_cwnd act =
-  List.fold_left (fun a s -> a +. s.Tcp_subflow.cwnd) 0.0 act
+  List.fold_left (fun a s -> a +. s.Tcp_subflow.f.cwnd) 0.0 act
+
+(* [rtt] for the per-ack array loops: inlined, with the clamp as a
+   comparison, so the value stays unboxed (a float returned from a
+   call, or passed to [Float.max], is boxed). Same value as [rtt]: the
+   operands are never NaN. *)
+let[@inline] rtt_unboxed (s : Tcp_subflow.t) =
+  let r =
+    if s.Tcp_subflow.rtt_samples = 0 then 0.05 else s.Tcp_subflow.f.srtt
+  in
+  if r > 1e-4 then r else 1e-4
 
 (** Install the LIA coupled increase across [subflows]: per ack,
     cwnd_i += min(alpha / cwnd_total, 1 / cwnd_i), with
-    alpha = cwnd_total * max_i(cwnd_i / rtt_i^2) / (sum_i cwnd_i / rtt_i)^2. *)
+    alpha = cwnd_total * max_i(cwnd_i / rtt_i^2) / (sum_i cwnd_i / rtt_i)^2.
+    The aggregates are one loop over an array of the subflows, in list
+    order (so every sum rounds as the list folds did), that builds no
+    list and boxes no float: it runs on every congestion-avoidance
+    ack. *)
 let install_lia (subflows : Tcp_subflow.t list) =
-  let lia_alpha () =
-    let act = established subflows in
-    let total = total_cwnd act in
-    let best =
-      List.fold_left
-        (fun a s -> Float.max a (s.Tcp_subflow.cwnd /. (rtt s *. rtt s)))
-        0.0 act
-    in
-    let denom =
-      List.fold_left (fun a s -> a +. (s.Tcp_subflow.cwnd /. rtt s)) 0.0 act
-    in
-    if denom <= 0.0 then 1.0 else total *. best /. (denom *. denom)
-  in
+  let all = Array.of_list subflows in
   let coupled (s : Tcp_subflow.t) acked =
-    if s.Tcp_subflow.cwnd < s.Tcp_subflow.ssthresh then
+    let f = s.Tcp_subflow.f in
+    if f.cwnd < f.ssthresh then
       (* slow start is uncoupled, as in the Linux implementation *)
-      s.Tcp_subflow.cwnd <- s.Tcp_subflow.cwnd +. float_of_int acked
+      f.cwnd <- f.cwnd +. float_of_int acked
     else begin
-      let total = total_cwnd (established subflows) in
-      let alpha = lia_alpha () in
-      let inc =
-        Float.min
-          (alpha /. Float.max 1.0 total)
-          (1.0 /. Float.max 1.0 s.Tcp_subflow.cwnd)
+      let total = ref 0.0 and best = ref 0.0 and denom = ref 0.0 in
+      for i = 0 to Array.length all - 1 do
+        let x = all.(i) in
+        if x.Tcp_subflow.established then begin
+          let w = x.Tcp_subflow.f.cwnd and r = rtt_unboxed x in
+          total := !total +. w;
+          let rate = w /. (r *. r) in
+          if rate > !best then best := rate;
+          denom := !denom +. (w /. r)
+        end
+      done;
+      let total = !total and denom = !denom in
+      let alpha =
+        if denom <= 0.0 then 1.0 else total *. !best /. (denom *. denom)
       in
-      s.Tcp_subflow.cwnd <- s.Tcp_subflow.cwnd +. (float_of_int acked *. inc)
+      let a = alpha /. if total > 1.0 then total else 1.0
+      and b = 1.0 /. if f.cwnd > 1.0 then f.cwnd else 1.0 in
+      let inc = if b < a then b else a in
+      f.cwnd <- f.cwnd +. (float_of_int acked *. inc)
     end
   in
   List.iter (fun s -> s.Tcp_subflow.cc_on_ack <- coupled) subflows
@@ -124,14 +138,14 @@ let install_olia (subflows : Tcp_subflow.t list) =
     if n <= 1 then 0.0
     else begin
       let w_max =
-        List.fold_left (fun a x -> Float.max a x.Tcp_subflow.cwnd) 0.0 act
+        List.fold_left (fun a x -> Float.max a x.Tcp_subflow.f.cwnd) 0.0 act
       in
-      let rate x = x.Tcp_subflow.cwnd /. (rtt x *. rtt x) in
+      let rate x = x.Tcp_subflow.f.cwnd /. (rtt x *. rtt x) in
       let r_max = List.fold_left (fun a x -> Float.max a (rate x)) 0.0 act in
-      let maxw = List.filter (fun x -> x.Tcp_subflow.cwnd >= w_max) act in
+      let maxw = List.filter (fun x -> x.Tcp_subflow.f.cwnd >= w_max) act in
       let collected =
         List.filter
-          (fun x -> rate x >= r_max && x.Tcp_subflow.cwnd < w_max)
+          (fun x -> rate x >= r_max && x.Tcp_subflow.f.cwnd < w_max)
           act
       in
       let nf = float_of_int n in
@@ -144,23 +158,23 @@ let install_olia (subflows : Tcp_subflow.t list) =
     end
   in
   let on_ack (s : Tcp_subflow.t) acked =
-    if s.Tcp_subflow.cwnd < s.Tcp_subflow.ssthresh then
-      s.Tcp_subflow.cwnd <- s.Tcp_subflow.cwnd +. float_of_int acked
+    if s.Tcp_subflow.f.cwnd < s.Tcp_subflow.f.ssthresh then
+      s.Tcp_subflow.f.cwnd <- s.Tcp_subflow.f.cwnd +. float_of_int acked
     else begin
       let act = established subflows in
       let denom =
-        List.fold_left (fun a x -> a +. (x.Tcp_subflow.cwnd /. rtt x)) 0.0 act
+        List.fold_left (fun a x -> a +. (x.Tcp_subflow.f.cwnd /. rtt x)) 0.0 act
       in
       let denom = Float.max 1e-9 denom in
-      let base = s.Tcp_subflow.cwnd /. (rtt s *. rtt s) /. (denom *. denom) in
+      let base = s.Tcp_subflow.f.cwnd /. (rtt s *. rtt s) /. (denom *. denom) in
       let inc =
-        base +. (alpha_for act s /. Float.max 1.0 s.Tcp_subflow.cwnd)
+        base +. (alpha_for act s /. Float.max 1.0 s.Tcp_subflow.f.cwnd)
       in
       (* never more aggressive than uncoupled Reno, never negative
          enough to shrink the window below one segment's worth *)
-      let inc = Float.min inc (1.0 /. Float.max 1.0 s.Tcp_subflow.cwnd) in
-      s.Tcp_subflow.cwnd <-
-        Float.max 1.0 (s.Tcp_subflow.cwnd +. (float_of_int acked *. inc))
+      let inc = Float.min inc (1.0 /. Float.max 1.0 s.Tcp_subflow.f.cwnd) in
+      s.Tcp_subflow.f.cwnd <-
+        Float.max 1.0 (s.Tcp_subflow.f.cwnd +. (float_of_int acked *. inc))
     end
   in
   List.iter (fun s -> s.Tcp_subflow.cc_on_ack <- on_ack) subflows
@@ -170,12 +184,12 @@ let install_olia (subflows : Tcp_subflow.t list) =
    design space (and the slowest to exploit a second path). *)
 let install_coupled (subflows : Tcp_subflow.t list) =
   let on_ack (s : Tcp_subflow.t) acked =
-    if s.Tcp_subflow.cwnd < s.Tcp_subflow.ssthresh then
-      s.Tcp_subflow.cwnd <- s.Tcp_subflow.cwnd +. float_of_int acked
+    if s.Tcp_subflow.f.cwnd < s.Tcp_subflow.f.ssthresh then
+      s.Tcp_subflow.f.cwnd <- s.Tcp_subflow.f.cwnd +. float_of_int acked
     else begin
       let total = Float.max 1.0 (total_cwnd (established subflows)) in
-      s.Tcp_subflow.cwnd <-
-        s.Tcp_subflow.cwnd +. (float_of_int acked /. total)
+      s.Tcp_subflow.f.cwnd <-
+        s.Tcp_subflow.f.cwnd +. (float_of_int acked /. total)
     end
   in
   List.iter (fun s -> s.Tcp_subflow.cc_on_ack <- on_ack) subflows
@@ -188,13 +202,13 @@ let install_coupled (subflows : Tcp_subflow.t list) =
 let install_ecoupled epsilon (subflows : Tcp_subflow.t list) =
   let eps = Float.min 1.0 (Float.max 0.0 epsilon) in
   let on_ack (s : Tcp_subflow.t) acked =
-    if s.Tcp_subflow.cwnd < s.Tcp_subflow.ssthresh then
-      s.Tcp_subflow.cwnd <- s.Tcp_subflow.cwnd +. float_of_int acked
+    if s.Tcp_subflow.f.cwnd < s.Tcp_subflow.f.ssthresh then
+      s.Tcp_subflow.f.cwnd <- s.Tcp_subflow.f.cwnd +. float_of_int acked
     else begin
       let total = Float.max 1.0 (total_cwnd (established subflows)) in
-      let own = Float.max 1.0 s.Tcp_subflow.cwnd in
+      let own = Float.max 1.0 s.Tcp_subflow.f.cwnd in
       let inc = (eps /. own) +. ((1.0 -. eps) /. total) in
-      s.Tcp_subflow.cwnd <- s.Tcp_subflow.cwnd +. (float_of_int acked *. inc)
+      s.Tcp_subflow.f.cwnd <- s.Tcp_subflow.f.cwnd +. (float_of_int acked *. inc)
     end
   in
   List.iter (fun s -> s.Tcp_subflow.cc_on_ack <- on_ack) subflows

@@ -22,10 +22,14 @@ let install_cc cc managed =
 let create ?clock ?(seed = 42) ?(mss = 1448) ?(rcv_buffer = 4 lsl 20)
     ?(compressed = true) ?(min_rto = 0.2)
     ?(delivery_mode = Tcp_subflow.Immediate)
-    ?(ordering = Meta_socket.Ordered) ?(cc = Congestion.Lia) ~paths () =
+    ?(ordering = Meta_socket.Ordered) ?(cc = Congestion.Lia) ?scheduler ~paths
+    () =
   let clock = match clock with Some c -> c | None -> Eventq.create () in
   let rng = Rng.create seed in
-  let meta = Meta_socket.create ~mss ~rcv_buffer ~compressed ~ordering ~clock () in
+  let meta =
+    Meta_socket.create ~mss ~rcv_buffer ~compressed ~ordering ?scheduler ~clock
+      ()
+  in
   let managed =
     Path_manager.establish_all ~clock ~rng ~meta ~min_rto ~delivery_mode paths
   in
@@ -39,9 +43,9 @@ let create ?clock ?(seed = 42) ?(mss = 1448) ?(rcv_buffer = 4 lsl 20)
 let create_on_links ?(seed = 42) ?(mss = 1448) ?(rcv_buffer = 4 lsl 20)
     ?(compressed = true) ?(min_rto = 0.2)
     ?(delivery_mode = Tcp_subflow.Immediate) ?(cc = Congestion.Lia) ?entry_pool
-    ?packet_pool ~clock ~links () =
+    ?packet_pool ?scheduler ~clock ~links () =
   let rng = Rng.create seed in
-  let meta = Meta_socket.create ~mss ~rcv_buffer ~compressed ~clock () in
+  let meta = Meta_socket.create ~mss ~rcv_buffer ~compressed ?scheduler ~clock () in
   meta.Meta_socket.packet_pool <- packet_pool;
   let managed =
     List.mapi
@@ -78,7 +82,7 @@ let now t = Eventq.now t.clock
 let run ?until t = ignore (Eventq.run ?until t.clock)
 
 (** Schedule an action at an absolute simulation time. *)
-let at t ~time f = ignore (Eventq.schedule t.clock ~at:time f)
+let at t ~time f = Eventq.post t.clock ~at:time f
 
 let sock t = t.meta.Meta_socket.sock
 

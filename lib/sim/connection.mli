@@ -21,14 +21,17 @@ val create :
   ?delivery_mode:Tcp_subflow.delivery_mode ->
   ?ordering:Meta_socket.ordering ->
   ?cc:Congestion.policy ->
+  ?scheduler:Progmp_runtime.Scheduler.t ->
   paths:Path_manager.path_spec list ->
   unit ->
   t
 (** Build a connection over [paths]. [delivery_mode] selects the §4.2
     receiver behaviour (default: earliest-possible delivery);
     [ordering] the §6 delivery discipline; [cc] the congestion-control
-    coupling (default LIA). Pass [clock] to share a simulated network
-    epoch with other connections. *)
+    coupling (default LIA); [scheduler] the instance the socket owns
+    (default: a private instance of the registry's "default" entry, see
+    {!Progmp_runtime.Api.create}). Pass [clock] to share a simulated
+    network epoch with other connections. *)
 
 val create_on_links :
   ?seed:int ->
@@ -40,6 +43,7 @@ val create_on_links :
   ?cc:Congestion.policy ->
   ?entry_pool:Tcp_subflow.entry_pool ->
   ?packet_pool:Progmp_runtime.Packet.Pool.t ->
+  ?scheduler:Progmp_runtime.Scheduler.t ->
   clock:Eventq.t ->
   links:(Path_manager.path_spec * Link.t * Link.t) list ->
   unit ->

@@ -41,8 +41,11 @@ type event = {
   mutable time : float;
   mutable seq : int;
   mutable cancelled : bool;
-  action : unit -> unit;
+  mutable action : unit -> unit;
   qs : qshared;
+  one_shot : bool;
+      (** a {!post}ed cell: returned to its queue's free stack when it
+          fires *)
   mutable home : bucket;
       (** the wheel bucket physically holding this event, or
           [dummy_bucket] *)
@@ -83,6 +86,7 @@ let rec dummy_event =
     cancelled = true;
     action = ignore;
     qs = dummy_qs;
+    one_shot = false;
     home = dummy_bucket;
     hh = dummy_heap;
     pos = -1;
@@ -377,6 +381,10 @@ type t = {
       (** run after every executed event, in registration order *)
   wheel : wheel;
   quantum : float;
+  mutable free : event array;
+      (** fired {!post} cells, a stack of [free_len] entries above
+          [dummy_event] padding *)
+  mutable free_len : int;
 }
 
 let create ?(quantum = default_quantum) () =
@@ -389,6 +397,8 @@ let create ?(quantum = default_quantum) () =
     observers = [];
     wheel = wheel_make ~quantum;
     quantum;
+    free = [||];
+    free_len = 0;
   }
 
 let now t = t.now
@@ -407,29 +417,72 @@ let obs_guard (qs : qshared) op =
      ^ ": called from inside an Eventq observer (observers are read-only \
         and must not schedule or cancel events)")
 
+(* A new cell for [action] at [at], in no structure yet; the caller
+   takes the sequence number and places it. *)
+let fresh_event t ~at ~one_shot action =
+  {
+    time = at;
+    seq = t.next_seq;
+    cancelled = false;
+    action;
+    qs = t.qs;
+    one_shot;
+    home = dummy_bucket;
+    hh = dummy_heap;
+    pos = -1;
+  }
+
 (** Schedule [action] at absolute time [at] (>= now). Returns a handle
     that {!cancel} accepts. *)
 let schedule t ~at action =
   obs_guard t.qs "schedule";
   let at = if at < t.now then t.now else at in
-  let ev =
-    {
-      time = at;
-      seq = t.next_seq;
-      cancelled = false;
-      action;
-      qs = t.qs;
-      home = dummy_bucket;
-      hh = dummy_heap;
-      pos = -1;
-    }
-  in
+  let ev = fresh_event t ~at ~one_shot:false action in
   t.next_seq <- t.next_seq + 1;
   wheel_place t.wheel ev;
   ev
 
 (** Schedule relative to the current time. *)
 let schedule_in t ~delay action = schedule t ~at:(t.now +. delay) action
+
+(** A one-shot event nobody can cancel: the cell comes from the queue's
+    free stack and goes back to it when the event fires, so a steady
+    stream of posts allocates no event records. It takes a sequence
+    number exactly like {!schedule}, so posting instead of scheduling
+    leaves the execution order unchanged. *)
+let post t ~at action =
+  obs_guard t.qs "post";
+  let at = if at < t.now then t.now else at in
+  let ev =
+    if t.free_len > 0 then begin
+      let n = t.free_len - 1 in
+      let ev = t.free.(n) in
+      t.free.(n) <- dummy_event;
+      t.free_len <- n;
+      ev.time <- at;
+      ev.seq <- t.next_seq;
+      ev.action <- action;
+      ev
+    end
+    else fresh_event t ~at ~one_shot:true action
+  in
+  t.next_seq <- t.next_seq + 1;
+  wheel_place t.wheel ev
+
+let post_in t ~delay action = post t ~at:(t.now +. delay) action
+
+(* A fired post cell drops its action (so the closure can be collected)
+   and waits on the free stack for the next {!post}. *)
+let recycle t ev =
+  ev.action <- ignore;
+  let n = t.free_len in
+  if n = Array.length t.free then begin
+    let a = Array.make (max 64 (2 * n)) dummy_event in
+    Array.blit t.free 0 a 0 n;
+    t.free <- a
+  end;
+  t.free.(n) <- ev;
+  t.free_len <- n + 1
 
 let cancel (ev : event) =
   obs_guard ev.qs "cancel";
@@ -489,18 +542,7 @@ let timer_arm t tm ~at =
   else begin
     (* first arm on this queue (or the cell belongs to another
        queue): allocate the cell *)
-    let ev =
-      {
-        time = at;
-        seq = t.next_seq;
-        cancelled = false;
-        action = tm.fire;
-        qs = t.qs;
-        home = dummy_bucket;
-        hh = dummy_heap;
-        pos = -1;
-      }
-    in
+    let ev = fresh_event t ~at ~one_shot:false tm.fire in
     t.next_seq <- t.next_seq + 1;
     tm.cell <- ev;
     wheel_place t.wheel ev
@@ -528,7 +570,9 @@ let run ?until t =
     end
     else begin
       t.now <- ev.time;
-      ev.action ();
+      let action = ev.action in
+      if ev.one_shot then recycle t ev;
+      action ();
       incr executed;
       (match t.observers with
       | [] -> ()

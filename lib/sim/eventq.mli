@@ -36,6 +36,14 @@ val schedule : t -> at:float -> (unit -> unit) -> event
 
 val schedule_in : t -> delay:float -> (unit -> unit) -> event
 
+val post : t -> at:float -> (unit -> unit) -> unit
+(** {!schedule} without a handle: the event cannot be cancelled, and its
+    cell is recycled once it fires, so posting a pre-built action
+    allocates nothing. Ordering is exactly {!schedule}'s (one sequence
+    number per post). *)
+
+val post_in : t -> delay:float -> (unit -> unit) -> unit
+
 val cancel : event -> unit
 (** Physically remove the event — O(1) from a wheel bucket, O(log n)
     from the due heap — releasing its node and action closure immediately.

@@ -122,6 +122,7 @@ type t = {
   shard_count : int;
   groups : group array;  (** the groups this shard owns, local index *)
   packet_pool : R.Packet.Pool.t;
+  release_pkt : R.Packet.t -> unit;  (** [packet_pool]'s release, built once *)
   entry_pool : Tcp_subflow.entry_pool;
   mutable slot_count : int;
   mutable next_arrival : int;
@@ -175,6 +176,7 @@ let create ?clock ?(seed = 42) ?(mss = 1448) ?(rcv_buffer = 4 lsl 20)
   in
   (* this shard owns the global groups { g | g mod shard_count = shard_idx } *)
   let owned = (groups - shard_idx + shard_count - 1) / shard_count in
+  let packet_pool = R.Packet.Pool.create () in
   {
     clock;
     seed;
@@ -188,7 +190,8 @@ let create ?clock ?(seed = 42) ?(mss = 1448) ?(rcv_buffer = 4 lsl 20)
     groups =
       Array.init owned (fun i ->
           make_group ~clock ~seed ~paths ((i * shard_count) + shard_idx));
-    packet_pool = R.Packet.Pool.create ();
+    packet_pool;
+    release_pkt = R.Packet.Pool.release packet_pool;
     entry_pool = Tcp_subflow.entry_pool ();
     slot_count = 0;
     next_arrival = 0;
@@ -276,8 +279,7 @@ let retire t slot =
          subflow's incarnation: the flow's segments, acks and
          handshakes still in flight on the shared links fire inert —
          they no longer reach the meta socket or the scheduler. *)
-      Connection.scrap conn
-        ~release_pkt:(fun p -> R.Packet.Pool.release t.packet_pool p);
+      Connection.scrap conn ~release_pkt:t.release_pkt;
       live_remove t slot;
       slot.group.g_free <- slot :: slot.group.g_free;
       t.on_retire ~fct ~size:slot.flow_size ~delivered
@@ -289,12 +291,10 @@ let build_shell t slot ~seed =
   let conn =
     Connection.create_on_links ~seed ~mss:t.mss ~rcv_buffer:t.rcv_buffer
       ~cc:t.cc ~entry_pool:t.entry_pool ~packet_pool:t.packet_pool
-      ~clock:t.clock ~links:slot.group.links ()
+      ?scheduler:slot.sched ~clock:t.clock ~links:slot.group.links ()
   in
-  (match slot.sched with
-  | Some sched -> (Connection.sock conn).R.Api.scheduler <- sched
-  | None -> ());
   let meta = conn.Connection.meta in
+  let retire_slot () = retire t slot in
   meta.Meta_socket.on_deliver <-
     (fun ~seq:_ ~size:_ ~time:_ ->
       if
@@ -303,9 +303,7 @@ let build_shell t slot ~seed =
       then begin
         slot.retiring <- true;
         (* retire from a fresh event, not from inside ack processing *)
-        ignore
-          (Eventq.schedule t.clock ~at:(Eventq.now t.clock) (fun () ->
-               retire t slot))
+        Eventq.post t.clock ~at:(Eventq.now t.clock) retire_slot
       end);
   slot.shell <- Some conn;
   conn

@@ -68,8 +68,8 @@ let check_subflow t (m : Path_manager.managed) =
     violation t "%s: %d in flight exceeds unacked window [%d, %d)" name
       inflight s.Tcp_subflow.snd_una s.Tcp_subflow.snd_nxt;
   (* cwnd floor *)
-  if s.Tcp_subflow.cwnd < 1.0 then
-    violation t "%s: cwnd collapsed to %.3f" name s.Tcp_subflow.cwnd;
+  if s.Tcp_subflow.f.cwnd < 1.0 then
+    violation t "%s: cwnd collapsed to %.3f" name s.Tcp_subflow.f.cwnd;
   (* in-flight <= cwnd high-watermark since the flight drained: cwnd may
      shrink below the flight (recovery), but transmission past the
      window would show up as a flight above every window held since *)
@@ -77,10 +77,10 @@ let check_subflow t (m : Path_manager.managed) =
     let prev =
       match Hashtbl.find_opt t.cwnd_hw id with
       | Some p -> p
-      | None -> s.Tcp_subflow.cwnd
+      | None -> s.Tcp_subflow.f.cwnd
     in
-    if inflight = 0 then s.Tcp_subflow.cwnd
-    else Float.max prev s.Tcp_subflow.cwnd
+    if inflight = 0 then s.Tcp_subflow.f.cwnd
+    else Float.max prev s.Tcp_subflow.f.cwnd
   in
   Hashtbl.replace t.cwnd_hw id hw;
   if inflight > int_of_float hw then
@@ -125,10 +125,10 @@ let check_subflow t (m : Path_manager.managed) =
   if v.Progmp_runtime.Subflow_view.lossy <> Tcp_subflow.lossy s then
     violation t "%s: view lossy=%b but subflow lossy=%b" name
       v.Progmp_runtime.Subflow_view.lossy (Tcp_subflow.lossy s);
-  if v.Progmp_runtime.Subflow_view.cwnd <> int_of_float s.Tcp_subflow.cwnd
+  if v.Progmp_runtime.Subflow_view.cwnd <> int_of_float s.Tcp_subflow.f.cwnd
   then
     violation t "%s: view cwnd=%d but subflow cwnd=%.1f" name
-      v.Progmp_runtime.Subflow_view.cwnd s.Tcp_subflow.cwnd;
+      v.Progmp_runtime.Subflow_view.cwnd s.Tcp_subflow.f.cwnd;
   if v.Progmp_runtime.Subflow_view.skbs_in_flight <> inflight then
     violation t "%s: view in-flight=%d but subflow in-flight=%d" name
       v.Progmp_runtime.Subflow_view.skbs_in_flight inflight

@@ -64,13 +64,25 @@ type gilbert = {
 
 type loss_model = Bernoulli | Gilbert of gilbert
 
+(* The link's float state in a record of floats only: OCaml stores such
+   a record's fields unboxed, so the per-packet updates of the
+   serialization horizon, the RED average and the occupancy integral
+   write in place, where a float field of the mixed record below would
+   allocate a fresh box on every write. *)
+type floats = {
+  mutable busy_until : float;  (** bottleneck serialization horizon *)
+  mutable red_avg : float;
+  mutable occ_integral : float;
+  mutable occ_last : float;
+}
+
 type t = {
   mutable params : params;
   rng : Rng.t;
   clock : Eventq.t;
   mutable up : bool;  (** a down link delivers nothing in either state *)
   mutable loss_model : loss_model;
-  mutable busy_until : float;  (** bottleneck serialization horizon *)
+  f : floats;
   (* Backlog accounting ring: (serialization completion time, bytes) of
      packets accepted into the bottleneck buffer, oldest at [q_head] —
      byte-accurate and immune to later bandwidth changes. Completion
@@ -84,16 +96,15 @@ type t = {
   mutable q_head : int;
   mutable q_len : int;
   mutable q_bytes : int;  (** sum of live [q_size] entries *)
-  (* RED state (meaningful only under [Red _]): EWMA of the backlog at
-     arrival instants, and the packets-since-last-drop uniformization
-     count (-1 while the average sits below the min threshold). *)
-  mutable red_avg : float;
+  (* RED state (meaningful only under [Red _]): the EWMA of the backlog
+     at arrival instants is [f.red_avg]; this is the
+     packets-since-last-drop uniformization count (-1 while the average
+     sits below the min threshold). *)
   mutable red_count : int;
   (* Occupancy bookkeeping for per-link reports: exact time integral of
-     the piecewise-constant backlog (entries leave at their recorded
+     the piecewise-constant backlog ([f.occ_integral] up to
+     [f.occ_last]; entries leave at their recorded
      serialization-completion instants) and the peak. *)
-  mutable occ_integral : float;
-  mutable occ_last : float;
   mutable peak_backlog : int;
   mutable delivered : int;  (** packets that made it across *)
   mutable lost : int;  (** random losses *)
@@ -128,16 +139,13 @@ let create ?(params = default_params) ~clock ~rng () =
     clock;
     up = true;
     loss_model = Bernoulli;
-    busy_until = 0.0;
+    f = { busy_until = 0.0; red_avg = 0.0; occ_integral = 0.0; occ_last = 0.0 };
     q_time = Array.make 64 0.0;
     q_size = Array.make 64 0;
     q_head = 0;
     q_len = 0;
     q_bytes = 0;
-    red_avg = 0.0;
     red_count = -1;
-    occ_integral = 0.0;
-    occ_last = 0.0;
     peak_backlog = 0;
     delivered = 0;
     lost = 0;
@@ -168,7 +176,7 @@ let set_loss t l = t.params <- { t.params with loss = l }
     state restarts from the current instantaneous backlog. *)
 let set_qdisc t q =
   validate_qdisc "Link.set_qdisc" q;
-  t.red_avg <- float_of_int t.q_bytes;
+  t.f.red_avg <- float_of_int t.q_bytes;
   t.red_count <- -1;
   t.params <- { t.params with qdisc = q }
 
@@ -197,9 +205,11 @@ let delay t = t.params.delay
 
 (** Serialization horizon: the absolute time at which everything
     currently queued at the bottleneck will have been put on the wire. *)
-let busy_until t = t.busy_until
+let busy_until t = t.f.busy_until
 
-let queue_push t ~until ~size =
+(* Admit [size] bytes that leave the buffer at the current
+   serialization horizon. *)
+let queue_push t ~size =
   let cap = Array.length t.q_time in
   if t.q_len = cap then begin
     let time' = Array.make (2 * cap) 0.0 and size' = Array.make (2 * cap) 0 in
@@ -212,7 +222,7 @@ let queue_push t ~until ~size =
     t.q_head <- 0
   end;
   let tail = (t.q_head + t.q_len) mod Array.length t.q_time in
-  t.q_time.(tail) <- until;
+  t.q_time.(tail) <- t.f.busy_until;
   t.q_size.(tail) <- size;
   t.q_len <- t.q_len + 1;
   t.q_bytes <- t.q_bytes + size;
@@ -227,19 +237,20 @@ let queue_push t ~until ~size =
     piecewise-constant backlog needs no extra events. *)
 let backlog_bytes t =
   let now = Eventq.now t.clock in
+  let f = t.f in
   while t.q_len > 0 && t.q_time.(t.q_head) <= now do
     let leave = t.q_time.(t.q_head) in
-    t.occ_integral <-
-      t.occ_integral +. (float_of_int t.q_bytes *. (leave -. t.occ_last));
-    t.occ_last <- leave;
+    f.occ_integral <-
+      f.occ_integral +. (float_of_int t.q_bytes *. (leave -. f.occ_last));
+    f.occ_last <- leave;
     t.q_bytes <- t.q_bytes - t.q_size.(t.q_head);
     t.q_head <- (t.q_head + 1) mod Array.length t.q_time;
     t.q_len <- t.q_len - 1
   done;
-  if now > t.occ_last then begin
-    t.occ_integral <-
-      t.occ_integral +. (float_of_int t.q_bytes *. (now -. t.occ_last));
-    t.occ_last <- now
+  if now > f.occ_last then begin
+    f.occ_integral <-
+      f.occ_integral +. (float_of_int t.q_bytes *. (now -. f.occ_last));
+    f.occ_last <- now
   end;
   t.q_bytes
 
@@ -248,7 +259,7 @@ let backlog_bytes t =
 let mean_backlog t =
   let now = Eventq.now t.clock in
   ignore (backlog_bytes t);
-  if now <= 0.0 then 0.0 else t.occ_integral /. now
+  if now <= 0.0 then 0.0 else t.f.occ_integral /. now
 
 let peak_backlog t = t.peak_backlog
 
@@ -268,12 +279,13 @@ let draw_loss t =
    thresholds, and uniformize with the count-since-last-drop so early
    drops are spaced out rather than clustered (Floyd & Jacobson 1993). *)
 let red_drop t (r : red) ~backlog =
-  t.red_avg <- t.red_avg +. (r.red_weight *. (float_of_int backlog -. t.red_avg));
-  if t.red_avg < float_of_int r.red_min then begin
+  let f = t.f in
+  f.red_avg <- f.red_avg +. (r.red_weight *. (float_of_int backlog -. f.red_avg));
+  if f.red_avg < float_of_int r.red_min then begin
     t.red_count <- -1;
     false
   end
-  else if t.red_avg >= float_of_int r.red_max then begin
+  else if f.red_avg >= float_of_int r.red_max then begin
     t.red_count <- 0;
     true
   end
@@ -281,7 +293,7 @@ let red_drop t (r : red) ~backlog =
     t.red_count <- t.red_count + 1;
     let pb =
       r.red_pmax
-      *. (t.red_avg -. float_of_int r.red_min)
+      *. (f.red_avg -. float_of_int r.red_min)
       /. float_of_int (r.red_max - r.red_min)
     in
     let pa = pb /. Float.max 1e-9 (1.0 -. (float_of_int t.red_count *. pb)) in
@@ -293,7 +305,7 @@ let red_drop t (r : red) ~backlog =
   end
 
 type outcome =
-  | Delivered of float
+  | Delivered  (** admitted; the arrival is scheduled *)
   | Lost_random
   | Dropped_tail
   | Dropped_red  (** AQM early drop: rejected before occupying the buffer *)
@@ -324,9 +336,10 @@ let arrival t =
     bookkeeping: it must start with [if Link.arrival link then ...].
     This is the data hot path of {!Tcp_subflow}, whose per-segment
     arrival closures are built once per in-flight entry. The
-    [Eventq.schedule] here is O(1) on the default wheel core — arrival
+    arrival is {!Eventq.post}ed: O(1) on the timing wheel — arrival
     times cluster a propagation delay ahead of the clock, exactly the
-    near-future band the wheel's level-0 buckets cover. *)
+    near-future band the wheel's level-0 buckets cover — and on a
+    recycled event cell. *)
 let transmit_direct t ~size arrive : outcome =
   let now = Eventq.now t.clock in
   if not t.up then begin
@@ -349,10 +362,11 @@ let transmit_direct t ~size arrive : outcome =
       Dropped_tail
     end
     else begin
-      let start = if t.busy_until > now then t.busy_until else now in
+      let f = t.f in
+      let start = if f.busy_until > now then f.busy_until else now in
       let tx_time = float_of_int size /. t.params.bandwidth in
-      t.busy_until <- start +. tx_time;
-      queue_push t ~until:t.busy_until ~size;
+      f.busy_until <- start +. tx_time;
+      queue_push t ~size;
       if draw_loss t then begin
         t.lost <- t.lost + 1;
         Lost_random
@@ -373,15 +387,14 @@ let transmit_direct t ~size arrive : outcome =
               (t.params.delay +. (Rng.gaussian t.rng *. t.params.jitter))
           else t.params.delay
         in
-        let arrival = t.busy_until +. prop in
-        ignore (Eventq.schedule t.clock ~at:arrival arrive);
-        Delivered arrival
+        Eventq.post t.clock ~at:(f.busy_until +. prop) arrive;
+        Delivered
       end
     end
   end
 
 (** Send [size] bytes over the link; on success schedules [deliver] at
-    the arrival time and returns it. Loss is decided at entry (a dropped
+    the arrival time. Loss is decided at entry (a dropped
     packet still consumes serialization time, like a corrupted frame).
     On a down link the packet is destroyed immediately; a packet still in
     the air when the link goes down is destroyed at its arrival time. *)
@@ -397,9 +410,7 @@ let transmit t ~size deliver : outcome =
 let control_send t fire =
   t.up
   && begin
-       ignore
-         (Eventq.schedule t.clock ~at:(Eventq.now t.clock +. t.params.delay)
-            fire);
+       Eventq.post_in t.clock ~delay:t.params.delay fire;
        true
      end
 

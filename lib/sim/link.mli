@@ -46,25 +46,29 @@ type gilbert = {
 
 type loss_model = Bernoulli | Gilbert of gilbert
 
+(** The link's float state, kept in a float-only record so that the
+    per-packet updates store in place instead of boxing. *)
+type floats = {
+  mutable busy_until : float;  (** serialization horizon *)
+  mutable red_avg : float;  (** RED EWMA of the backlog *)
+  mutable occ_integral : float;  (** backlog time integral ... *)
+  mutable occ_last : float;  (** ... up to this instant *)
+}
+
 type t = {
   mutable params : params;
   rng : Rng.t;
   clock : Eventq.t;
   mutable up : bool;
   mutable loss_model : loss_model;
-  mutable busy_until : float;
+  f : floats;
   (* backlog ring, oldest at [q_head]; completion times nondecreasing *)
   mutable q_time : float array;
   mutable q_size : int array;
   mutable q_head : int;
   mutable q_len : int;
   mutable q_bytes : int;
-  (* RED EWMA state *)
-  mutable red_avg : float;
-  mutable red_count : int;
-  (* occupancy time integral (exact) and peak, for per-link reports *)
-  mutable occ_integral : float;
-  mutable occ_last : float;
+  mutable red_count : int;  (** RED uniformization count *)
   mutable peak_backlog : int;
   mutable delivered : int;
   mutable lost : int;
@@ -137,7 +141,7 @@ val peak_backlog : t -> int
 (** Highest instantaneous backlog seen so far, bytes. *)
 
 type outcome =
-  | Delivered of float
+  | Delivered  (** admitted; the arrival is scheduled *)
   | Lost_random
   | Dropped_tail
   | Dropped_red  (** AQM early drop: rejected before occupying the buffer *)

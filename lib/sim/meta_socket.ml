@@ -51,17 +51,20 @@ type t = {
   mutable drops : int;  (** DROP actions applied *)
   mutable data_dropped : int;  (** dropped without ever being sent *)
   mutable sched_executions : int;
-  mutable view_arena : Subflow_view.t array;
-      (** reusable snapshot array for {!snapshot}; refilled per trigger,
-          reallocated only when the established-subflow count changes *)
+  mutable view_arenas : Subflow_view.t array array;
+      (** reusable snapshot arrays for {!snapshot}, one per
+          established-subflow count (index), built at the count's first
+          use and refilled per trigger after that *)
   mutable packet_pool : Packet.Pool.t option;
       (** when set (fleet-hosted connections), {!write} draws packet
           records from this arena instead of allocating *)
-  mutable pool_pkts : Packet.t list;
-      (** every packet drawn from [packet_pool], newest first: delivered
-          segments leave the queues and rings long before the flow
-          retires, so {!scrap} releases from this registry (release is
-          deduplicated) to return the whole flow to the arena *)
+  mutable pool_pkts : Packet.t array;
+      (** every packet drawn from [packet_pool] (the first [pool_len]
+          cells, the rest {!Packet.dummy}): delivered segments leave the
+          queues and rings long before the flow retires, so {!scrap}
+          releases from this registry (release is deduplicated) to
+          return the whole flow to the arena *)
+  mutable pool_len : int;
   mutable snapshot_fn : unit -> Subflow_view.t array;
       (** the compressed loop's [snapshot] callback, built once *)
   mutable apply_fn : Action.t -> unit;
@@ -98,22 +101,24 @@ let on_meta_receive_unordered t (pkt : Packet.t) =
     done
   end
 
+(* Deliver what the out-of-order buffer holds from [rcv_expected] on. A
+   top-level loop rather than a local closure: it runs per arrival. *)
+let rec drain_ooo t =
+  match Hashtbl.find_opt t.rcv_ooo t.rcv_expected with
+  | Some size ->
+      Hashtbl.remove t.rcv_ooo t.rcv_expected;
+      t.rcv_ooo_bytes <- t.rcv_ooo_bytes - size;
+      deliver_in_order t t.rcv_expected size;
+      t.rcv_expected <- t.rcv_expected + 1;
+      drain_ooo t
+  | None -> ()
+
 let on_meta_receive_ordered t (pkt : Packet.t) =
   let seq = pkt.Packet.seq in
   if seq = t.rcv_expected then begin
     t.rcv_expected <- seq + 1;
     deliver_in_order t seq pkt.Packet.size;
-    let rec drain () =
-      match Hashtbl.find_opt t.rcv_ooo t.rcv_expected with
-      | Some size ->
-          Hashtbl.remove t.rcv_ooo t.rcv_expected;
-          t.rcv_ooo_bytes <- t.rcv_ooo_bytes - size;
-          deliver_in_order t t.rcv_expected size;
-          t.rcv_expected <- t.rcv_expected + 1;
-          drain ()
-      | None -> ()
-    in
-    drain ()
+    if Hashtbl.length t.rcv_ooo > 0 then drain_ooo t
   end
   else if seq > t.rcv_expected && not (Hashtbl.mem t.rcv_ooo seq) then begin
     Hashtbl.replace t.rcv_ooo seq pkt.Packet.size;
@@ -128,51 +133,66 @@ let on_meta_receive t pkt =
 
 (* ---------- snapshots and actions ---------- *)
 
-(* Per-trigger subflow snapshot. The array is an arena owned by the
-   meta socket: in steady state (stable established count) each trigger
-   only refills it, so the per-packet decision path allocates no
-   intermediate list and no fresh array. *)
-let snapshot t =
-  let count =
-    List.fold_left
-      (fun n s -> if s.Tcp_subflow.established then n + 1 else n)
-      0 t.subflows
-  in
-  if Array.length t.view_arena <> count then
-    (* distinct records per slot: the refill below mutates them in place *)
-    t.view_arena <- Array.init count (fun _ -> Subflow_view.fresh ());
-  let i = ref 0 in
-  List.iter
-    (fun s ->
-      if s.Tcp_subflow.established then begin
-        Tcp_subflow.view_into s t.view_arena.(!i);
-        incr i
-      end)
-    t.subflows;
-  t.view_arena
+(* Per-trigger subflow snapshot. The arrays are arenas owned by the
+   meta socket, one per established count, so each trigger only
+   refills one: the per-packet decision path allocates no intermediate
+   list, no fresh array and no closure, even while subflows come and
+   go during a flow's handshakes. *)
+let rec count_established n = function
+  | [] -> n
+  | s :: rest ->
+      count_established (if s.Tcp_subflow.established then n + 1 else n) rest
 
-let find_subflow t sbf_id =
-  List.find_opt (fun s -> s.Tcp_subflow.id = sbf_id) t.subflows
+let rec fill_views arena i = function
+  | [] -> ()
+  | s :: rest ->
+      if s.Tcp_subflow.established then begin
+        Tcp_subflow.view_into s arena.(i);
+        fill_views arena (i + 1) rest
+      end
+      else fill_views arena i rest
+
+let snapshot t =
+  let count = count_established 0 t.subflows in
+  if count >= Array.length t.view_arenas then begin
+    let grown = Array.make (count + 1) [||] in
+    Array.blit t.view_arenas 0 grown 0 (Array.length t.view_arenas);
+    t.view_arenas <- grown
+  end;
+  if Array.length t.view_arenas.(count) <> count then
+    (* distinct records per slot: the refill below mutates them in place *)
+    t.view_arenas.(count) <- Array.init count (fun _ -> Subflow_view.fresh ());
+  let arena = t.view_arenas.(count) in
+  fill_views arena 0 t.subflows;
+  arena
+
+(* A PUSH whose target subflow is gone or not established: never lose
+   the packet (§3.3). *)
+let requeue t (pkt : Packet.t) =
+  if
+    (not pkt.Packet.acked)
+    && (not (Pqueue.mem (env t).Env.q pkt))
+    && pkt.Packet.sent_count = 0
+  then Pqueue.push_front (env t).Env.q pkt
+
+(* PUSH onto the first subflow with id [sbf_id]: a walk of the list, not
+   [List.find_opt], so a push allocates no closure and no option. *)
+let rec push_to t sbf_id (pkt : Packet.t) = function
+  | [] -> requeue t pkt
+  | sbf :: rest ->
+      if sbf.Tcp_subflow.id <> sbf_id then push_to t sbf_id pkt rest
+      else if not sbf.Tcp_subflow.established then requeue t pkt
+      else if not pkt.Packet.acked then begin
+        t.pushes <- t.pushes + 1;
+        Packet.mark_sent pkt ~sbf_id;
+        if not (Pqueue.mem (env t).Env.qu pkt) then
+          Pqueue.push_back (env t).Env.qu pkt;
+        Tcp_subflow.send sbf pkt
+      end
 
 let apply_action t (a : Action.t) =
   match a with
-  | Action.Push { sbf_id; pkt } -> (
-      match find_subflow t sbf_id with
-      | Some sbf when sbf.Tcp_subflow.established ->
-          if not pkt.Packet.acked then begin
-            t.pushes <- t.pushes + 1;
-            Packet.mark_sent pkt ~sbf_id;
-            if not (Pqueue.mem (env t).Env.qu pkt) then
-              Pqueue.push_back (env t).Env.qu pkt;
-            Tcp_subflow.send sbf pkt
-          end
-      | Some _ | None ->
-          (* target subflow gone: never lose the packet (§3.3) *)
-          if
-            (not pkt.Packet.acked)
-            && (not (Pqueue.mem (env t).Env.q pkt))
-            && pkt.Packet.sent_count = 0
-          then Pqueue.push_front (env t).Env.q pkt)
+  | Action.Push { sbf_id; pkt } -> push_to t sbf_id pkt t.subflows
   | Action.Drop pkt ->
       t.drops <- t.drops + 1;
       if pkt.Packet.sent_count = 0 && not pkt.Packet.acked then
@@ -200,17 +220,17 @@ let reset t =
   t.drops <- 0;
   t.data_dropped <- 0;
   t.sched_executions <- 0;
-  t.pool_pkts <- []
+  t.pool_len <- 0
 
 (* The record literal only allocates; {!reset} sets the per-flow
    state. *)
 let create ?(name = "conn") ?(mss = 1448) ?(rcv_buffer = 4 lsl 20)
-    ?(compressed = true) ?(ordering = Ordered) ~clock () =
+    ?(compressed = true) ?(ordering = Ordered) ?scheduler ~clock () =
   let t =
     {
       name;
       clock;
-      sock = Api.create ~name ();
+      sock = Api.create ~name ?scheduler ();
       mss;
       subflows = [];
       next_seq = 0;
@@ -231,9 +251,10 @@ let create ?(name = "conn") ?(mss = 1448) ?(rcv_buffer = 4 lsl 20)
       drops = 0;
       data_dropped = 0;
       sched_executions = 0;
-      view_arena = [||];
+      view_arenas = [||];
       packet_pool = None;
-      pool_pkts = [];
+      pool_pkts = [||];
+      pool_len = 0;
       snapshot_fn = (fun () -> [||]);
       apply_fn = ignore;
     }
@@ -278,21 +299,15 @@ let trigger t =
 
 (* ---------- sender-side callbacks from subflows ---------- *)
 
-let mark_acked = List.iter (fun (p : Packet.t) -> p.Packet.acked <- true)
-
 let on_data_ack t upto =
   if upto > t.data_una then t.data_una <- upto;
   if upto > 0 then begin
     let e = env t in
     (* acknowledged packets leave all queues; the ack made progress if
        it covered an in-flight packet not acked before *)
-    let from_qu = Pqueue.remove_below e.Env.qu upto in
-    let progressed =
-      List.exists (fun (p : Packet.t) -> not p.Packet.acked) from_qu
-    in
-    mark_acked from_qu;
-    mark_acked (Pqueue.remove_below e.Env.q upto);
-    mark_acked (Pqueue.remove_below e.Env.rq upto);
+    let progressed = Pqueue.ack_below e.Env.qu upto in
+    ignore (Pqueue.ack_below e.Env.q upto);
+    ignore (Pqueue.ack_below e.Env.rq upto);
     if progressed then trigger t
   end
 
@@ -349,7 +364,9 @@ let segment_count t bytes = max 1 ((bytes + t.mss - 1) / t.mss)
     scheduler is triggered. {!write} without the list of sequence
     numbers — what a fleet arrival calls. *)
 let enqueue ?props t bytes =
-  let props = match props with Some p -> p | None -> Api.current_packet_props t.sock in
+  (* packet creation copies the properties, so the socket's own array
+     can be passed without a copy of its own *)
+  let props = match props with Some p -> p | None -> t.sock.Api.default_props in
   let now = Eventq.now t.clock in
   let nsegs = segment_count t bytes in
   for i = 0 to nsegs - 1 do
@@ -361,8 +378,15 @@ let enqueue ?props t bytes =
     let pkt =
       match t.packet_pool with
       | Some pool ->
-          let p = Packet.Pool.alloc pool ~props ~seq ~size ~now () in
-          t.pool_pkts <- p :: t.pool_pkts;
+          let p = Packet.Pool.alloc pool ~props ~seq ~size ~now in
+          let n = t.pool_len in
+          if n = Array.length t.pool_pkts then begin
+            let a = Array.make (max 16 (2 * n)) Packet.dummy in
+            Array.blit t.pool_pkts 0 a 0 n;
+            t.pool_pkts <- a
+          end;
+          t.pool_pkts.(n) <- p;
+          t.pool_len <- n + 1;
           p
       | None -> Packet.create ~props ~seq ~size ~now ()
     in
@@ -399,9 +423,13 @@ let scrap t ~release_pkt =
   Pqueue.clear e.Env.rq;
   List.iter (fun s -> Tcp_subflow.scrap s ~release_pkt) t.subflows;
   (* delivered segments left the queues and rings while the flow ran;
-     the registry returns them (and only-once, by flag) to the arena *)
-  List.iter release_pkt t.pool_pkts;
-  t.pool_pkts <- []
+     the registry returns them (and only-once, by flag) to the arena,
+     newest first *)
+  for i = t.pool_len - 1 downto 0 do
+    release_pkt t.pool_pkts.(i);
+    t.pool_pkts.(i) <- Packet.dummy
+  done;
+  t.pool_len <- 0
 
 (** Flow completion time of the segment range [first, last]: the latest
     in-order delivery time, or [None] when incomplete. *)

@@ -34,14 +34,17 @@ type t = {
   mutable drops : int;  (** DROP actions applied *)
   mutable data_dropped : int;  (** dropped without ever being sent *)
   mutable sched_executions : int;
-  mutable view_arena : Subflow_view.t array;
-      (** reusable snapshot array for {!snapshot} *)
+  mutable view_arenas : Subflow_view.t array array;
+      (** reusable snapshot arrays for {!snapshot}, one per
+          established-subflow count *)
   mutable packet_pool : Packet.Pool.t option;
       (** when set (fleet-hosted connections), {!write} draws packet
           records from this arena instead of allocating *)
-  mutable pool_pkts : Packet.t list;
-      (** every packet drawn from [packet_pool], newest first — the
-          release registry {!scrap} drains back to the arena *)
+  mutable pool_pkts : Packet.t array;
+      (** every packet drawn from [packet_pool] (the first [pool_len]
+          cells) — the release registry {!scrap} drains back to the
+          arena *)
+  mutable pool_len : int;
   mutable snapshot_fn : unit -> Subflow_view.t array;
       (** the compressed loop's [snapshot] callback, built once *)
   mutable apply_fn : Action.t -> unit;
@@ -57,6 +60,7 @@ val create :
   ?rcv_buffer:int ->
   ?compressed:bool ->
   ?ordering:ordering ->
+  ?scheduler:Scheduler.t ->
   clock:Eventq.t ->
   unit ->
   t
@@ -79,8 +83,6 @@ val snapshot : t -> Subflow_view.t array
     returned array is an arena owned by the meta socket and is refilled
     on the next trigger — callers must not retain it across
     executions. *)
-
-val find_subflow : t -> int -> Tcp_subflow.t option
 
 val apply_action : t -> Action.t -> unit
 (** Apply one scheduler action: a [Push] marks the packet, tracks it in

@@ -79,7 +79,7 @@ let add_path ~clock ~rng ~(meta : Meta_socket.t) ?(min_rto = 0.2)
 (** Schedule a subflow failure (connection break) at time [at]: packets
     in flight or buffered on it are reported to RQ. *)
 let fail_subflow ~clock (m : managed) ~at =
-  ignore (Eventq.schedule clock ~at (fun () -> Tcp_subflow.fail m.subflow))
+  Eventq.post clock ~at (fun () -> Tcp_subflow.fail m.subflow)
 
 (** Schedule re-establishment of a failed subflow at [at] (the reverse of
     {!fail_subflow}; the handshake takes its usual round-trip). *)

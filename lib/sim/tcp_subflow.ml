@@ -65,9 +65,11 @@ type entry = {
 
 (** Freelist of in-flight entries; shared across every subflow of a
     fleet shard so the entry population is bounded by peak in-flight
-    segments, not total arrivals. *)
+    segments, not total arrivals. The free entries are a stack: the
+    first [ep_len] cells of [ep_free], the rest padding. *)
 and entry_pool = {
-  mutable ep_free : entry list;
+  mutable ep_free : entry array;
+  mutable ep_len : int;
   mutable ep_created : int;
   mutable ep_outstanding : int;
   mutable ep_releases : int;
@@ -87,6 +89,21 @@ and ack_cell = {
   mutable a_fire : unit -> unit;
 }
 
+(* The float state the congestion and RTT code updates per ack, in a
+   float-only record so that every write stores in place: a float field
+   of the mixed record [t] would box a fresh value on each write. [rto]
+   stays a (boxed) field of [t]: it is only read to arm the RTO timer,
+   which takes it boxed. *)
+and floats = {
+  mutable cwnd : float;  (** segments *)
+  mutable ssthresh : float;
+  mutable srtt : float;
+  mutable rttvar : float;
+  mutable rtt_avg : float;
+  mutable rate_anchor_t : float;
+  mutable rate_ewma : float;  (** bytes/second; 0 until the first sample *)
+}
+
 and t = {
   id : int;
   mss : int;
@@ -103,10 +120,12 @@ and t = {
       (** bumped by {!scrap}: deferred work (segment arrivals, acks,
           handshakes) of an earlier incarnation finds it changed and
           does nothing *)
+  mutable self : t option;
+      (** [Some] of this subflow, built once: the owner every in-flight
+          entry records *)
+  f : floats;
   (* --- sender state --- *)
   mutable established : bool;
-  mutable cwnd : float;  (** segments *)
-  mutable ssthresh : float;
   mutable snd_nxt : int;
   mutable snd_una : int;
   (* In-flight ring: live seqs are dense in [snd_una, snd_nxt), so the
@@ -123,9 +142,6 @@ and t = {
   mutable sq_len : int;
   mutable dupacks : int;
   mutable recover : int;  (** NewReno recovery point; -1 = not in recovery *)
-  mutable srtt : float;
-  mutable rttvar : float;
-  mutable rtt_avg : float;
   mutable rtt_samples : int;
   mutable rto : float;
   min_rto : float;
@@ -134,7 +150,12 @@ and t = {
   (* --- receiver-side subflow state --- *)
   mutable rcv_expected : int;
   rcv_ooo : (int, Packet.t) Hashtbl.t;
-  mutable ack_free : ack_cell list;  (** recycled ack cells *)
+  mutable ack_free : ack_cell array;
+      (** recycled ack cells, a stack of [ack_len] *)
+  mutable ack_len : int;
+  mutable hs_free : handshake array;
+      (** recycled handshake cells, a stack of [hs_len] *)
+  mutable hs_len : int;
   (* --- statistics --- *)
   mutable segs_sent : int;
   mutable segs_retx : int;
@@ -152,10 +173,9 @@ and t = {
   mutable tsq_len : int;
   mutable tsq_bytes : int;
   mutable tsq_timer : Eventq.timer;  (** see {!arm_tsq_wakeup} *)
-  (* delivery-rate estimator backing the THROUGHPUT property *)
-  mutable rate_anchor_t : float;
+  (* delivery-rate estimator backing the THROUGHPUT property (with
+     [f.rate_anchor_t] and [f.rate_ewma]) *)
   mutable rate_anchor_bytes : int;
-  mutable rate_ewma : float;  (** bytes/second; 0 until the first sample *)
   mutable rate_samples : (float * float) list;
       (** recent (time, bytes/s) samples, newest first, for the
           windowed-max achievable-rate filter *)
@@ -182,16 +202,30 @@ and t = {
   mutable cc_on_ack : t -> int -> unit;  (** pluggable window increase *)
 }
 
+(* A pending handshake: [establish] posts [h_start] at the handshake's
+   start, which posts [h_done] one RTT later; [h_done] completes it if
+   the subflow is still in incarnation [h_inc]. Both closures are built
+   once per cell and cells are recycled, so a recycled fleet slot's
+   handshakes allocate no closures. *)
+and handshake = {
+  mutable h_inc : int;
+  mutable h_start : unit -> unit;
+  mutable h_done : unit -> unit;
+}
+
 let initial_cwnd = 10 (* segments, as in modern Linux *)
 
 (* ---------- entry pool ---------- *)
 
 let entry_pool () =
-  { ep_free = []; ep_created = 0; ep_outstanding = 0; ep_releases = 0 }
+  { ep_free = [||]; ep_len = 0; ep_created = 0; ep_outstanding = 0;
+    ep_releases = 0 }
 
 let entry_pool_created p = p.ep_created
 let entry_pool_outstanding p = p.ep_outstanding
 let entry_pool_releases p = p.ep_releases
+
+let entry_pool_free p = Array.to_list (Array.sub p.ep_free 0 p.ep_len)
 
 (** Free entries must reference nothing: [true] when every freelist
     entry holds the dummy packet and no owner (the arena-recycling
@@ -199,7 +233,7 @@ let entry_pool_releases p = p.ep_releases
 let entry_pool_clean p =
   List.for_all
     (fun e -> e.e_sbf = None && e.e_pkt == Packet.dummy && e.e_pending = 0)
-    p.ep_free
+    (entry_pool_free p)
 
 (* The shared padding entry for empty ring slots. Its pool is a private
    sink no live subflow draws from; its fire is never scheduled. *)
@@ -216,9 +250,27 @@ let dummy_entry =
     e_pending = 0;
     e_inc = 0;
     e_gen = 0;
-    e_pool = { ep_free = []; ep_created = 0; ep_outstanding = 0; ep_releases = 0 };
+    e_pool = entry_pool ();
     e_fire = ignore;
   }
+
+let dummy_ack = { a_sbf = 0; a_data = 0; a_inc = 0; a_fire = ignore }
+
+let dummy_handshake = { h_inc = 0; h_start = ignore; h_done = ignore }
+
+(* Push [x] on the array stack [arr] holding [len] elements; returns
+   the array, grown when full ([pad] fills the unused cells). *)
+let stack_push arr len x ~pad =
+  let arr =
+    if len < Array.length arr then arr
+    else begin
+      let a = Array.make (max 8 (2 * len)) pad in
+      Array.blit arr 0 a 0 len;
+      a
+    end
+  in
+  arr.(len) <- x;
+  arr
 
 let entry_release e =
   let p = e.e_pool in
@@ -229,13 +281,17 @@ let entry_release e =
   e.e_gen <- e.e_gen + 1;
   p.ep_outstanding <- p.ep_outstanding - 1;
   p.ep_releases <- p.ep_releases + 1;
-  p.ep_free <- e :: p.ep_free
+  p.ep_free <- stack_push p.ep_free p.ep_len e ~pad:dummy_entry;
+  p.ep_len <- p.ep_len + 1
 
 (* ---------- in-flight ring ---------- *)
 
+(* The entry of [seq], or [dummy_entry] (whose seq no live segment
+   has) when it is not in flight: a sentinel, not an option, so lookups
+   allocate nothing. *)
 let infl_find t seq =
   let e = t.infl.(seq land (Array.length t.infl - 1)) in
-  if e.e_seq = seq then Some e else None
+  if e.e_seq = seq then e else dummy_entry
 
 let infl_grow t =
   let old = t.infl in
@@ -264,9 +320,9 @@ let infl_take t seq =
     t.infl.(i) <- dummy_entry;
     e.e_in_ring <- false;
     t.infl_count <- t.infl_count - 1;
-    Some e
+    e
   end
-  else None
+  else dummy_entry
 
 let in_flight_count t = t.infl_count
 
@@ -299,14 +355,20 @@ let queued_count t = t.sq_len
 (* Reno/NewReno increase: slow start below ssthresh, then one segment per
    window. *)
 let reno_on_ack t acked =
-  if t.cwnd < t.ssthresh then t.cwnd <- t.cwnd +. float_of_int acked
-  else t.cwnd <- t.cwnd +. (float_of_int acked /. Float.max 1.0 t.cwnd)
+  let f = t.f in
+  if f.cwnd < f.ssthresh then f.cwnd <- f.cwnd +. float_of_int acked
+  else
+    f.cwnd <-
+      f.cwnd +. (float_of_int acked /. if f.cwnd > 1.0 then f.cwnd else 1.0)
 
 let in_recovery t = t.recover >= 0
 
 let lossy t = in_recovery t || t.forced_lossy
 
-let tsq_push t ~until ~size =
+(* Record [size] bytes of this subflow leaving the bottleneck at the data
+   link's current serialization horizon (read here rather than passed:
+   a float argument would be boxed per segment). *)
+let tsq_push t ~size =
   let cap = Array.length t.tsq_time in
   if t.tsq_len = cap then begin
     let time' = Array.make (2 * cap) 0.0 and size' = Array.make (2 * cap) 0 in
@@ -319,7 +381,7 @@ let tsq_push t ~until ~size =
     t.tsq_head <- 0
   end;
   let tail = (t.tsq_head + t.tsq_len) mod Array.length t.tsq_time in
-  t.tsq_time.(tail) <- until;
+  t.tsq_time.(tail) <- t.data_link.Link.f.Link.busy_until;
   t.tsq_size.(tail) <- size;
   t.tsq_len <- t.tsq_len + 1;
   t.tsq_bytes <- t.tsq_bytes + size
@@ -351,7 +413,7 @@ let arm_tsq_wakeup t =
 
 let rtt_us t =
   if t.rtt_samples = 0 then int_of_float (2.0 *. Link.delay t.data_link *. 1e6)
-  else int_of_float (t.srtt *. 1e6)
+  else int_of_float (t.f.srtt *. 1e6)
 
 (** Length of the achievable-rate filter window, seconds. *)
 let rate_window = 2.0
@@ -383,27 +445,29 @@ let throughput_estimate t =
   if !seen then int_of_float !best
   else
     let rtt =
-      if t.rtt_samples = 0 then 2.0 *. Link.delay t.data_link else t.srtt
+      if t.rtt_samples = 0 then 2.0 *. Link.delay t.data_link else t.f.srtt
     in
-    if rtt <= 0.0 then 0 else int_of_float (t.cwnd *. float_of_int t.mss /. rtt)
+    if rtt <= 0.0 then 0
+    else int_of_float (t.f.cwnd *. float_of_int t.mss /. rtt)
 
 let update_rate_estimate t =
   let now = Eventq.now t.clock in
-  if t.rate_anchor_t = 0.0 then begin
-    t.rate_anchor_t <- now;
+  let f = t.f in
+  if f.rate_anchor_t = 0.0 then begin
+    f.rate_anchor_t <- now;
     t.rate_anchor_bytes <- t.bytes_acked
   end
   else begin
-    let dt = now -. t.rate_anchor_t in
+    let dt = now -. f.rate_anchor_t in
     if dt >= 0.2 then begin
       let sample = float_of_int (t.bytes_acked - t.rate_anchor_bytes) /. dt in
-      t.rate_ewma <-
-        (if t.rate_ewma = 0.0 then sample
-         else (0.7 *. t.rate_ewma) +. (0.3 *. sample));
+      f.rate_ewma <-
+        (if f.rate_ewma = 0.0 then sample
+         else (0.7 *. f.rate_ewma) +. (0.3 *. sample));
       t.rate_samples <-
         (now, sample)
         :: List.filter (fun (ts, _) -> now -. ts <= rate_window) t.rate_samples;
-      t.rate_anchor_t <- now;
+      f.rate_anchor_t <- now;
       t.rate_anchor_bytes <- t.bytes_acked
     end
   end
@@ -416,11 +480,11 @@ let view_into t (v : Subflow_view.t) =
   v.Subflow_view.id <- t.id;
   v.rtt_us <- rtt_us t;
   v.rtt_avg_us <-
-    (if t.rtt_samples = 0 then rtt_us t else int_of_float (t.rtt_avg *. 1e6));
-  v.rtt_var_us <- int_of_float (t.rttvar *. 1e6);
-  v.cwnd <- int_of_float t.cwnd;
+    (if t.rtt_samples = 0 then rtt_us t else int_of_float (t.f.rtt_avg *. 1e6));
+  v.rtt_var_us <- int_of_float (t.f.rttvar *. 1e6);
+  v.cwnd <- int_of_float t.f.cwnd;
   v.ssthresh <-
-    (if t.ssthresh > 1e8 then max_int / 2 else int_of_float t.ssthresh);
+    (if t.f.ssthresh > 1e8 then max_int / 2 else int_of_float t.f.ssthresh);
   v.skbs_in_flight <- in_flight_count t;
   v.queued <- t.sq_len;
   v.lost_skbs <- t.lost_skbs;
@@ -443,19 +507,22 @@ let view t : Subflow_view.t =
 
 (* ---------- RTT estimation (RFC 6298) ---------- *)
 
-let sample_rtt t r =
+(* Inlined so the sample reaches it unboxed from the ack loop. *)
+let[@inline] sample_rtt t r =
+  let f = t.f in
   if t.rtt_samples = 0 then begin
-    t.srtt <- r;
-    t.rttvar <- r /. 2.0;
-    t.rtt_avg <- r
+    f.srtt <- r;
+    f.rttvar <- r /. 2.0;
+    f.rtt_avg <- r
   end
   else begin
-    t.rttvar <- (0.75 *. t.rttvar) +. (0.25 *. Float.abs (t.srtt -. r));
-    t.srtt <- (0.875 *. t.srtt) +. (0.125 *. r);
-    t.rtt_avg <- (0.9 *. t.rtt_avg) +. (0.1 *. r)
+    f.rttvar <- (0.75 *. f.rttvar) +. (0.25 *. Float.abs (f.srtt -. r));
+    f.srtt <- (0.875 *. f.srtt) +. (0.125 *. r);
+    f.rtt_avg <- (0.9 *. f.rtt_avg) +. (0.1 *. r)
   end;
   t.rtt_samples <- t.rtt_samples + 1;
-  t.rto <- Float.max t.min_rto (t.srtt +. (4.0 *. t.rttvar))
+  let rto = f.srtt +. (4.0 *. f.rttvar) in
+  t.rto <- (if rto > t.min_rto then rto else t.min_rto)
 
 (* ---------- RTO timer ---------- *)
 
@@ -483,13 +550,13 @@ let rec transmit_entry t (entry : entry) =
   (match
      Link.transmit_direct t.data_link ~size:(entry.e_size + 60) entry.e_fire
    with
-  | Link.Delivered _ ->
+  | Link.Delivered ->
       entry.e_pending <- entry.e_pending + 1;
-      tsq_push t ~until:(Link.busy_until t.data_link) ~size:(entry.e_size + 60)
+      tsq_push t ~size:(entry.e_size + 60)
   | Link.Lost_random ->
       (* the segment occupies the bottleneck until serialized, even when
          it will be lost on the wire *)
-      tsq_push t ~until:(Link.busy_until t.data_link) ~size:(entry.e_size + 60)
+      tsq_push t ~size:(entry.e_size + 60)
   | Link.Dropped_tail | Link.Dropped_red | Link.Lost_down -> ());
   if not (Eventq.timer_armed t.rto_timer) then arm_rto t
 
@@ -498,7 +565,9 @@ let rec transmit_entry t (entry : entry) =
 and try_transmit t =
   if t.established then begin
     let continue = ref true in
-    while !continue && t.sq_len > 0 && in_flight_count t < int_of_float t.cwnd do
+    while
+      !continue && t.sq_len > 0 && in_flight_count t < int_of_float t.f.cwnd
+    do
       let pkt = sq_peek t in
       if t.is_data_acked pkt then
         (* acked at the data level while waiting: never send it
@@ -520,11 +589,11 @@ and try_transmit t =
   end
 
 and retransmit_head t =
-  match infl_find t t.snd_una with
-  | Some entry ->
-      entry.e_retx <- true;
-      transmit_entry t entry
-  | None -> ()
+  let entry = infl_find t t.snd_una in
+  if entry != dummy_entry then begin
+    entry.e_retx <- true;
+    transmit_entry t entry
+  end
 
 (* ---------- loss events ---------- *)
 
@@ -535,32 +604,36 @@ and retransmit_head t =
 and mark_sack_holes t =
   if t.recover >= 0 then
     for seq = t.snd_una to t.recover do
-      match infl_find t seq with
-      | Some entry when (not entry.e_lost) && not (Hashtbl.mem t.rcv_ooo seq) ->
-          entry.e_lost <- true;
-          t.on_suspected_loss entry.e_pkt
-      | Some _ | None -> ()
+      let entry = infl_find t seq in
+      if
+        entry != dummy_entry && (not entry.e_lost)
+        && not (Hashtbl.mem t.rcv_ooo seq)
+      then begin
+        entry.e_lost <- true;
+        t.on_suspected_loss entry.e_pkt
+      end
     done
 
 and enter_recovery t ~cause =
   Sim_log.debug (fun m ->
       m "sbf#%d enters recovery (%s): cwnd %.1f, %d in flight" t.id
         (match cause with `Dupacks -> "3 dupacks" | `Rto -> "RTO")
-        t.cwnd (in_flight_count t));
-  let flight = float_of_int (in_flight_count t) in
-  t.ssthresh <- Float.max 2.0 (flight /. 2.0);
+        t.f.cwnd (in_flight_count t));
+  let f = t.f in
+  let half = float_of_int (in_flight_count t) /. 2.0 in
+  f.ssthresh <- (if half > 2.0 then half else 2.0);
   (match cause with
-  | `Dupacks -> t.cwnd <- t.ssthresh
+  | `Dupacks -> f.cwnd <- f.ssthresh
   | `Rto ->
-      t.cwnd <- 1.0;
+      f.cwnd <- 1.0;
       t.rto <- Float.min 60.0 (t.rto *. 2.0));
   t.recover <- t.snd_nxt - 1;
   t.lost_skbs <- t.lost_skbs + 1;
-  (match infl_find t t.snd_una with
-  | Some entry ->
-      retransmit_head t;
-      t.on_suspected_loss entry.e_pkt
-  | None -> ());
+  let entry = infl_find t t.snd_una in
+  if entry != dummy_entry then begin
+    retransmit_head t;
+    t.on_suspected_loss entry.e_pkt
+  end;
   mark_sack_holes t;
   arm_rto t
 
@@ -578,17 +651,7 @@ and on_segment_arrival t seq pkt =
   if seq = t.rcv_expected then begin
     t.rcv_expected <- seq + 1;
     if t.delivery_mode = Two_layer then t.on_meta_deliver pkt;
-    (* drain the out-of-order buffer *)
-    let rec drain () =
-      match Hashtbl.find_opt t.rcv_ooo t.rcv_expected with
-      | Some p ->
-          Hashtbl.remove t.rcv_ooo t.rcv_expected;
-          t.rcv_expected <- t.rcv_expected + 1;
-          if t.delivery_mode = Two_layer then t.on_meta_deliver p;
-          drain ()
-      | None -> ()
-    in
-    drain ();
+    if Hashtbl.length t.rcv_ooo > 0 then drain_ooo t;
     if t.delivery_mode = Immediate then t.on_meta_deliver pkt
   end
   else if seq > t.rcv_expected then begin
@@ -598,33 +661,52 @@ and on_segment_arrival t seq pkt =
   (* duplicate segments (seq < expected) still trigger an ack *)
   send_ack t ~inc:t.incarnation
 
+(* Release in-order segments the out-of-order buffer holds after
+   [rcv_expected]. A top-level loop, not a local closure: it runs on
+   every in-order arrival. *)
+and drain_ooo t =
+  match Hashtbl.find_opt t.rcv_ooo t.rcv_expected with
+  | Some p ->
+      Hashtbl.remove t.rcv_ooo t.rcv_expected;
+      t.rcv_expected <- t.rcv_expected + 1;
+      if t.delivery_mode = Two_layer then t.on_meta_deliver p;
+      drain_ooo t
+  | None -> ()
+
+and ack_recycle t c =
+  t.ack_free <- stack_push t.ack_free t.ack_len c ~pad:dummy_ack;
+  t.ack_len <- t.ack_len + 1
+
 (* [inc] is the incarnation the ack belongs to; only the current one's
    acks reach {!on_ack} when they arrive. *)
 and send_ack t ~inc =
   let cell =
-    match t.ack_free with
-    | c :: rest ->
-        t.ack_free <- rest;
-        c
-    | [] ->
-        let c = { a_sbf = 0; a_data = 0; a_inc = 0; a_fire = ignore } in
-        c.a_fire <-
-          (fun () ->
-            (* copy to locals before recycling: a recursive send during
-               [on_ack] may grab this very cell *)
-            let sbf_ack = c.a_sbf and data_ack = c.a_data in
-            let current = c.a_inc = t.incarnation in
-            t.ack_free <- c :: t.ack_free;
-            if current && Link.is_up t.ack_link then
-              on_ack t ~sbf_ack ~data_ack);
-        c
+    if t.ack_len > 0 then begin
+      let n = t.ack_len - 1 in
+      let c = t.ack_free.(n) in
+      t.ack_free.(n) <- dummy_ack;
+      t.ack_len <- n;
+      c
+    end
+    else begin
+      let c = { a_sbf = 0; a_data = 0; a_inc = 0; a_fire = ignore } in
+      c.a_fire <-
+        (fun () ->
+          (* copy to locals before recycling: a recursive send during
+             [on_ack] may grab this very cell *)
+          let sbf_ack = c.a_sbf and data_ack = c.a_data in
+          let current = c.a_inc = t.incarnation in
+          ack_recycle t c;
+          if current && Link.is_up t.ack_link then on_ack t ~sbf_ack ~data_ack);
+      c
+    end
   in
   cell.a_sbf <- t.rcv_expected;
   cell.a_data <- t.data_ack_value ();
   cell.a_inc <- inc;
   if not (Link.control_send t.ack_link cell.a_fire) then
     (* destroyed at send (link down): recycle immediately *)
-    t.ack_free <- cell :: t.ack_free
+    ack_recycle t cell
 
 (* ---------- sender-side ack processing ---------- *)
 
@@ -635,19 +717,20 @@ and on_ack t ~sbf_ack ~data_ack =
     let acked = ref 0 in
     let best_sample = ref infinity in
     for seq = t.snd_una to sbf_ack - 1 do
-      match infl_take t seq with
-      | Some entry ->
-          incr acked;
-          t.bytes_acked <- t.bytes_acked + entry.e_size;
-          (* Karn's rule: only sample RTT from unretransmitted segments *)
-          if not entry.e_retx then
-            best_sample :=
-              Float.min !best_sample (Eventq.now t.clock -. entry.e_sent_at);
-          (* a duplicate copy still in the air keeps the entry alive:
-             its arrival fires the normal duplicate path and the entry
-             returns to the pool once drained (see [entry_fire]) *)
-          if entry.e_pending = 0 then entry_release entry
-      | None -> ()
+      let entry = infl_take t seq in
+      if entry != dummy_entry then begin
+        incr acked;
+        t.bytes_acked <- t.bytes_acked + entry.e_size;
+        (* Karn's rule: only sample RTT from unretransmitted segments *)
+        if not entry.e_retx then begin
+          let r = Eventq.now t.clock -. entry.e_sent_at in
+          if r < !best_sample then best_sample := r
+        end;
+        (* a duplicate copy still in the air keeps the entry alive:
+           its arrival fires the normal duplicate path and the entry
+           returns to the pool once drained (see [entry_fire]) *)
+        if entry.e_pending = 0 then entry_release entry
+      end
     done;
     (* A cumulative ack may cover segments that arrived long ago and were
        blocked behind a gap; the freshest (smallest) sample is the one
@@ -660,9 +743,10 @@ and on_ack t ~sbf_ack ~data_ack =
       if t.snd_una > t.recover then begin
         (* full recovery *)
         Sim_log.debug (fun m ->
-            m "sbf#%d leaves recovery: cwnd %.1f -> %.1f" t.id t.cwnd t.ssthresh);
+            m "sbf#%d leaves recovery: cwnd %.1f -> %.1f" t.id t.f.cwnd
+              t.f.ssthresh);
         t.recover <- -1;
-        t.cwnd <- t.ssthresh
+        t.f.cwnd <- t.f.ssthresh
       end
       else begin
         (* partial ack: retransmit the next hole and refresh the
@@ -671,7 +755,7 @@ and on_ack t ~sbf_ack ~data_ack =
         mark_sack_holes t
       end
     end
-    else if inflight_before >= int_of_float t.cwnd then
+    else if inflight_before >= int_of_float t.f.cwnd then
       (* congestion-window validation (RFC 2861): only grow the window
          when the flow was actually using it *)
       t.cc_on_ack t !acked;
@@ -717,34 +801,38 @@ and entry_fire e () =
 and entry_alloc t ~seq ~pkt =
   let pool = t.pool in
   let e =
-    match pool.ep_free with
-    | e :: rest ->
-        pool.ep_free <- rest;
-        e
-    | [] ->
-        pool.ep_created <- pool.ep_created + 1;
-        let e =
-          {
-            e_sbf = None;
-            e_seq = 0;
-            e_pkt = Packet.dummy;
-            e_size = 0;
-            e_sent_at = 0.0;
-            e_retx = false;
-            e_lost = false;
-            e_in_ring = false;
-            e_pending = 0;
-            e_inc = 0;
-            e_gen = 0;
-            e_pool = pool;
-            e_fire = ignore;
-          }
-        in
-        e.e_fire <- entry_fire e;
-        e
+    if pool.ep_len > 0 then begin
+      let n = pool.ep_len - 1 in
+      let e = pool.ep_free.(n) in
+      pool.ep_free.(n) <- dummy_entry;
+      pool.ep_len <- n;
+      e
+    end
+    else begin
+      pool.ep_created <- pool.ep_created + 1;
+      let e =
+        {
+          e_sbf = None;
+          e_seq = 0;
+          e_pkt = Packet.dummy;
+          e_size = 0;
+          e_sent_at = 0.0;
+          e_retx = false;
+          e_lost = false;
+          e_in_ring = false;
+          e_pending = 0;
+          e_inc = 0;
+          e_gen = 0;
+          e_pool = pool;
+          e_fire = ignore;
+        }
+      in
+      e.e_fire <- entry_fire e;
+      e
+    end
   in
   pool.ep_outstanding <- pool.ep_outstanding + 1;
-  e.e_sbf <- Some t;
+  e.e_sbf <- t.self;
   e.e_inc <- t.incarnation;
   e.e_seq <- seq;
   e.e_pkt <- pkt;
@@ -759,22 +847,23 @@ and entry_alloc t ~seq ~pkt =
 (* Congestion, RTT, TSQ and rate-estimator state: how a fresh subflow
    starts, and what {!reestablish} restarts from. *)
 let restart_path_state t =
-  t.cwnd <- float_of_int initial_cwnd;
-  t.ssthresh <- 1e9;
+  let f = t.f in
+  f.cwnd <- float_of_int initial_cwnd;
+  f.ssthresh <- 1e9;
   t.dupacks <- 0;
   t.recover <- -1;
-  t.srtt <- 0.0;
-  t.rttvar <- 0.0;
-  t.rtt_avg <- 0.0;
+  f.srtt <- 0.0;
+  f.rttvar <- 0.0;
+  f.rtt_avg <- 0.0;
   t.rtt_samples <- 0;
   t.rto <- 1.0;
   t.lost_skbs <- 0;
   t.tsq_head <- 0;
   t.tsq_len <- 0;
   t.tsq_bytes <- 0;
-  t.rate_anchor_t <- 0.0;
+  f.rate_anchor_t <- 0.0;
   t.rate_anchor_bytes <- 0;
-  t.rate_ewma <- 0.0;
+  f.rate_ewma <- 0.0;
   t.rate_samples <- []
 
 (** Largest ring capacity {!reset} keeps; a larger ring goes back to
@@ -838,9 +927,18 @@ let create ~id ~clock ~data_link ~ack_link ?(mss = 1448) ?(is_backup = false)
       delivery_mode;
       pool;
       incarnation = 0;
+      self = None;
+      f =
+        {
+          cwnd = 0.0;
+          ssthresh = 0.0;
+          srtt = 0.0;
+          rttvar = 0.0;
+          rtt_avg = 0.0;
+          rate_anchor_t = 0.0;
+          rate_ewma = 0.0;
+        };
       established = false;
-      cwnd = 0.0;
-      ssthresh = 0.0;
       snd_nxt = 0;
       snd_una = 0;
       infl = [||];
@@ -850,9 +948,6 @@ let create ~id ~clock ~data_link ~ack_link ?(mss = 1448) ?(is_backup = false)
       sq_len = 0;
       dupacks = 0;
       recover = 0;
-      srtt = 0.0;
-      rttvar = 0.0;
-      rtt_avg = 0.0;
       rtt_samples = 0;
       rto = 0.0;
       min_rto;
@@ -860,7 +955,10 @@ let create ~id ~clock ~data_link ~ack_link ?(mss = 1448) ?(is_backup = false)
       lost_skbs = 0;
       rcv_expected = 0;
       rcv_ooo = Hashtbl.create 4;
-      ack_free = [];
+      ack_free = [||];
+      ack_len = 0;
+      hs_free = [||];
+      hs_len = 0;
       segs_sent = 0;
       segs_retx = 0;
       bytes_sent = 0;
@@ -871,9 +969,7 @@ let create ~id ~clock ~data_link ~ack_link ?(mss = 1448) ?(is_backup = false)
       tsq_len = 0;
       tsq_bytes = 0;
       tsq_timer = Eventq.timer ignore (* replaced below *);
-      rate_anchor_t = 0.0;
       rate_anchor_bytes = 0;
-      rate_ewma = 0.0;
       rate_samples = [];
       on_meta_deliver = (fun _ -> ());
       on_suspected_loss = (fun _ -> ());
@@ -887,6 +983,7 @@ let create ~id ~clock ~data_link ~ack_link ?(mss = 1448) ?(is_backup = false)
       cc_on_ack = reno_on_ack;
     }
   in
+  t.self <- Some t;
   t.rto_timer <- Eventq.timer (fun () -> on_rto t);
   t.tsq_timer <- Eventq.timer (fun () -> t.on_sender_event ());
   reset t;
@@ -905,22 +1002,41 @@ let send t pkt =
     handshake belongs to the current incarnation: if the subflow is
     scrapped meanwhile, its completion does nothing (the event still
     runs, so event counts do not depend on recycling). *)
+let complete_handshake t =
+  Sim_log.debug (fun m ->
+      m "sbf#%d established (handshake rtt %.1f ms)" t.id
+        (2.0 *. Link.delay t.data_link *. 1e3));
+  t.established <- true;
+  sample_rtt t (2.0 *. Link.delay t.data_link);
+  try_transmit t;
+  t.on_sender_event ()
+
+let handshake_cell t =
+  if t.hs_len > 0 then begin
+    let n = t.hs_len - 1 in
+    let h = t.hs_free.(n) in
+    t.hs_free.(n) <- dummy_handshake;
+    t.hs_len <- n;
+    h
+  end
+  else begin
+    let h = { h_inc = 0; h_start = ignore; h_done = ignore } in
+    h.h_start <-
+      (fun () ->
+        Eventq.post_in t.clock ~delay:(2.0 *. Link.delay t.data_link) h.h_done);
+    h.h_done <-
+      (fun () ->
+        let inc = h.h_inc in
+        t.hs_free <- stack_push t.hs_free t.hs_len h ~pad:dummy_handshake;
+        t.hs_len <- t.hs_len + 1;
+        if t.incarnation = inc then complete_handshake t);
+    h
+  end
+
 let establish ?(at = 0.0) t =
-  let inc = t.incarnation in
-  ignore
-    (Eventq.schedule t.clock ~at (fun () ->
-         ignore
-           (Eventq.schedule_in t.clock ~delay:(2.0 *. Link.delay t.data_link)
-              (fun () ->
-                if t.incarnation = inc then begin
-                  Sim_log.debug (fun m ->
-                      m "sbf#%d established (handshake rtt %.1f ms)" t.id
-                        (2.0 *. Link.delay t.data_link *. 1e3));
-                  t.established <- true;
-                  sample_rtt t (2.0 *. Link.delay t.data_link);
-                  try_transmit t;
-                  t.on_sender_event ()
-                end))))
+  let h = handshake_cell t in
+  h.h_inc <- t.incarnation;
+  Eventq.post t.clock ~at h.h_start
 
 (** Tear the subflow down (e.g. WiFi loss during handover): everything in
     flight or buffered is reported as suspected lost so the scheduler can
@@ -934,14 +1050,14 @@ let fail t =
   Eventq.timer_cancel t.tsq_timer;
   let in_flight = ref [] in
   for seq = t.snd_nxt - 1 downto t.snd_una do
-    match infl_take t seq with
-    | Some e ->
-        in_flight := e.e_pkt :: !in_flight;
-        (* copies still in the air arrive normally (the receiver side
-           of the old incarnation may ack them); the entry recycles
-           itself once drained *)
-        if e.e_pending = 0 then entry_release e
-    | None -> ()
+    let e = infl_take t seq in
+    if e != dummy_entry then begin
+      in_flight := e.e_pkt :: !in_flight;
+      (* copies still in the air arrive normally (the receiver side
+         of the old incarnation may ack them); the entry recycles
+         itself once drained *)
+      if e.e_pending = 0 then entry_release e
+    end
   done;
   let buffered = ref [] in
   for i = t.sq_len - 1 downto 0 do
@@ -960,19 +1076,18 @@ let fail t =
     the fresh connection's first segment. *)
 let reestablish ?(at = 0.0) t =
   let inc = t.incarnation in
-  ignore
-    (Eventq.schedule t.clock ~at (fun () ->
-         if t.incarnation = inc && not t.established then begin
-           restart_path_state t;
-           (* resync: the new connection's sequence space starts at
-              snd_nxt; whatever the old receiver buffered out of order is
-              covered by the meta-level re-queue in {!fail} *)
-           t.snd_una <- t.snd_nxt;
-           t.rcv_expected <- t.snd_nxt;
-           Hashtbl.reset t.rcv_ooo;
-           Sim_log.debug (fun m -> m "sbf#%d re-establishing" t.id);
-           establish ~at:(Eventq.now t.clock) t
-         end))
+  Eventq.post t.clock ~at (fun () ->
+      if t.incarnation = inc && not t.established then begin
+        restart_path_state t;
+        (* resync: the new connection's sequence space starts at
+           snd_nxt; whatever the old receiver buffered out of order is
+           covered by the meta-level re-queue in {!fail} *)
+        t.snd_una <- t.snd_nxt;
+        t.rcv_expected <- t.snd_nxt;
+        Hashtbl.reset t.rcv_ooo;
+        Sim_log.debug (fun m -> m "sbf#%d re-establishing" t.id);
+        establish ~at:(Eventq.now t.clock) t
+      end)
 
 (* ---------- fleet recycling ---------- *)
 
@@ -981,7 +1096,8 @@ let reestablish ?(at = 0.0) t =
     and the property tests' reachability check. *)
 let iter_packets t f =
   for seq = t.snd_una to t.snd_nxt - 1 do
-    match infl_find t seq with Some e -> f e.e_pkt | None -> ()
+    let e = infl_find t seq in
+    if e != dummy_entry then f e.e_pkt
   done;
   for i = 0 to t.sq_len - 1 do
     f (t.sq.((t.sq_head + i) land (Array.length t.sq - 1)))
@@ -1003,17 +1119,17 @@ let scrap t ~release_pkt =
   Eventq.timer_cancel t.tsq_timer;
   t.established <- false;
   for seq = t.snd_una to t.snd_nxt - 1 do
-    match infl_take t seq with
-    | Some e ->
-        release_pkt e.e_pkt;
-        if e.e_pending = 0 then entry_release e
-        else begin
-          (* orphan: the stale arrival must neither touch the (possibly
-             recycled) packet nor ack on the shared link *)
-          e.e_sbf <- None;
-          e.e_pkt <- Packet.dummy
-        end
-    | None -> ()
+    let e = infl_take t seq in
+    if e != dummy_entry then begin
+      release_pkt e.e_pkt;
+      if e.e_pending = 0 then entry_release e
+      else begin
+        (* orphan: the stale arrival must neither touch the (possibly
+           recycled) packet nor ack on the shared link *)
+        e.e_sbf <- None;
+        e.e_pkt <- Packet.dummy
+      end
+    end
   done;
   for i = 0 to t.sq_len - 1 do
     let j = (t.sq_head + i) land (Array.length t.sq - 1) in
@@ -1022,8 +1138,10 @@ let scrap t ~release_pkt =
   done;
   t.sq_head <- 0;
   t.sq_len <- 0;
-  Hashtbl.iter (fun _ p -> release_pkt p) t.rcv_ooo;
-  Hashtbl.reset t.rcv_ooo
+  if Hashtbl.length t.rcv_ooo > 0 then begin
+    Hashtbl.iter (fun _ p -> release_pkt p) t.rcv_ooo;
+    Hashtbl.reset t.rcv_ooo
+  end
 
 (** Testing hook (packetdrill analogue, §4.2): inject a segment arrival
     at the receiver side of the subflow, bypassing the link — used to

@@ -46,14 +46,16 @@ type entry = {
 }
 
 and entry_pool = {
-  mutable ep_free : entry list;
+  mutable ep_free : entry array;
+  mutable ep_len : int;
   mutable ep_created : int;
   mutable ep_outstanding : int;
   mutable ep_releases : int;
 }
 (** Freelist of in-flight entries; shareable across every subflow of a
     fleet shard so the entry population is bounded by peak in-flight
-    segments, not total arrivals. *)
+    segments, not total arrivals. The free entries are a stack: the
+    first [ep_len] cells of [ep_free], the rest padding. *)
 
 and ack_cell = {
   mutable a_sbf : int;
@@ -64,6 +66,19 @@ and ack_cell = {
 (** Pooled in-flight ack (subflow + data ack values); recycled through
     the subflow's freelist when it fires or fails to send. An ack of an
     earlier incarnation fires inert. *)
+
+and floats = {
+  mutable cwnd : float;  (** segments *)
+  mutable ssthresh : float;
+  mutable srtt : float;
+  mutable rttvar : float;
+  mutable rtt_avg : float;
+  mutable rate_anchor_t : float;
+  mutable rate_ewma : float;  (** bytes/second; 0 until the first sample *)
+}
+(** The float state updated per ack, in a float-only record: its fields
+    are stored unboxed, so a write allocates nothing, where a float
+    field of the mixed record {!t} boxes on every write. *)
 
 and t = {
   id : int;
@@ -81,10 +96,12 @@ and t = {
       (** bumped by {!scrap}; deferred events (segment arrivals, acks,
           handshake completion, re-establishment) of an earlier
           incarnation do nothing *)
+  mutable self : t option;
+      (** [Some] of this subflow, built once: the owner every in-flight
+          entry records *)
+  f : floats;
   (* --- sender state --- *)
   mutable established : bool;
-  mutable cwnd : float;  (** segments *)
-  mutable ssthresh : float;
   mutable snd_nxt : int;
   mutable snd_una : int;
   (* In-flight ring: live seqs are dense in [snd_una, snd_nxt), so the
@@ -99,9 +116,6 @@ and t = {
   mutable sq_len : int;
   mutable dupacks : int;
   mutable recover : int;  (** NewReno recovery point; -1 = not in recovery *)
-  mutable srtt : float;
-  mutable rttvar : float;
-  mutable rtt_avg : float;
   mutable rtt_samples : int;
   mutable rto : float;
   min_rto : float;
@@ -112,7 +126,12 @@ and t = {
   (* --- receiver-side subflow state --- *)
   mutable rcv_expected : int;
   rcv_ooo : (int, Packet.t) Hashtbl.t;
-  mutable ack_free : ack_cell list;  (** recycled ack cells *)
+  mutable ack_free : ack_cell array;
+      (** recycled ack cells, a stack of [ack_len] *)
+  mutable ack_len : int;
+  mutable hs_free : handshake array;
+      (** recycled handshake cells, a stack of [hs_len] *)
+  mutable hs_len : int;
   (* --- statistics --- *)
   mutable segs_sent : int;
   mutable segs_retx : int;
@@ -129,10 +148,9 @@ and t = {
   mutable tsq_timer : Eventq.timer;
       (** TSQ completion wake-up, see {!arm_tsq_wakeup}; allocated once,
           at subflow creation *)
-  (* delivery-rate estimator backing the THROUGHPUT property *)
-  mutable rate_anchor_t : float;
+  (* delivery-rate estimator backing the THROUGHPUT property (with
+     [f.rate_anchor_t] and [f.rate_ewma]) *)
   mutable rate_anchor_bytes : int;
-  mutable rate_ewma : float;  (** bytes/second; 0 until the first sample *)
   mutable rate_samples : (float * float) list;
       (** recent (time, bytes/s) samples, newest first, for the
           windowed-max achievable-rate filter *)
@@ -159,6 +177,14 @@ and t = {
   mutable cc_on_ack : t -> int -> unit;  (** pluggable window increase *)
 }
 
+and handshake = {
+  mutable h_inc : int;
+  mutable h_start : unit -> unit;
+  mutable h_done : unit -> unit;
+}
+(** A pending handshake, recycled through the subflow's stack: its two
+    event actions are built once per cell. *)
+
 val initial_cwnd : int
 
 val entry_pool : unit -> entry_pool
@@ -173,6 +199,9 @@ val entry_pool_outstanding : entry_pool -> int
 
 val entry_pool_releases : entry_pool -> int
 (** Total recyclings. *)
+
+val entry_pool_free : entry_pool -> entry list
+(** The entries on the freelist (a copy, for tests). *)
 
 val entry_pool_clean : entry_pool -> bool
 (** [true] when every freelist entry holds the dummy packet, no owner

@@ -353,8 +353,9 @@ let attach ?(establish_at = 0.0) b =
     b.b_spec.t_routes
 
 (** An MPTCP connection over all routes of the topology. *)
-let connect ?(seed = 42) ?(cc = Congestion.Lia) ?rcv_buffer ?delivery_mode b =
-  Connection.create_on_links ?rcv_buffer ?delivery_mode ~seed ~cc
+let connect ?(seed = 42) ?(cc = Congestion.Lia) ?rcv_buffer ?delivery_mode
+    ?scheduler b =
+  Connection.create_on_links ?rcv_buffer ?delivery_mode ?scheduler ~seed ~cc
     ~clock:b.b_clock ~links:(attach b) ()
 
 (** A background single-path TCP flow (uncoupled Reno, one subflow)

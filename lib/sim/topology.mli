@@ -89,10 +89,11 @@ val connect :
   ?cc:Congestion.policy ->
   ?rcv_buffer:int ->
   ?delivery_mode:Tcp_subflow.delivery_mode ->
+  ?scheduler:Progmp_runtime.Scheduler.t ->
   built ->
   Connection.t
 (** An MPTCP connection over all routes of the topology (default cc:
-    LIA). *)
+    LIA); [scheduler] as for {!Connection.create}. *)
 
 val single :
   ?seed:int ->

@@ -213,10 +213,35 @@ and gen_packet_eff ctx depth : Ast.expr G.t =
        G.return (member v "POP" []));
     ]
 
+(* Int expression in an effect-permitted position: its operands may
+   read a popped packet ([Q.POP().SEQ - Q.POP().SEQ]), so the order in
+   which an engine evaluates operands decides which packet each POP
+   removes, and the differential suites see any disagreement. *)
+let rec gen_int_eff ctx depth : Ast.expr G.t =
+  let popped =
+    let* v = gen_view ctx (max 0 (depth - 1)) in
+    (* mostly SEQ: the generated environments give every packet the
+       same size, so only seqs tell popped packets apart *)
+    let* prop = G.frequencyl [ (3, "SEQ"); (1, "SIZE") ] in
+    G.return (member (member v "POP" []) prop [])
+  in
+  if depth <= 0 then G.oneof [ gen_int ctx 0; popped ]
+  else
+    G.frequency
+      [
+        (1, gen_int ctx depth);
+        (1, popped);
+        ( 2,
+          let* op = G.oneofl [ Ast.Add; Ast.Sub; Ast.Mul; Ast.Div; Ast.Mod ] in
+          let* a = gen_int_eff ctx (depth - 1) in
+          let* b = gen_int_eff ctx (depth - 1) in
+          G.return (e (Ast.Binop (op, a, b))) );
+      ]
+
 let gen_storable ctx depth : (Ast.expr * Ty.t) G.t =
   let* choice = G.int_bound 4 in
   match choice with
-  | 0 -> G.map (fun x -> (x, Ty.Int)) (gen_int ctx depth)
+  | 0 -> G.map (fun x -> (x, Ty.Int)) (gen_int_eff ctx depth)
   | 1 -> G.map (fun x -> (x, Ty.Bool)) (gen_bool ctx depth)
   | 2 -> G.map (fun x -> (x, Ty.Subflow)) (gen_subflow ctx depth)
   | 3 -> G.map (fun x -> (x, Ty.Subflow_list)) (gen_sbfs ctx depth)
@@ -264,7 +289,25 @@ let rec gen_stmt ctx depth : (Ast.stmt * ctx) G.t =
       let* body = gen_block ctx' (depth - 1) 2 in
       G.return (Ast.mk_stmt (Ast.Foreach (name, src, body)), ctx)
     in
-    G.oneof [ push; decl; setr; dropp; ifst; foreach ]
+    (* [VAR x = <arithmetic over POPs>; SET(R, x)] in one block: the
+       register the differential compares receives a value that
+       depends on the order an engine evaluates the operands in *)
+    let observed_pops =
+      let* rhs = gen_int_eff ctx depth in
+      let* r = G.int_bound 5 in
+      let name = fresh ctx in
+      G.return
+        ( Ast.mk_stmt
+            (Ast.If
+               ( e (Ast.Bool true),
+                 [
+                   Ast.mk_stmt (Ast.Var_decl (name, rhs));
+                   Ast.mk_stmt (Ast.Set_register (r, e (Ast.Var name)));
+                 ],
+                 None )),
+          ctx )
+    in
+    G.oneof [ push; decl; setr; dropp; ifst; foreach; observed_pops ]
 
 and gen_block ctx depth max_len : Ast.block G.t =
   let* len = G.int_range 1 max_len in

@@ -88,7 +88,8 @@ let arena_suite =
             let max_gen =
               List.fold_left
                 (fun m e -> max m e.Tcp_subflow.e_gen)
-                0 epool.Tcp_subflow.ep_free
+                0
+                (Tcp_subflow.entry_pool_free epool)
             in
             Alcotest.(check bool)
               (Fmt.str "some entry recycled repeatedly (max gen %d)" max_gen)
@@ -101,7 +102,7 @@ let arena_suite =
                   Alcotest.fail "free entry has pending arrivals";
                 if e.e_pkt != Packet.dummy then
                   Alcotest.fail "free entry references a packet")
-              epool.Tcp_subflow.ep_free)
+              (Tcp_subflow.entry_pool_free epool))
       ] );
   ]
 

@@ -312,6 +312,54 @@ let suite =
                   true
                   (words <= float_of_int n /. 10.0))
               [ 0.0; 1e-3 ]);
+        tc "posted and scheduled events share one order (all quanta)"
+          (fun () ->
+            (* the same script twice, once all scheduled and once with
+               every other event posted: posts take sequence numbers
+               like schedules, so the firing order cannot change *)
+            let script q ~post =
+              let fired = ref [] in
+              for i = 0 to 59 do
+                let at = float_of_int (i * 7 mod 5) *. 0.25 in
+                let f () = fired := i :: !fired in
+                if post && i mod 2 = 0 then Eventq.post q ~at f
+                else ignore (Eventq.schedule q ~at f)
+              done;
+              ignore (Eventq.run q);
+              List.rev !fired
+            in
+            List.iter
+              (fun (name, mk) ->
+                Alcotest.(check (list int))
+                  ("order " ^ name)
+                  (script (mk ()) ~post:false)
+                  (script (mk ()) ~post:true))
+              quanta);
+        tc "a self-posting event reuses one cell (all quanta)" (fun () ->
+            List.iter
+              (fun (name, mk) ->
+                let q : Eventq.t = mk () in
+                let n = 10_000 and count = ref 0 and peak = ref 0 in
+                let rec tick () =
+                  incr count;
+                  if !count < n then begin
+                    Eventq.post_in q ~delay:1e-3 tick;
+                    peak := max !peak (Eventq.live_nodes q)
+                  end
+                in
+                Eventq.post q ~at:0.0 tick;
+                ignore (Eventq.run ~until:1e-3 q);
+                let before = Gc.minor_words () in
+                ignore (Eventq.run q);
+                let words = Gc.minor_words () -. before in
+                Alcotest.(check int) ("all fired " ^ name) n !count;
+                Alcotest.(check int) ("one node at a time " ^ name) 1 !peak;
+                (* a post's own cost is the boxed fire time *)
+                Alcotest.(check bool)
+                  (Fmt.str "%s: %.0f minor words for %d posts" name words n)
+                  true
+                  (words <= 3.0 *. float_of_int n))
+              quanta);
         QCheck_alcotest.to_alcotest
           (qprop_model "wheel q=1e12 (all due)" (fun () ->
                Eventq.create ~quantum:1e12 ()));
@@ -394,6 +442,7 @@ let suite =
                 ( "schedule_in",
                   fun q _h _t -> ignore (Eventq.schedule_in q ~delay:1.0 ignore)
                 );
+                ("post", fun q _h _t -> Eventq.post q ~at:9.0 ignore);
                 ("cancel", fun _q h _t -> Eventq.cancel h);
                 ("timer_arm", fun q _h t -> Eventq.timer_arm q t ~at:9.0);
                 ("timer_cancel", fun _q _h t -> Eventq.timer_cancel t);

@@ -483,8 +483,9 @@ let cc_topology_suite =
   ]
 
 (* One run of [scenario] through the registry, the scheduler put on each
-   connection by [install] (the two drivers' hooks below). *)
-let registry_run ~install scenario =
+   connection's socket created with [instance] (the two drivers' hooks
+   below). *)
+let registry_run ~instance scenario =
   let module R = Progmp_runtime in
   ignore (Schedulers.Specs.load_all ());
   let sched = Option.get (R.Scheduler.find "default") in
@@ -510,18 +511,17 @@ let registry_run ~install scenario =
        scheduler = sched;
        topology = Some Mptcp_sim.Topology.dumbbell;
        ramp = [];
-       install = install sched;
+       instance = instance sched;
        instrument = ignore;
      }
      p)
     .Scenarios.result
 
-let shared_install _ conn =
-  Progmp_runtime.Api.set_scheduler (Mptcp_sim.Connection.sock conn) "default"
+(* the socket's own instance of the registry's "default" *)
+let shared_instance _ () = None
 
-let private_install sched conn =
-  (Mptcp_sim.Connection.sock conn).Progmp_runtime.Api.scheduler <-
-    Progmp_runtime.Scheduler.instantiate_private sched ~engine:"interpreter"
+let private_instance sched () =
+  Some (Progmp_runtime.Scheduler.instantiate_private sched ~engine:"interpreter")
 
 let scenarios_suite =
   let sorted = List.sort compare in
@@ -540,8 +540,8 @@ let scenarios_suite =
       @ List.map
           (fun scenario ->
             tc (scenario ^ ": shared and private installs agree") (fun () ->
-                let shared = registry_run ~install:shared_install scenario in
-                let priv = registry_run ~install:private_install scenario in
+                let shared = registry_run ~instance:shared_instance scenario in
+                let priv = registry_run ~instance:private_instance scenario in
                 Alcotest.(check bool)
                   "equal run_result" true (shared = priv);
                 Alcotest.(check bool)

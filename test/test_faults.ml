@@ -105,7 +105,7 @@ let test_gilbert_stationary_rate () =
   for _ = 1 to n do
     match Link.transmit link ~size:100 (fun () -> ()) with
     | Link.Lost_random -> incr lost
-    | Link.Delivered _ -> ()
+    | Link.Delivered -> ()
     | Link.Dropped_tail | Link.Dropped_red | Link.Lost_down ->
         Alcotest.fail "unexpected outcome"
   done;
@@ -137,7 +137,7 @@ let test_bernoulli_reset () =
   Link.set_bernoulli link;
   for _ = 1 to 100 do
     match Link.transmit link ~size:100 (fun () -> ()) with
-    | Link.Delivered _ -> ()
+    | Link.Delivered -> ()
     | _ -> Alcotest.fail "after reset, loss=0 must deliver"
   done
 
@@ -158,7 +158,10 @@ let test_bandwidth_change_spares_in_flight () =
   let arrived = ref nan in
   (* 1000 B at 1000 B/s: on the wire at 1.0, arrival at 1.01 *)
   (match Link.transmit link ~size:1000 (fun () -> arrived := Eventq.now clock) with
-  | Link.Delivered t -> Alcotest.(check (float 1e-9)) "promised arrival" 1.01 t
+  | Link.Delivered ->
+      Alcotest.(check (float 1e-9))
+        "promised arrival" 1.01
+        (Link.busy_until link +. Link.delay link)
   | _ -> Alcotest.fail "expected Delivered");
   Alcotest.(check int) "admitted bytes backlogged" 1000 (Link.backlog_bytes link);
   Link.set_bandwidth link 1.0;
@@ -175,7 +178,7 @@ let test_loss_change_spares_in_flight () =
   let link = Link.create ~params:flight_params ~clock ~rng:(Rng.create 1) () in
   let arrived = ref false in
   (match Link.transmit link ~size:1000 (fun () -> arrived := true) with
-  | Link.Delivered _ -> ()
+  | Link.Delivered -> ()
   | _ -> Alcotest.fail "expected Delivered");
   (* the loss decision was made at admission; raising loss to certainty
      afterwards must not retroactively destroy the packet *)
@@ -191,7 +194,7 @@ let test_link_down_destroys_in_flight () =
   let link = Link.create ~params:flight_params ~clock ~rng:(Rng.create 1) () in
   let arrived = ref false in
   (match Link.transmit link ~size:1000 (fun () -> arrived := true) with
-  | Link.Delivered _ -> ()
+  | Link.Delivered -> ()
   | _ -> Alcotest.fail "expected Delivered");
   ignore (Eventq.schedule clock ~at:0.5 (fun () -> Link.set_down link));
   ignore (Eventq.run clock);
@@ -404,7 +407,7 @@ let test_rto_backoff_cap () =
   Connection.run ~until:200.0 conn;
   let sbf = Connection.subflow conn 0 in
   Alcotest.(check (float 0.0)) "rto capped at 60 s" 60.0 sbf.Tcp_subflow.rto;
-  Alcotest.(check (float 0.0)) "cwnd collapsed to 1" 1.0 sbf.Tcp_subflow.cwnd;
+  Alcotest.(check (float 0.0)) "cwnd collapsed to 1" 1.0 sbf.Tcp_subflow.f.cwnd;
   Alcotest.(check bool) "timer still armed at the cap" true
     (Eventq.timer_armed sbf.Tcp_subflow.rto_timer)
 

@@ -326,11 +326,11 @@ let lia_pair () =
 (* Force congestion avoidance and measure what one ack's worth of
    increase does to [s]'s window under the installed policy. *)
 let increase_under sbf =
-  sbf.Tcp_subflow.ssthresh <- 1.0;
-  let before = sbf.Tcp_subflow.cwnd in
+  sbf.Tcp_subflow.f.ssthresh <- 1.0;
+  let before = sbf.Tcp_subflow.f.cwnd in
   sbf.Tcp_subflow.cc_on_ack sbf 1;
-  let inc = sbf.Tcp_subflow.cwnd -. before in
-  sbf.Tcp_subflow.cwnd <- before;
+  let inc = sbf.Tcp_subflow.f.cwnd -. before in
+  sbf.Tcp_subflow.f.cwnd <- before;
   inc
 
 let cc_suite =
@@ -355,9 +355,9 @@ let cc_suite =
             let _clock, conn = lia_pair () in
             let a = Connection.subflow conn 0
             and b = Connection.subflow conn 1 in
-            a.Tcp_subflow.cwnd <- 10.0;
-            b.Tcp_subflow.cwnd <- 1000.0;
-            b.Tcp_subflow.ssthresh <- 1.0;
+            a.Tcp_subflow.f.cwnd <- 10.0;
+            b.Tcp_subflow.f.cwnd <- 1000.0;
+            b.Tcp_subflow.f.ssthresh <- 1.0;
             let with_b = increase_under a in
             Tcp_subflow.fail b;
             let without_b = increase_under a in
@@ -386,9 +386,9 @@ let cc_suite =
               (a.Tcp_subflow.cc_on_ack != before_add);
             Alcotest.(check bool) "newcomer coupled, not reno" true
               (c.Tcp_subflow.cc_on_ack != Tcp_subflow.reno_on_ack);
-            a.Tcp_subflow.cwnd <- 10.0;
-            c.Tcp_subflow.cwnd <- 1000.0;
-            c.Tcp_subflow.ssthresh <- 1.0;
+            a.Tcp_subflow.f.cwnd <- 10.0;
+            c.Tcp_subflow.f.cwnd <- 1000.0;
+            c.Tcp_subflow.f.ssthresh <- 1.0;
             let with_c = increase_under a in
             Tcp_subflow.fail c;
             let without_c = increase_under a in

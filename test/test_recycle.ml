@@ -35,10 +35,10 @@ let subflow_fields (s : Tcp_subflow.t) =
     Fmt.str
       "established=%b cwnd=%h ssthresh=%h snd_nxt=%d snd_una=%d infl=%d \
        sq_len=%d sq_head=%d dupacks=%d recover=%d"
-      s.established s.cwnd s.ssthresh s.snd_nxt s.snd_una s.infl_count
+      s.established s.f.cwnd s.f.ssthresh s.snd_nxt s.snd_una s.infl_count
       s.sq_len s.sq_head s.dupacks s.recover;
     Fmt.str "srtt=%h rttvar=%h rtt_avg=%h samples=%d rto=%h lost=%d"
-      s.srtt s.rttvar s.rtt_avg s.rtt_samples s.rto s.lost_skbs;
+      s.f.srtt s.f.rttvar s.f.rtt_avg s.rtt_samples s.rto s.lost_skbs;
     Fmt.str "rcv_expected=%d rcv_ooo=%d" s.rcv_expected
       (Hashtbl.length s.rcv_ooo);
     Fmt.str "segs_sent=%d segs_retx=%d bytes_sent=%d bytes_acked=%d"
@@ -46,7 +46,7 @@ let subflow_fields (s : Tcp_subflow.t) =
     Fmt.str "tsq_head=%d tsq_len=%d tsq_bytes=%d" s.tsq_head s.tsq_len
       s.tsq_bytes;
     Fmt.str "rate_t=%h rate_bytes=%d rate_ewma=%h rate_samples=%d"
-      s.rate_anchor_t s.rate_anchor_bytes s.rate_ewma
+      s.f.rate_anchor_t s.rate_anchor_bytes s.f.rate_ewma
       (List.length s.rate_samples);
     Fmt.str "backup=%b forced_lossy=%b rto_armed=%b tsq_armed=%b" s.is_backup
       s.forced_lossy
@@ -80,7 +80,7 @@ let connection_fields (c : Connection.t) =
        executions=%d pool_pkts=%d"
       (Hashtbl.length m.delivery_time)
       m.delivered_bytes m.delivered_segments m.app_segments m.pushes m.drops
-      m.data_dropped m.sched_executions (List.length m.pool_pkts);
+      m.data_dropped m.sched_executions m.pool_len;
     Fmt.str "props=%s scheduler=%s"
       (String.concat ","
          (Array.to_list (Array.map string_of_int m.sock.Api.default_props)))

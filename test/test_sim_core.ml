@@ -135,7 +135,7 @@ let suite =
             let delivered = ref 0 in
             for _ = 1 to 2000 do
               match Link.transmit link ~size:100 (fun () -> ()) with
-              | Link.Delivered _ -> incr delivered
+              | Link.Delivered -> incr delivered
               | Link.Lost_random | Link.Dropped_tail | Link.Dropped_red
               | Link.Lost_down ->
                   ()

@@ -58,12 +58,12 @@ let sweep =
         List.for_all
           (fun m ->
             let s = m.Path_manager.subflow in
-            let cwnd_ok = s.Tcp_subflow.cwnd >= 1.0 in
+            let cwnd_ok = s.Tcp_subflow.f.cwnd >= 1.0 in
             let link_rtt = 2.0 *. Link.delay m.Path_manager.data_link in
             let srtt_ok =
               s.Tcp_subflow.rtt_samples = 0
-              || (s.Tcp_subflow.srtt >= 0.9 *. link_rtt
-                 && s.Tcp_subflow.srtt
+              || (s.Tcp_subflow.f.srtt >= 0.9 *. link_rtt
+                 && s.Tcp_subflow.f.srtt
                     <= link_rtt +. 2.0
                        +. (2.0
                           *. float_of_int

@@ -75,16 +75,16 @@ let suite =
               (!(h.suspected) <> []));
         tc "cwnd grows in slow start" (fun () ->
             let h = make_harness () in
-            let before = h.sbf.Tcp_subflow.cwnd in
+            let before = h.sbf.Tcp_subflow.f.cwnd in
             send_n h 40;
             ignore (Eventq.run h.clock);
-            Alcotest.(check bool) "cwnd grew" true (h.sbf.Tcp_subflow.cwnd > before));
+            Alcotest.(check bool) "cwnd grew" true (h.sbf.Tcp_subflow.f.cwnd > before));
         tc "loss halves the window (fast retransmit)" (fun () ->
             let h = make_harness ~loss:0.08 ~bandwidth:1e7 () in
             send_n h 300;
             ignore (Eventq.run h.clock);
             Alcotest.(check bool) "ssthresh dropped from initial" true
-              (h.sbf.Tcp_subflow.ssthresh < 1e8);
+              (h.sbf.Tcp_subflow.f.ssthresh < 1e8);
             Alcotest.(check bool) "lost_skbs counted" true
               (h.sbf.Tcp_subflow.lost_skbs > 0));
         tc "rtt estimate converges to path rtt" (fun () ->
@@ -102,7 +102,7 @@ let suite =
             let h = make_harness ~loss:1.0 () in
             send_n h 5;
             ignore (Eventq.run ~until:10.0 h.clock);
-            Alcotest.(check bool) "cwnd collapsed" true (h.sbf.Tcp_subflow.cwnd <= 2.0);
+            Alcotest.(check bool) "cwnd collapsed" true (h.sbf.Tcp_subflow.f.cwnd <= 2.0);
             Alcotest.(check bool) "retransmissions attempted" true
               (h.sbf.Tcp_subflow.segs_retx > 2);
             Alcotest.(check bool) "rto backed off" true (h.sbf.Tcp_subflow.rto > 0.2));
@@ -169,13 +169,13 @@ let suite =
             let grow cc =
               let h = make_harness ~bandwidth:1e7 () in
               (* force congestion avoidance so the coupled increase is hit *)
-              h.sbf.Tcp_subflow.ssthresh <- 1.0;
+              h.sbf.Tcp_subflow.f.ssthresh <- 1.0;
               (match cc with
               | `Lia -> Congestion.install_lia [ h.sbf ]
               | `Reno -> ());
               send_n h 400;
               ignore (Eventq.run h.clock);
-              h.sbf.Tcp_subflow.cwnd
+              h.sbf.Tcp_subflow.f.cwnd
             in
             let reno = grow `Reno and lia = grow `Lia in
             Alcotest.(check bool)

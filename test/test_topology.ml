@@ -232,7 +232,7 @@ let test_jitter_zero_mean () =
            min_arrival := Float.min !min_arrival off;
            incr count)
      with
-    | Link.Delivered _ -> ()
+    | Link.Delivered -> ()
     | _ -> Alcotest.fail "unexpected loss on a lossless link");
     (* drain so serialization time stays negligible *)
     ignore (Eventq.run ~until:(Eventq.now clock +. 1.0) clock)
@@ -271,7 +271,7 @@ let ge_props =
       for _ = 1 to n do
         (match Link.transmit link ~size:100 (fun () -> ()) with
         | Link.Lost_random -> incr losses
-        | Link.Delivered _ -> ()
+        | Link.Delivered -> ()
         | _ -> QCheck.Test.fail_report "unexpected drop");
         (match link.Link.loss_model with
         | Link.Gilbert g ->
