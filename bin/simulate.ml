@@ -228,15 +228,9 @@ let run_scenario scenario scheduler seed loss duration engine faults_file
       seed;
     }
   in
-  (* every connection's socket owns an instance of the registry's
-     scheduler, on the engine selected above *)
-  let instance () =
-    Some (Progmp_runtime.Scheduler.instantiate_private sched ~engine)
-  in
   let outcome =
     Scenarios.run
-      { duration; scheduler = sched; topology = topo; ramp = []; instance;
-        instrument }
+      { duration; scheduler = sched; topology = topo; ramp = []; instrument }
       params
   in
   print_result scenario ~topo ~cc:cc_policy outcome;

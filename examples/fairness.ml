@@ -34,7 +34,7 @@ let () =
   let failures = ref 0 and red_engaged = ref false in
   let friendly_bound = 1.25 and greedy_bound = 1.5 in
   (* one run of the registry's [fairness] scenario per (cc, topology);
-     the connections keep the stock scheduler *)
+     every connection runs its own instance of the stock scheduler *)
   let check (p : Spec.run_params) =
     let o =
       Scenarios.run
@@ -43,7 +43,6 @@ let () =
           scheduler = stock;
           topology = Topology.of_name p.Spec.topology;
           ramp = [];
-          instance = (fun () -> None);
           instrument = ignore;
         }
         p

@@ -1,7 +1,7 @@
 (** The scenario registry: one definition of each evaluation scenario
     (§5: bulk, streaming, short flows, HTTP/2, DASH, plus the open-loop
     fleet and the shared-bottleneck fairness probe). Drivers differ only
-    in the [install] and [instrument] hooks of {!ctx}. The canonical
+    in the [instrument] hook of {!ctx}. The canonical
     path sets below — the OCaml analogues of the paper's two testbeds —
     are shared with {!Figures}, the examples and the tests. *)
 
@@ -103,7 +103,6 @@ type ctx = {
   scheduler : R.Scheduler.t;
   topology : Topology.t option;
   ramp : Traffic.ramp;
-  instance : unit -> R.Scheduler.t option;
   instrument : Connection.t -> unit;
 }
 
@@ -134,8 +133,12 @@ let cc_of (p : Spec.run_params) =
   | Ok c -> c
   | Error msg -> invalid_arg msg
 
+(* the run's scheduler, on a socket-private instance of the run's engine *)
+let instance ctx (p : Spec.run_params) =
+  R.Scheduler.instantiate_private ctx.scheduler ~engine:p.Spec.engine
+
 let connect ctx ?clock ~seed (p : Spec.run_params) paths =
-  Connection.create ?clock ~seed ~cc:(cc_of p) ?scheduler:(ctx.instance ())
+  Connection.create ?clock ~seed ~cc:(cc_of p) ~scheduler:(instance ctx p)
     ~paths ()
 
 let attach ctx conn = ctx.instrument conn
@@ -421,7 +424,7 @@ let fairness ctx (p : Spec.run_params) =
   let built = Topology.build ~seed:p.Spec.seed ~clock topo in
   let mptcp =
     Topology.connect ~seed:p.Spec.seed ~cc:(cc_of p)
-      ?scheduler:(ctx.instance ()) built
+      ~scheduler:(instance ctx p) built
   in
   attach ctx mptcp;
   let via = (List.hd (Topology.spec built).Topology.t_links).Topology.l_name in

@@ -2,13 +2,13 @@
     scenario's world — paths, connections, workload and run horizon —
     shared by every driver ([simulate], {!Sweep}, the tests).
 
-    A driver hands {!run} the run's {!Spec.run_params} plus two hooks:
-    [instance], which makes the scheduler instance a new connection's
-    socket is created with, and [instrument], which attaches
-    per-connection observers (faults, invariant checkers, recorders).
-    The scenario calls both for every connection it builds, in its own
-    fixed order, runs the clock and returns the measurements together
-    with the hosted connections.
+    A driver hands {!run} the run's {!Spec.run_params}, the run's
+    scheduler and an [instrument] hook, which attaches per-connection
+    observers (faults, invariant checkers, recorders). The scenario
+    creates every connection's socket with its own instance of the
+    scheduler on the run's engine, calls the hook on it in its own fixed
+    order, runs the clock and returns the measurements together with the
+    hosted connections.
 
     The module also holds the canonical path sets — the OCaml analogues
     of the paper's two testbeds — that the scenarios, {!Figures}, the
@@ -82,14 +82,11 @@ type run_result = {
 type ctx = {
   duration : float;  (** simulated seconds *)
   scheduler : Progmp_runtime.Scheduler.t;
-      (** [fleet]: instantiated per connection slot with the run's engine *)
+      (** instantiated on the run's engine for every connection's socket
+          (every [fleet] slot's) *)
   topology : Topology.t option;
       (** [fairness]: the resolved shared-link topology *)
   ramp : Traffic.ramp;  (** [fleet]: diurnal arrival-rate ramp *)
-  instance : unit -> Progmp_runtime.Scheduler.t option;
-      (** the scheduler instance for the next connection's socket;
-          [None] leaves it the registry's "default" (see
-          {!Progmp_runtime.Api.create}) *)
   instrument : Connection.t -> unit;
       (** attach observers to a fresh connection; [fleet] hosts transient
           connections and never calls it *)

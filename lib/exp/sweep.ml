@@ -211,9 +211,6 @@ let run_one ctx (p : Spec.run_params) =
         scheduler = sched;
         topology = Hashtbl.find_opt ctx.topologies p.Spec.topology;
         ramp = ctx.ramp;
-        instance =
-          (fun () ->
-            Some (R.Scheduler.instantiate_private sched ~engine:p.Spec.engine));
         instrument;
       }
       p

@@ -93,37 +93,37 @@ module Pool = struct
   let fresh = create
 
   type t = {
-    mutable free : packet array;
-        (** a stack: the first [free_len] cells, the rest {!dummy} *)
-    mutable free_len : int;
+    free : packet Array_stack.t;  (** padded with {!dummy} *)
     mutable created : int;  (** records ever allocated by this pool *)
     mutable outstanding : int;  (** live (allocated, not yet released) *)
     mutable releases : int;  (** total releases = total recyclings *)
   }
 
   let create () =
-    { free = [||]; free_len = 0; created = 0; outstanding = 0; releases = 0 }
+    {
+      free = Array_stack.create ~pad:dummy;
+      created = 0;
+      outstanding = 0;
+      releases = 0;
+    }
 
   let created t = t.created
   let outstanding t = t.outstanding
   let releases t = t.releases
-  let free_count t = t.free_len
+  let free_count t = Array_stack.length t.free
 
   (** Like {!val-create} but drawing from the freelist when possible.
       Recycled packets are re-minted with a fresh process-unique id, so
       a stale holder from a prior generation can never alias the new
       incarnation by id. *)
   let alloc t ~props ~seq ~size ~now =
-    if t.free_len = 0 then begin
+    let p = Array_stack.pop t.free in
+    if p == dummy then begin
       t.created <- t.created + 1;
       t.outstanding <- t.outstanding + 1;
       fresh ~props ~seq ~size ~now ()
     end
     else begin
-      let n = t.free_len - 1 in
-      let p = t.free.(n) in
-      t.free.(n) <- dummy;
-      t.free_len <- n;
       t.outstanding <- t.outstanding + 1;
       p.pooled <- false;
       p.id <- Atomic.fetch_and_add next_id 1 + 1;
@@ -152,14 +152,7 @@ module Pool = struct
       p.pool_gen <- p.pool_gen + 1;
       t.outstanding <- t.outstanding - 1;
       t.releases <- t.releases + 1;
-      let n = t.free_len in
-      if n = Array.length t.free then begin
-        let a = Array.make (max 64 (2 * n)) dummy in
-        Array.blit t.free 0 a 0 n;
-        t.free <- a
-      end;
-      t.free.(n) <- p;
-      t.free_len <- n + 1
+      Array_stack.push t.free p
     end
 end
 

@@ -11,7 +11,7 @@
     side. Unused cells hold {!Packet.dummy}, so a push stores the packet
     itself rather than a fresh [Some]. A [sorted] flag records whether
     seqs are non-decreasing from front to back; while it holds, the
-    cumulative-ack cleanup {!remove_below} only trims the head, like the
+    cumulative-ack cleanup {!ack_below} only trims the head, like the
     kernel's [tcp_clean_rtx_queue]. *)
 
 type t = {
@@ -179,37 +179,41 @@ let drop_front t k =
   t.head <- (t.head + k) land mask t;
   t.len <- t.len - k
 
-(** Remove every packet with [seq < upto]; returns them in queue order
+(* Mark a packet removed by a cumulative ack; [true] when it was not
+   acked before. *)
+let ack (p : Packet.t) =
+  let fresh = not p.Packet.acked in
+  p.Packet.acked <- true;
+  fresh
+
+(** Remove every packet with [seq < upto] and mark it [acked]
     (cumulative-ack cleanup: "acknowledged packets are automatically
-    removed from all queues"). On a sorted queue they form a prefix and
-    only that head is touched: O(removed). Otherwise one backward
-    compacting pass slides the kept packets towards the back, conses
-    the removed ones in queue order and recomputes [sorted]. Either way
-    the only allocation is the returned list. *)
-(* Remove every packet with [seq < upto], folding [visit] over the
-   removed ones from back to front. *)
-let fold_below t upto visit acc =
+    removed from all queues"); [true] when one of them was not acked
+    before. On a sorted queue they form a prefix and only that head is
+    touched: O(removed). Otherwise one backward compacting pass slides
+    the kept packets towards the back and recomputes [sorted]. Either
+    way nothing is allocated. *)
+let ack_below t upto =
+  let progressed = ref false in
   if t.sorted then begin
     let k = ref 0 in
     while !k < t.len && (unsafe_get t !k).Packet.seq < upto do
+      if ack (unsafe_get t !k) then progressed := true;
       incr k
     done;
-    let acc = ref acc in
-    for i = !k - 1 downto 0 do
-      acc := visit (unsafe_get t i) !acc
-    done;
-    drop_front t !k;
-    !acc
+    drop_front t !k
   end
   else begin
     (* [w] is the next free cell from the back; kept packets are visited
        back to front, so [next_seq] is the seq of the kept packet that
        will follow the current one *)
-    let acc = ref acc and w = ref (t.len - 1) in
+    let w = ref (t.len - 1) in
     let sorted = ref true and next_seq = ref max_int in
     for i = t.len - 1 downto 0 do
       let p = unsafe_get t i in
-      if p.Packet.seq < upto then acc := visit p !acc
+      if p.Packet.seq < upto then begin
+        if ack p then progressed := true
+      end
       else begin
         if p.Packet.seq > !next_seq then sorted := false;
         next_seq := p.Packet.seq;
@@ -218,18 +222,9 @@ let fold_below t upto visit acc =
       end
     done;
     drop_front t (!w + 1);
-    t.sorted <- !sorted;
-    !acc
-  end
-
-let remove_below t upto = fold_below t upto List.cons []
-
-let ack_one (p : Packet.t) progressed =
-  let fresh = not p.Packet.acked in
-  p.Packet.acked <- true;
-  progressed || fresh
-
-let ack_below t upto = fold_below t upto ack_one false
+    t.sorted <- !sorted
+  end;
+  !progressed
 
 let to_list t = List.rev (fold t (fun acc p -> p :: acc) [])
 

@@ -18,9 +18,9 @@
     back-removal are O(1) and the worst case (dead middle) is n/2 moves
     of one array cell each. {!remove_packet} and {!mem} scan by id and
     stay O(n); they run on the ACK path, not per decision. The
-    cumulative-ack cleanup {!remove_below} is O(removed) on a sorted
-    queue (a head trim) and one allocation-free O(n) compacting pass
-    otherwise; either way it allocates only the returned list. *)
+    cumulative-ack cleanup {!ack_below} is O(removed) on a sorted queue
+    (a head trim) and one O(n) compacting pass otherwise; either way it
+    allocates nothing. *)
 
 type t
 
@@ -69,16 +69,11 @@ val iter : t -> (Packet.t -> unit) -> unit
 
 val fold : t -> ('a -> Packet.t -> 'a) -> 'a -> 'a
 
-val remove_below : t -> int -> Packet.t list
-(** [remove_below t upto] removes every packet with [seq < upto] and
-    returns them in queue order (cumulative-ack cleanup). The result is
-    the same whether or not the queue is sorted; only the cost
-    differs. *)
-
 val ack_below : t -> int -> bool
-(** {!remove_below} for a cumulative data ack, without building the
-    list: marks every removed packet [acked] and returns [true] when
-    one of them was not acked before. Allocates nothing. *)
+(** [ack_below t upto] removes every packet with [seq < upto], marks
+    each one [acked] and returns [true] when one of them was not acked
+    before (cumulative-ack cleanup). The result is the same whether or
+    not the queue is sorted; only the cost differs. *)
 
 val to_list : t -> Packet.t list
 

@@ -69,18 +69,14 @@ let reno = Tcp_subflow.reno_on_ack
 let established subflows =
   List.filter (fun s -> s.Tcp_subflow.established) subflows
 
-let rtt s =
-  Float.max 1e-4
-    (if s.Tcp_subflow.rtt_samples = 0 then 0.05 else s.Tcp_subflow.f.srtt)
-
 let total_cwnd act =
   List.fold_left (fun a s -> a +. s.Tcp_subflow.f.cwnd) 0.0 act
 
-(* [rtt] for the per-ack array loops: inlined, with the clamp as a
-   comparison, so the value stays unboxed (a float returned from a
-   call, or passed to [Float.max], is boxed). Same value as [rtt]: the
-   operands are never NaN. *)
-let[@inline] rtt_unboxed (s : Tcp_subflow.t) =
+(* The smoothed RTT, 50 ms before the first sample, at least 0.1 ms.
+   Inlined, with the clamp as a comparison rather than [Float.max], so
+   the per-ack LIA loop keeps it unboxed (a float returned from a call,
+   or passed to [Float.max], is boxed). *)
+let[@inline] rtt (s : Tcp_subflow.t) =
   let r =
     if s.Tcp_subflow.rtt_samples = 0 then 0.05 else s.Tcp_subflow.f.srtt
   in
@@ -105,7 +101,7 @@ let install_lia (subflows : Tcp_subflow.t list) =
       for i = 0 to Array.length all - 1 do
         let x = all.(i) in
         if x.Tcp_subflow.established then begin
-          let w = x.Tcp_subflow.f.cwnd and r = rtt_unboxed x in
+          let w = x.Tcp_subflow.f.cwnd and r = rtt x in
           total := !total +. w;
           let rate = w /. (r *. r) in
           if rate > !best then best := rate;

@@ -37,15 +37,18 @@ type qshared = {
       (** set while observers run; schedule/cancel raise when it's on *)
 }
 
+(* A {!schedule}d or timer event is [Live] until {!cancel} makes it
+   [Cancelled] (a timer's re-arm makes it [Live] again). A {!post}ed
+   cell is [Posted] for good: it has no handle, so nothing cancels it,
+   and it returns to its queue's free stack when it fires. *)
+type state = Live | Cancelled | Posted
+
 type event = {
   mutable time : float;
   mutable seq : int;
-  mutable cancelled : bool;
+  mutable state : state;
   mutable action : unit -> unit;
   qs : qshared;
-  one_shot : bool;
-      (** a {!post}ed cell: returned to its queue's free stack when it
-          fires *)
   mutable home : bucket;
       (** the wheel bucket physically holding this event, or
           [dummy_bucket] *)
@@ -83,10 +86,9 @@ let rec dummy_event =
   {
     time = 0.;
     seq = 0;
-    cancelled = true;
+    state = Cancelled;
     action = ignore;
     qs = dummy_qs;
-    one_shot = false;
     home = dummy_bucket;
     hh = dummy_heap;
     pos = -1;
@@ -381,10 +383,8 @@ type t = {
       (** run after every executed event, in registration order *)
   wheel : wheel;
   quantum : float;
-  mutable free : event array;
-      (** fired {!post} cells, a stack of [free_len] entries above
-          [dummy_event] padding *)
-  mutable free_len : int;
+  free : event Progmp_runtime.Array_stack.t;
+      (** fired {!post} cells, padded with [dummy_event] *)
 }
 
 let create ?(quantum = default_quantum) () =
@@ -397,8 +397,7 @@ let create ?(quantum = default_quantum) () =
     observers = [];
     wheel = wheel_make ~quantum;
     quantum;
-    free = [||];
-    free_len = 0;
+    free = Progmp_runtime.Array_stack.create ~pad:dummy_event;
   }
 
 let now t = t.now
@@ -419,14 +418,13 @@ let obs_guard (qs : qshared) op =
 
 (* A new cell for [action] at [at], in no structure yet; the caller
    takes the sequence number and places it. *)
-let fresh_event t ~at ~one_shot action =
+let[@inline] fresh_event t ~at ~state action =
   {
     time = at;
     seq = t.next_seq;
-    cancelled = false;
+    state;
     action;
     qs = t.qs;
-    one_shot;
     home = dummy_bucket;
     hh = dummy_heap;
     pos = -1;
@@ -437,7 +435,7 @@ let fresh_event t ~at ~one_shot action =
 let schedule t ~at action =
   obs_guard t.qs "schedule";
   let at = if at < t.now then t.now else at in
-  let ev = fresh_event t ~at ~one_shot:false action in
+  let ev = fresh_event t ~at ~state:Live action in
   t.next_seq <- t.next_seq + 1;
   wheel_place t.wheel ev;
   ev
@@ -454,17 +452,14 @@ let post t ~at action =
   obs_guard t.qs "post";
   let at = if at < t.now then t.now else at in
   let ev =
-    if t.free_len > 0 then begin
-      let n = t.free_len - 1 in
-      let ev = t.free.(n) in
-      t.free.(n) <- dummy_event;
-      t.free_len <- n;
+    let ev = Progmp_runtime.Array_stack.pop t.free in
+    if ev != dummy_event then begin
       ev.time <- at;
       ev.seq <- t.next_seq;
       ev.action <- action;
       ev
     end
-    else fresh_event t ~at ~one_shot:true action
+    else fresh_event t ~at ~state:Posted action
   in
   t.next_seq <- t.next_seq + 1;
   wheel_place t.wheel ev
@@ -475,22 +470,16 @@ let post_in t ~delay action = post t ~at:(t.now +. delay) action
    and waits on the free stack for the next {!post}. *)
 let recycle t ev =
   ev.action <- ignore;
-  let n = t.free_len in
-  if n = Array.length t.free then begin
-    let a = Array.make (max 64 (2 * n)) dummy_event in
-    Array.blit t.free 0 a 0 n;
-    t.free <- a
-  end;
-  t.free.(n) <- ev;
-  t.free_len <- n + 1
+  Progmp_runtime.Array_stack.push t.free ev
 
 let cancel (ev : event) =
   obs_guard ev.qs "cancel";
-  if not ev.cancelled then begin
-    ev.cancelled <- true;
-    if ev.home != dummy_bucket then bucket_remove ev
-    else if ev.hh != dummy_heap then heap_remove ev.hh ev
-  end
+  match ev.state with
+  | Live ->
+      ev.state <- Cancelled;
+      if ev.home != dummy_bucket then bucket_remove ev
+      else if ev.hh != dummy_heap then heap_remove ev.hh ev
+  | Cancelled | Posted -> ()
 
 (* ---------- re-armable timers ---------- *)
 
@@ -535,14 +524,14 @@ let timer_arm t tm ~at =
     (* the cell is free: re-arm in place, zero allocation *)
     ev.time <- at;
     ev.seq <- t.next_seq;
-    ev.cancelled <- false;
+    ev.state <- Live;
     t.next_seq <- t.next_seq + 1;
     wheel_place t.wheel ev
   end
   else begin
     (* first arm on this queue (or the cell belongs to another
        queue): allocate the cell *)
-    let ev = fresh_event t ~at ~one_shot:false tm.fire in
+    let ev = fresh_event t ~at ~state:Live tm.fire in
     t.next_seq <- t.next_seq + 1;
     tm.cell <- ev;
     wheel_place t.wheel ev
@@ -571,7 +560,7 @@ let run ?until t =
     else begin
       t.now <- ev.time;
       let action = ev.action in
-      if ev.one_shot then recycle t ev;
+      if ev.state == Posted then recycle t ev;
       action ();
       incr executed;
       (match t.observers with

@@ -58,13 +58,11 @@ type t = {
   mutable packet_pool : Packet.Pool.t option;
       (** when set (fleet-hosted connections), {!write} draws packet
           records from this arena instead of allocating *)
-  mutable pool_pkts : Packet.t array;
-      (** every packet drawn from [packet_pool] (the first [pool_len]
-          cells, the rest {!Packet.dummy}): delivered segments leave the
-          queues and rings long before the flow retires, so {!scrap}
-          releases from this registry (release is deduplicated) to
-          return the whole flow to the arena *)
-  mutable pool_len : int;
+  pool_pkts : Packet.t Array_stack.t;
+      (** every packet drawn from [packet_pool]: delivered segments
+          leave the queues and rings long before the flow retires, so
+          {!scrap} releases from this registry (release is
+          deduplicated) to return the whole flow to the arena *)
   mutable snapshot_fn : unit -> Subflow_view.t array;
       (** the compressed loop's [snapshot] callback, built once *)
   mutable apply_fn : Action.t -> unit;
@@ -220,7 +218,7 @@ let reset t =
   t.drops <- 0;
   t.data_dropped <- 0;
   t.sched_executions <- 0;
-  t.pool_len <- 0
+  Array_stack.clear t.pool_pkts
 
 (* The record literal only allocates; {!reset} sets the per-flow
    state. *)
@@ -253,8 +251,7 @@ let create ?(name = "conn") ?(mss = 1448) ?(rcv_buffer = 4 lsl 20)
       sched_executions = 0;
       view_arenas = [||];
       packet_pool = None;
-      pool_pkts = [||];
-      pool_len = 0;
+      pool_pkts = Array_stack.create ~pad:Packet.dummy;
       snapshot_fn = (fun () -> [||]);
       apply_fn = ignore;
     }
@@ -379,14 +376,7 @@ let enqueue ?props t bytes =
       match t.packet_pool with
       | Some pool ->
           let p = Packet.Pool.alloc pool ~props ~seq ~size ~now in
-          let n = t.pool_len in
-          if n = Array.length t.pool_pkts then begin
-            let a = Array.make (max 16 (2 * n)) Packet.dummy in
-            Array.blit t.pool_pkts 0 a 0 n;
-            t.pool_pkts <- a
-          end;
-          t.pool_pkts.(n) <- p;
-          t.pool_len <- n + 1;
+          Array_stack.push t.pool_pkts p;
           p
       | None -> Packet.create ~props ~seq ~size ~now ()
     in
@@ -425,11 +415,9 @@ let scrap t ~release_pkt =
   (* delivered segments left the queues and rings while the flow ran;
      the registry returns them (and only-once, by flag) to the arena,
      newest first *)
-  for i = t.pool_len - 1 downto 0 do
-    release_pkt t.pool_pkts.(i);
-    t.pool_pkts.(i) <- Packet.dummy
-  done;
-  t.pool_len <- 0
+  while Array_stack.length t.pool_pkts > 0 do
+    release_pkt (Array_stack.pop t.pool_pkts)
+  done
 
 (** Flow completion time of the segment range [first, last]: the latest
     in-order delivery time, or [None] when incomplete. *)

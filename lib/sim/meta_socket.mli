@@ -40,11 +40,9 @@ type t = {
   mutable packet_pool : Packet.Pool.t option;
       (** when set (fleet-hosted connections), {!write} draws packet
           records from this arena instead of allocating *)
-  mutable pool_pkts : Packet.t array;
-      (** every packet drawn from [packet_pool] (the first [pool_len]
-          cells) — the release registry {!scrap} drains back to the
-          arena *)
-  mutable pool_len : int;
+  pool_pkts : Packet.t Array_stack.t;
+      (** every packet drawn from [packet_pool] — the release registry
+          {!scrap} drains back to the arena *)
   mutable snapshot_fn : unit -> Subflow_view.t array;
       (** the compressed loop's [snapshot] callback, built once *)
   mutable apply_fn : Action.t -> unit;

@@ -65,11 +65,9 @@ type entry = {
 
 (** Freelist of in-flight entries; shared across every subflow of a
     fleet shard so the entry population is bounded by peak in-flight
-    segments, not total arrivals. The free entries are a stack: the
-    first [ep_len] cells of [ep_free], the rest padding. *)
+    segments, not total arrivals. *)
 and entry_pool = {
-  mutable ep_free : entry array;
-  mutable ep_len : int;
+  ep_free : entry Array_stack.t;
   mutable ep_created : int;
   mutable ep_outstanding : int;
   mutable ep_releases : int;
@@ -150,12 +148,8 @@ and t = {
   (* --- receiver-side subflow state --- *)
   mutable rcv_expected : int;
   rcv_ooo : (int, Packet.t) Hashtbl.t;
-  mutable ack_free : ack_cell array;
-      (** recycled ack cells, a stack of [ack_len] *)
-  mutable ack_len : int;
-  mutable hs_free : handshake array;
-      (** recycled handshake cells, a stack of [hs_len] *)
-  mutable hs_len : int;
+  ack_free : ack_cell Array_stack.t;  (** recycled ack cells *)
+  hs_free : handshake Array_stack.t;  (** recycled handshake cells *)
   (* --- statistics --- *)
   mutable segs_sent : int;
   mutable segs_retx : int;
@@ -217,27 +211,10 @@ let initial_cwnd = 10 (* segments, as in modern Linux *)
 
 (* ---------- entry pool ---------- *)
 
-let entry_pool () =
-  { ep_free = [||]; ep_len = 0; ep_created = 0; ep_outstanding = 0;
-    ep_releases = 0 }
-
-let entry_pool_created p = p.ep_created
-let entry_pool_outstanding p = p.ep_outstanding
-let entry_pool_releases p = p.ep_releases
-
-let entry_pool_free p = Array.to_list (Array.sub p.ep_free 0 p.ep_len)
-
-(** Free entries must reference nothing: [true] when every freelist
-    entry holds the dummy packet and no owner (the arena-recycling
-    property the tests assert). *)
-let entry_pool_clean p =
-  List.for_all
-    (fun e -> e.e_sbf = None && e.e_pkt == Packet.dummy && e.e_pending = 0)
-    (entry_pool_free p)
-
-(* The shared padding entry for empty ring slots. Its pool is a private
-   sink no live subflow draws from; its fire is never scheduled. *)
-let dummy_entry =
+(* The shared padding entry for empty ring slots and free stacks. Its
+   pool is a private sink no live subflow draws from; its fire is never
+   scheduled. *)
+let rec dummy_entry =
   {
     e_sbf = None;
     e_seq = min_int;
@@ -250,27 +227,43 @@ let dummy_entry =
     e_pending = 0;
     e_inc = 0;
     e_gen = 0;
-    e_pool = entry_pool ();
+    e_pool = dummy_pool;
     e_fire = ignore;
   }
+
+and dummy_pool =
+  {
+    ep_free = { Array_stack.cells = [||]; len = 0; pad = dummy_entry };
+    ep_created = 0;
+    ep_outstanding = 0;
+    ep_releases = 0;
+  }
+
+let entry_pool () =
+  {
+    ep_free = Array_stack.create ~pad:dummy_entry;
+    ep_created = 0;
+    ep_outstanding = 0;
+    ep_releases = 0;
+  }
+
+let entry_pool_created p = p.ep_created
+let entry_pool_outstanding p = p.ep_outstanding
+let entry_pool_releases p = p.ep_releases
+
+let entry_pool_free p = Array_stack.to_list p.ep_free
+
+(** Free entries must reference nothing: [true] when every freelist
+    entry holds the dummy packet and no owner (the arena-recycling
+    property the tests assert). *)
+let entry_pool_clean p =
+  List.for_all
+    (fun e -> e.e_sbf = None && e.e_pkt == Packet.dummy && e.e_pending = 0)
+    (entry_pool_free p)
 
 let dummy_ack = { a_sbf = 0; a_data = 0; a_inc = 0; a_fire = ignore }
 
 let dummy_handshake = { h_inc = 0; h_start = ignore; h_done = ignore }
-
-(* Push [x] on the array stack [arr] holding [len] elements; returns
-   the array, grown when full ([pad] fills the unused cells). *)
-let stack_push arr len x ~pad =
-  let arr =
-    if len < Array.length arr then arr
-    else begin
-      let a = Array.make (max 8 (2 * len)) pad in
-      Array.blit arr 0 a 0 len;
-      a
-    end
-  in
-  arr.(len) <- x;
-  arr
 
 let entry_release e =
   let p = e.e_pool in
@@ -281,8 +274,7 @@ let entry_release e =
   e.e_gen <- e.e_gen + 1;
   p.ep_outstanding <- p.ep_outstanding - 1;
   p.ep_releases <- p.ep_releases + 1;
-  p.ep_free <- stack_push p.ep_free p.ep_len e ~pad:dummy_entry;
-  p.ep_len <- p.ep_len + 1
+  Array_stack.push p.ep_free e
 
 (* ---------- in-flight ring ---------- *)
 
@@ -674,20 +666,14 @@ and drain_ooo t =
   | None -> ()
 
 and ack_recycle t c =
-  t.ack_free <- stack_push t.ack_free t.ack_len c ~pad:dummy_ack;
-  t.ack_len <- t.ack_len + 1
+  Array_stack.push t.ack_free c
 
 (* [inc] is the incarnation the ack belongs to; only the current one's
    acks reach {!on_ack} when they arrive. *)
 and send_ack t ~inc =
   let cell =
-    if t.ack_len > 0 then begin
-      let n = t.ack_len - 1 in
-      let c = t.ack_free.(n) in
-      t.ack_free.(n) <- dummy_ack;
-      t.ack_len <- n;
-      c
-    end
+    let c = Array_stack.pop t.ack_free in
+    if c != dummy_ack then c
     else begin
       let c = { a_sbf = 0; a_data = 0; a_inc = 0; a_fire = ignore } in
       c.a_fire <-
@@ -801,13 +787,8 @@ and entry_fire e () =
 and entry_alloc t ~seq ~pkt =
   let pool = t.pool in
   let e =
-    if pool.ep_len > 0 then begin
-      let n = pool.ep_len - 1 in
-      let e = pool.ep_free.(n) in
-      pool.ep_free.(n) <- dummy_entry;
-      pool.ep_len <- n;
-      e
-    end
+    let e = Array_stack.pop pool.ep_free in
+    if e != dummy_entry then e
     else begin
       pool.ep_created <- pool.ep_created + 1;
       let e =
@@ -955,10 +936,8 @@ let create ~id ~clock ~data_link ~ack_link ?(mss = 1448) ?(is_backup = false)
       lost_skbs = 0;
       rcv_expected = 0;
       rcv_ooo = Hashtbl.create 4;
-      ack_free = [||];
-      ack_len = 0;
-      hs_free = [||];
-      hs_len = 0;
+      ack_free = Array_stack.create ~pad:dummy_ack;
+      hs_free = Array_stack.create ~pad:dummy_handshake;
       segs_sent = 0;
       segs_retx = 0;
       bytes_sent = 0;
@@ -1012,13 +991,8 @@ let complete_handshake t =
   t.on_sender_event ()
 
 let handshake_cell t =
-  if t.hs_len > 0 then begin
-    let n = t.hs_len - 1 in
-    let h = t.hs_free.(n) in
-    t.hs_free.(n) <- dummy_handshake;
-    t.hs_len <- n;
-    h
-  end
+  let h = Array_stack.pop t.hs_free in
+  if h != dummy_handshake then h
   else begin
     let h = { h_inc = 0; h_start = ignore; h_done = ignore } in
     h.h_start <-
@@ -1027,8 +1001,7 @@ let handshake_cell t =
     h.h_done <-
       (fun () ->
         let inc = h.h_inc in
-        t.hs_free <- stack_push t.hs_free t.hs_len h ~pad:dummy_handshake;
-        t.hs_len <- t.hs_len + 1;
+        Array_stack.push t.hs_free h;
         if t.incarnation = inc then complete_handshake t);
     h
   end

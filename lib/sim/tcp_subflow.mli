@@ -46,16 +46,14 @@ type entry = {
 }
 
 and entry_pool = {
-  mutable ep_free : entry array;
-  mutable ep_len : int;
+  ep_free : entry Array_stack.t;
   mutable ep_created : int;
   mutable ep_outstanding : int;
   mutable ep_releases : int;
 }
 (** Freelist of in-flight entries; shareable across every subflow of a
     fleet shard so the entry population is bounded by peak in-flight
-    segments, not total arrivals. The free entries are a stack: the
-    first [ep_len] cells of [ep_free], the rest padding. *)
+    segments, not total arrivals. *)
 
 and ack_cell = {
   mutable a_sbf : int;
@@ -126,12 +124,8 @@ and t = {
   (* --- receiver-side subflow state --- *)
   mutable rcv_expected : int;
   rcv_ooo : (int, Packet.t) Hashtbl.t;
-  mutable ack_free : ack_cell array;
-      (** recycled ack cells, a stack of [ack_len] *)
-  mutable ack_len : int;
-  mutable hs_free : handshake array;
-      (** recycled handshake cells, a stack of [hs_len] *)
-  mutable hs_len : int;
+  ack_free : ack_cell Array_stack.t;  (** recycled ack cells *)
+  hs_free : handshake Array_stack.t;  (** recycled handshake cells *)
   (* --- statistics --- *)
   mutable segs_sent : int;
   mutable segs_retx : int;

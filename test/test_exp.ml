@@ -482,13 +482,10 @@ let cc_topology_suite =
       ] );
   ]
 
-(* One run of [scenario] through the registry, the scheduler put on each
-   connection's socket created with [instance] (the two drivers' hooks
+(* One run of [scenario] through the registry, every connection's socket
+   created with its own instance of [sched] (one of the two schedulers
    below). *)
-let registry_run ~instance scenario =
-  let module R = Progmp_runtime in
-  ignore (Schedulers.Specs.load_all ());
-  let sched = Option.get (R.Scheduler.find "default") in
+let registry_run ~sched scenario =
   let p =
     {
       Spec.run_id = 0;
@@ -511,17 +508,22 @@ let registry_run ~instance scenario =
        scheduler = sched;
        topology = Some Mptcp_sim.Topology.dumbbell;
        ramp = [];
-       instance = instance sched;
        instrument = ignore;
      }
      p)
     .Scenarios.result
 
-(* the socket's own instance of the registry's "default" *)
-let shared_instance _ () = None
+(* the registry's shared "default" entry, which a socket created without
+   a scheduler instantiates *)
+let shared_scheduler () =
+  ignore (Schedulers.Specs.load_all ());
+  Option.get (Progmp_runtime.Scheduler.find "default")
 
-let private_instance sched () =
-  Some (Progmp_runtime.Scheduler.instantiate_private sched ~engine:"interpreter")
+(* the same program compiled from its source into a scheduler no registry
+   holds *)
+let private_scheduler () =
+  Progmp_runtime.Scheduler.of_source ~name:"private-default"
+    Progmp_runtime.Api.default_scheduler_source
 
 let scenarios_suite =
   let sorted = List.sort compare in
@@ -540,8 +542,8 @@ let scenarios_suite =
       @ List.map
           (fun scenario ->
             tc (scenario ^ ": shared and private installs agree") (fun () ->
-                let shared = registry_run ~instance:shared_instance scenario in
-                let priv = registry_run ~instance:private_instance scenario in
+                let shared = registry_run ~sched:(shared_scheduler ()) scenario in
+                let priv = registry_run ~sched:(private_scheduler ()) scenario in
                 Alcotest.(check bool)
                   "equal run_result" true (shared = priv);
                 Alcotest.(check bool)

@@ -80,7 +80,7 @@ let connection_fields (c : Connection.t) =
        executions=%d pool_pkts=%d"
       (Hashtbl.length m.delivery_time)
       m.delivered_bytes m.delivered_segments m.app_segments m.pushes m.drops
-      m.data_dropped m.sched_executions m.pool_len;
+      m.data_dropped m.sched_executions (Array_stack.length m.pool_pkts);
     Fmt.str "props=%s scheduler=%s"
       (String.concat ","
          (Array.to_list (Array.map string_of_int m.sock.Api.default_props)))
