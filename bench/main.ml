@@ -900,17 +900,17 @@ let fleet_bench () =
 (* ------------------------------------------------------------------ *)
 
 (* Isolated cost of the event core itself, outside any protocol logic:
-   schedule, cancel, timer re-arm, drain and steady-state churn (on
-   [schedule] handles, and on recycled [post] cells), each against
-   1k / 100k / 1M pending events. Delays are exponential around
+   post, drain, timer cancel, timer re-arm and steady-state churn, each
+   against 1k / 100k / 1M pending events. Delays are exponential around
    a link-delay scale — the distribution the fleet's transmit and RTO
-   events actually produce. Results land in BENCH_eventq.json for the
-   regression gate. *)
+   events actually produce. Each row is timed on a compacted heap, so
+   no row depends on the garbage the rows before it left behind.
+   Results land in BENCH_eventq.json for the regression gate. *)
 
 let eventq_bench () =
   section "eventq"
-    "event-core microbenchmark: schedule/cancel/re-arm/drain/churn/post at \
-     1k, 100k and 1M pending events on the hierarchical timing wheel"
+    "event-core microbenchmark: schedule/drain/cancel/re-arm/churn at 1k, \
+     100k and 1M pending events on the hierarchical timing wheel"
     "schedule, cancel and re-arm ns/op stay flat as pending events grow \
      1000x (O(1) buckets)";
   let pendings =
@@ -918,117 +918,100 @@ let eventq_bench () =
   in
   let rearm_iters = if !smoke then 10_000 else 200_000 in
   let mean_delay = 0.01 in
-  let ns wall ops = wall *. 1e9 /. float_of_int (max 1 ops) in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let ops = f () in
-    (ns (Unix.gettimeofday () -. t0) ops, ops)
+  let draw seed k =
+    let rng = Rng.create seed in
+    Array.init k (fun _ -> Rng.exponential rng ~mean:mean_delay)
   in
-  (* per (workload, pending) row *)
-  let measure ~n =
-    let mk () = Eventq.create () in
-    let draw seed k =
-      let rng = Rng.create seed in
-      Array.init k (fun _ -> Rng.exponential rng ~mean:mean_delay)
-    in
-    (* schedule: n inserts into an initially empty queue; the queue is
-       then reused to time the batched drain of all n *)
+  (* Each workload builds its untimed set-up and returns the timed part,
+     which reports its operation count. *)
+  let workloads ~n =
     let d = draw (31 + n) n in
-    let q = mk () in
-    let sched_ns, _ =
-      time (fun () ->
-          for i = 0 to n - 1 do
-            ignore (Eventq.schedule_in q ~delay:d.(i) ignore)
-          done;
-          n)
-    in
-    let drain_ns, drained = time (fun () -> Eventq.run q) in
-    (* cancel: n pending, physically remove every one *)
-    let q = mk () in
-    let handles =
-      Array.init n (fun i -> Eventq.schedule_in q ~delay:d.(i) ignore)
-    in
-    let cancel_ns, _ =
-      time (fun () ->
-          Array.iter Eventq.cancel handles;
-          n)
-    in
-    (* re-arm: the RTO hot path — one timer re-armed over and over,
-       writing its reused cell in place, with n pending bystanders *)
-    let q = mk () in
-    for i = 0 to n - 1 do
-      ignore (Eventq.schedule q ~at:(1e6 +. d.(i)) ignore)
-    done;
-    let rd = draw (57 + n) rearm_iters in
-    let tm = Eventq.timer ignore in
-    let rearm_ns, _ =
-      time (fun () ->
-          for i = 0 to rearm_iters - 1 do
-            Eventq.timer_arm_in q tm ~delay:rd.(i)
-          done;
-          rearm_iters)
-    in
-    (* churn: hold-model steady state — n self-rescheduling events, each
-       execution inserting its successor, ~3n executions total; the
-       interleaved pop/insert mix the fleet's event loop produces *)
-    let q = mk () in
-    let rng = Rng.create (73 + n) in
-    let remaining = ref (2 * n) in
-    for _ = 1 to n do
-      let rec act () =
-        if !remaining > 0 then begin
-          decr remaining;
-          ignore
-            (Eventq.schedule_in q
-               ~delay:(Rng.exponential rng ~mean:mean_delay)
-               act)
-        end
-      in
-      ignore
-        (Eventq.schedule_in q ~delay:(Rng.exponential rng ~mean:mean_delay) act)
-    done;
-    let churn_ns, churned = time (fun () -> Eventq.run q) in
-    (* post: the same hold model on pooled one-shot events — each
-       execution posts its successor with its pre-built closure, and
-       the fired event's cell is recycled for the next post, as the
-       simulator's packet, ack and handshake events are *)
-    let q = mk () in
-    let rng = Rng.create (73 + n) in
-    let remaining = ref (2 * n) in
-    for _ = 1 to n do
-      let rec act () =
-        if !remaining > 0 then begin
-          decr remaining;
-          Eventq.post_in q ~delay:(Rng.exponential rng ~mean:mean_delay) act
-        end
-      in
-      Eventq.post_in q ~delay:(Rng.exponential rng ~mean:mean_delay) act
-    done;
-    let post_ns, posted = time (fun () -> Eventq.run q) in
     [
-      ("schedule", sched_ns, n);
-      ("drain", drain_ns, drained);
-      ("cancel", cancel_ns, n);
-      ("re-arm", rearm_ns, rearm_iters);
-      ("churn", churn_ns, churned);
-      ("post", post_ns, posted);
+      (* schedule: n posts into an empty queue *)
+      ( "schedule",
+        fun () ->
+          let q = Eventq.create () in
+          fun () ->
+            for i = 0 to n - 1 do
+              Eventq.post_in q ~delay:d.(i) ignore
+            done;
+            n );
+      (* drain: batched execution of n pending posts *)
+      ( "drain",
+        fun () ->
+          let q = Eventq.create () in
+          Array.iter (fun delay -> Eventq.post_in q ~delay ignore) d;
+          fun () -> Eventq.run q );
+      (* cancel: n armed timers, each physically removed *)
+      ( "cancel",
+        fun () ->
+          let q = Eventq.create () in
+          let timers =
+            Array.map
+              (fun delay ->
+                let tm = Eventq.timer q ignore in
+                Eventq.timer_arm_in tm ~delay;
+                tm)
+              d
+          in
+          fun () ->
+            for i = 0 to n - 1 do
+              Eventq.timer_cancel timers.(i)
+            done;
+            n );
+      (* re-arm: the RTO hot path — one timer re-armed over and over,
+         writing its cell in place, with n pending bystanders *)
+      ( "re-arm",
+        fun () ->
+          let q = Eventq.create () in
+          Array.iter (fun delay -> Eventq.post q ~at:(1e6 +. delay) ignore) d;
+          let rd = draw (57 + n) rearm_iters in
+          let tm = Eventq.timer q ignore in
+          fun () ->
+            for i = 0 to rearm_iters - 1 do
+              Eventq.timer_arm_in tm ~delay:rd.(i)
+            done;
+            rearm_iters );
+      (* churn: hold-model steady state — n self-rescheduling events,
+         each execution posting its successor with its pre-built
+         closure on the cell the fired event gave back, ~3n executions
+         in total: the interleaved pop/insert mix of the fleet's event
+         loop *)
+      ( "churn",
+        fun () ->
+          let q = Eventq.create () in
+          let rng = Rng.create (73 + n) in
+          let remaining = ref (2 * n) in
+          for _ = 1 to n do
+            let rec act () =
+              if !remaining > 0 then begin
+                decr remaining;
+                Eventq.post_in q
+                  ~delay:(Rng.exponential rng ~mean:mean_delay)
+                  act
+              end
+            in
+            Eventq.post_in q ~delay:(Rng.exponential rng ~mean:mean_delay) act
+          done;
+          fun () -> Eventq.run q );
     ]
   in
-  (* Each pass times windows as short as ~40 µs (schedule @ 1k), where a
+  (* A pass times windows as short as ~40 µs (schedule @ 1k), where a
      single host preemption on a shared box shows up as a several-x
-     spike. The sims are deterministic, so repeating a pass is identical
-     work: take the per-workload minimum over a few passes — min filters
-     purely-additive scheduling noise that a mean would keep. *)
+     spike. The workloads are deterministic, so repeating one is
+     identical work: take each row's minimum over a few passes — min
+     filters purely-additive scheduling noise that a mean would keep. *)
   let reps = if !smoke then 5 else 3 in
-  let measure_min ~n =
-    let best = ref (measure ~n) in
-    for _ = 2 to reps do
-      best :=
-        List.map2
-          (fun (w, ns, ops) (w', ns', ops') ->
-            assert (w = w' && ops = ops');
-            (w, Float.min ns ns', ops))
-          !best (measure ~n)
+  let measure setup =
+    let best = ref infinity in
+    for _ = 1 to reps do
+      let timed = setup () in
+      Gc.compact ();
+      let t0 = Unix.gettimeofday () in
+      let ops = timed () in
+      let wall = Unix.gettimeofday () -. t0 in
+      let ns = wall *. 1e9 /. float_of_int (max 1 ops) in
+      best := Float.min !best ns
     done;
     !best
   in
@@ -1037,13 +1020,14 @@ let eventq_bench () =
     List.concat_map
       (fun n ->
         List.map
-          (fun (w, ns, _) ->
+          (fun (w, setup) ->
+            let ns = measure setup in
             Fmt.pr "%-9s %9d %12.1f@." w n ns;
             csv ~experiment:"eventq"
               ~header:[ "workload"; "pending"; "wheel_ns_per_op" ]
               [ w; string_of_int n; Fmt.str "%.1f" ns ];
             (w, n, ns))
-          (measure_min ~n))
+          (workloads ~n))
       pendings
   in
   write_record ~smoke:!smoke "BENCH_eventq.json" @@ fun oc ->

@@ -65,21 +65,38 @@ let stream ~scheduler ~lte_backup =
   Scenarios.fluctuate_wifi conn
     ~rng:(Rng.create (seed + 1))
     ~until:15.0 ~low:2_500_000.0 ~high:5_000_000.0 ();
-  let sampler = Stats.install conn ~interval:1.0 ~until:15.0 in
+  let interval = 1.0 in
+  let metrics = Mptcp_obs.Metrics.attach conn ~interval ~until:15.0 in
   Connection.run ~until:25.0 conn;
+  (* one row per tick: its time, per-subflow goodputs, delivered bytes *)
+  let ticks =
+    Mptcp_obs.Metrics.fold metrics
+      (fun rows (s : Mptcp_obs.Metrics.sample) ->
+        match rows with
+        | (t, rates, d) :: rest when t = s.time ->
+            (t, s.goodput_bps :: rates, d) :: rest
+        | _ -> (s.time, [ s.goodput_bps ], s.delivered_bytes) :: rows)
+      []
+    |> List.rev_map (fun (t, rates, d) ->
+           (t, Array.of_list (List.rev rates), d))
+  in
   let wifi = Connection.subflow conn 0 and lte = Connection.subflow conn 1 in
   let total = wifi.Tcp_subflow.bytes_sent + lte.Tcp_subflow.bytes_sent in
+  let stalled_s, _ =
+    List.fold_left
+      (fun (n, prev) (t, _, d) ->
+        (* in-order delivery rate over the tick *)
+        let rate = float_of_int (d - prev) /. interval in
+        ((if t > 1.5 && rate < 0.9 *. stream_rate t then n + 1 else n), d))
+      (0, 0) ticks
+  in
   {
     lte_share =
       100.0 *. float_of_int lte.Tcp_subflow.bytes_sent
       /. float_of_int (max 1 total);
-    stalled_s =
-      List.length
-        (List.filter
-           (fun (t, r) -> t > 1.5 && t <= 15.0 && r < 0.9 *. stream_rate t)
-           (Stats.delivery_rate sampler));
+    stalled_s;
     delivered = Connection.delivered_bytes conn;
-    rates = Stats.subflow_rates sampler;
+    rates = List.map (fun (t, rates, _) -> (t, rates)) ticks;
   }
 
 type bulk = { finished_at : float option; executions : int }
@@ -331,15 +348,20 @@ let friendliness ~cc =
       ~params:{ params with Link.bandwidth = 1e9; loss = 0.0 }
       ~clock ~rng:(Rng.split rng) ()
   in
-  let spec name = Path_manager.symmetric ~name params in
+  let spec name =
+    {
+      (Path_manager.symmetric ~name params) with
+      Path_manager.links = Some (bottleneck, ack ());
+    }
+  in
   let mptcp =
-    Connection.create_on_links ~seed:1 ~cc ~clock
-      ~links:(List.init 2 (fun i -> (spec (Fmt.str "m%d" i), bottleneck, ack ())))
+    Connection.create ~seed:1 ~cc ~clock
+      ~paths:(List.init 2 (fun i -> spec (Fmt.str "m%d" i)))
       ()
   in
   let single =
-    Connection.create_on_links ~seed:2 ~cc:Congestion.Reno ~clock
-      ~links:[ (spec "tcp", bottleneck, ack ()) ]
+    Connection.create ~seed:2 ~cc:Congestion.Reno ~clock
+      ~paths:[ spec "tcp" ]
       ()
   in
   List.iter

@@ -13,53 +13,40 @@ type t = {
 let install_cc cc managed =
   Congestion.install cc (List.map (fun m -> m.Path_manager.subflow) managed)
 
-(** Build a connection over [paths]. [delivery_mode] selects the
-    receiver behaviour of §4.2 (defaults to the paper's
-    earliest-possible delivery); [cc] the congestion-control coupling.
-    Pass [clock] (and a distinct [seed]) to place several connections in
-    the same simulated network — e.g. competing over a shared
-    bottleneck; see {!create_on_links}. *)
+(** Build a connection over [paths]: one subflow per path, over the
+    path's own links when it names them (several connections handed the
+    same {!Link.t} then compete for its bottleneck — the
+    shared-bottleneck scenarios of §2.1), over a private pair drawn from
+    the connection's RNG otherwise. [delivery_mode] selects the receiver
+    behaviour of §4.2 (defaults to the paper's earliest-possible
+    delivery); [cc] the congestion-control coupling. Pass [clock] (and a
+    distinct [seed]) to place several connections in the same simulated
+    network; paths with links need the links' clock. *)
 let create ?clock ?(seed = 42) ?(mss = 1448) ?(rcv_buffer = 4 lsl 20)
     ?(compressed = true) ?(min_rto = 0.2)
     ?(delivery_mode = Tcp_subflow.Immediate)
-    ?(ordering = Meta_socket.Ordered) ?(cc = Congestion.Lia) ?scheduler ~paths
-    () =
+    ?(ordering = Meta_socket.Ordered) ?(cc = Congestion.Lia) ?entry_pool
+    ?packet_pool ?scheduler ~paths () =
   let clock = match clock with Some c -> c | None -> Eventq.create () in
   let rng = Rng.create seed in
   let meta =
     Meta_socket.create ~mss ~rcv_buffer ~compressed ~ordering ?scheduler ~clock
       ()
   in
-  let managed =
-    Path_manager.establish_all ~clock ~rng ~meta ~min_rto ~delivery_mode paths
-  in
-  install_cc cc managed;
-  { clock; rng; meta; cc; paths = managed }
-
-(** Build a connection whose subflows run over caller-provided links —
-    several connections handed the same {!Link.t} then compete for its
-    bottleneck (the shared-bottleneck scenarios of §2.1). Each element
-    is [(spec, data_link, ack_link)]. *)
-let create_on_links ?(seed = 42) ?(mss = 1448) ?(rcv_buffer = 4 lsl 20)
-    ?(compressed = true) ?(min_rto = 0.2)
-    ?(delivery_mode = Tcp_subflow.Immediate) ?(cc = Congestion.Lia) ?entry_pool
-    ?packet_pool ?scheduler ~clock ~links () =
-  let rng = Rng.create seed in
-  let meta = Meta_socket.create ~mss ~rcv_buffer ~compressed ?scheduler ~clock () in
   meta.Meta_socket.packet_pool <- packet_pool;
   let managed =
     List.mapi
-      (fun i (spec, data_link, ack_link) ->
-        Path_manager.attach_with_links ~clock ~meta ~min_rto ~delivery_mode
-          ?entry_pool ~id:i ~data_link ~ack_link spec)
-      links
+      (fun id spec ->
+        Path_manager.attach ~clock ~rng ~meta ~min_rto ~delivery_mode
+          ?entry_pool ~id spec)
+      paths
   in
   install_cc cc managed;
   { clock; rng; meta; cc; paths = managed }
 
 (** Host a new flow on a connection whose last flow was scrapped
     ({!scrap}): meta socket, socket environment, subflows and RNG go
-    back to the state {!create_on_links} built them in — [seed] plays
+    back to the state {!create} built them in — [seed] plays
     the role of its [seed] — and every path starts its handshake again
     at its spec's establish time. The subflows' incarnations moved on at
     the scrap, so the old flow's events still in flight find nothing to
@@ -109,9 +96,10 @@ let find_path t name =
     coupled increase sees the newcomer — without this the added
     subflow ran uncoupled Reno and was invisible to the aggregate. *)
 let add_path t ~at spec =
-  let id = List.length t.paths in
   let m =
-    Path_manager.add_path ~clock:t.clock ~rng:t.rng ~meta:t.meta ~id ~at spec
+    Path_manager.attach ~clock:t.clock ~rng:t.rng ~meta:t.meta
+      ~id:(List.length t.paths)
+      { spec with Path_manager.establish_at = at }
   in
   t.paths <- t.paths @ [ m ];
   install_cc t.cc t.paths;

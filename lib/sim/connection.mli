@@ -21,42 +21,31 @@ val create :
   ?delivery_mode:Tcp_subflow.delivery_mode ->
   ?ordering:Meta_socket.ordering ->
   ?cc:Congestion.policy ->
+  ?entry_pool:Tcp_subflow.entry_pool ->
+  ?packet_pool:Progmp_runtime.Packet.Pool.t ->
   ?scheduler:Progmp_runtime.Scheduler.t ->
   paths:Path_manager.path_spec list ->
   unit ->
   t
-(** Build a connection over [paths]. [delivery_mode] selects the §4.2
-    receiver behaviour (default: earliest-possible delivery);
+(** Build a connection with one subflow per path ({!Path_manager.attach}):
+    over the path's own [links] when it names them — hand several
+    connections the same data link and they compete for its bottleneck
+    (§2.1 TCP-friendliness experiments) — and over a private link pair
+    drawn from the connection's RNG otherwise. [delivery_mode] selects
+    the §4.2 receiver behaviour (default: earliest-possible delivery);
     [ordering] the §6 delivery discipline; [cc] the congestion-control
     coupling (default LIA); [scheduler] the instance the socket owns
     (default: a private instance of the registry's "default" entry, see
-    {!Progmp_runtime.Api.create}). Pass [clock] to share a simulated
-    network epoch with other connections. *)
-
-val create_on_links :
-  ?seed:int ->
-  ?mss:int ->
-  ?rcv_buffer:int ->
-  ?compressed:bool ->
-  ?min_rto:float ->
-  ?delivery_mode:Tcp_subflow.delivery_mode ->
-  ?cc:Congestion.policy ->
-  ?entry_pool:Tcp_subflow.entry_pool ->
-  ?packet_pool:Progmp_runtime.Packet.Pool.t ->
-  ?scheduler:Progmp_runtime.Scheduler.t ->
-  clock:Eventq.t ->
-  links:(Path_manager.path_spec * Link.t * Link.t) list ->
-  unit ->
-  t
-(** Subflows over caller-provided [(spec, data_link, ack_link)] — hand
-    several connections the same data link and they compete for its
-    bottleneck (§2.1 TCP-friendliness experiments). *)
+    {!Progmp_runtime.Api.create}); [entry_pool] and [packet_pool] the
+    arenas a fleet shares between its connections. Pass [clock] to
+    share a simulated network epoch with other connections; it must be
+    the clock of every path's links. *)
 
 val recycle : t -> seed:int -> unit
 (** Host a new flow on a connection whose last flow was {!scrap}ped:
     meta socket, socket environment (queues, registers, default
     properties), subflows and RNG return in place to the state
-    {!create_on_links} builds — with [seed] as its seed — and every
+    {!create} builds — with [seed] as its seed — and every
     path restarts its handshake at its spec's establish time. The
     scheduler and the links are kept. Stale events of the old flow are
     inert (see {!Tcp_subflow.scrap}). *)

@@ -6,8 +6,8 @@
     The queue is a hierarchical timing wheel (Varghese–Lauck). Fire
     times are quantized to an integer tick ([time / quantum]) and events
     hang off power-of-two bucket arrays — 13 levels of 32 slots, level
-    [l] spanning [32^l] ticks per slot — so [schedule], [cancel] and
-    [timer_arm] are O(1): no sift, no pointer-chasing across a
+    [l] spanning [32^l] ticks per slot — so [post], [timer_arm] and
+    [timer_cancel] are O(1): no sift, no pointer-chasing across a
     multi-million-node array. Dispatch is batched: the next due bucket
     is drained whole into a small "due" heap and executed from there.
     The quantum only decides which events share a bucket; within a
@@ -19,36 +19,23 @@
     heap — the oracle the differential property suite replays finer
     quanta against.
 
-    Cancellation is {e physical}: every event tracks its slot in
-    whatever structure holds it, so {!cancel} swap-removes it — O(1)
-    from a bucket, O(log n) from the due heap — releasing the node and
-    its action closure immediately. No structure ever holds a cancelled
+    An event cell is either a pooled one-shot ({!post}) or a {!timer}'s
+    own cell. Only timers are cancelled, and cancellation is
+    {e physical}: every cell tracks its slot in whatever structure holds
+    it, so {!timer_cancel} swap-removes it — O(1) from a bucket,
+    O(log n) from the due heap. No structure ever holds a cancelled
     event, so there is no lazy dead count, no compaction heuristic, and
     the final clock of a run can never depend on internal bookkeeping;
-    it also means a {!timer}'s event cell is always free for reuse when
-    re-armed, making the RTO pattern (re-arm on every ack)
-    allocation-free. *)
-
-(* [qshared] is the per-queue state shared with every event of that
-   queue, so {!cancel} — which has no queue handle — can check the
-   observer guard from any entry point. *)
-type qshared = {
-  mutable in_observer : bool;
-      (** set while observers run; schedule/cancel raise when it's on *)
-}
-
-(* A {!schedule}d or timer event is [Live] until {!cancel} makes it
-   [Cancelled] (a timer's re-arm makes it [Live] again). A {!post}ed
-   cell is [Posted] for good: it has no handle, so nothing cancels it,
-   and it returns to its queue's free stack when it fires. *)
-type state = Live | Cancelled | Posted
+    it also means a timer's cell is always free for reuse when re-armed,
+    making the RTO pattern (re-arm on every ack) allocation-free. *)
 
 type event = {
   mutable time : float;
   mutable seq : int;
-  mutable state : state;
+  pooled : bool;
+      (** a {!post} cell, back on its queue's free stack once it fires;
+          [false] for a timer's cell *)
   mutable action : unit -> unit;
-  qs : qshared;
   mutable home : bucket;
       (** the wheel bucket physically holding this event, or
           [dummy_bucket] *)
@@ -71,7 +58,7 @@ and wheel = {
   mutable w_cur : int;
       (** current tick: every bucket-resident event has tick >= w_cur,
           everything at tick < w_cur has been pulled into [w_due] *)
-  w_due : heap;  (** drained buckets + schedule-at-now spills, exact order *)
+  w_due : heap;  (** drained buckets + post-at-now spills, exact order *)
   mutable w_count : int;  (** events resident in buckets (due excluded) *)
 }
 
@@ -80,15 +67,12 @@ and heap = { mutable h_arr : event array; mutable h_size : int }
 (* Padding for unused slots: never popped, never cancelled. Freed slots
    are reset to this so removal actually releases the event (and its
    action closure) to the GC. *)
-let dummy_qs = { in_observer = false }
-
 let rec dummy_event =
   {
     time = 0.;
     seq = 0;
-    state = Cancelled;
+    pooled = false;
     action = ignore;
-    qs = dummy_qs;
     home = dummy_bucket;
     hh = dummy_heap;
     pos = -1;
@@ -102,7 +86,7 @@ let before (a : event) (b : event) =
 
 (* ---------- indexed binary heap primitives ----------
    The wheel's due set. Every move maintains the resident events' [pos]
-   so {!cancel} can delete from the middle. *)
+   so {!timer_cancel} can delete from the middle. *)
 
 let heap_make () = { h_arr = Array.make 256 dummy_event; h_size = 0 }
 
@@ -229,8 +213,9 @@ let bucket_push (b : bucket) ev =
   b.b_len <- n + 1
 
 (* Physical O(1) removal of a bucket-resident event (swap with the last
-   slot). This is what makes {!cancel} O(1) on the wheel: no dead node
-   is ever left behind, so mass cancellation releases memory at once. *)
+   slot). This is what makes {!timer_cancel} O(1) on the wheel: no dead
+   node is ever left behind, so mass cancellation releases memory at
+   once. *)
 let bucket_remove (ev : event) =
   let b = ev.home in
   let last = b.b_len - 1 in
@@ -246,7 +231,7 @@ let bucket_remove (ev : event) =
   | None -> assert false
 
 (* Raw placement: due heap when the event's tick has already been
-   reached (schedule-at-now, run-limit put-backs), its bucket
+   reached (post-at-now, run-limit put-backs), its bucket
    otherwise. *)
 let wheel_place w ev =
   let tick = tick_of w ev.time in
@@ -378,7 +363,8 @@ let derive_quantum ~min_delay =
 type t = {
   mutable now : float;
   mutable next_seq : int;
-  qs : qshared;
+  mutable in_observer : bool;
+      (** set while observers run; posting and timer operations raise *)
   mutable observers : (unit -> unit) list;
       (** run after every executed event, in registration order *)
   wheel : wheel;
@@ -393,7 +379,7 @@ let create ?(quantum = default_quantum) () =
   {
     now = 0.0;
     next_seq = 0;
-    qs = { in_observer = false };
+    in_observer = false;
     observers = [];
     wheel = wheel_make ~quantum;
     quantum;
@@ -403,66 +389,52 @@ let create ?(quantum = default_quantum) () =
 let now t = t.now
 let quantum t = t.quantum
 
-(** Register [f] to run after every executed (non-cancelled) event —
-    the hook invariant checkers attach to. Observers run in registration
-    order and are read-only: scheduling or cancelling from inside one
-    raises [Invalid_argument] (enforced, not just documented). *)
+(** Register [f] to run after every executed event — the hook invariant
+    checkers attach to. Observers run in registration order and are
+    read-only: posting, arming or cancelling from inside one raises
+    [Invalid_argument] (enforced, not just documented). *)
 let add_observer t f = t.observers <- t.observers @ [ f ]
 
-let obs_guard (qs : qshared) op =
-  if qs.in_observer then
+let obs_guard t op =
+  if t.in_observer then
     invalid_arg
       ("Eventq." ^ op
      ^ ": called from inside an Eventq observer (observers are read-only \
         and must not schedule or cancel events)")
 
-(* A new cell for [action] at [at], in no structure yet; the caller
-   takes the sequence number and places it. *)
-let[@inline] fresh_event t ~at ~state action =
+(* Stamp [ev] with its fire time and the next sequence number, and place
+   it: the one way an event enters the wheel. *)
+let[@inline] enqueue t ev ~at =
+  ev.time <- (if at < t.now then t.now else at);
+  ev.seq <- t.next_seq;
+  t.next_seq <- t.next_seq + 1;
+  wheel_place t.wheel ev
+
+let[@inline] cell ~pooled action =
   {
-    time = at;
-    seq = t.next_seq;
-    state;
+    time = 0.;
+    seq = 0;
+    pooled;
     action;
-    qs = t.qs;
     home = dummy_bucket;
     hh = dummy_heap;
     pos = -1;
   }
 
-(** Schedule [action] at absolute time [at] (>= now). Returns a handle
-    that {!cancel} accepts. *)
-let schedule t ~at action =
-  obs_guard t.qs "schedule";
-  let at = if at < t.now then t.now else at in
-  let ev = fresh_event t ~at ~state:Live action in
-  t.next_seq <- t.next_seq + 1;
-  wheel_place t.wheel ev;
-  ev
-
-(** Schedule relative to the current time. *)
-let schedule_in t ~delay action = schedule t ~at:(t.now +. delay) action
-
-(** A one-shot event nobody can cancel: the cell comes from the queue's
-    free stack and goes back to it when the event fires, so a steady
-    stream of posts allocates no event records. It takes a sequence
-    number exactly like {!schedule}, so posting instead of scheduling
-    leaves the execution order unchanged. *)
+(** A one-shot event at absolute time [at] (clamped to now). The cell
+    comes from the queue's free stack and goes back to it when the event
+    fires, so a steady stream of posts allocates no event records. *)
 let post t ~at action =
-  obs_guard t.qs "post";
-  let at = if at < t.now then t.now else at in
+  obs_guard t "post";
+  let ev = Progmp_runtime.Array_stack.pop t.free in
   let ev =
-    let ev = Progmp_runtime.Array_stack.pop t.free in
     if ev != dummy_event then begin
-      ev.time <- at;
-      ev.seq <- t.next_seq;
       ev.action <- action;
       ev
     end
-    else fresh_event t ~at ~state:Posted action
+    else cell ~pooled:true action
   in
-  t.next_seq <- t.next_seq + 1;
-  wheel_place t.wheel ev
+  enqueue t ev ~at
 
 let post_in t ~delay action = post t ~at:(t.now +. delay) action
 
@@ -472,75 +444,34 @@ let recycle t ev =
   ev.action <- ignore;
   Progmp_runtime.Array_stack.push t.free ev
 
-let cancel (ev : event) =
-  obs_guard ev.qs "cancel";
-  match ev.state with
-  | Live ->
-      ev.state <- Cancelled;
-      if ev.home != dummy_bucket then bucket_remove ev
-      else if ev.hh != dummy_heap then heap_remove ev.hh ev
-  | Cancelled | Posted -> ()
-
 (* ---------- re-armable timers ---------- *)
 
-(** A timer is a re-armable event whose action closure is built exactly
-    once, at creation, and whose event cell is reused across arms:
-    cancellation is physical, so by the time {!timer_arm} runs, the
-    previous arm's cell is always out of the wheel and the new deadline
-    is written into it in place — no closure, no node, no allocation.
-    One sequence number is consumed per arm (exactly like
-    cancel-then-schedule), so event traces match the closure-per-arm
-    code bit for bit. *)
-type timer = {
-  mutable cell : event;  (** [dummy_event] until the first arm *)
-  mutable t_armed : bool;
-  mutable fire : unit -> unit;
-}
+(** A timer is a re-armable event of one queue whose action closure and
+    event cell are built exactly once, at creation: cancellation is
+    physical, so by the time {!timer_arm} runs, the previous arm's cell
+    is always out of the wheel and the new deadline is written into it
+    in place — no closure, no node, no allocation. One sequence number
+    is consumed per arm, exactly like a {!post}. The timer is armed
+    exactly while its cell sits in the wheel. *)
+type timer = { q : t; tcell : event }
 
-let timer action =
-  let tm = { cell = dummy_event; t_armed = false; fire = ignore } in
-  tm.fire <-
-    (fun () ->
-      tm.t_armed <- false;
-      action ());
-  tm
-
-let timer_armed tm = tm.t_armed
+let timer q action = { q; tcell = cell ~pooled:false action }
+let timer_armed tm = tm.tcell.pos >= 0
 
 let timer_cancel tm =
-  if tm.t_armed then begin
-    cancel tm.cell;
-    tm.t_armed <- false
-  end
+  obs_guard tm.q "timer_cancel";
+  let ev = tm.tcell in
+  if ev.home != dummy_bucket then bucket_remove ev
+  else if ev.hh != dummy_heap then heap_remove ev.hh ev
 
-let timer_arm t tm ~at =
-  obs_guard t.qs "timer_arm";
+let timer_arm tm ~at =
+  obs_guard tm.q "timer_arm";
   timer_cancel tm;
-  let at = if at < t.now then t.now else at in
-  let ev = tm.cell in
-  (* [dummy_event]'s queue state is no queue's, so the sentinel never
-     passes this test *)
-  if ev.pos < 0 && ev.qs == t.qs then begin
-    (* the cell is free: re-arm in place, zero allocation *)
-    ev.time <- at;
-    ev.seq <- t.next_seq;
-    ev.state <- Live;
-    t.next_seq <- t.next_seq + 1;
-    wheel_place t.wheel ev
-  end
-  else begin
-    (* first arm on this queue (or the cell belongs to another
-       queue): allocate the cell *)
-    let ev = fresh_event t ~at ~state:Live tm.fire in
-    t.next_seq <- t.next_seq + 1;
-    tm.cell <- ev;
-    wheel_place t.wheel ev
-  end;
-  tm.t_armed <- true
+  enqueue tm.q tm.tcell ~at
 
-let timer_arm_in t tm ~delay = timer_arm t tm ~at:(t.now +. delay)
+let timer_arm_in tm ~delay = timer_arm tm ~at:(tm.q.now +. delay)
 
-(** Nodes holding live events. Cancellation is physical, so this is
+(** Nodes holding pending events. Cancellation is physical, so this is
     also every node the wheel holds. *)
 let live_nodes t = wheel_nodes t.wheel
 
@@ -560,18 +491,18 @@ let run ?until t =
     else begin
       t.now <- ev.time;
       let action = ev.action in
-      if ev.state == Posted then recycle t ev;
+      if ev.pooled then recycle t ev;
       action ();
       incr executed;
       (match t.observers with
       | [] -> ()
       | obs -> (
-          t.qs.in_observer <- true;
+          t.in_observer <- true;
           (try List.iter (fun f -> f ()) obs
            with e ->
-             t.qs.in_observer <- false;
+             t.in_observer <- false;
              raise e);
-          t.qs.in_observer <- false));
+          t.in_observer <- false));
       loop ()
     end
   in

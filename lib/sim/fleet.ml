@@ -52,7 +52,7 @@ module R = Progmp_runtime
    would. *)
 type group = {
   group_id : int;  (** global id (shards host a subset) *)
-  links : (Path_manager.path_spec * Link.t * Link.t) list;
+  paths : Path_manager.path_spec list;  (** over the group's shared links *)
   mutable g_free : slot list;
       (** this group's retired slots; per-group pools keep slot-recycle
           order (and so private-scheduler scratch reuse) a function of
@@ -79,7 +79,7 @@ and slot = {
 }
 
 let make_group ~clock ~seed ~paths group_id =
-  let links =
+  let paths =
     List.mapi
       (fun pi spec ->
         let base = 2 * ((group_id * List.length paths) + pi) in
@@ -93,10 +93,10 @@ let make_group ~clock ~seed ~paths group_id =
             ~rng:(Rng.stream ~seed (-2 - base))
             ()
         in
-        (spec, data_link, ack_link))
+        { spec with Path_manager.links = Some (data_link, ack_link) })
       paths
   in
-  { group_id; links; g_free = [] }
+  { group_id; paths; g_free = [] }
 
 type totals = {
   t_arrivals : int;
@@ -289,9 +289,9 @@ let retire t slot =
    a delivery hook that retires the slot's current flow once complete. *)
 let build_shell t slot ~seed =
   let conn =
-    Connection.create_on_links ~seed ~mss:t.mss ~rcv_buffer:t.rcv_buffer
-      ~cc:t.cc ~entry_pool:t.entry_pool ~packet_pool:t.packet_pool
-      ?scheduler:slot.sched ~clock:t.clock ~links:slot.group.links ()
+    Connection.create ~seed ~mss:t.mss ~rcv_buffer:t.rcv_buffer ~cc:t.cc
+      ~entry_pool:t.entry_pool ~packet_pool:t.packet_pool ?scheduler:slot.sched
+      ~clock:t.clock ~paths:slot.group.paths ()
   in
   let meta = conn.Connection.meta in
   let retire_slot () = retire t slot in

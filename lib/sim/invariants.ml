@@ -183,7 +183,7 @@ let on_deliver t ~seq ~size ~time:_ =
     installing any experiment-side [on_deliver] hook. The observer only
     reads connection state and records violations — event-queue
     observers are enforced read-only ({!Eventq.add_observer} raises on
-    any schedule/cancel from inside one). *)
+    any post, timer arm or cancel from inside one). *)
 let attach ?(max_recorded = 20) (conn : Connection.t) =
   let t =
     {

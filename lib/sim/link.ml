@@ -318,8 +318,8 @@ let dropped t = t.tail_dropped + t.red_dropped
 (** Record a data packet reaching the far end of the link {e now}:
     counts it delivered and returns [true] when the link is up, counts
     it lost-in-flight and returns [false] when it went down while the
-    packet was in the air. Pre-built arrival callbacks passed to
-    {!transmit_direct} must call this (and give up on [false]). *)
+    packet was in the air. Arrival callbacks passed to {!transmit}
+    must call this (and give up on [false]). *)
 let arrival t =
   if t.up then begin
     t.delivered <- t.delivered + 1;
@@ -330,17 +330,20 @@ let arrival t =
     false
   end
 
-(** Like {!transmit}, but the callback is scheduled as the arrival event
-    {e directly} — no wrapper closure is allocated per packet. In
-    exchange the callback itself is responsible for the arrival-time
+(** Send [size] bytes over the link; on success the callback is posted
+    as the arrival event {e directly} — no wrapper closure is allocated
+    per packet. The callback is responsible for the arrival-time
     bookkeeping: it must start with [if Link.arrival link then ...].
     This is the data hot path of {!Tcp_subflow}, whose per-segment
-    arrival closures are built once per in-flight entry. The
-    arrival is {!Eventq.post}ed: O(1) on the timing wheel — arrival
-    times cluster a propagation delay ahead of the clock, exactly the
-    near-future band the wheel's level-0 buckets cover — and on a
-    recycled event cell. *)
-let transmit_direct t ~size arrive : outcome =
+    arrival closures are built once per in-flight entry. Loss is decided
+    at entry (a randomly lost packet still consumes serialization time,
+    like a corrupted frame). On a down link the packet is destroyed
+    immediately; a packet still in the air when the link goes down is
+    destroyed at its arrival time. The arrival is {!Eventq.post}ed:
+    O(1) on the timing wheel — arrival times cluster a propagation delay
+    ahead of the clock, exactly the near-future band the wheel's level-0
+    buckets cover — and on a recycled event cell. *)
+let transmit t ~size arrive : outcome =
   let now = Eventq.now t.clock in
   if not t.up then begin
     t.lost_down <- t.lost_down + 1;
@@ -393,14 +396,6 @@ let transmit_direct t ~size arrive : outcome =
     end
   end
 
-(** Send [size] bytes over the link; on success schedules [deliver] at
-    the arrival time. Loss is decided at entry (a dropped
-    packet still consumes serialization time, like a corrupted frame).
-    On a down link the packet is destroyed immediately; a packet still in
-    the air when the link goes down is destroyed at its arrival time. *)
-let transmit t ~size deliver : outcome =
-  transmit_direct t ~size (fun () -> if arrival t then deliver ())
-
 (** Ack/control hot path: schedule [fire] at now + delay with no
     bandwidth constraint and no random loss. Returns [false] (nothing
     scheduled) when the link is already down at send time, so a caller
@@ -413,8 +408,3 @@ let control_send t fire =
        Eventq.post_in t.clock ~delay:t.params.delay fire;
        true
      end
-
-(** Convenience for ack/control paths: no bandwidth constraint, no random
-    loss — but a down link still destroys them (at arrival). *)
-let deliver_control t deliver =
-  ignore (control_send t (fun () -> if t.up then deliver ()))

@@ -151,30 +151,23 @@ val dropped : t -> int
 (** Total packets rejected at the bottleneck buffer (drop-tail overflow
     + AQM early drops). *)
 
-val transmit : t -> size:int -> (unit -> unit) -> outcome
-(** Send [size] bytes; on success the callback fires at the arrival
-    time. A randomly lost packet still consumes serialization time; a
-    dropped one (tail or RED) does not. On a down link the packet is
-    destroyed immediately ([Lost_down]); one still in the air when the
-    link goes down is destroyed at arrival. *)
-
 val arrival : t -> bool
 (** Record a data-packet arrival now: [true] (and counted delivered)
     when the link is up, [false] (counted lost) when it went down while
-    the packet was in flight. For {!transmit_direct} callbacks. *)
+    the packet was in flight. For {!transmit} callbacks. *)
 
-val transmit_direct : t -> size:int -> (unit -> unit) -> outcome
-(** Like {!transmit} but schedules the given callback as the arrival
+val transmit : t -> size:int -> (unit -> unit) -> outcome
+(** Send [size] bytes; on success the callback is posted as the arrival
     event directly — no per-packet wrapper closure. The callback must
     begin with [if Link.arrival link then ...]; it is typically built
-    once per retransmittable segment and reused across retransmissions. *)
+    once per retransmittable segment and reused across retransmissions.
+    A randomly lost packet still consumes serialization time; a dropped
+    one (tail or RED) does not. On a down link the packet is destroyed
+    immediately ([Lost_down]); one still in the air when the link goes
+    down is destroyed at arrival. *)
 
 val control_send : t -> (unit -> unit) -> bool
 (** Ack/control hot path: schedule the callback at now + delay (no loss,
     no bandwidth), with no wrapper allocation. [false] when the link is
     down at send time (nothing scheduled). The callback must check
     {!is_up} at arrival itself. *)
-
-val deliver_control : t -> (unit -> unit) -> unit
-(** Ack/control path: propagation delay only, no loss or bandwidth — but
-    a down link destroys control packets too. *)

@@ -6,8 +6,9 @@
     establishes one subflow per path at the configured times — subflow
     establishment takes a handshake round-trip, so, as the paper notes,
     the path manager operates on relaxed time constraints compared to the
-    scheduler. Dynamic arrival and failure of paths (e.g. the WiFi/LTE
-    handover of §5.2) are exposed as {!add_path} and {!fail_subflow}. *)
+    scheduler. {!attach} is the one way a subflow is built, for the
+    initial paths and for paths that arrive later (e.g. the WiFi/LTE
+    handover of §5.2); {!fail_subflow} schedules a path's failure. *)
 
 type path_spec = {
   path_name : string;
@@ -15,11 +16,16 @@ type path_spec = {
   down : Link.params;  (** receiver -> sender (acks) *)
   backup : bool;
   establish_at : float;  (** when the manager starts the handshake *)
+  links : (Link.t * Link.t) option;
+      (** the (data, ack) links the path runs over when the network owns
+          them — several connections handed the same data link compete
+          for its bottleneck; [None]: {!attach} builds a private pair
+          from [up] and [down] *)
 }
 
 let path ?(name = "path") ?(backup = false) ?(establish_at = 0.0)
     ?(down = Link.default_params) up =
-  { path_name = name; up; down; backup; establish_at }
+  { path_name = name; up; down; backup; establish_at; links = None }
 
 (** A symmetric path: acks travel back over the same delay (unconstrained
     bandwidth, no loss — ack loss is not modeled). *)
@@ -35,12 +41,28 @@ type managed = {
   ack_link : Link.t;
 }
 
-(** Attach one subflow over pre-built links (used to share a bottleneck
-    link between subflows of different connections, e.g. for
-    TCP-friendliness experiments). *)
-let attach_with_links ~clock ~(meta : Meta_socket.t) ?(min_rto = 0.2)
-    ?(delivery_mode = Tcp_subflow.Immediate) ?entry_pool ~id ~data_link
-    ~ack_link spec : managed =
+(* A private link pair for [spec], one RNG split per direction (data
+   first). *)
+let link_pair ~clock ~rng spec =
+  let data_link = Link.create ~params:spec.up ~clock ~rng:(Rng.split rng) () in
+  let ack_link = Link.create ~params:spec.down ~clock ~rng:(Rng.split rng) () in
+  (data_link, ack_link)
+
+(** Create subflow [id] over [spec]'s links (a private pair drawn from
+    [rng] when the spec names none), attach it to [meta] and start its
+    handshake at [spec.establish_at]. *)
+let attach ~clock ~rng ~(meta : Meta_socket.t) ?(min_rto = 0.2)
+    ?(delivery_mode = Tcp_subflow.Immediate) ?entry_pool ~id spec : managed =
+  let data_link, ack_link =
+    match spec.links with
+    | Some (data_link, ack_link) ->
+        if data_link.Link.clock != clock || ack_link.Link.clock != clock then
+          invalid_arg
+            ("Path_manager.attach: path " ^ spec.path_name
+           ^ " runs over links of another clock");
+        (data_link, ack_link)
+    | None -> link_pair ~clock ~rng spec
+  in
   let subflow =
     Tcp_subflow.create ~id ~clock ~data_link ~ack_link
       ~mss:meta.Meta_socket.mss ~is_backup:spec.backup ~min_rto ~delivery_mode
@@ -50,38 +72,7 @@ let attach_with_links ~clock ~(meta : Meta_socket.t) ?(min_rto = 0.2)
   Tcp_subflow.establish ~at:spec.establish_at subflow;
   { spec; subflow; data_link; ack_link }
 
-(** Create and attach one subflow per path. *)
-let establish_all ~clock ~rng ~(meta : Meta_socket.t) ?(min_rto = 0.2)
-    ?(delivery_mode = Tcp_subflow.Immediate) (paths : path_spec list) :
-    managed list =
-  List.mapi
-    (fun i spec ->
-      let data_link = Link.create ~params:spec.up ~clock ~rng:(Rng.split rng) () in
-      let ack_link = Link.create ~params:spec.down ~clock ~rng:(Rng.split rng) () in
-      attach_with_links ~clock ~meta ~min_rto ~delivery_mode ~id:i ~data_link
-        ~ack_link spec)
-    paths
-
-(** Bring up an additional path at [at] (handover target). *)
-let add_path ~clock ~rng ~(meta : Meta_socket.t) ?(min_rto = 0.2)
-    ?(delivery_mode = Tcp_subflow.Immediate) ~id ~at (spec : path_spec) : managed
-    =
-  let data_link = Link.create ~params:spec.up ~clock ~rng:(Rng.split rng) () in
-  let ack_link = Link.create ~params:spec.down ~clock ~rng:(Rng.split rng) () in
-  let subflow =
-    Tcp_subflow.create ~id ~clock ~data_link ~ack_link ~mss:meta.Meta_socket.mss
-      ~is_backup:spec.backup ~min_rto ~delivery_mode ()
-  in
-  Meta_socket.attach meta subflow;
-  Tcp_subflow.establish ~at subflow;
-  { spec; subflow; data_link; ack_link }
-
 (** Schedule a subflow failure (connection break) at time [at]: packets
     in flight or buffered on it are reported to RQ. *)
 let fail_subflow ~clock (m : managed) ~at =
   Eventq.post clock ~at (fun () -> Tcp_subflow.fail m.subflow)
-
-(** Schedule re-establishment of a failed subflow at [at] (the reverse of
-    {!fail_subflow}; the handshake takes its usual round-trip). *)
-let reestablish_subflow (m : managed) ~at =
-  Tcp_subflow.reestablish ~at m.subflow

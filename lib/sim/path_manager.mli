@@ -8,6 +8,11 @@ type path_spec = {
   down : Link.params;  (** receiver -> sender (acks) *)
   backup : bool;
   establish_at : float;  (** when the manager starts the handshake *)
+  links : (Link.t * Link.t) option;
+      (** the (data, ack) links the path runs over when the network owns
+          them — several connections handed the same data link compete
+          for its bottleneck (§2.1 TCP-friendliness experiments);
+          [None]: {!attach} builds a private pair from [up] and [down] *)
 }
 
 val path :
@@ -29,46 +34,23 @@ type managed = {
   ack_link : Link.t;
 }
 
-val attach_with_links :
+val attach :
   clock:Eventq.t ->
+  rng:Rng.t ->
   meta:Meta_socket.t ->
   ?min_rto:float ->
   ?delivery_mode:Tcp_subflow.delivery_mode ->
   ?entry_pool:Tcp_subflow.entry_pool ->
   id:int ->
-  data_link:Link.t ->
-  ack_link:Link.t ->
   path_spec ->
   managed
-(** Attach one subflow over pre-built links (shared-bottleneck
-    experiments hand several connections the same data link). *)
-
-val establish_all :
-  clock:Eventq.t ->
-  rng:Rng.t ->
-  meta:Meta_socket.t ->
-  ?min_rto:float ->
-  ?delivery_mode:Tcp_subflow.delivery_mode ->
-  path_spec list ->
-  managed list
-(** One subflow per path, links created from the specs. *)
-
-val add_path :
-  clock:Eventq.t ->
-  rng:Rng.t ->
-  meta:Meta_socket.t ->
-  ?min_rto:float ->
-  ?delivery_mode:Tcp_subflow.delivery_mode ->
-  id:int ->
-  at:float ->
-  path_spec ->
-  managed
-(** Bring up an additional path at [at] (handover target). *)
+(** The one way a subflow is built: subflow [id] over the spec's
+    [links], or over a private link pair created from [up] and [down]
+    with two splits of [rng] (data link first); attached to [meta], its
+    handshake starting at the spec's [establish_at].
+    @raise Invalid_argument when the spec's links run on another
+    clock. *)
 
 val fail_subflow : clock:Eventq.t -> managed -> at:float -> unit
 (** Schedule a clean subflow failure: in-flight and buffered packets are
     reported upward for reinjection. *)
-
-val reestablish_subflow : managed -> at:float -> unit
-(** Schedule re-establishment of a failed subflow (the reverse of
-    {!fail_subflow}; the handshake takes its usual round-trip). *)

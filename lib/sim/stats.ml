@@ -1,73 +1,5 @@
-(** Measurement helpers for experiments: periodic time-series sampling of
-    per-subflow and aggregate counters, plus small statistics utilities
-    used by the bench harness. *)
-
-type sample = {
-  s_time : float;
-  s_sent : int array;  (** cumulative bytes sent per subflow *)
-  s_acked : int array;  (** cumulative bytes acked per subflow *)
-  s_delivered : int;  (** cumulative in-order bytes at the receiver *)
-}
-
-type sampler = { mutable samples : sample list (* reversed *) }
-
-(** Sample the connection every [interval] seconds until [until]. Must be
-    called before {!Connection.run}. *)
-let install (conn : Connection.t) ~interval ~until : sampler =
-  let sampler = { samples = [] } in
-  let take () =
-    let subflows = List.map (fun m -> m.Path_manager.subflow) conn.Connection.paths in
-    {
-      s_time = Connection.now conn;
-      s_sent = Array.of_list (List.map (fun s -> s.Tcp_subflow.bytes_sent) subflows);
-      s_acked = Array.of_list (List.map (fun s -> s.Tcp_subflow.bytes_acked) subflows);
-      s_delivered = Connection.delivered_bytes conn;
-    }
-  in
-  let rec tick time =
-    if time <= until then
-      Connection.at conn ~time (fun () ->
-          sampler.samples <- take () :: sampler.samples;
-          tick (time +. interval))
-  in
-  tick 0.0;
-  sampler
-
-let samples s = List.rev s.samples
-
-(** Per-interval goodput (bytes/second) per subflow, from acked-bytes
-    deltas: [(t, rate array)] rows. *)
-let subflow_rates s =
-  let rec diff = function
-    | a :: (b :: _ as rest) ->
-        let dt = b.s_time -. a.s_time in
-        let rates =
-          Array.init
-            (min (Array.length a.s_acked) (Array.length b.s_acked))
-            (fun i ->
-              if dt <= 0.0 then 0.0
-              else float_of_int (b.s_acked.(i) - a.s_acked.(i)) /. dt)
-        in
-        (b.s_time, rates) :: diff rest
-    | [ _ ] | [] -> []
-  in
-  diff (samples s)
-
-(** Aggregate in-order delivery rate per interval. *)
-let delivery_rate s =
-  let rec diff = function
-    | a :: (b :: _ as rest) ->
-        let dt = b.s_time -. a.s_time in
-        let r =
-          if dt <= 0.0 then 0.0
-          else float_of_int (b.s_delivered - a.s_delivered) /. dt
-        in
-        (b.s_time, r) :: diff rest
-    | [ _ ] | [] -> []
-  in
-  diff (samples s)
-
-(* ---------- scalar statistics ---------- *)
+(** Scalar statistics used by the bench harness and the experiment
+    worlds. Time series come from [Mptcp_obs.Metrics]. *)
 
 let mean = function
   | [] -> 0.0

@@ -1,27 +1,5 @@
-(** Measurement helpers: periodic time-series sampling of per-subflow
-    and aggregate counters, plus scalar statistics used by the bench
-    harness. *)
-
-type sample = {
-  s_time : float;
-  s_sent : int array;  (** cumulative bytes sent per subflow *)
-  s_acked : int array;  (** cumulative bytes acked per subflow *)
-  s_delivered : int;  (** cumulative in-order bytes at the receiver *)
-}
-
-type sampler
-
-val install : Connection.t -> interval:float -> until:float -> sampler
-(** Sample every [interval] seconds; call before [Connection.run]. *)
-
-val samples : sampler -> sample list
-(** In time order. *)
-
-val subflow_rates : sampler -> (float * float array) list
-(** Per-interval per-subflow goodput (bytes/second) from acked deltas. *)
-
-val delivery_rate : sampler -> (float * float) list
-(** Aggregate in-order delivery rate per interval. *)
+(** Scalar statistics used by the bench harness and the experiment
+    worlds. Time series come from [Mptcp_obs.Metrics]. *)
 
 val mean : float list -> float
 

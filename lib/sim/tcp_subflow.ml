@@ -401,7 +401,7 @@ let arm_tsq_wakeup t =
     t.established && t.infl_count = 0
     && (not (Eventq.timer_armed t.tsq_timer))
     && tsq_throttled t
-  then Eventq.timer_arm t.clock t.tsq_timer ~at:t.tsq_time.(t.tsq_head)
+  then Eventq.timer_arm t.tsq_timer ~at:t.tsq_time.(t.tsq_head)
 
 let rtt_us t =
   if t.rtt_samples = 0 then int_of_float (2.0 *. Link.delay t.data_link *. 1e6)
@@ -518,18 +518,16 @@ let[@inline] sample_rtt t r =
 
 (* ---------- RTO timer ---------- *)
 
-(* The timer's action closure is allocated once, in [create]; an arm
-   consumes exactly one event sequence number (like the old
-   cancel-then-schedule), keeping event traces bit-identical. The timer
-   also owns a reusable event cell: cancellation is physical in every
-   Eventq core, so re-arming the RTO on the transmit hot path writes
-   the new deadline into that cell in place — no allocation, no dead
-   node left behind in the wheel bucket or heap. *)
+(* The timer's action closure and event cell are allocated once, in
+   [create]; an arm consumes exactly one event sequence number.
+   Cancellation is physical, so re-arming the RTO on the transmit hot
+   path writes the new deadline into the cell in place — no
+   allocation, no dead node left behind in the wheel bucket or heap. *)
 
 let cancel_rto t = Eventq.timer_cancel t.rto_timer
 
 let arm_rto t =
-  if t.infl_count > 0 then Eventq.timer_arm_in t.clock t.rto_timer ~delay:t.rto
+  if t.infl_count > 0 then Eventq.timer_arm_in t.rto_timer ~delay:t.rto
   else Eventq.timer_cancel t.rto_timer
 
 (* ---------- transmission ---------- *)
@@ -540,7 +538,7 @@ let rec transmit_entry t (entry : entry) =
   t.bytes_sent <- t.bytes_sent + entry.e_size;
   if entry.e_retx then t.segs_retx <- t.segs_retx + 1;
   (match
-     Link.transmit_direct t.data_link ~size:(entry.e_size + 60) entry.e_fire
+     Link.transmit t.data_link ~size:(entry.e_size + 60) entry.e_fire
    with
   | Link.Delivered ->
       entry.e_pending <- entry.e_pending + 1;
@@ -932,7 +930,7 @@ let create ~id ~clock ~data_link ~ack_link ?(mss = 1448) ?(is_backup = false)
       rtt_samples = 0;
       rto = 0.0;
       min_rto;
-      rto_timer = Eventq.timer ignore (* replaced below *);
+      rto_timer = Eventq.timer clock ignore (* replaced below *);
       lost_skbs = 0;
       rcv_expected = 0;
       rcv_ooo = Hashtbl.create 4;
@@ -947,7 +945,7 @@ let create ~id ~clock ~data_link ~ack_link ?(mss = 1448) ?(is_backup = false)
       tsq_head = 0;
       tsq_len = 0;
       tsq_bytes = 0;
-      tsq_timer = Eventq.timer ignore (* replaced below *);
+      tsq_timer = Eventq.timer clock ignore (* replaced below *);
       rate_anchor_bytes = 0;
       rate_samples = [];
       on_meta_deliver = (fun _ -> ());
@@ -963,8 +961,8 @@ let create ~id ~clock ~data_link ~ack_link ?(mss = 1448) ?(is_backup = false)
     }
   in
   t.self <- Some t;
-  t.rto_timer <- Eventq.timer (fun () -> on_rto t);
-  t.tsq_timer <- Eventq.timer (fun () -> t.on_sender_event ());
+  t.rto_timer <- Eventq.timer clock (fun () -> on_rto t);
+  t.tsq_timer <- Eventq.timer clock (fun () -> t.on_sender_event ());
   reset t;
   t
 

@@ -331,32 +331,30 @@ let route_delay b r =
   | Some d -> d
   | None -> (Link.delay (link_exn b r.r_link) : float)
 
-(** Materialize every route as [(path_spec, data_link, ack_link)] for
-    {!Connection.create_on_links}: the data link is the {e shared} named
-    link, the ack link fresh and private. Call once per MPTCP
-    connection; all attachments compete on the shared links. *)
+(** Materialize every route as a path spec over its links for
+    {!Connection.create}: the data link is the {e shared} named link,
+    the ack link fresh and private. Call once per MPTCP connection; all
+    attachments compete on the shared links. *)
 let attach ?(establish_at = 0.0) b =
   List.map
     (fun r ->
       let data = link_exn b r.r_link in
       let ack = ack_link b ~delay:(route_delay b r) in
-      let spec =
-        {
-          Path_manager.path_name = r.r_path;
-          up = data.Link.params;
-          down = ack.Link.params;
-          backup = r.r_backup;
-          establish_at;
-        }
-      in
-      (spec, data, ack))
+      {
+        Path_manager.path_name = r.r_path;
+        up = data.Link.params;
+        down = ack.Link.params;
+        backup = r.r_backup;
+        establish_at;
+        links = Some (data, ack);
+      })
     b.b_spec.t_routes
 
 (** An MPTCP connection over all routes of the topology. *)
 let connect ?(seed = 42) ?(cc = Congestion.Lia) ?rcv_buffer ?delivery_mode
     ?scheduler b =
-  Connection.create_on_links ?rcv_buffer ?delivery_mode ?scheduler ~seed ~cc
-    ~clock:b.b_clock ~links:(attach b) ()
+  Connection.create ?rcv_buffer ?delivery_mode ?scheduler ~seed ~cc
+    ~clock:b.b_clock ~paths:(attach b) ()
 
 (** A background single-path TCP flow (uncoupled Reno, one subflow)
     crossing the named link — the cross-traffic the fairness experiments
@@ -373,10 +371,11 @@ let single ?(seed = 43) ?(name = "tcp") ?(ack_delay : float option) b ~via () =
       down = ack.Link.params;
       backup = false;
       establish_at = 0.0;
+      links = Some (data, ack);
     }
   in
-  Connection.create_on_links ~seed ~cc:Congestion.Reno ~clock:b.b_clock
-    ~links:[ (spec, data, ack) ] ()
+  Connection.create ~seed ~cc:Congestion.Reno ~clock:b.b_clock
+    ~paths:[ spec ] ()
 
 (* ---------- per-link reporting ---------- *)
 

@@ -79,10 +79,10 @@ val links : built -> (string * Link.t) list
 val attach :
   ?establish_at:float ->
   built ->
-  (Path_manager.path_spec * Link.t * Link.t) list
-(** Materialize every route as [(spec, data_link, ack_link)] for
-    {!Connection.create_on_links}: data links are the shared named
-    links, ack links fresh and private. Call once per connection. *)
+  Path_manager.path_spec list
+(** Materialize every route as a path spec over its links for
+    {!Connection.create}: data links are the shared named links, ack
+    links fresh and private. Call once per connection. *)
 
 val connect :
   ?seed:int ->

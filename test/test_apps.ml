@@ -163,15 +163,35 @@ let suite =
             let bw = Link.bandwidth (Connection.data_link c 0) in
             Alcotest.(check bool) "within band" true
               (bw >= 1_000_000.0 && bw <= 2_000_000.0));
-        tc "sampler records a time series" (fun () ->
+        tc "metrics record a per-subflow time series" (fun () ->
             let c = conn () in
-            let sampler = Stats.install c ~interval:0.1 ~until:1.0 in
+            let m = Mptcp_obs.Metrics.attach c ~interval:0.1 ~until:1.0 in
             Apps.Workload.bulk c ~at:0.1 ~bytes:500_000;
             Connection.run ~until:2.0 c;
-            let samples = Stats.samples sampler in
-            Alcotest.(check int) "11 samples" 11 (List.length samples);
-            let rates = Stats.subflow_rates sampler in
-            Alcotest.(check bool) "rates computed" true (List.length rates = 10));
+            let samples = Mptcp_obs.Metrics.to_list m in
+            Alcotest.(check int)
+              "10 ticks x 2 subflows" 20 (List.length samples);
+            (* goodputs are acked-byte deltas: they add up to the last
+               tick's cumulative count *)
+            List.iter
+              (fun sbf ->
+                let mine =
+                  List.filter (fun s -> s.Mptcp_obs.Metrics.sbf = sbf) samples
+                in
+                let sum =
+                  List.fold_left
+                    (fun a s -> a +. (s.Mptcp_obs.Metrics.goodput_bps *. 0.1))
+                    0.0 mine
+                in
+                let last = List.nth mine (List.length mine - 1) in
+                Alcotest.(check (float 1e-3))
+                  (Fmt.str "subflow %d goodput sums to acked bytes" sbf)
+                  (float_of_int last.Mptcp_obs.Metrics.bytes_acked)
+                  sum)
+              [ 0; 1 ];
+            Alcotest.(check bool)
+              "delivery progressed" true
+              ((List.nth samples 19).Mptcp_obs.Metrics.delivered_bytes > 0));
         tc "statistics helpers" (fun () ->
             Alcotest.(check (float 1e-9)) "mean" 2.0 (Stats.mean [ 1.0; 2.0; 3.0 ]);
             Alcotest.(check (float 1e-9)) "median" 2.0 (Stats.median [ 3.0; 1.0; 2.0 ]);

@@ -49,8 +49,7 @@ let arena_suite =
             let checks = ref 0 in
             let rec probe t =
               if t < 4.0 then
-                ignore
-                @@ Eventq.schedule (Fleet.clock fleet) ~at:t (fun () ->
+                Eventq.post (Fleet.clock fleet) ~at:t (fun () ->
                     Fleet.iter_live_packets fleet (fun p ->
                         incr checks;
                         if p.Packet.pooled then

@@ -4,16 +4,17 @@
     scripts (the differential suite, whose oracle is a wheel so coarse
     that every event runs through the plain due heap), physical
     cancellation keeps node accounting exact, and re-armable timers
-    behave like cancel-then-schedule (one sequence number per arm)
-    while reusing one event cell. *)
+    take one sequence number per arm, like a post, while reusing one
+    event cell. *)
 
 open Mptcp_sim
 open Helpers
 
 type op =
-  | Schedule of int  (** time bucket 0..9 *)
-  | Cancel of int  (** index into the events scheduled so far *)
-  | Arm of int * int  (** timer index 0..2, time bucket *)
+  | Post of int  (** time bucket 0..9 *)
+  | Schedule of int  (** a fresh timer armed once, at a time bucket *)
+  | Cancel of int  (** index into the timers [Schedule] made so far *)
+  | Arm of int * int  (** re-armed timer index 0..2, time bucket *)
   | Disarm of int
 
 type tag = Ev of int | Tm of int
@@ -23,6 +24,7 @@ let gen_ops =
   small_list
     (oneof
        [
+         map (fun b -> Post (abs b mod 10)) small_int;
          map (fun b -> Schedule (abs b mod 10)) small_int;
          map (fun i -> Cancel (abs i mod 15)) small_int;
          map2 (fun k b -> Arm (abs k mod 3, abs b mod 10)) small_int small_int;
@@ -32,13 +34,12 @@ let gen_ops =
 (* Execute ops against a real queue and a (seq, time, tag) model, then
    run to completion: the firing order must equal the model sorted by
    time with scheduling sequence as the tie-break. Timer arms consume a
-   sequence number exactly like a fresh schedule; cancels consume
-   none. *)
+   sequence number exactly like a post; cancels consume none. *)
 let model_matches ~mk ops =
   let q : Eventq.t = mk () in
   let fired = ref [] in
   let timers =
-    Array.init 3 (fun k -> Eventq.timer (fun () -> fired := Tm k :: !fired))
+    Array.init 3 (fun k -> Eventq.timer q (fun () -> fired := Tm k :: !fired))
   in
   let seq = ref 0 in
   let next_seq () =
@@ -46,27 +47,37 @@ let model_matches ~mk ops =
     !seq
   in
   let events = ref [] and n_ev = ref 0 in
+  let fresh_id () =
+    let id = !n_ev in
+    incr n_ev;
+    id
+  in
   let model = ref [] in
   let drop tag = model := List.filter (fun (_, _, t) -> t <> tag) !model in
   List.iter
     (fun op ->
       match op with
-      | Schedule b ->
-          let id = !n_ev in
-          incr n_ev;
+      | Post b ->
+          let id = fresh_id () in
           let t = float_of_int b /. 10.0 in
-          let h = Eventq.schedule q ~at:t (fun () -> fired := Ev id :: !fired) in
-          events := !events @ [ (h, id) ];
+          Eventq.post q ~at:t (fun () -> fired := Ev id :: !fired);
+          model := (next_seq (), t, Ev id) :: !model
+      | Schedule b ->
+          let id = fresh_id () in
+          let t = float_of_int b /. 10.0 in
+          let tm = Eventq.timer q (fun () -> fired := Ev id :: !fired) in
+          Eventq.timer_arm tm ~at:t;
+          events := !events @ [ (tm, id) ];
           model := (next_seq (), t, Ev id) :: !model
       | Cancel i -> (
           match List.nth_opt !events i with
-          | Some (h, id) ->
-              Eventq.cancel h;
+          | Some (tm, id) ->
+              Eventq.timer_cancel tm;
               drop (Ev id)
           | None -> ())
       | Arm (k, b) ->
           let t = float_of_int b /. 10.0 in
-          Eventq.timer_arm q timers.(k) ~at:t;
+          Eventq.timer_arm timers.(k) ~at:t;
           drop (Tm k);
           model := (next_seq (), t, Tm k) :: !model
       | Disarm k ->
@@ -96,21 +107,23 @@ let qprop_model name mk =
 
 (* ---------- quantum differential suite ---------- *)
 
-(* A richer op language than the model test: chained events that
-   schedule more events from inside their own action (the pattern every
-   simulation uses, and the one that exercises wheel cascades), timers
-   re-armed both from script level and mid-run, cancellations landing
-   on past and future handles, and [run ~until] segments that stop the
-   clock between batches. Identical scripts must produce identical
-   (tag, time) traces, per-segment executed counts and final clocks on
-   wheels at wildly different quanta — the quantum may only affect
-   bucket occupancy, never observable order. The oracle runs at a
-   quantum of 1e12 s: every fire time then has tick 0, so after the
-   first bucket drain every event goes straight into the due heap and
-   the wheel is a plain indexed binary heap. *)
+(* A richer op language than the model test: chained events that post
+   more events from inside their own action (the pattern every
+   simulation uses, and the one that exercises wheel cascades), a timer
+   re-armed both from script level and mid-run (from its own action),
+   cancellations from the script and from inside other events' actions
+   (landing on bucket-resident and due-heap timers), and [run ~until]
+   segments that stop the clock between batches. Identical scripts must
+   produce identical (tag, time) traces, per-segment executed counts
+   and final clocks on wheels at wildly different quanta — the quantum
+   may only affect bucket occupancy, never observable order. The oracle
+   runs at a quantum of 1e12 s: every fire time then has tick 0, so
+   after the first bucket drain every event goes straight into the due
+   heap and the wheel is a plain indexed binary heap. *)
 type dop =
   | DSched of float * int  (* delay bucket, tag *)
   | DSchedCancel of float * int  (* delay, cancel k ops later *)
+  | DKill of float * float  (* victim delay, delay of its canceller *)
   | DArm of float
   | DDisarm
   | DChain of float * int * int  (* delay, chain length, tag base *)
@@ -124,6 +137,7 @@ let gen_dops =
           [
             map2 (fun d i -> DSched (d, abs i)) fl small_int;
             map2 (fun d k -> DSchedCancel (d, abs k mod 5)) fl small_int;
+            map2 (fun d d' -> DKill (d, d')) fl fl;
             map (fun d -> DArm d) fl;
             return DDisarm;
             map3
@@ -138,7 +152,14 @@ let run_dscript ~quantum (script, segments) =
   let q = Eventq.create ~quantum () in
   let trace = ref [] in
   let record tag = trace := (tag, Eventq.now q) :: !trace in
-  let tm = Eventq.timer (fun () -> record (-1)) in
+  let tm = ref (Eventq.timer q ignore) and rearms = ref 0 in
+  (tm :=
+     Eventq.timer q (fun () ->
+         record (-1);
+         if !rearms < 2 then begin
+           incr rearms;
+           Eventq.timer_arm_in !tm ~delay:0.5
+         end));
   let pending_cancels = ref [] in
   let step = ref 0 in
   let exec_op op =
@@ -147,21 +168,26 @@ let run_dscript ~quantum (script, segments) =
       List.partition (fun (s, _) -> s <= !step) !pending_cancels
     in
     pending_cancels := rest;
-    List.iter (fun (_, ev) -> Eventq.cancel ev) due;
+    List.iter (fun (_, victim) -> Eventq.timer_cancel victim) due;
     match op with
-    | DSched (d, tag) ->
-        ignore (Eventq.schedule_in q ~delay:d (fun () -> record tag))
+    | DSched (d, tag) -> Eventq.post_in q ~delay:d (fun () -> record tag)
     | DSchedCancel (d, k) ->
-        let ev = Eventq.schedule_in q ~delay:d (fun () -> record 999) in
-        pending_cancels := (!step + k, ev) :: !pending_cancels
-    | DArm d -> Eventq.timer_arm_in q tm ~delay:d
-    | DDisarm -> Eventq.timer_cancel tm
+        let victim = Eventq.timer q (fun () -> record 999) in
+        Eventq.timer_arm_in victim ~delay:d;
+        pending_cancels := (!step + k, victim) :: !pending_cancels
+    | DKill (d, d') ->
+        (* cancelled mid-run, from wherever the drain left it: its
+           bucket, or the due heap when both share a bucket *)
+        let victim = Eventq.timer q (fun () -> record 998) in
+        Eventq.timer_arm_in victim ~delay:d;
+        Eventq.post_in q ~delay:d' (fun () -> Eventq.timer_cancel victim)
+    | DArm d -> Eventq.timer_arm_in !tm ~delay:d
+    | DDisarm -> Eventq.timer_cancel !tm
     | DChain (d, n, tag) ->
         let rec go i =
-          ignore
-            (Eventq.schedule_in q ~delay:d (fun () ->
-                 record (tag + i);
-                 if i < n then go (i + 1)))
+          Eventq.post_in q ~delay:d (fun () ->
+              record (tag + i);
+              if i < n then go (i + 1))
         in
         go 0
   in
@@ -202,16 +228,17 @@ let cancellation_model ~mk ops =
       let id = !n in
       incr n;
       let t = float_of_int (abs b mod 10) /. 10.0 in
-      let h = Eventq.schedule q ~at:t (fun () -> fired := id :: !fired) in
+      let h = Eventq.timer q (fun () -> fired := id :: !fired) in
+      Eventq.timer_arm h ~at:t;
       handles := (h, id) :: !handles;
       incr n_handles;
       model := (id, t) :: !model;
       (if cancel_mid then
          match List.nth_opt !handles (!n_handles / 2) with
          | Some (h, cid) ->
-             Eventq.cancel h;
+             Eventq.timer_cancel h;
              (* re-cancelling must be idempotent *)
-             Eventq.cancel h;
+             Eventq.timer_cancel h;
              model := List.filter (fun (i, _) -> i <> cid) !model
          | None -> ());
       if Eventq.live_nodes q <> List.length !model then exact := false)
@@ -248,8 +275,7 @@ let suite =
                 let q : Eventq.t = mk () in
                 let fired = ref [] in
                 for i = 0 to 9 do
-                  ignore
-                    (Eventq.schedule q ~at:1.0 (fun () -> fired := i :: !fired))
+                  Eventq.post q ~at:1.0 (fun () -> fired := i :: !fired)
                 done;
                 ignore (Eventq.run q);
                 Alcotest.(check (list int))
@@ -259,9 +285,7 @@ let suite =
             let q = Eventq.create () in
             let fired = ref [] in
             List.iter
-              (fun t ->
-                ignore
-                  (Eventq.schedule q ~at:t (fun () -> fired := t :: !fired)))
+              (fun t -> Eventq.post q ~at:t (fun () -> fired := t :: !fired))
               [ 0.5; 1.5; 2.5 ];
             ignore (Eventq.run ~until:1.0 q);
             Alcotest.(check (list (float 1e-9))) "early" [ 0.5 ] (List.rev !fired);
@@ -271,12 +295,12 @@ let suite =
         tc "timer re-arms itself from its own action" (fun () ->
             let q = Eventq.create () in
             let count = ref 0 in
-            let timer = ref (Eventq.timer ignore) in
+            let timer = ref (Eventq.timer q ignore) in
             (timer :=
-               Eventq.timer (fun () ->
+               Eventq.timer q (fun () ->
                    incr count;
-                   if !count < 5 then Eventq.timer_arm_in q !timer ~delay:0.1));
-            Eventq.timer_arm q !timer ~at:0.1;
+                   if !count < 5 then Eventq.timer_arm_in !timer ~delay:0.1));
+            Eventq.timer_arm !timer ~at:0.1;
             ignore (Eventq.run q);
             Alcotest.(check int) "fired 5 times" 5 !count;
             Alcotest.(check bool) "disarmed" false (Eventq.timer_armed !timer));
@@ -284,14 +308,14 @@ let suite =
             let q = Eventq.create () in
             let times = ref [] in
             let timer =
-              Eventq.timer (fun () -> times := Eventq.now q :: !times)
+              Eventq.timer q (fun () -> times := Eventq.now q :: !times)
             in
-            Eventq.timer_arm q timer ~at:5.0;
-            Eventq.timer_arm q timer ~at:1.0;
+            Eventq.timer_arm timer ~at:5.0;
+            Eventq.timer_arm timer ~at:1.0;
             ignore (Eventq.run q);
             Alcotest.(check (list (float 1e-9)))
               "fires once, at the later arm's time" [ 1.0 ] (List.rev !times));
-        tc "draining scheduled events allocates nothing per event" (fun () ->
+        tc "draining posted events allocates nothing per event" (fun () ->
             (* one instant (straight through the due heap) and 1 ms apart
                (cascading down the wheel levels) *)
             List.iter
@@ -299,8 +323,7 @@ let suite =
                 let q = Eventq.create () in
                 let n = 10_000 in
                 for i = 1 to n do
-                  ignore
-                    (Eventq.schedule q ~at:(float_of_int i *. spacing) ignore)
+                  Eventq.post q ~at:(float_of_int i *. spacing) ignore
                 done;
                 let before = Gc.minor_words () in
                 let executed = Eventq.run q in
@@ -312,18 +335,18 @@ let suite =
                   true
                   (words <= float_of_int n /. 10.0))
               [ 0.0; 1e-3 ]);
-        tc "posted and scheduled events share one order (all quanta)"
-          (fun () ->
-            (* the same script twice, once all scheduled and once with
-               every other event posted: posts take sequence numbers
-               like schedules, so the firing order cannot change *)
-            let script q ~post =
+        tc "posts and timer arms share one order (all quanta)" (fun () ->
+            (* the same script twice, once all posted and once with every
+               other event a timer arm: arms take sequence numbers like
+               posts, so the firing order cannot change *)
+            let script q ~timers =
               let fired = ref [] in
               for i = 0 to 59 do
                 let at = float_of_int (i * 7 mod 5) *. 0.25 in
                 let f () = fired := i :: !fired in
-                if post && i mod 2 = 0 then Eventq.post q ~at f
-                else ignore (Eventq.schedule q ~at f)
+                if timers && i mod 2 = 0 then
+                  Eventq.timer_arm (Eventq.timer q f) ~at
+                else Eventq.post q ~at f
               done;
               ignore (Eventq.run q);
               List.rev !fired
@@ -332,8 +355,8 @@ let suite =
               (fun (name, mk) ->
                 Alcotest.(check (list int))
                   ("order " ^ name)
-                  (script (mk ()) ~post:false)
-                  (script (mk ()) ~post:true))
+                  (script (mk ()) ~timers:false)
+                  (script (mk ()) ~timers:true))
               quanta);
         tc "a self-posting event reuses one cell (all quanta)" (fun () ->
             List.iter
@@ -373,9 +396,9 @@ let suite =
             List.iter
               (fun (name, mk) ->
                 let q : Eventq.t = mk () in
-                let timer = Eventq.timer ignore in
+                let timer = Eventq.timer q ignore in
                 for i = 1 to 10_000 do
-                  Eventq.timer_arm q timer ~at:(float_of_int i);
+                  Eventq.timer_arm timer ~at:(float_of_int i);
                   Alcotest.(check int)
                     ("one node " ^ name) 1 (Eventq.live_nodes q)
                 done;
@@ -387,14 +410,16 @@ let suite =
             List.iter
               (fun (name, mk) ->
                 let q : Eventq.t = mk () in
-                let handles =
+                let timers =
                   List.init 1000 (fun i ->
-                      Eventq.schedule q ~at:(float_of_int i) ignore)
+                      let tm = Eventq.timer q ignore in
+                      Eventq.timer_arm tm ~at:(float_of_int i);
+                      tm)
                 in
-                List.iter Eventq.cancel handles;
+                List.iter Eventq.timer_cancel timers;
                 Alcotest.(check int) ("no live " ^ name) 0 (Eventq.live_nodes q);
                 let fired = ref 0 in
-                ignore (Eventq.schedule q ~at:0.5 (fun () -> incr fired));
+                Eventq.post q ~at:0.5 (fun () -> incr fired);
                 Alcotest.(check int)
                   ("only the new event " ^ name) 1 (Eventq.live_nodes q);
                 ignore (Eventq.run q);
@@ -406,9 +431,10 @@ let suite =
             List.iter
               (fun (name, mk) ->
                 let q : Eventq.t = mk () in
-                let a = Eventq.schedule q ~at:2.0 ignore in
-                ignore (Eventq.schedule q ~at:2.0 ignore);
-                Eventq.cancel a;
+                let a = Eventq.timer q ignore in
+                Eventq.timer_arm a ~at:2.0;
+                Eventq.post q ~at:2.0 ignore;
+                Eventq.timer_cancel a;
                 ignore (Eventq.run ~until:1.0 q);
                 Alcotest.(check int)
                   ("survivor kept " ^ name) 1 (Eventq.live_nodes q);
@@ -422,30 +448,13 @@ let suite =
                Eventq.create ~quantum:1e12 ()));
         QCheck_alcotest.to_alcotest
           (qprop_cancellation "wheel" (fun () -> Eventq.create ()));
-        tc "a timer can migrate between queues" (fun () ->
-            let q1 = Eventq.create () in
-            let q2 = Eventq.create ~quantum:0.37 () in
-            let count = ref 0 in
-            let timer = Eventq.timer (fun () -> incr count) in
-            Eventq.timer_arm q1 timer ~at:1.0;
-            ignore (Eventq.run q1);
-            Eventq.timer_arm q2 timer ~at:1.0;
-            ignore (Eventq.run q2);
-            Alcotest.(check int) "fired on both queues" 2 !count;
-            Alcotest.(check int) "q1 clean" 0 (Eventq.live_nodes q1);
-            Alcotest.(check int) "q2 clean" 0 (Eventq.live_nodes q2));
         tc "observers are read-only (enforced)" (fun () ->
             let attempts =
               [
-                ( "schedule",
-                  fun q _h _t -> ignore (Eventq.schedule q ~at:9.0 ignore) );
-                ( "schedule_in",
-                  fun q _h _t -> ignore (Eventq.schedule_in q ~delay:1.0 ignore)
-                );
-                ("post", fun q _h _t -> Eventq.post q ~at:9.0 ignore);
-                ("cancel", fun _q h _t -> Eventq.cancel h);
-                ("timer_arm", fun q _h t -> Eventq.timer_arm q t ~at:9.0);
-                ("timer_cancel", fun _q _h t -> Eventq.timer_cancel t);
+                ("post", fun q _t -> Eventq.post q ~at:9.0 ignore);
+                ("post_in", fun q _t -> Eventq.post_in q ~delay:1.0 ignore);
+                ("timer_arm", fun _q t -> Eventq.timer_arm t ~at:9.0);
+                ("timer_cancel", fun _q t -> Eventq.timer_cancel t);
               ]
             in
             List.iter
@@ -453,22 +462,22 @@ let suite =
                 List.iter
                   (fun (what, attempt) ->
                     let q : Eventq.t = mk () in
-                    let handle = Eventq.schedule q ~at:5.0 ignore in
-                    let timer = Eventq.timer ignore in
-                    Eventq.timer_arm q timer ~at:6.0;
+                    Eventq.post q ~at:5.0 ignore;
+                    let timer = Eventq.timer q ignore in
+                    Eventq.timer_arm timer ~at:6.0;
                     let raised = ref false in
                     Eventq.add_observer q (fun () ->
-                        match attempt q handle timer with
+                        match attempt q timer with
                         | () -> ()
                         | exception Invalid_argument _ -> raised := true);
-                    ignore (Eventq.schedule q ~at:1.0 ignore);
+                    Eventq.post q ~at:1.0 ignore;
                     ignore (Eventq.run q);
                     Alcotest.(check bool)
                       (Fmt.str "%s raises from observer (%s)" what name)
                       true !raised;
                     (* the guard resets: the queue stays usable *)
                     let fired = ref 0 in
-                    ignore (Eventq.schedule q ~at:9.0 (fun () -> incr fired));
+                    Eventq.post q ~at:9.0 (fun () -> incr fired);
                     ignore (Eventq.run q);
                     Alcotest.(check int)
                       (Fmt.str "usable after %s attempt (%s)" what name)

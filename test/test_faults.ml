@@ -103,7 +103,9 @@ let test_gilbert_stationary_rate () =
   let n = 50_000 in
   let lost = ref 0 in
   for _ = 1 to n do
-    match Link.transmit link ~size:100 (fun () -> ()) with
+    match
+      Link.transmit link ~size:100 (fun () -> ignore (Link.arrival link))
+    with
     | Link.Lost_random -> incr lost
     | Link.Delivered -> ()
     | Link.Dropped_tail | Link.Dropped_red | Link.Lost_down ->
@@ -131,12 +133,16 @@ let test_bernoulli_reset () =
       ~clock ~rng:(Rng.create 5) ()
   in
   Link.set_gilbert link ~p_enter:1.0 ~p_exit:0.0 ~loss_bad:1.0;
-  (match Link.transmit link ~size:100 (fun () -> ()) with
+  (match
+     Link.transmit link ~size:100 (fun () -> ignore (Link.arrival link))
+   with
   | Link.Lost_random -> ()
   | _ -> Alcotest.fail "p_enter=1, loss_bad=1 must lose the packet");
   Link.set_bernoulli link;
   for _ = 1 to 100 do
-    match Link.transmit link ~size:100 (fun () -> ()) with
+    match
+      Link.transmit link ~size:100 (fun () -> ignore (Link.arrival link))
+    with
     | Link.Delivered -> ()
     | _ -> Alcotest.fail "after reset, loss=0 must deliver"
   done
@@ -157,7 +163,10 @@ let test_bandwidth_change_spares_in_flight () =
   let link = Link.create ~params:flight_params ~clock ~rng:(Rng.create 1) () in
   let arrived = ref nan in
   (* 1000 B at 1000 B/s: on the wire at 1.0, arrival at 1.01 *)
-  (match Link.transmit link ~size:1000 (fun () -> arrived := Eventq.now clock) with
+  (match
+     Link.transmit link ~size:1000 (fun () ->
+         if Link.arrival link then arrived := Eventq.now clock)
+   with
   | Link.Delivered ->
       Alcotest.(check (float 1e-9))
         "promised arrival" 1.01
@@ -177,13 +186,18 @@ let test_loss_change_spares_in_flight () =
   let clock = Eventq.create () in
   let link = Link.create ~params:flight_params ~clock ~rng:(Rng.create 1) () in
   let arrived = ref false in
-  (match Link.transmit link ~size:1000 (fun () -> arrived := true) with
+  (match
+     Link.transmit link ~size:1000 (fun () ->
+         if Link.arrival link then arrived := true)
+   with
   | Link.Delivered -> ()
   | _ -> Alcotest.fail "expected Delivered");
   (* the loss decision was made at admission; raising loss to certainty
      afterwards must not retroactively destroy the packet *)
   Link.set_loss link 1.0;
-  (match Link.transmit link ~size:1000 (fun () -> ()) with
+  (match
+     Link.transmit link ~size:1000 (fun () -> ignore (Link.arrival link))
+   with
   | Link.Lost_random -> ()
   | _ -> Alcotest.fail "new transmissions see the new loss rate");
   ignore (Eventq.run clock);
@@ -193,10 +207,13 @@ let test_link_down_destroys_in_flight () =
   let clock = Eventq.create () in
   let link = Link.create ~params:flight_params ~clock ~rng:(Rng.create 1) () in
   let arrived = ref false in
-  (match Link.transmit link ~size:1000 (fun () -> arrived := true) with
+  (match
+     Link.transmit link ~size:1000 (fun () ->
+         if Link.arrival link then arrived := true)
+   with
   | Link.Delivered -> ()
   | _ -> Alcotest.fail "expected Delivered");
-  ignore (Eventq.schedule clock ~at:0.5 (fun () -> Link.set_down link));
+  Eventq.post clock ~at:0.5 (fun () -> Link.set_down link);
   ignore (Eventq.run clock);
   Alcotest.(check bool) "in-the-air packet destroyed at arrival" false !arrived;
   Alcotest.(check int) "accounted as lost to the outage" 1 link.Link.lost_down;
@@ -204,7 +221,9 @@ let test_link_down_destroys_in_flight () =
   (* transmissions while down are destroyed without consuming
      serialization time *)
   let busy = Link.busy_until link in
-  (match Link.transmit link ~size:1000 (fun () -> ()) with
+  (match
+     Link.transmit link ~size:1000 (fun () -> ignore (Link.arrival link))
+   with
   | Link.Lost_down -> ()
   | _ -> Alcotest.fail "expected Lost_down");
   Alcotest.(check (float 0.0)) "no serialization while down" busy

@@ -22,6 +22,10 @@ let bottleneck_params =
 
 let spec name = Path_manager.symmetric ~name bottleneck_params
 
+(* [spec name] over caller-owned links *)
+let over name data ack =
+  { (spec name) with Path_manager.links = Some (data, ack) }
+
 (* One MPTCP connection with [n] subflows ALL through the shared
    bottleneck, competing with a single-path TCP connection. Returns
    (mptcp delivered, single-path delivered). *)
@@ -36,13 +40,13 @@ let compete ~cc ~n ~seconds =
       ~clock ~rng:(Rng.split rng) ()
   in
   let mptcp =
-    Connection.create_on_links ~seed:1 ~cc ~clock
-      ~links:(List.init n (fun i -> (spec (Fmt.str "m%d" i), bottleneck, ack ())))
+    Connection.create ~seed:1 ~cc ~clock
+      ~paths:(List.init n (fun i -> over (Fmt.str "m%d" i) bottleneck (ack ())))
       ()
   in
   let single =
-    Connection.create_on_links ~seed:2 ~cc:Congestion.Reno ~clock
-      ~links:[ (spec "tcp", bottleneck, ack ()) ]
+    Connection.create ~seed:2 ~cc:Congestion.Reno ~clock
+      ~paths:[ over "tcp" bottleneck (ack ()) ]
       ()
   in
   (* saturating sources *)
@@ -99,6 +103,43 @@ let suite =
             Alcotest.(check bool)
               (Fmt.str "lia share %.2f < reno share %.2f" lia reno)
               true (lia < reno));
+        tc "a connection over shared links takes every create option"
+          (fun () ->
+            (* the shared-link constructor once lacked ~ordering *)
+            let clock = Eventq.create () in
+            let rng = Rng.create 3 in
+            let link params =
+              Link.create ~params ~clock ~rng:(Rng.split rng) ()
+            in
+            let conn =
+              Connection.create ~clock ~seed:1 ~ordering:Meta_socket.Unordered
+                ~paths:
+                  [
+                    over "a" (link bottleneck_params)
+                      (link { bottleneck_params with Link.loss = 0.0 });
+                  ]
+                ()
+            in
+            Alcotest.(check bool) "unordered" true
+              (conn.Connection.meta.Meta_socket.ordering
+             = Meta_socket.Unordered);
+            Connection.write_at conn ~time:0.1 100_000;
+            ignore (Eventq.run ~until:30.0 clock);
+            Alcotest.(check int) "all delivered" 100_000
+              (Connection.delivered_bytes conn));
+        tc "paths over another clock's links are rejected" (fun () ->
+            let other = Eventq.create () in
+            let link () =
+              Link.create ~params:bottleneck_params ~clock:other
+                ~rng:(Rng.create 1) ()
+            in
+            match
+              Connection.create ~seed:1
+                ~paths:[ over "a" (link ()) (link ()) ]
+                ()
+            with
+            | _ -> Alcotest.fail "a path on a foreign clock was accepted"
+            | exception Invalid_argument _ -> ());
         tc "tenants get isolated schedulers and registers" (fun () ->
             ignore (Schedulers.Specs.load_all ());
             let clock = Eventq.create () in
@@ -316,8 +357,8 @@ let lia_pair () =
       ~clock ~rng:(Rng.split rng) ()
   in
   let conn =
-    Connection.create_on_links ~seed:4 ~cc:Congestion.Lia ~clock
-      ~links:[ (spec "a", bottleneck, ack ()); (spec "b", bottleneck, ack ()) ]
+    Connection.create ~seed:4 ~cc:Congestion.Lia ~clock
+      ~paths:[ over "a" bottleneck (ack ()); over "b" bottleneck (ack ()) ]
       ()
   in
   ignore (Eventq.run ~until:1.0 clock);

@@ -41,9 +41,8 @@ let pkt seq = Packet.create ~seq ~size:1448 ~now:0.0 ()
 (* Inject arrival of [data_seq] on [sbf] carried as subflow seq [ss] at
    absolute time [at]. *)
 let arrive rig sbf ~at ~ss ~data_seq =
-  ignore
-    (Eventq.schedule rig.clock ~at (fun () ->
-         Tcp_subflow.inject_arrival sbf ~seq:ss (pkt data_seq)))
+  Eventq.post rig.clock ~at (fun () ->
+      Tcp_subflow.inject_arrival sbf ~seq:ss (pkt data_seq))
 
 let delivered_seqs rig = List.rev_map fst !(rig.delivered)
 

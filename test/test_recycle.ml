@@ -113,13 +113,16 @@ let capacities_bounded (c : Connection.t) =
 let links clock ~seed paths =
   List.mapi
     (fun i spec ->
-      ( spec,
+      let data =
         Link.create ~params:spec.Path_manager.up ~clock
           ~rng:(Rng.stream ~seed (-1 - (2 * i)))
-          (),
+          ()
+      and ack =
         Link.create ~params:spec.Path_manager.down ~clock
           ~rng:(Rng.stream ~seed (-2 - (2 * i)))
-          () ))
+          ()
+      in
+      { spec with Path_manager.links = Some (data, ack) })
     paths
 
 let diff a b =
@@ -153,8 +156,8 @@ let recycle_equals_fresh =
       let paths = Mptcp_exp.Sweep.fleet_group_paths ~loss in
       let build ~links ~seed =
         let c =
-          Connection.create_on_links ~seed ~entry_pool ~packet_pool ~clock
-            ~links ()
+          Connection.create ~seed ~entry_pool ~packet_pool ~clock ~paths:links
+            ()
         in
         (Connection.sock c).Api.scheduler <- sched;
         c
@@ -234,7 +237,7 @@ let recycle_suite =
             in
             let clock = Fleet.clock fleet in
             let b = ref None in
-            let at time f = ignore (Eventq.schedule clock ~at:time f) in
+            let at time f = Eventq.post clock ~at:time f in
             let far () =
               (List.nth (Option.get !b).Connection.paths 1).Path_manager.subflow
             in

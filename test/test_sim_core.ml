@@ -50,16 +50,16 @@ let suite =
         tc "events run in time order" (fun () ->
             let q = Eventq.create () in
             let log = ref [] in
-            ignore (Eventq.schedule q ~at:3.0 (fun () -> log := 3 :: !log));
-            ignore (Eventq.schedule q ~at:1.0 (fun () -> log := 1 :: !log));
-            ignore (Eventq.schedule q ~at:2.0 (fun () -> log := 2 :: !log));
+            Eventq.post q ~at:3.0 (fun () -> log := 3 :: !log);
+            Eventq.post q ~at:1.0 (fun () -> log := 1 :: !log);
+            Eventq.post q ~at:2.0 (fun () -> log := 2 :: !log);
             ignore (Eventq.run q);
             Alcotest.(check (list int)) "order" [ 1; 2; 3 ] (List.rev !log));
         tc "same-time events fire in scheduling order" (fun () ->
             let q = Eventq.create () in
             let log = ref [] in
             for i = 0 to 9 do
-              ignore (Eventq.schedule q ~at:1.0 (fun () -> log := i :: !log))
+              Eventq.post q ~at:1.0 (fun () -> log := i :: !log)
             done;
             ignore (Eventq.run q);
             Alcotest.(check (list int)) "fifo ties" (List.init 10 Fun.id)
@@ -67,15 +67,16 @@ let suite =
         tc "cancelled events do not fire" (fun () ->
             let q = Eventq.create () in
             let fired = ref false in
-            let ev = Eventq.schedule q ~at:1.0 (fun () -> fired := true) in
-            Eventq.cancel ev;
+            let tm = Eventq.timer q (fun () -> fired := true) in
+            Eventq.timer_arm tm ~at:1.0;
+            Eventq.timer_cancel tm;
             ignore (Eventq.run q);
             Alcotest.(check bool) "not fired" false !fired);
         tc "run ~until stops the clock and keeps later events" (fun () ->
             let q = Eventq.create () in
             let fired = ref 0 in
-            ignore (Eventq.schedule q ~at:1.0 (fun () -> incr fired));
-            ignore (Eventq.schedule q ~at:5.0 (fun () -> incr fired));
+            Eventq.post q ~at:1.0 (fun () -> incr fired);
+            Eventq.post q ~at:5.0 (fun () -> incr fired);
             ignore (Eventq.run ~until:2.0 q);
             Alcotest.(check int) "one fired" 1 !fired;
             Alcotest.(check (float 1e-9)) "clock at horizon" 2.0 (Eventq.now q);
@@ -84,10 +85,9 @@ let suite =
         tc "events scheduled inside events run" (fun () ->
             let q = Eventq.create () in
             let log = ref [] in
-            ignore
-              (Eventq.schedule q ~at:1.0 (fun () ->
-                   log := 1 :: !log;
-                   ignore (Eventq.schedule_in q ~delay:1.0 (fun () -> log := 2 :: !log))));
+            Eventq.post q ~at:1.0 (fun () ->
+                log := 1 :: !log;
+                Eventq.post_in q ~delay:1.0 (fun () -> log := 2 :: !log));
             ignore (Eventq.run q);
             Alcotest.(check (list int)) "chain" [ 1; 2 ] (List.rev !log);
             Alcotest.(check (float 1e-9)) "time" 2.0 (Eventq.now q));
@@ -98,11 +98,10 @@ let suite =
             let count = ref 0 in
             for _ = 1 to 2000 do
               let at = Rng.float rng *. 100.0 in
-              ignore
-                (Eventq.schedule q ~at (fun () ->
-                     Alcotest.(check bool) "monotone" true (Eventq.now q >= !last);
-                     last := Eventq.now q;
-                     incr count))
+              Eventq.post q ~at (fun () ->
+                  Alcotest.(check bool) "monotone" true (Eventq.now q >= !last);
+                  last := Eventq.now q;
+                  incr count)
             done;
             ignore (Eventq.run q);
             Alcotest.(check int) "all ran" 2000 !count);
@@ -118,7 +117,8 @@ let suite =
             for _ = 1 to 3 do
               ignore
                 (Link.transmit link ~size:100 (fun () ->
-                     arrivals := Eventq.now clock :: !arrivals))
+                     if Link.arrival link then
+                       arrivals := Eventq.now clock :: !arrivals))
             done;
             ignore (Eventq.run clock);
             (* 100 B at 1000 B/s = 0.1 s serialization each, + 0.1 s delay *)
@@ -134,7 +134,10 @@ let suite =
             in
             let delivered = ref 0 in
             for _ = 1 to 2000 do
-              match Link.transmit link ~size:100 (fun () -> ()) with
+              match
+                Link.transmit link ~size:100 (fun () ->
+                    ignore (Link.arrival link))
+              with
               | Link.Delivered -> incr delivered
               | Link.Lost_random | Link.Dropped_tail | Link.Dropped_red
               | Link.Lost_down ->
@@ -157,7 +160,9 @@ let suite =
                 ~clock ~rng ()
             in
             let outcomes =
-              List.init 5 (fun _ -> Link.transmit link ~size:100 (fun () -> ()))
+              List.init 5 (fun _ ->
+                  Link.transmit link ~size:100 (fun () ->
+                      ignore (Link.arrival link)))
             in
             let dropped =
               List.length (List.filter (( = ) Link.Dropped_tail) outcomes)
@@ -173,7 +178,9 @@ let suite =
             in
             Link.set_bandwidth link 2000.0;
             let t = ref 0.0 in
-            ignore (Link.transmit link ~size:200 (fun () -> t := Eventq.now clock));
+            ignore
+              (Link.transmit link ~size:200 (fun () ->
+                   if Link.arrival link then t := Eventq.now clock));
             ignore (Eventq.run clock);
             Alcotest.(check (float 1e-9)) "0.1s at 2000B/s" 0.1 !t);
       ] );

@@ -162,7 +162,8 @@ let test_red_engages () =
   let _, link = fresh_link ~params () in
   let outcomes = Array.make 200 Link.Lost_down in
   for i = 0 to 199 do
-    outcomes.(i) <- Link.transmit link ~size:1500 (fun () -> ())
+    outcomes.(i) <-
+      Link.transmit link ~size:1500 (fun () -> ignore (Link.arrival link))
   done;
   let count p = Array.to_list outcomes |> List.filter p |> List.length in
   let red = count (fun o -> o = Link.Dropped_red) in
@@ -179,7 +180,7 @@ let test_red_engages () =
   let params_dt = { params with Link.qdisc = Link.Drop_tail } in
   let _, dt = fresh_link ~params:params_dt () in
   for _ = 1 to 200 do
-    ignore (Link.transmit dt ~size:1500 (fun () -> ()))
+    ignore (Link.transmit dt ~size:1500 (fun () -> ignore (Link.arrival dt)))
   done;
   Alcotest.(check int) "no red drops under drop-tail" 0 dt.Link.red_dropped
 
@@ -190,8 +191,8 @@ let test_occupancy_accounting () =
     { Link.default_params with bandwidth = 1000.0; loss = 0.0; jitter = 0.0 }
   in
   let clock, link = fresh_link ~params () in
-  ignore (Link.transmit link ~size:500 (fun () -> ()));
-  ignore (Link.transmit link ~size:500 (fun () -> ()));
+  ignore (Link.transmit link ~size:500 (fun () -> ignore (Link.arrival link)));
+  ignore (Link.transmit link ~size:500 (fun () -> ignore (Link.arrival link)));
   (* serialization: 0.5 s each; backlog 1000 B over [0, 0.5), 500 B over
      [0.5, 1.0) *)
   Alcotest.(check int) "peak" 1000 (Link.peak_backlog link);
@@ -227,10 +228,12 @@ let test_jitter_zero_mean () =
     let sent = Eventq.now clock in
     (match
        Link.transmit link ~size:100 (fun () ->
-           let off = Eventq.now clock -. sent in
-           sum := !sum +. off;
-           min_arrival := Float.min !min_arrival off;
-           incr count)
+           if Link.arrival link then begin
+             let off = Eventq.now clock -. sent in
+             sum := !sum +. off;
+             min_arrival := Float.min !min_arrival off;
+             incr count
+           end)
      with
     | Link.Delivered -> ()
     | _ -> Alcotest.fail "unexpected loss on a lossless link");
@@ -269,7 +272,9 @@ let ge_props =
       let losses = ref 0 and bad_steps = ref 0 and bad_sojourns = ref 0 in
       let was_bad = ref false in
       for _ = 1 to n do
-        (match Link.transmit link ~size:100 (fun () -> ()) with
+        (match
+           Link.transmit link ~size:100 (fun () -> ignore (Link.arrival link))
+         with
         | Link.Lost_random -> incr losses
         | Link.Delivered -> ()
         | _ -> QCheck.Test.fail_report "unexpected drop");

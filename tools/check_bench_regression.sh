@@ -19,9 +19,12 @@
 # and a fresh mem-smoke mid rung must keep heap bytes per connection
 # within MEM_CAP x of the baseline's (asserted by the bench itself).
 # The committed BENCH_eventq.json (timing-wheel event-core
-# microbenchmark) gets the same treatment: a fresh `bench eventq
-# --smoke` must keep the wheel's ns/op within TOLERANCE x
-# (geometric mean) / HARD_CAP x (single mix) of the baseline's.
+# microbenchmark: schedule, drain, cancel, re-arm and churn rows, each
+# workload at 1k / 100k / 1M pending) gets the same treatment: a fresh
+# `bench eventq --smoke` (1k pending only) must produce a row for
+# every workload the baseline names and keep the wheel's ns/op within
+# TOLERANCE x (geometric mean) / HARD_CAP x (single mix) of the
+# baseline's.
 # Any baseline recorded on a machine with a different core count is
 # refused (skipped with a note) rather than compared. Skips silently
 # when the baseline or the bench binary is unavailable (release
@@ -282,7 +285,9 @@ check_fleet() {
 # microbenchmark; the gate smoke-runs the same mixes and compares the
 # wheel's ns/op row by row — geometric mean within TOLERANCE x, no
 # single mix past HARD_CAP x — with the same cross-machine refusal as
-# the other gates.
+# the other gates. Every workload the baseline names must have a fresh
+# row at the smoke's pending size: a mix dropping out of the bench
+# fails the gate instead of silently leaving the comparison.
 check_eventq() {
   ebase="$dir/BENCH_eventq.json"
   if [ ! -f "$ebase" ]; then
@@ -314,6 +319,14 @@ check_eventq() {
   [ -s "$tmp/eventq_fresh.txt" ] || { echo "error: fresh eventq run has no rows" >&2; return 1; }
 
   est=0
+  # the smoke's pending size, from its first row
+  spend=$(sed -n '1s/^[^:]*:\([0-9]*\) .*/\1/p' "$tmp/eventq_fresh.txt")
+  for w in $(sed 's/:.*//' "$tmp/eventq_base.txt" | sort -u); do
+    if ! grep -q "^$w:$spend " "$tmp/eventq_fresh.txt"; then
+      echo "error: eventq workload $w present in baseline but missing from the fresh smoke run (pending $spend)" >&2
+      est=1
+    fi
+  done
   awk -v tol="$TOLERANCE" -v cap="$HARD_CAP" '
     NR == FNR { wheel[$1] = $2; next }
     ($1 in wheel) && wheel[$1] > 0 && $2 > 0 {
