@@ -1051,6 +1051,63 @@ let eventq_bench () =
   Printf.fprintf oc "  ]\n}\n"
 
 (* ------------------------------------------------------------------ *)
+(* snapshot — the per-decision subflow snapshot                        *)
+(* ------------------------------------------------------------------ *)
+
+(* [Meta_socket.snapshot] on [Figures.snapshot_world] (2 subflows, one
+   second into a 4 MB transfer over 2%-loss paths), timed with the
+   default scheduler's read set and again with every field (a custom
+   decision function's set). The connection is frozen: no event
+   runs between snapshots, so every call refills the same views. *)
+let snapshot_bench () =
+  section "snapshot"
+    "ns and minor words per Meta_socket.snapshot, 2 subflows mid-transfer"
+    "filling only the fields the scheduler reads costs less than filling \
+     every field; neither allocates";
+  let iters = if !smoke then 20_000 else 5_000_000 in
+  let conn = Figures.snapshot_world () in
+  let meta = conn.Connection.meta in
+  let sched = (Connection.sock conn).Api.scheduler in
+  let views = Array.length (Meta_socket.snapshot meta) in
+  if views <> 2 then begin
+    Fmt.epr "snapshot: %d established subflows at 1 s, expected 2@." views;
+    exit 1
+  end;
+  let measure label =
+    ignore (Meta_socket.snapshot meta);
+    let words0 = Gc.minor_words () in
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to iters do
+      ignore (Sys.opaque_identity (Meta_socket.snapshot meta))
+    done;
+    let ns = (Unix.gettimeofday () -. t0) /. float_of_int iters *. 1e9 in
+    let words = (Gc.minor_words () -. words0) /. float_of_int iters in
+    Fmt.pr "  %-32s %7.1f ns/snapshot %6.3f minor words/snapshot@." label ns
+      words;
+    csv ~experiment:"snapshot" ~header:[ "read_set"; "ns"; "minor_words" ]
+      [ label; Fmt.str "%.1f" ns; Fmt.str "%.3f" words ];
+    words
+  in
+  let fields reads =
+    let rec count n r = if r = 0 then n else count (n + (r land 1)) (r lsr 1) in
+    count 0 reads
+  in
+  let w_default =
+    measure
+      (Fmt.str "default's set (%d fields)" (fields sched.Scheduler.reads))
+  in
+  Scheduler.install_custom sched ~name:"every-field" sched.Scheduler.run;
+  let w_all =
+    measure (Fmt.str "every field (%d)" (fields sched.Scheduler.reads))
+  in
+  (* a snapshot allocates at least one word when it allocates at all *)
+  if w_default >= 0.5 || w_all >= 0.5 then begin
+    Fmt.epr "snapshot: a snapshot allocates (%.3f / %.3f minor words)@."
+      w_default w_all;
+    exit 1
+  end
+
+(* ------------------------------------------------------------------ *)
 (* Fig. 10b — FCT vs flow size for the redundancy family               *)
 (* ------------------------------------------------------------------ *)
 
@@ -1449,6 +1506,7 @@ let experiments =
     ("sweep", sweep_bench);
     ("fleet", fleet_bench);
     ("eventq", eventq_bench);
+    ("snapshot", snapshot_bench);
     ("fig10b", fig10b);
     ("fig10c", fig10c);
     ("fig12", fig12);

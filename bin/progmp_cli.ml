@@ -228,7 +228,8 @@ let run_cmd =
                   goodput_bps =
                     float_of_int v.Progmp_runtime.Subflow_view.throughput_bps;
                   delivered_bytes = 0;
-                  link_backlog = v.Progmp_runtime.Subflow_view.link_backlog_bytes;
+                  (* synthetic views have no link model *)
+                  link_backlog = 0;
                   link_drops = 0;
                 })
             views

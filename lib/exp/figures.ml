@@ -99,6 +99,21 @@ let stream ~scheduler ~lte_backup =
     rates = List.map (fun (t, rates, _) -> (t, rates)) ticks;
   }
 
+(** [bench snapshot]'s world: the stock default scheduler on a
+    2-subflow bulk connection (RTT ratio 2, 2% loss), run to one second
+    into a 4 MB transfer, when both subflows are up and carrying
+    data. *)
+let snapshot_world () =
+  Lazy.force zoo;
+  let conn =
+    Connection.create ~seed:1
+      ~paths:(Scenarios.mininet_two_subflows ~rtt_ratio:2.0 ~loss:0.02 ())
+      ()
+  in
+  ignore (Connection.write conn 4_000_000);
+  Connection.run ~until:1.0 conn;
+  conn
+
 type bulk = { finished_at : float option; executions : int }
 
 let bulk ~engine ~compressed =

@@ -19,6 +19,11 @@ val stream : scheduler:string -> lte_backup:bool -> stream
 (** Figs. 1/13: a CBR stream of 1 MB/s, 4 MB/s from 6 s (signalled in
     R1), over {!Scenarios.wifi_lte} with WiFi fluctuating in 2.5–5 MB/s. *)
 
+val snapshot_world : unit -> Connection.t
+(** [bench snapshot]'s world: the stock default scheduler on a
+    2-subflow bulk connection (RTT ratio 2, 2% loss), run to one second
+    into a 4 MB transfer. *)
+
 type bulk = {
   finished_at : float option;  (** last in-order delivery, if complete *)
   executions : int;  (** scheduler executions *)

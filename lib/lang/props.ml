@@ -83,6 +83,32 @@ let packet_prop_name = function
   | Sent_count -> "SENT_COUNT"
   | User_prop i -> "PROP" ^ string_of_int (i + 1)
 
+(* Read sets: bit [i] of a mask stands for the [i]-th subflow property
+   in declaration order, and bit 15 for the receive window that
+   [HAS_WINDOW_FOR] consults. *)
+type read_set = int
+
+let read_bit = function
+  | Rtt -> 1
+  | Rtt_avg -> 1 lsl 1
+  | Rtt_var -> 1 lsl 2
+  | Cwnd -> 1 lsl 3
+  | Ssthresh -> 1 lsl 4
+  | Skbs_in_flight -> 1 lsl 5
+  | Queued -> 1 lsl 6
+  | Lost_skbs -> 1 lsl 7
+  | Is_backup -> 1 lsl 8
+  | Tsq_throttled -> 1 lsl 9
+  | Lossy -> 1 lsl 10
+  | Sbf_id -> 1 lsl 11
+  | Rto -> 1 lsl 12
+  | Throughput -> 1 lsl 13
+  | Mss -> 1 lsl 14
+
+let receive_window_bit = 1 lsl 15
+
+let all_reads = (1 lsl 16) - 1
+
 (** Type of a subflow property in the programming model. *)
 let subflow_prop_type = function
   | Is_backup | Tsq_throttled | Lossy -> Ty.Bool

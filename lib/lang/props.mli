@@ -41,6 +41,24 @@ val subflow_prop_type : subflow_prop -> Ty.t
 
 val packet_prop_type : packet_prop -> Ty.t
 
+(** {2 Read sets} *)
+
+type read_set = int
+(** The subflow state a program can observe, as a bitmask over the
+    fields of a subflow snapshot: one bit per property, plus
+    {!receive_window_bit}. A host that fills a snapshot may skip every
+    field outside the set of the program it runs. *)
+
+val read_bit : subflow_prop -> read_set
+(** The bit of one property. *)
+
+val receive_window_bit : read_set
+(** The free receive window, read only by [HAS_WINDOW_FOR]. *)
+
+val all_reads : read_set
+(** Every field: the set of code that may read anything (a decision
+    function written in OCaml). *)
+
 val num_registers : int
 (** Application-settable registers per scheduler instance (R1..R6). *)
 

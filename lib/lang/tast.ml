@@ -86,39 +86,47 @@ type program = {
   source : string;  (** original specification text, for diagnostics *)
 }
 
-(** Fold over every expression in a program (pre-order), for analyses. *)
+(** Fold over every expression in a program (pre-order), for analyses.
+    Plain mutual recursion: no closure is built per node. *)
 let rec fold_expr f acc (e : expr) =
   let acc = f acc e in
-  let fold_lambda acc (l : lambda) = fold_expr f acc l.body in
-  let fold_view acc (v : queue_view) = List.fold_left fold_lambda acc v.filters in
   match e.desc with
   | Int_lit _ | Bool_lit _ | Null _ | Register _ | Slot _ | Subflows -> acc
   | Binop (_, a, b) -> fold_expr f (fold_expr f acc a) b
   | Not a | Neg a -> fold_expr f acc a
   | Sbf_filter (l, lam) | Sbf_min (l, lam) | Sbf_max (l, lam) | Sbf_sum (l, lam)
     ->
-      fold_lambda (fold_expr f acc l) lam
+      fold_expr f (fold_expr f acc l) lam.body
   | Sbf_get (l, i) -> fold_expr f (fold_expr f acc l) i
   | Sbf_count l | Sbf_empty l -> fold_expr f acc l
   | Sbf_prop (s, _) -> fold_expr f acc s
   | Has_window_for (s, p) | Sent_on (p, s) -> fold_expr f (fold_expr f acc p) s
-  | Q_top v | Q_pop v | Q_count v | Q_empty v -> fold_view acc v
-  | Q_min (v, lam) | Q_max (v, lam) -> fold_lambda (fold_view acc v) lam
+  | Q_top v | Q_pop v | Q_count v | Q_empty v -> fold_filters f acc v.filters
+  | Q_min (v, lam) | Q_max (v, lam) ->
+      fold_expr f (fold_filters f acc v.filters) lam.body
   | Pkt_prop (p, _) -> fold_expr f acc p
 
+and fold_filters f acc = function
+  | [] -> acc
+  | (l : lambda) :: rest -> fold_filters f (fold_expr f acc l.body) rest
+
 let rec fold_stmts f_expr acc (b : block) =
-  List.fold_left
-    (fun acc stmt ->
-      match stmt with
-      | Var_decl (_, e) | Set_register (_, e) | Drop e -> fold_expr f_expr acc e
-      | If (c, t, e) ->
-          let acc = fold_expr f_expr acc c in
-          fold_stmts f_expr (fold_stmts f_expr acc t) e
-      | Foreach (_, e, body) ->
-          fold_stmts f_expr (fold_expr f_expr acc e) body
-      | Push (s, p) -> fold_expr f_expr (fold_expr f_expr acc s) p
-      | Return -> acc)
-    acc b
+  match b with
+  | [] -> acc
+  | stmt :: rest ->
+      let acc =
+        match stmt with
+        | Var_decl (_, e) | Set_register (_, e) | Drop e ->
+            fold_expr f_expr acc e
+        | If (c, t, e) ->
+            let acc = fold_expr f_expr acc c in
+            fold_stmts f_expr (fold_stmts f_expr acc t) e
+        | Foreach (_, e, body) ->
+            fold_stmts f_expr (fold_expr f_expr acc e) body
+        | Push (s, p) -> fold_expr f_expr (fold_expr f_expr acc s) p
+        | Return -> acc
+      in
+      fold_stmts f_expr acc rest
 
 (** [uses_pop p] is true when the program contains a [POP] anywhere —
     used by the runtime to decide whether re-triggering can make
@@ -127,3 +135,18 @@ let uses_pop (p : program) =
   fold_stmts
     (fun acc e -> acc || match e.desc with Q_pop _ -> true | _ -> false)
     false p.body
+
+(** [subflow_reads p] is the read set of [p]: the properties it names,
+    the three fields [HAS_WINDOW_FOR] consults, and always [ID], which
+    [SENT_ON], [PUSH] and the runtime's subflow index use. *)
+let subflow_reads (p : program) =
+  fold_stmts
+    (fun acc e ->
+      match e.desc with
+      | Sbf_prop (_, prop) -> acc lor Props.read_bit prop
+      | Has_window_for _ ->
+          acc lor Props.receive_window_bit
+          lor Props.read_bit Props.Skbs_in_flight
+          lor Props.read_bit Props.Mss
+      | _ -> acc)
+    (Props.read_bit Props.Sbf_id) p.body

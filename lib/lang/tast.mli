@@ -86,3 +86,8 @@ val fold_stmts : ('a -> expr -> 'a) -> 'a -> block -> 'a
 
 val uses_pop : program -> bool
 (** Whether the program contains a [POP] anywhere. *)
+
+val subflow_reads : program -> Props.read_set
+(** The program's subflow read set ({!Props.read_set}): every property
+    it names, the receive window, in-flight count and MSS when it uses
+    [HAS_WINDOW_FOR], and always [ID]. *)

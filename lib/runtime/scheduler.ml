@@ -13,6 +13,9 @@ type t = {
   name : string;
   program : Progmp_lang.Tast.program;
   digest : string;  (** digest of the source text, the front-end cache key *)
+  mutable reads : Progmp_lang.Props.read_set;
+      (** the snapshot fields [run] may read: the program's read set, or
+          every field for a custom decision function *)
   mutable engine : string;  (** name of the selected engine *)
   mutable run : Env.t -> unit;
 }
@@ -28,10 +31,12 @@ let describe_error = function
       Some (Fmt.str "type error at %a: %s" Progmp_lang.Loc.pp loc m)
   | _ -> None
 
-(* Compilation cache: source digest -> typechecked + optimized program.
-   Loading the same specification twice (zoo reloads, one scheduler per
-   connection) reuses the first front-end run. *)
-let program_cache : (string, Progmp_lang.Tast.program) Hashtbl.t =
+(* Compilation cache: source digest -> typechecked + optimized program
+   and its subflow read set. Loading the same specification twice (zoo
+   reloads, one scheduler per connection) reuses the first front-end
+   run. *)
+let program_cache :
+    (string, Progmp_lang.Tast.program * Progmp_lang.Props.read_set) Hashtbl.t =
   Hashtbl.create 32
 
 let program_cache_hits = ref 0
@@ -43,17 +48,18 @@ let compilation_cache_stats () = (!program_cache_hits, !program_cache_misses)
 let compile_cached ~name src =
   let digest = Digest.to_hex (Digest.string src) in
   match Hashtbl.find_opt program_cache digest with
-  | Some program ->
+  | Some compiled ->
       incr program_cache_hits;
-      (program, digest)
+      (compiled, digest)
   | None -> (
       incr program_cache_misses;
       try
         let program =
           Progmp_lang.Optimize.program (Progmp_lang.Typecheck.compile_source src)
         in
-        Hashtbl.replace program_cache digest program;
-        (program, digest)
+        let compiled = (program, Progmp_lang.Tast.subflow_reads program) in
+        Hashtbl.replace program_cache digest compiled;
+        (compiled, digest)
       with e -> (
         match describe_error e with
         | Some msg -> raise (Load_error (Fmt.str "scheduler %s: %s" name msg))
@@ -62,11 +68,12 @@ let compile_cached ~name src =
 (** Compile a specification into a scheduler with the interpreter engine.
     @raise Load_error with a located message when the spec is invalid. *)
 let of_source ~name src =
-  let program, digest = compile_cached ~name src in
+  let (program, reads), digest = compile_cached ~name src in
   {
     name;
     program;
     digest;
+    reads;
     engine = "interpreter";
     run = Engine.instantiate "interpreter" program;
   }
@@ -76,13 +83,17 @@ let of_source ~name src =
     @raise Engine.Unknown when no such engine is registered. *)
 let set_engine t name =
   t.run <- Engine.instantiate name t.program;
+  t.reads <- Progmp_lang.Tast.subflow_reads t.program;
   t.engine <- name
 
 (** Install an ad-hoc decision function that is not a registry backend —
     an instrumented interpreter ({!Profiler}), a hand-written native
-    oracle, or a generated OCaml module. [name] is only a label. *)
+    oracle, or a generated OCaml module. [name] is only a label. OCaml
+    code may read any snapshot field, so the read set becomes every
+    field. *)
 let install_custom t ~name run =
   t.run <- run;
+  t.reads <- Progmp_lang.Props.all_reads;
   t.engine <- name
 
 let engine_label t = t.engine

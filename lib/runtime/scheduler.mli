@@ -12,6 +12,11 @@ type t = {
   name : string;
   program : Progmp_lang.Tast.program;
   digest : string;  (** digest of the source text, the front-end cache key *)
+  mutable reads : Progmp_lang.Props.read_set;
+      (** the snapshot fields [run] may read: the program's read set
+          ({!Progmp_lang.Tast.subflow_reads}, computed once per digest),
+          or every field after {!install_custom}. A host may leave the
+          other fields of a snapshot stale. *)
   mutable engine : string;  (** name of the selected engine *)
   mutable run : Env.t -> unit;
 }
@@ -28,12 +33,14 @@ val of_source : name:string -> string -> t
 val set_engine : t -> string -> unit
 (** Select an execution engine by registry name ("interpreter", "aot",
     "threaded"): a fresh instance of the engine's cached compilation.
+    The read set returns to the program's.
     @raise Engine.Unknown when no such engine is registered. *)
 
 val install_custom : t -> name:string -> (Env.t -> unit) -> unit
 (** Install an ad-hoc decision function that is not a registry backend
     (the profiler's instrumented interpreter, a native oracle, a
-    generated OCaml module); [name] is only a label. *)
+    generated OCaml module); [name] is only a label. The read set
+    becomes every field: OCaml code may read any of them. *)
 
 val engine_label : t -> string
 

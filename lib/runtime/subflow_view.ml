@@ -7,7 +7,9 @@
     so a host can reuse one record per subflow across executions (the
     simulator's snapshot arena refills views in place instead of
     allocating sixteen-field records per decision); every consumer must
-    treat a view as frozen for the duration of an execution. Units
+    treat a view as frozen for the duration of an execution. A refill
+    may skip the fields outside the running scheduler's read set
+    ({!Progmp_lang.Props.read_set}). Units
     follow {!Progmp_lang.Props}: times in microseconds, throughput in
     bytes/second. *)
 
@@ -29,10 +31,6 @@ type t = {
   mutable throughput_bps : int;  (** cwnd-based estimate, bytes per second *)
   mutable mss : int;
   mutable receive_window_bytes : int;  (** free receive-window space *)
-  mutable link_backlog_bytes : int;
-      (** bytes queued at the path's bottleneck buffer, across all its
-          users — the shared-link occupancy QAware-style schedulers key
-          on (0 when the host has no link model) *)
 }
 
 let default =
@@ -53,7 +51,6 @@ let default =
     throughput_bps = 1_000_000;
     mss = 1448;
     receive_window_bytes = 1 lsl 20;
-    link_backlog_bytes = 0;
   }
 
 (** A fresh, unshared copy (of [v], or of {!default}) — what arenas of

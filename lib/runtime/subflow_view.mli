@@ -1,7 +1,9 @@
 (** Immutable per-execution snapshot of a subflow's state — the
     properties the programming model exposes (paper §3.1/Table 1). The
-    host builds one view per subflow before each scheduler execution.
-    Times are in microseconds, throughput in bytes/second. *)
+    host builds one view per subflow before each scheduler execution,
+    and may fill only [id] and the fields in the running scheduler's
+    read set ({!Progmp_lang.Props.read_set}). Times are in
+    microseconds, throughput in bytes/second. *)
 
 type t = {
   mutable id : int;  (** stable subflow identifier, 0-based and < 62 *)
@@ -20,10 +22,6 @@ type t = {
   mutable throughput_bps : int;  (** achievable-rate estimate, bytes/second *)
   mutable mss : int;
   mutable receive_window_bytes : int;  (** free receive-window space *)
-  mutable link_backlog_bytes : int;
-      (** bytes queued at the path's bottleneck buffer, across all its
-          users — shared-link occupancy (0 when the host has no link
-          model) *)
 }
 (** Fields are mutable only so hosts can refill one record per subflow
     across executions (arena reuse); consumers must treat views as

@@ -7,6 +7,9 @@ type t = {
   rng : Rng.t;
   meta : Meta_socket.t;
   cc : Congestion.policy;
+  min_rto : float;
+  delivery_mode : Tcp_subflow.delivery_mode;
+  entry_pool : Tcp_subflow.entry_pool option;
   mutable paths : Path_manager.managed list;
 }
 
@@ -42,7 +45,7 @@ let create ?clock ?(seed = 42) ?(mss = 1448) ?(rcv_buffer = 4 lsl 20)
       paths
   in
   install_cc cc managed;
-  { clock; rng; meta; cc; paths = managed }
+  { clock; rng; meta; cc; min_rto; delivery_mode; entry_pool; paths = managed }
 
 (** Host a new flow on a connection whose last flow was scrapped
     ({!scrap}): meta socket, socket environment, subflows and RNG go
@@ -91,14 +94,16 @@ let data_link t i = (List.nth t.paths i).Path_manager.data_link
 let find_path t name =
   List.find_opt (fun m -> m.Path_manager.spec.Path_manager.path_name = name) t.paths
 
-(** Dynamically add a path (handover scenarios). The connection's
+(** Dynamically add a path (handover scenarios), built with the
+    connection's own subflow options. The connection's
     congestion policy is reinstalled across {e all} subflows so a
     coupled increase sees the newcomer — without this the added
     subflow ran uncoupled Reno and was invisible to the aggregate. *)
 let add_path t ~at spec =
   let m =
     Path_manager.attach ~clock:t.clock ~rng:t.rng ~meta:t.meta
-      ~id:(List.length t.paths)
+      ~min_rto:t.min_rto ~delivery_mode:t.delivery_mode
+      ?entry_pool:t.entry_pool ~id:(List.length t.paths)
       { spec with Path_manager.establish_at = at }
   in
   t.paths <- t.paths @ [ m ];

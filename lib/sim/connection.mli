@@ -8,6 +8,9 @@ type t = {
   rng : Rng.t;
   meta : Meta_socket.t;
   cc : Congestion.policy;
+  min_rto : float;  (** subflow options {!add_path} builds with *)
+  delivery_mode : Tcp_subflow.delivery_mode;
+  entry_pool : Tcp_subflow.entry_pool option;
   mutable paths : Path_manager.managed list;
 }
 
@@ -74,9 +77,10 @@ val data_link : t -> int -> Link.t
 val find_path : t -> string -> Path_manager.managed option
 
 val add_path : t -> at:float -> Path_manager.path_spec -> Path_manager.managed
-(** Dynamically add a path (handover scenarios); reinstalls the
-    connection's congestion policy across all subflows so a coupled
-    increase sees the newcomer. *)
+(** Dynamically add a path (handover scenarios) with the [min_rto],
+    [delivery_mode] and [entry_pool] the connection was created with;
+    reinstalls the connection's congestion policy across all subflows
+    so a coupled increase sees the newcomer. *)
 
 val fail_path : t -> Path_manager.managed -> at:float -> unit
 

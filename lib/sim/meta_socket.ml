@@ -141,14 +141,14 @@ let rec count_established n = function
   | s :: rest ->
       count_established (if s.Tcp_subflow.established then n + 1 else n) rest
 
-let rec fill_views arena i = function
+let rec fill_views ~reads arena i = function
   | [] -> ()
   | s :: rest ->
       if s.Tcp_subflow.established then begin
-        Tcp_subflow.view_into s arena.(i);
-        fill_views arena (i + 1) rest
+        Tcp_subflow.view_into ~reads s arena.(i);
+        fill_views ~reads arena (i + 1) rest
       end
-      else fill_views arena i rest
+      else fill_views ~reads arena i rest
 
 let snapshot t =
   let count = count_established 0 t.subflows in
@@ -161,7 +161,9 @@ let snapshot t =
     (* distinct records per slot: the refill below mutates them in place *)
     t.view_arenas.(count) <- Array.init count (fun _ -> Subflow_view.fresh ());
   let arena = t.view_arenas.(count) in
-  fill_views arena 0 t.subflows;
+  (* only what the current scheduler can read: looked up per snapshot,
+     so a scheduler swapped mid-flow gets its own fields *)
+  fill_views ~reads:t.sock.Api.scheduler.Scheduler.reads arena 0 t.subflows;
   arena
 
 (* A PUSH whose target subflow is gone or not established: never lose

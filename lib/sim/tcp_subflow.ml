@@ -170,9 +170,17 @@ and t = {
   (* delivery-rate estimator backing the THROUGHPUT property (with
      [f.rate_anchor_t] and [f.rate_ewma]) *)
   mutable rate_anchor_bytes : int;
-  mutable rate_samples : (float * float) list;
-      (** recent (time, bytes/s) samples, newest first, for the
-          windowed-max achievable-rate filter *)
+  (* Ring of recent delivery-rate samples for the windowed-max filter:
+     [rate_len] (time, bytes/s) pairs ending at [rate_newest]; times
+     increase towards the newest. Float arrays store their elements
+     unboxed, so recording a sample allocates nothing. The arrays are
+     empty until the flow's first sample and again after a path restart: most
+     fleet flows end before a sample is due, and a slot should not hold
+     a ring for them. *)
+  mutable rate_time : float array;
+  mutable rate_value : float array;
+  mutable rate_newest : int;
+  mutable rate_len : int;
   (* --- callbacks wired by the meta socket --- *)
   mutable on_meta_deliver : Packet.t -> unit;
       (** a segment's payload reached the meta socket (per delivery mode) *)
@@ -357,10 +365,27 @@ let in_recovery t = t.recover >= 0
 
 let lossy t = in_recovery t || t.forced_lossy
 
+(* TSQ approximation: throttled when more than two segments' worth of
+   the subflow's OWN bytes sit unserialized at the bottleneck. Own-bytes
+   accounting matters on shared links: another flow's queue must not
+   throttle this one (TSQ is per-socket in the kernel). *)
+let own_backlog_bytes t =
+  let now = Eventq.now t.clock in
+  while t.tsq_len > 0 && t.tsq_time.(t.tsq_head) <= now do
+    t.tsq_bytes <- t.tsq_bytes - t.tsq_size.(t.tsq_head);
+    t.tsq_head <- (t.tsq_head + 1) mod Array.length t.tsq_time;
+    t.tsq_len <- t.tsq_len - 1
+  done;
+  t.tsq_bytes
+
 (* Record [size] bytes of this subflow leaving the bottleneck at the data
    link's current serialization horizon (read here rather than passed:
    a float argument would be boxed per segment). *)
 let tsq_push t ~size =
+  (* a full ring first drops what already left the bottleneck, so it
+     stays bounded when no scheduler reads TSQ_THROTTLED (whose
+     snapshot would have pruned it) *)
+  if t.tsq_len = Array.length t.tsq_time then ignore (own_backlog_bytes t);
   let cap = Array.length t.tsq_time in
   if t.tsq_len = cap then begin
     let time' = Array.make (2 * cap) 0.0 and size' = Array.make (2 * cap) 0 in
@@ -377,19 +402,6 @@ let tsq_push t ~size =
   t.tsq_size.(tail) <- size;
   t.tsq_len <- t.tsq_len + 1;
   t.tsq_bytes <- t.tsq_bytes + size
-
-(* TSQ approximation: throttled when more than two segments' worth of
-   the subflow's OWN bytes sit unserialized at the bottleneck. Own-bytes
-   accounting matters on shared links: another flow's queue must not
-   throttle this one (TSQ is per-socket in the kernel). *)
-let own_backlog_bytes t =
-  let now = Eventq.now t.clock in
-  while t.tsq_len > 0 && t.tsq_time.(t.tsq_head) <= now do
-    t.tsq_bytes <- t.tsq_bytes - t.tsq_size.(t.tsq_head);
-    t.tsq_head <- (t.tsq_head + 1) mod Array.length t.tsq_time;
-    t.tsq_len <- t.tsq_len - 1
-  done;
-  t.tsq_bytes
 
 let tsq_throttled t = own_backlog_bytes t > 2 * t.mss
 
@@ -410,6 +422,11 @@ let rtt_us t =
 (** Length of the achievable-rate filter window, seconds. *)
 let rate_window = 2.0
 
+(** Capacity of the rate-sample ring: samples are at least 0.2 s apart
+    and a sample older than {!rate_window} (2 s) is dropped before the
+    next one is recorded, so at most 11 are ever live. *)
+let rate_capacity = 11
+
 (* THROUGHPUT: the subflow's achievable rate, estimated as the maximum
    delivery-rate sample of the last {!rate_window} seconds (a BBR-style
    max filter). The max filter matters: the instantaneous rate is
@@ -420,21 +437,16 @@ let rate_window = 2.0
    bound is used. *)
 let throughput_estimate t =
   let now = Eventq.now t.clock in
-  (* samples are newest-first, so the scan can stop at the first stale
-     one; this sits on the per-snapshot decision path and must not
-     allocate: local float refs stay unboxed, where an option or a
-     float returned from a recursive scan would be boxed per call *)
-  let best = ref 0.0 and seen = ref false and rest = ref t.rate_samples in
-  let scanning = ref true in
-  while !scanning do
-    match !rest with
-    | (ts, r) :: tl when now -. ts <= rate_window ->
-        best := Float.max !best r;
-        seen := true;
-        rest := tl
-    | _ :: _ | [] -> scanning := false
+  (* newest first, so the scan can stop at the first stale sample; this
+     sits on the per-snapshot decision path and must not allocate:
+     local float refs stay unboxed *)
+  let best = ref 0.0 and i = ref t.rate_newest and n = ref 0 in
+  while !n < t.rate_len && now -. t.rate_time.(!i) <= rate_window do
+    best := Float.max !best t.rate_value.(!i);
+    i := (if !i = 0 then rate_capacity - 1 else !i - 1);
+    incr n
   done;
-  if !seen then int_of_float !best
+  if !n > 0 then int_of_float !best
   else
     let rtt =
       if t.rtt_samples = 0 then 2.0 *. Link.delay t.data_link else t.f.srtt
@@ -456,45 +468,99 @@ let update_rate_estimate t =
       f.rate_ewma <-
         (if f.rate_ewma = 0.0 then sample
          else (0.7 *. f.rate_ewma) +. (0.3 *. sample));
-      t.rate_samples <-
-        (now, sample)
-        :: List.filter (fun (ts, _) -> now -. ts <= rate_window) t.rate_samples;
+      if Array.length t.rate_time = 0 then begin
+        t.rate_time <- Array.make rate_capacity 0.0;
+        t.rate_value <- Array.make rate_capacity 0.0
+      end;
+      (* samples that left the window are the oldest ones *)
+      let cap = rate_capacity in
+      while
+        t.rate_len > 0
+        && now -. t.rate_time.((t.rate_newest - t.rate_len + 1 + cap) mod cap)
+           > rate_window
+      do
+        t.rate_len <- t.rate_len - 1
+      done;
+      let i = (t.rate_newest + 1) mod cap in
+      t.rate_time.(i) <- now;
+      t.rate_value.(i) <- sample;
+      t.rate_newest <- i;
+      if t.rate_len < cap then t.rate_len <- t.rate_len + 1;
       f.rate_anchor_t <- now;
       t.rate_anchor_bytes <- t.bytes_acked
     end
   end
 
+module Props = Progmp_lang.Props
+
+(* read-set bits of the snapshot fields, looked up once *)
+let rd_rtt = Props.read_bit Props.Rtt
+
+let rd_rtt_avg = Props.read_bit Props.Rtt_avg
+
+let rd_rtt_var = Props.read_bit Props.Rtt_var
+
+let rd_cwnd = Props.read_bit Props.Cwnd
+
+let rd_ssthresh = Props.read_bit Props.Ssthresh
+
+let rd_in_flight = Props.read_bit Props.Skbs_in_flight
+
+let rd_queued = Props.read_bit Props.Queued
+
+let rd_lost = Props.read_bit Props.Lost_skbs
+
+let rd_backup = Props.read_bit Props.Is_backup
+
+let rd_tsq = Props.read_bit Props.Tsq_throttled
+
+let rd_lossy = Props.read_bit Props.Lossy
+
+let rd_rto = Props.read_bit Props.Rto
+
+let rd_throughput = Props.read_bit Props.Throughput
+
+let rd_mss = Props.read_bit Props.Mss
+
 (** Refill [v] in place with the snapshot the scheduler sees — the
     per-decision path; the meta socket reuses one view per subflow
-    across executions instead of allocating a sixteen-field record per
-    snapshot. *)
-let view_into t (v : Subflow_view.t) =
+    across executions instead of allocating a record per snapshot. Only
+    the fields in [reads] ({!Progmp_lang.Props.read_set}) are computed,
+    and [id] always; the others keep what an earlier fill left there,
+    which a program with that read set never reads. *)
+let view_into ~reads t (v : Subflow_view.t) =
   v.Subflow_view.id <- t.id;
-  v.rtt_us <- rtt_us t;
-  v.rtt_avg_us <-
-    (if t.rtt_samples = 0 then rtt_us t else int_of_float (t.f.rtt_avg *. 1e6));
-  v.rtt_var_us <- int_of_float (t.f.rttvar *. 1e6);
-  v.cwnd <- int_of_float t.f.cwnd;
-  v.ssthresh <-
-    (if t.f.ssthresh > 1e8 then max_int / 2 else int_of_float t.f.ssthresh);
-  v.skbs_in_flight <- in_flight_count t;
-  v.queued <- t.sq_len;
-  v.lost_skbs <- t.lost_skbs;
-  v.is_backup <- t.is_backup;
-  v.tsq_throttled <- tsq_throttled t;
-  v.lossy <- lossy t;
-  v.rto_us <- int_of_float (t.rto *. 1e6);
-  v.throughput_bps <- throughput_estimate t;
-  v.mss <- t.mss;
-  v.receive_window_bytes <-
-    (let w = t.rwnd_bytes () in
-     if w > 1 lsl 30 then 1 lsl 30 else w);
-  v.link_backlog_bytes <- Link.backlog_bytes t.data_link
+  if reads land rd_rtt <> 0 then v.rtt_us <- rtt_us t;
+  if reads land rd_rtt_avg <> 0 then
+    v.rtt_avg_us <-
+      (if t.rtt_samples = 0 then rtt_us t
+       else int_of_float (t.f.rtt_avg *. 1e6));
+  if reads land rd_rtt_var <> 0 then
+    v.rtt_var_us <- int_of_float (t.f.rttvar *. 1e6);
+  if reads land rd_cwnd <> 0 then v.cwnd <- int_of_float t.f.cwnd;
+  if reads land rd_ssthresh <> 0 then
+    v.ssthresh <-
+      (if t.f.ssthresh > 1e8 then max_int / 2 else int_of_float t.f.ssthresh);
+  if reads land rd_in_flight <> 0 then v.skbs_in_flight <- in_flight_count t;
+  if reads land rd_queued <> 0 then v.queued <- t.sq_len;
+  if reads land rd_lost <> 0 then v.lost_skbs <- t.lost_skbs;
+  if reads land rd_backup <> 0 then v.is_backup <- t.is_backup;
+  if reads land rd_tsq <> 0 then v.tsq_throttled <- tsq_throttled t;
+  if reads land rd_lossy <> 0 then v.lossy <- lossy t;
+  if reads land rd_rto <> 0 then v.rto_us <- int_of_float (t.rto *. 1e6);
+  if reads land rd_throughput <> 0 then
+    v.throughput_bps <- throughput_estimate t;
+  if reads land rd_mss <> 0 then v.mss <- t.mss;
+  if reads land Props.receive_window_bit <> 0 then
+    v.receive_window_bytes <-
+      (let w = t.rwnd_bytes () in
+       if w > 1 lsl 30 then 1 lsl 30 else w)
 
-(** Build a fresh snapshot (cold paths: invariant checkers, tests). *)
+(** Build a fresh snapshot of every field (cold paths: invariant
+    checkers, tests). *)
 let view t : Subflow_view.t =
   let v = Subflow_view.fresh () in
-  view_into t v;
+  view_into ~reads:Props.all_reads t v;
   v
 
 (* ---------- RTT estimation (RFC 6298) ---------- *)
@@ -843,7 +909,10 @@ let restart_path_state t =
   f.rate_anchor_t <- 0.0;
   t.rate_anchor_bytes <- 0;
   f.rate_ewma <- 0.0;
-  t.rate_samples <- []
+  t.rate_time <- [||];
+  t.rate_value <- [||];
+  t.rate_newest <- 0;
+  t.rate_len <- 0
 
 (** Largest ring capacity {!reset} keeps; a larger ring goes back to
     its initial size, so a recycled subflow does not hold on to the
@@ -947,7 +1016,10 @@ let create ~id ~clock ~data_link ~ack_link ?(mss = 1448) ?(is_backup = false)
       tsq_bytes = 0;
       tsq_timer = Eventq.timer clock ignore (* replaced below *);
       rate_anchor_bytes = 0;
-      rate_samples = [];
+      rate_time = [||];
+      rate_value = [||];
+      rate_newest = 0;
+      rate_len = 0;
       on_meta_deliver = (fun _ -> ());
       on_suspected_loss = (fun _ -> ());
       on_failed = (fun _ -> ());

@@ -145,9 +145,14 @@ and t = {
   (* delivery-rate estimator backing the THROUGHPUT property (with
      [f.rate_anchor_t] and [f.rate_ewma]) *)
   mutable rate_anchor_bytes : int;
-  mutable rate_samples : (float * float) list;
-      (** recent (time, bytes/s) samples, newest first, for the
-          windowed-max achievable-rate filter *)
+  mutable rate_time : float array;
+  mutable rate_value : float array;
+      (** ring of recent (time, bytes/s) samples for the windowed-max
+          achievable-rate filter: 11 long (samples are at least 0.2 s
+          apart and expire after {!rate_window}) from the flow's first
+          sample, empty before it and after a path restart *)
+  mutable rate_newest : int;  (** ring index of the newest sample *)
+  mutable rate_len : int;  (** samples held, ending at [rate_newest] *)
   (* --- callbacks wired by the meta socket --- *)
   mutable on_meta_deliver : Packet.t -> unit;
       (** a segment's payload reached the meta socket (per delivery mode) *)
@@ -264,12 +269,15 @@ val throughput_estimate : t -> int
     {!rate_window} seconds, falling back to the cwnd/RTT bound before
     any sample exists. *)
 
-val view_into : t -> Subflow_view.t -> unit
+val view_into : reads:Progmp_lang.Props.read_set -> t -> Subflow_view.t -> unit
 (** Refill an existing view in place — the per-decision snapshot path;
-    the meta socket reuses one record per subflow across executions. *)
+    the meta socket reuses one record per subflow across executions.
+    Computes [id] and the fields in [reads] only; the other fields keep
+    their previous values. *)
 
 val view : t -> Subflow_view.t
-(** A fresh snapshot (cold paths: invariant checkers, tests). *)
+(** A fresh snapshot with every field filled (cold paths: invariant
+    checkers, tests). *)
 
 val send : t -> Packet.t -> unit
 (** Enqueue a packet assigned by the scheduler; transmits immediately

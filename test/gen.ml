@@ -22,8 +22,8 @@ let fresh ctx =
 let vars_of ctx ty = List.filter (fun (_, t) -> t = ty) ctx.vars
 
 let int_sbf_props =
-  [ "RTT"; "RTT_AVG"; "RTT_VAR"; "CWND"; "SKBS_IN_FLIGHT"; "QUEUED"; "ID";
-    "LOST_SKBS"; "THROUGHPUT"; "MSS" ]
+  [ "RTT"; "RTT_AVG"; "RTT_VAR"; "CWND"; "SSTHRESH"; "SKBS_IN_FLIGHT";
+    "QUEUED"; "ID"; "LOST_SKBS"; "RTO"; "THROUGHPUT"; "MSS" ]
 
 let bool_sbf_props = [ "IS_BACKUP"; "TSQ_THROTTLED"; "LOSSY" ]
 

@@ -9,4 +9,4 @@ let () =
    @ Test_sim_invariants.failure_suite @ Test_sim_invariants.fault_suite @ Test_sim_invariants.hygiene_suite
    @ Test_faults.suite @ Test_integration.suite @ Test_obs.suite
    @ Test_eventq.suite @ Test_exp.suite @ Test_arena.arena_suite
-   @ Test_arena.shard_suite @ Test_recycle.recycle_suite)
+   @ Test_arena.shard_suite @ Test_recycle.recycle_suite @ Test_reads.suite)

@@ -438,5 +438,20 @@ let cc_suite =
                  with_c without_c)
               true
               (with_c < without_c));
+        tc "add_path builds with the connection's subflow options" (fun () ->
+            let pool = Tcp_subflow.entry_pool () in
+            let conn =
+              Connection.create ~seed:4 ~min_rto:1.0
+                ~delivery_mode:Tcp_subflow.Two_layer ~entry_pool:pool
+                ~paths:[ spec "a" ] ()
+            in
+            let added =
+              (Connection.add_path conn ~at:0.0 (spec "b")).Path_manager.subflow
+            in
+            Alcotest.(check (float 0.0)) "min_rto" 1.0 added.Tcp_subflow.min_rto;
+            Alcotest.(check bool) "delivery mode" true
+              (added.Tcp_subflow.delivery_mode = Tcp_subflow.Two_layer);
+            Alcotest.(check bool) "entry pool" true
+              (added.Tcp_subflow.pool == pool));
       ] );
   ]

@@ -18,8 +18,6 @@ let load () =
 
 let view_fields (v : Subflow_view.t) =
   let open Subflow_view in
-  (* the link backlog is the shared link's state, not the
-     connection's *)
   Fmt.str
     "id=%d rtt=%d rtt_avg=%d rtt_var=%d cwnd=%d ssthresh=%d infl=%d \
      queued=%d lost=%d backup=%b tsq=%b lossy=%b rto=%d tput=%d mss=%d \
@@ -47,7 +45,7 @@ let subflow_fields (s : Tcp_subflow.t) =
       s.tsq_bytes;
     Fmt.str "rate_t=%h rate_bytes=%d rate_ewma=%h rate_samples=%d"
       s.f.rate_anchor_t s.rate_anchor_bytes s.f.rate_ewma
-      (List.length s.rate_samples);
+      s.rate_len;
     Fmt.str "backup=%b forced_lossy=%b rto_armed=%b tsq_armed=%b" s.is_backup
       s.forced_lossy
       (Eventq.timer_armed s.rto_timer)

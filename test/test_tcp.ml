@@ -261,10 +261,10 @@ let estimator_suite =
             Alcotest.(check bool)
               (Fmt.str "worked through %d events (>= 1e6)" !events)
               true (!events >= 1_000_000);
-            let n = List.length h.sbf.Tcp_subflow.rate_samples in
+            let n = h.sbf.Tcp_subflow.rate_len in
             Alcotest.(check bool)
-              (Fmt.str "history holds %d samples (<= 12)" n)
-              true (n <= 12);
+              (Fmt.str "history holds %d samples (<= 11)" n)
+              true (n <= 11);
             let est = float_of_int (Tcp_subflow.throughput_estimate h.sbf) in
             Alcotest.(check bool)
               (Fmt.str "estimate %.3e is sample-derived and sane" est)
