@@ -25,13 +25,8 @@
       instructions whose destination is never read;
     - {!eliminate_dead_slot_stores}: stores to stack slots the program
       never loads go (the frame is private scratch, so they are
-      unobservable) — this clears the frontend's zero-initialization
-      chatter for VARs that live entirely in registers;
-    - {!fold_compare_chains}: the frontend's materialize-then-branch
-      diamond ([movi r,1; jcc ..,+3; movi r,0; jeq r,0,L]) collapses
-      into one direct branch when the boolean is dead afterwards —
-      which also lands producers (helper calls, reloads) directly in
-      front of the consuming branch, feeding the fuser below;
+      unobservable) — spills whose every reload the copy propagator
+      turned into a register move;
     - {!fuse}: peephole formation of [CallJcci] (load-field-then-
       compare) and [LdxJcci]/[LdxJcc] (fused compare-and-branch on
       spilled operands).
@@ -287,7 +282,10 @@ let propagate_copies_once (code : Isa.instr array) =
         kill d
     | Isa.LdxJcc (c, a, d, slot, t) ->
         Hashtbl.remove pending_store slot;
-        out.(pc) <- Isa.LdxJcc (c, resolve a, d, slot, t);
+        (* the load overwrites [d] before the comparison reads [a]: a
+           copy held in [d] is no longer there *)
+        let a' = resolve a in
+        out.(pc) <- Isa.LdxJcc (c, (if a' = d then a else a'), d, slot, t);
         kill d
     | Isa.Stx (slot, r) -> (
         let r' = resolve r in
@@ -417,9 +415,8 @@ let eliminate_dead_stores code = fix eliminate_dead_stores_once code
 (* A store to a slot the program never loads (no [Ldx]/[LdxJcci]/
    [LdxJcc] of that slot anywhere) is unobservable: the stack frame is
    private per-program scratch, so nothing outside the program can read
-   it either. The frontend zero-initializes every spilled VAR, so
-   programs whose VARs are only ever kept in registers leave a trail of
-   such stores behind. *)
+   it either. Spills whose every reload {!propagate_copies} turned into
+   a register move leave such stores behind. *)
 let eliminate_dead_slot_stores_once (code : Isa.instr array) =
   let loaded = Hashtbl.create 16 in
   Array.iter
@@ -440,105 +437,6 @@ let eliminate_dead_slot_stores_once (code : Isa.instr array) =
   compact code keep
 
 let eliminate_dead_slot_stores code = fix eliminate_dead_slot_stores_once code
-
-(* ------------------------------------------------------------------ *)
-(* compare-materialization folding                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* The frontend materializes every comparison as a 0/1 value and then
-   branches on it:
-
-      movi  r, m1
-      jcc   c, ..., +3     (skip the else-arm)
-      movi  r, m0
-      jcci  eq/ne, r, 0, L
-
-    When [r] is dead after the final branch, nothing lands inside the
-    chain and the comparison does not read [r] itself, the whole
-    diamond is a single direct branch: [c] picks [m1] or [m0], and the
-    trailing test of that constant decides whether control reaches [L].
-    Besides deleting three instructions from every comparison, this
-    puts the comparison's producer (often a helper call) directly in
-    front of a [Jcci] — exactly the shape the superinstruction fuser
-    recognizes. *)
-let fold_compare_chains_once (code : Isa.instr array) =
-  let len = Array.length code in
-  if len < 4 then code
-  else begin
-    (* How many branches land on each pc: the skip branch at [p+1]
-       targets [p+3], so the chain is isolated when nothing else lands
-       on [p+1]..[p+3] — i.e. [p+3] has exactly that one incoming edge
-       and [p+1]/[p+2] have none. *)
-    let target_count = Array.make len 0 in
-    Array.iter
-      (fun i ->
-        List.iter (fun t -> target_count.(t) <- target_count.(t) + 1)
-          (targets_of i))
-      code;
-    let live_in = liveness code in
-    let live_out pc =
-      List.fold_left
-        (fun m s -> m lor live_in.(s))
-        0
-        (successors len pc code.(pc))
-    in
-    let reads_reg r = function
-      | Isa.Jcc (_, a, b, _) -> a = r || b = r
-      | Isa.Jcci (_, a, _, _) -> a = r
-      | _ -> false
-    in
-    let keep = Array.make len true in
-    let out = Array.copy code in
-    let pc = ref 0 in
-    while !pc < len - 3 do
-      let p = !pc in
-      let folded =
-        if
-          target_count.(p + 1) > 0
-          || target_count.(p + 2) > 0
-          || target_count.(p + 3) > 1
-        then false
-        else
-          match (code.(p), code.(p + 1), code.(p + 2), code.(p + 3)) with
-          | ( Isa.Movi (r, m1),
-              (Isa.Jcc (_, _, _, t) | Isa.Jcci (_, _, _, t)),
-              Isa.Movi (r', m0),
-              Isa.Jcci (tc, r'', 0, l) )
-            when r = r' && r = r''
-                 && t = p + 3
-                 && (tc = Isa.Jeq || tc = Isa.Jne)
-                 && (not (reads_reg r code.(p + 1)))
-                 && live_out (p + 3) land reg_bit r = 0 ->
-              let test v = match tc with
-                | Isa.Jeq -> v = 0
-                | _ -> v <> 0
-              in
-              let taken_jumps = test m1 and fall_jumps = test m0 in
-              let with_target_and_sense neg =
-                match code.(p + 1) with
-                | Isa.Jcc (c, a, b, _) ->
-                    Isa.Jcc ((if neg then Isa.cond_neg c else c), a, b, l)
-                | Isa.Jcci (c, a, n, _) ->
-                    Isa.Jcci ((if neg then Isa.cond_neg c else c), a, n, l)
-                | _ -> assert false
-              in
-              (match (taken_jumps, fall_jumps) with
-              | true, false -> out.(p) <- with_target_and_sense false
-              | false, true -> out.(p) <- with_target_and_sense true
-              | true, true -> out.(p) <- Isa.Jmp l
-              | false, false -> keep.(p) <- false);
-              keep.(p + 1) <- false;
-              keep.(p + 2) <- false;
-              keep.(p + 3) <- false;
-              true
-          | _ -> false
-      in
-      pc := if folded then p + 4 else p + 1
-    done;
-    compact out keep
-  end
-
-let fold_compare_chains code = fix fold_compare_chains_once code
 
 (* ------------------------------------------------------------------ *)
 (* ALU result sinking                                                  *)
@@ -658,20 +556,21 @@ let passes =
     ("sink_alu_results", sink_alu_results);
     ("eliminate_dead_stores", eliminate_dead_stores);
     ("eliminate_dead_slot_stores", eliminate_dead_slot_stores);
-    ("fold_compare_chains", fold_compare_chains);
     ("fuse", fuse);
   ]
 
 (* Cleanup passes feed each other (a propagated copy exposes a dead
    store; a sunk ALU result leaves a no-op move for the next
    propagation; a deleted store shortens a block), so they run as a
-   joint fixpoint; fusion runs last so peepholes see the final
-   instruction sequence. *)
+   joint fixpoint; fusion runs after them so peepholes see the final
+   instruction sequence. A fused pair can in turn expose cleanup work
+   (a fused load no longer keeps its slot's value in a register for the
+   copy propagator), so cleanup-then-fuse repeats to a fixpoint too,
+   which makes [optimize] idempotent by construction. *)
 let optimize code =
   let cleanup code =
-    fold_compare_chains
-      (eliminate_dead_slot_stores
-         (eliminate_dead_stores
-            (sink_alu_results (propagate_copies (thread_jumps code)))))
+    eliminate_dead_slot_stores
+      (eliminate_dead_stores
+         (sink_alu_results (propagate_copies (thread_jumps code))))
   in
-  fuse (fix cleanup code)
+  fix (fun code -> fuse (fix cleanup code)) code

@@ -27,14 +27,8 @@ val eliminate_dead_stores : Isa.instr array -> Isa.instr array
 val eliminate_dead_slot_stores : Isa.instr array -> Isa.instr array
 (** Stores to stack slots the program never loads are deleted: the
     frame is private per-program scratch, so such stores are
-    unobservable. Clears the frontend's zero-initialization chatter for
-    VARs that end up living entirely in registers. *)
-
-val fold_compare_chains : Isa.instr array -> Isa.instr array
-(** Collapse the frontend's materialize-then-branch diamond
-    ([movi r,1; jcc ..,+3; movi r,0; jeq r,0,L]) into a single direct
-    branch when the boolean register is dead afterwards and nothing
-    else lands inside the chain. *)
+    unobservable. Clears the stores of spills whose every reload
+    {!propagate_copies} turned into a register move. *)
 
 val fuse : Isa.instr array -> Isa.instr array
 (** Peephole formation of the {!Isa} superinstructions: [CallJcci]
@@ -47,4 +41,5 @@ val passes : (string * (Isa.instr array -> Isa.instr array)) list
 
 val optimize : Isa.instr array -> Isa.instr array
 (** The full middle-end: cleanup passes to a joint fixpoint, then
-    {!fuse}. *)
+    {!fuse}, repeated until neither changes the code (so [optimize] is
+    idempotent). *)

@@ -7,15 +7,27 @@
 
     - a subflow list becomes a {e bitmask} over the subflow snapshot
       (bit i = subflow index i, handle i+1), so [FILTER] chains compose
-      with bitwise AND semantics and never materialize lists;
+      with bitwise AND semantics and never materialize lists; a subflow
+      loop carries the current handle and its mask bit together
+      ([bit <<= 1] per step) and tests [mask & bit], skipping the test
+      when it iterates [SUBFLOWS] itself;
     - queue views become scan loops over the base queue with the filter
       predicates inlined; [FILTER(..).MIN(..)] is one loop;
     - [POP] on a filtered view removes the first matching packet in
       place via the [q_remove] helper.
 
+    Conditions are compiled as {e jumping code} ({!gen_jump}): [IF],
+    [FILTER] predicates and queue-view filters branch on [AND]/[OR]/
+    [NOT], comparisons, [EMPTY] and literals directly, so a boolean is
+    materialized as 0/1 only where a value is needed ([VAR b = ..],
+    [SET], a boolean compared for equality).
+
     Program variables ({!Tast} slots) occupy virtual registers
     [0 .. num_slots-1]; all other values get fresh virtual registers.
-    Booleans are 0/1; NULL is handle 0. *)
+    Every declaration has its own slot and scoping makes each read of a
+    slot dominated by its definition, so slots need no initialization
+    (the verifier's read-before-write check confirms it on every
+    program). Booleans are 0/1; NULL is handle 0. *)
 
 open Progmp_lang
 module V = Vcode
@@ -49,48 +61,78 @@ let sbf_count ctx =
   | Some k -> const ctx k
   | None -> call ctx Isa.H_sbf_count [] ~ret:true
 
-(* dst := (a cond b) as 0/1 *)
-let set_on_cond ctx cond a b =
-  let dst = fresh ctx in
-  let l = label ctx in
-  emit ctx (V.Vmovi (dst, 1));
-  emit ctx (V.Vjcc (cond, a, b, l));
-  emit ctx (V.Vmovi (dst, 0));
-  emit ctx (V.Vlabel l);
-  dst
-
-let set_on_condi ctx cond a imm =
-  let dst = fresh ctx in
-  let l = label ctx in
-  emit ctx (V.Vmovi (dst, 1));
-  emit ctx (V.Vjcci (cond, a, imm, l));
-  emit ctx (V.Vmovi (dst, 0));
-  emit ctx (V.Vlabel l);
-  dst
-
-(* Iterate over the set bits of a subflow mask. [body] receives the
-   0-based index vreg and the subflow handle vreg and the label that
-   breaks the loop. *)
-let for_each_sbf ctx ~mask ~body =
-  let vi = fresh ctx and vn = sbf_count ctx in
+(* Iterate over the subflows of a list, in index order: [mask] is the
+   list's bitmask vreg, or [None] when the list is [SUBFLOWS] itself and
+   every index of the snapshot qualifies. The loop carries the 1-based
+   handle in [handle] (a fresh vreg unless the caller names one, e.g.
+   the FOREACH variable or a lambda parameter, which the body only
+   reads) and, when the caller passes [bit], the handle's mask bit
+   ([bit <<= 1] per step). A masked loop shifts a copy of the mask
+   right as it goes: the low bit tests the current index and the loop
+   ends after the highest set bit, so it needs no subflow count; a loop
+   over [SUBFLOWS] runs to the count with no test. [body] receives the
+   label that breaks the loop. *)
+let for_each_sbf ctx ?handle ?bit ~mask ~body () =
   let l_head = label ctx and l_cont = label ctx and l_end = label ctx in
-  emit ctx (V.Vmovi (vi, 0));
+  let bound =
+    match mask with
+    | None -> `Count (sbf_count ctx)
+    | Some mask ->
+        let rest = fresh ctx in
+        emit ctx (V.Vmov (rest, mask));
+        `Rest rest
+  in
+  (* a masked loop whose body ignores the handle does not carry one *)
+  let handle =
+    match (handle, bound) with
+    | None, `Count _ -> Some (fresh ctx)
+    | handle, _ -> handle
+  in
+  let carried = Option.to_list handle @ Option.to_list bit in
+  List.iter (fun v -> emit ctx (V.Vmovi (v, 1))) carried;
   let start = V.here ctx.b in
   emit ctx (V.Vlabel l_head);
-  emit ctx (V.Vjcc (Isa.Jge, vi, vn, l_end));
-  (* bit test: (mask >> vi) land 1 *)
-  let vt = fresh ctx in
-  emit ctx (V.Valu (Isa.Rsh, vt, mask, vi));
-  emit ctx (V.Valui (Isa.And, vt, vt, 1));
-  emit ctx (V.Vjcci (Isa.Jeq, vt, 0, l_cont));
-  let vh = fresh ctx in
-  emit ctx (V.Valui (Isa.Add, vh, vi, 1));
-  body ~idx:vi ~handle:vh ~l_end;
+  (match bound with
+  | `Count vn -> emit ctx (V.Vjcc (Isa.Jgt, Option.get handle, vn, l_end))
+  | `Rest rest ->
+      emit ctx (V.Vjcci (Isa.Jeq, rest, 0, l_end));
+      let vt = fresh ctx in
+      emit ctx (V.Valui (Isa.And, vt, rest, 1));
+      emit ctx (V.Vjcci (Isa.Jeq, vt, 0, l_cont)));
+  body ~l_end;
   emit ctx (V.Vlabel l_cont);
-  emit ctx (V.Valui (Isa.Add, vi, vi, 1));
+  Option.iter (fun vh -> emit ctx (V.Valui (Isa.Add, vh, vh, 1))) handle;
+  Option.iter (fun bit -> emit ctx (V.Valui (Isa.Lsh, bit, bit, 1))) bit;
+  (match bound with
+  | `Count _ -> ()
+  | `Rest rest -> emit ctx (V.Valui (Isa.Rsh, rest, rest, 1)));
   emit ctx (V.Vjmp l_head);
   emit ctx (V.Vlabel l_end);
   V.record_loop ctx.b ~start ~stop:(V.here ctx.b)
+
+(* [h] (q_nth or q_remove) applied to index 0 of queue [base]: the
+   head packet, or NULL when the queue is empty. *)
+let queue_head ctx h base =
+  let vq = const ctx (Isa.queue_code base) in
+  let vz = const ctx 0 in
+  call ctx h [ vq; vz ] ~ret:true
+
+let comparison_cond = function
+  | Tast.Eq -> Some Isa.Jeq
+  | Tast.Neq -> Some Isa.Jne
+  | Tast.Lt -> Some Isa.Jlt
+  | Tast.Le -> Some Isa.Jle
+  | Tast.Gt -> Some Isa.Jgt
+  | Tast.Ge -> Some Isa.Jge
+  | _ -> None
+
+(* An operand known at compile time: compared as an immediate. *)
+let literal (e : Tast.expr) =
+  match e.Tast.desc with
+  | Tast.Int_lit n -> Some n
+  | Tast.Bool_lit b -> Some (if b then 1 else 0)
+  | Tast.Null _ -> Some 0
+  | _ -> None
 
 let rec gen_expr ctx (e : Tast.expr) : V.vreg =
   match e.Tast.desc with
@@ -101,22 +143,22 @@ let rec gen_expr ctx (e : Tast.expr) : V.vreg =
       let vi = const ctx i in
       call ctx Isa.H_get_reg [ vi ] ~ret:true
   | Tast.Slot i ->
-      (* copy out of the slot vreg so later slot writes (lambda reuse)
-         cannot alias the value *)
-      let v = fresh ctx in
-      emit ctx (V.Vmov (v, i));
-      v
-  | Tast.Not a ->
-      let va = gen_expr ctx a in
-      let v = fresh ctx in
-      emit ctx (V.Valui (Isa.Xor, v, va, 1));
-      v
+      (* read in place: slots are single-assignment, and a loop variable
+         (FOREACH, lambda parameter) only changes after its iteration's
+         reads *)
+      i
+  | Tast.Not _ | Tast.Sbf_empty _ | Tast.Q_empty _
+  | Tast.Binop ((Tast.And | Tast.Or), _, _) ->
+      gen_bool ctx e
+  | Tast.Binop (op, a, b) -> (
+      match comparison_cond op with
+      | Some _ -> gen_bool ctx e
+      | None -> gen_arith ctx op a b)
   | Tast.Neg a ->
       let va = gen_expr ctx a in
       let v = fresh ctx in
       emit ctx (V.Valui (Isa.Mul, v, va, -1));
       v
-  | Tast.Binop (op, a, b) -> gen_binop ctx op a b
   | Tast.Subflows ->
       (* mask = (1 << count) - 1 *)
       let vn = sbf_count ctx in
@@ -126,55 +168,49 @@ let rec gen_expr ctx (e : Tast.expr) : V.vreg =
       emit ctx (V.Valui (Isa.Sub, v, v, 1));
       v
   | Tast.Sbf_filter (l, lam) ->
-      let mask = gen_expr ctx l in
-      let res = fresh ctx in
-      emit ctx (V.Vmovi (res, 0));
-      for_each_sbf ctx ~mask ~body:(fun ~idx ~handle ~l_end:_ ->
-          emit ctx (V.Vmov (lam.Tast.param, handle));
-          let vp = gen_expr ctx lam.Tast.body in
+      let mask = gen_mask ctx l in
+      let res = const ctx 0 and bit = fresh ctx in
+      for_each_sbf ctx ~handle:lam.Tast.param ~bit ~mask ~body:(fun ~l_end:_ ->
           let l_skip = label ctx in
-          emit ctx (V.Vjcci (Isa.Jeq, vp, 0, l_skip));
-          let vbit = fresh ctx in
-          let vone = const ctx 1 in
-          emit ctx (V.Valu (Isa.Lsh, vbit, vone, idx));
-          emit ctx (V.Valu (Isa.Or, res, res, vbit));
-          emit ctx (V.Vlabel l_skip));
+          gen_jump ctx lam.Tast.body ~when_:false ~target:l_skip;
+          emit ctx (V.Valu (Isa.Or, res, res, bit));
+          emit ctx (V.Vlabel l_skip))
+        ();
       res
   | Tast.Sbf_min (l, lam) -> gen_sbf_select ctx ~is_min:true l lam
   | Tast.Sbf_max (l, lam) -> gen_sbf_select ctx ~is_min:false l lam
   | Tast.Sbf_sum (l, lam) ->
-      let mask = gen_expr ctx l in
-      let res = fresh ctx in
-      emit ctx (V.Vmovi (res, 0));
-      for_each_sbf ctx ~mask ~body:(fun ~idx:_ ~handle ~l_end:_ ->
-          emit ctx (V.Vmov (lam.Tast.param, handle));
+      let mask = gen_mask ctx l in
+      let res = const ctx 0 in
+      for_each_sbf ctx ~handle:lam.Tast.param ~mask ~body:(fun ~l_end:_ ->
           let vk = gen_expr ctx lam.Tast.body in
-          emit ctx (V.Valu (Isa.Add, res, res, vk)));
+          emit ctx (V.Valu (Isa.Add, res, res, vk)))
+        ();
       res
   | Tast.Sbf_get (l, idx) ->
-      let mask = gen_expr ctx l in
+      let mask = gen_mask ctx l in
       let vidx = gen_expr ctx idx in
-      let res = fresh ctx and seen = fresh ctx in
-      emit ctx (V.Vmovi (res, 0));
-      emit ctx (V.Vmovi (seen, 0));
-      for_each_sbf ctx ~mask ~body:(fun ~idx:_ ~handle ~l_end ->
+      let res = const ctx 0 and seen = const ctx 0 in
+      let vh = fresh ctx in
+      for_each_sbf ctx ~handle:vh ~mask ~body:(fun ~l_end ->
           let l_skip = label ctx in
           emit ctx (V.Vjcc (Isa.Jne, seen, vidx, l_skip));
-          emit ctx (V.Vmov (res, handle));
+          emit ctx (V.Vmov (res, vh));
           emit ctx (V.Vjmp l_end);
           emit ctx (V.Vlabel l_skip);
-          emit ctx (V.Valui (Isa.Add, seen, seen, 1)));
+          emit ctx (V.Valui (Isa.Add, seen, seen, 1)))
+        ();
       res
-  | Tast.Sbf_count l ->
-      let mask = gen_expr ctx l in
-      let res = fresh ctx in
-      emit ctx (V.Vmovi (res, 0));
-      for_each_sbf ctx ~mask ~body:(fun ~idx:_ ~handle:_ ~l_end:_ ->
-          emit ctx (V.Valui (Isa.Add, res, res, 1)));
-      res
-  | Tast.Sbf_empty l ->
-      let mask = gen_expr ctx l in
-      set_on_condi ctx Isa.Jeq mask 0
+  | Tast.Sbf_count l -> (
+      match gen_mask ctx l with
+      | None -> sbf_count ctx
+      | Some mask ->
+          let res = const ctx 0 in
+          for_each_sbf ctx ~mask:(Some mask)
+            ~body:(fun ~l_end:_ ->
+              emit ctx (V.Valui (Isa.Add, res, res, 1)))
+            ();
+          res)
   | Tast.Sbf_prop (s, prop) ->
       let vs = gen_expr ctx s in
       let vc = const ctx (Isa.sbf_prop_code prop) in
@@ -183,16 +219,17 @@ let rec gen_expr ctx (e : Tast.expr) : V.vreg =
       let vs = gen_expr ctx s in
       let vp = gen_expr ctx p in
       call ctx Isa.H_has_window [ vs; vp ] ~ret:true
+  (* the first packet of an unfiltered view is the queue's head *)
+  | Tast.Q_top { base; filters = [] } -> queue_head ctx Isa.H_q_nth base
+  | Tast.Q_pop { base; filters = [] } -> queue_head ctx Isa.H_q_remove base
   | Tast.Q_top view ->
-      let res = fresh ctx in
-      emit ctx (V.Vmovi (res, 0));
+      let res = const ctx 0 in
       gen_queue_scan ctx view ~body:(fun ~idx:_ ~pkt ~l_end ->
           emit ctx (V.Vmov (res, pkt));
           emit ctx (V.Vjmp l_end));
       res
   | Tast.Q_pop view ->
-      let res = fresh ctx in
-      emit ctx (V.Vmovi (res, 0));
+      let res = const ctx 0 in
       let qc = Isa.queue_code view.Tast.base in
       gen_queue_scan ctx view ~body:(fun ~idx ~pkt:_ ~l_end ->
           let vq = const ctx qc in
@@ -203,17 +240,9 @@ let rec gen_expr ctx (e : Tast.expr) : V.vreg =
   | Tast.Q_min (view, lam) -> gen_q_select ctx ~is_min:true view lam
   | Tast.Q_max (view, lam) -> gen_q_select ctx ~is_min:false view lam
   | Tast.Q_count view ->
-      let res = fresh ctx in
-      emit ctx (V.Vmovi (res, 0));
+      let res = const ctx 0 in
       gen_queue_scan ctx view ~body:(fun ~idx:_ ~pkt:_ ~l_end:_ ->
           emit ctx (V.Valui (Isa.Add, res, res, 1)));
-      res
-  | Tast.Q_empty view ->
-      let res = fresh ctx in
-      emit ctx (V.Vmovi (res, 1));
-      gen_queue_scan ctx view ~body:(fun ~idx:_ ~pkt:_ ~l_end ->
-          emit ctx (V.Vmovi (res, 0));
-          emit ctx (V.Vjmp l_end));
       res
   | Tast.Pkt_prop (p, prop) ->
       let vp = gen_expr ctx p in
@@ -224,74 +253,119 @@ let rec gen_expr ctx (e : Tast.expr) : V.vreg =
       let vs = gen_expr ctx s in
       call ctx Isa.H_sent_on [ vp; vs ] ~ret:true
 
-and gen_binop ctx op a b =
-  match op with
-  | Tast.And ->
-      let res = fresh ctx in
-      let l_end = label ctx in
-      let va = gen_expr ctx a in
-      emit ctx (V.Vmovi (res, 0));
-      emit ctx (V.Vjcci (Isa.Jeq, va, 0, l_end));
-      let vb = gen_expr ctx b in
-      emit ctx (V.Vmov (res, vb));
-      emit ctx (V.Vlabel l_end);
-      res
-  | Tast.Or ->
-      let res = fresh ctx in
-      let l_end = label ctx in
-      let va = gen_expr ctx a in
-      emit ctx (V.Vmovi (res, 1));
-      emit ctx (V.Vjcci (Isa.Jne, va, 0, l_end));
-      let vb = gen_expr ctx b in
-      emit ctx (V.Vmov (res, vb));
-      emit ctx (V.Vlabel l_end);
-      res
-  | Tast.Add | Tast.Sub | Tast.Mul | Tast.Div | Tast.Mod ->
-      let va = gen_expr ctx a in
-      let vb = gen_expr ctx b in
-      let aluop =
-        match op with
-        | Tast.Add -> Isa.Add
-        | Tast.Sub -> Isa.Sub
-        | Tast.Mul -> Isa.Mul
-        | Tast.Div -> Isa.Div
-        | _ -> Isa.Mod
-      in
-      let res = fresh ctx in
-      emit ctx (V.Valu (aluop, res, va, vb));
-      res
-  | Tast.Eq | Tast.Neq | Tast.Lt | Tast.Le | Tast.Gt | Tast.Ge ->
-      let va = gen_expr ctx a in
-      let vb = gen_expr ctx b in
-      let cond =
-        match op with
-        | Tast.Eq -> Isa.Jeq
-        | Tast.Neq -> Isa.Jne
-        | Tast.Lt -> Isa.Jlt
-        | Tast.Le -> Isa.Jle
-        | Tast.Gt -> Isa.Jgt
-        | _ -> Isa.Jge
-      in
-      set_on_cond ctx cond va vb
+and gen_arith ctx op a b =
+  let va = gen_expr ctx a in
+  let vb = gen_expr ctx b in
+  let aluop =
+    match op with
+    | Tast.Add -> Isa.Add
+    | Tast.Sub -> Isa.Sub
+    | Tast.Mul -> Isa.Mul
+    | Tast.Div -> Isa.Div
+    | _ -> Isa.Mod
+  in
+  let res = fresh ctx in
+  emit ctx (V.Valu (aluop, res, va, vb));
+  res
+
+(* A boolean as a 0/1 value: its jumping code picks one of two
+   constants. *)
+and gen_bool ctx e =
+  let res = fresh ctx in
+  let l_false = label ctx and l_end = label ctx in
+  gen_jump ctx e ~when_:false ~target:l_false;
+  emit ctx (V.Vmovi (res, 1));
+  emit ctx (V.Vjmp l_end);
+  emit ctx (V.Vlabel l_false);
+  emit ctx (V.Vmovi (res, 0));
+  emit ctx (V.Vlabel l_end);
+  res
+
+(* Jumping code: branch to [target] iff [e] evaluates to [when_], fall
+   through otherwise, without materializing the boolean. Operands are
+   evaluated left to right, as in value context, and [AND]/[OR]
+   short-circuit. *)
+and gen_jump ctx (e : Tast.expr) ~when_ ~target =
+  match e.Tast.desc with
+  | Tast.Bool_lit b -> if b = when_ then emit ctx (V.Vjmp target)
+  | Tast.Not a -> gen_jump ctx a ~when_:(not when_) ~target
+  | Tast.Binop (Tast.And, a, b) when when_ ->
+      let l_skip = label ctx in
+      gen_jump ctx a ~when_:false ~target:l_skip;
+      gen_jump ctx b ~when_:true ~target;
+      emit ctx (V.Vlabel l_skip)
+  | Tast.Binop (Tast.And, a, b) ->
+      gen_jump ctx a ~when_:false ~target;
+      gen_jump ctx b ~when_:false ~target
+  | Tast.Binop (Tast.Or, a, b) when when_ ->
+      gen_jump ctx a ~when_:true ~target;
+      gen_jump ctx b ~when_:true ~target
+  | Tast.Binop (Tast.Or, a, b) ->
+      let l_skip = label ctx in
+      gen_jump ctx a ~when_:true ~target:l_skip;
+      gen_jump ctx b ~when_:false ~target;
+      emit ctx (V.Vlabel l_skip)
+  | Tast.Binop (op, a, b) when comparison_cond op <> None ->
+      let c = Option.get (comparison_cond op) in
+      let c = if when_ then c else Isa.cond_neg c in
+      (match (literal a, literal b) with
+      | _, Some n -> emit ctx (V.Vjcci (c, gen_expr ctx a, n, target))
+      | Some n, None ->
+          emit ctx (V.Vjcci (Isa.cond_swap c, gen_expr ctx b, n, target))
+      | None, None ->
+          let va = gen_expr ctx a in
+          let vb = gen_expr ctx b in
+          emit ctx (V.Vjcc (c, va, vb, target)))
+  | Tast.Sbf_empty l -> (
+      match gen_mask ctx l with
+      (* SUBFLOWS is empty iff the snapshot has no subflow *)
+      | None ->
+          let vn = sbf_count ctx in
+          emit ctx
+            (V.Vjcci ((if when_ then Isa.Jeq else Isa.Jne), vn, 0, target))
+      | Some mask ->
+          emit ctx
+            (V.Vjcci ((if when_ then Isa.Jeq else Isa.Jne), mask, 0, target)))
+  | Tast.Q_empty { base; filters = [] } ->
+      let vp = queue_head ctx Isa.H_q_nth base in
+      emit ctx
+        (V.Vjcci ((if when_ then Isa.Jeq else Isa.Jne), vp, 0, target))
+  | Tast.Q_empty view when when_ ->
+      let l_nonempty = label ctx in
+      gen_queue_scan ctx view ~body:(fun ~idx:_ ~pkt:_ ~l_end:_ ->
+          emit ctx (V.Vjmp l_nonempty));
+      emit ctx (V.Vjmp target);
+      emit ctx (V.Vlabel l_nonempty)
+  | Tast.Q_empty view ->
+      gen_queue_scan ctx view ~body:(fun ~idx:_ ~pkt:_ ~l_end:_ ->
+          emit ctx (V.Vjmp target))
+  | _ ->
+      let v = gen_expr ctx e in
+      emit ctx (V.Vjcci ((if when_ then Isa.Jne else Isa.Jeq), v, 0, target))
+
+(* A subflow list's mask, or [None] for [SUBFLOWS] itself (every index
+   of the snapshot). *)
+and gen_mask ctx (l : Tast.expr) =
+  match l.Tast.desc with
+  | Tast.Subflows -> None
+  | _ -> Some (gen_expr ctx l)
 
 and gen_sbf_select ctx ~is_min l (lam : Tast.lambda) =
-  let mask = gen_expr ctx l in
-  let best = fresh ctx and bestk = fresh ctx and found = fresh ctx in
-  emit ctx (V.Vmovi (best, 0));
-  emit ctx (V.Vmovi (bestk, 0));
-  emit ctx (V.Vmovi (found, 0));
-  for_each_sbf ctx ~mask ~body:(fun ~idx:_ ~handle ~l_end:_ ->
-      emit ctx (V.Vmov (lam.Tast.param, handle));
+  let mask = gen_mask ctx l in
+  (* handles are positive, so [best = 0] means nothing found yet *)
+  let best = const ctx 0 and bestk = const ctx 0 in
+  let vh = lam.Tast.param in
+  for_each_sbf ctx ~handle:vh ~mask ~body:(fun ~l_end:_ ->
       let vk = gen_expr ctx lam.Tast.body in
       let l_take = label ctx and l_skip = label ctx in
-      emit ctx (V.Vjcci (Isa.Jeq, found, 0, l_take));
+      emit ctx (V.Vjcci (Isa.Jeq, best, 0, l_take));
       emit ctx
         (V.Vjcc ((if is_min then Isa.Jge else Isa.Jle), vk, bestk, l_skip));
       emit ctx (V.Vlabel l_take);
-      emit ctx (V.Vmov (best, handle));
+      emit ctx (V.Vmov (best, vh));
       emit ctx (V.Vmov (bestk, vk));
-      emit ctx (V.Vmovi (found, 1));
-      emit ctx (V.Vlabel l_skip));
+      emit ctx (V.Vlabel l_skip))
+    ();
   best
 
 (* Scan the base queue of [view] front to back; for each packet passing
@@ -299,9 +373,8 @@ and gen_sbf_select ctx ~is_min l (lam : Tast.lambda) =
    the packet handle and the scan's break label. *)
 and gen_queue_scan ctx (view : Tast.queue_view) ~body =
   let qc = Isa.queue_code view.Tast.base in
-  let vi = fresh ctx in
+  let vi = const ctx 0 in
   let l_head = label ctx and l_cont = label ctx and l_end = label ctx in
-  emit ctx (V.Vmovi (vi, 0));
   let start = V.here ctx.b in
   emit ctx (V.Vlabel l_head);
   let vq = const ctx qc in
@@ -310,8 +383,7 @@ and gen_queue_scan ctx (view : Tast.queue_view) ~body =
   List.iter
     (fun (lam : Tast.lambda) ->
       emit ctx (V.Vmov (lam.Tast.param, vp));
-      let vc = gen_expr ctx lam.Tast.body in
-      emit ctx (V.Vjcci (Isa.Jeq, vc, 0, l_cont)))
+      gen_jump ctx lam.Tast.body ~when_:false ~target:l_cont)
     view.Tast.filters;
   body ~idx:vi ~pkt:vp ~l_end;
   emit ctx (V.Vlabel l_cont);
@@ -321,21 +393,18 @@ and gen_queue_scan ctx (view : Tast.queue_view) ~body =
   V.record_loop ctx.b ~start ~stop:(V.here ctx.b)
 
 and gen_q_select ctx ~is_min (view : Tast.queue_view) (lam : Tast.lambda) =
-  let best = fresh ctx and bestk = fresh ctx and found = fresh ctx in
-  emit ctx (V.Vmovi (best, 0));
-  emit ctx (V.Vmovi (bestk, 0));
-  emit ctx (V.Vmovi (found, 0));
+  (* packet handles are positive, so [best = 0] means nothing found yet *)
+  let best = const ctx 0 and bestk = const ctx 0 in
   gen_queue_scan ctx view ~body:(fun ~idx:_ ~pkt ~l_end:_ ->
       emit ctx (V.Vmov (lam.Tast.param, pkt));
       let vk = gen_expr ctx lam.Tast.body in
       let l_take = label ctx and l_skip = label ctx in
-      emit ctx (V.Vjcci (Isa.Jeq, found, 0, l_take));
+      emit ctx (V.Vjcci (Isa.Jeq, best, 0, l_take));
       emit ctx
         (V.Vjcc ((if is_min then Isa.Jge else Isa.Jle), vk, bestk, l_skip));
       emit ctx (V.Vlabel l_take);
       emit ctx (V.Vmov (best, pkt));
       emit ctx (V.Vmov (bestk, vk));
-      emit ctx (V.Vmovi (found, 1));
       emit ctx (V.Vlabel l_skip));
   best
 
@@ -345,19 +414,18 @@ let rec gen_stmt ctx (s : Tast.stmt) =
       let v = gen_expr ctx e in
       emit ctx (V.Vmov (slot, v))
   | Tast.If (cond, then_, else_) ->
-      let vc = gen_expr ctx cond in
       let l_else = label ctx and l_end = label ctx in
-      emit ctx (V.Vjcci (Isa.Jeq, vc, 0, l_else));
+      gen_jump ctx cond ~when_:false ~target:l_else;
       gen_block ctx then_;
-      emit ctx (V.Vjmp l_end);
+      if else_ <> [] then emit ctx (V.Vjmp l_end);
       emit ctx (V.Vlabel l_else);
       gen_block ctx else_;
       emit ctx (V.Vlabel l_end)
   | Tast.Foreach (slot, src, body) ->
-      let mask = gen_expr ctx src in
-      for_each_sbf ctx ~mask ~body:(fun ~idx:_ ~handle ~l_end:_ ->
-          emit ctx (V.Vmov (slot, handle));
+      let mask = gen_mask ctx src in
+      for_each_sbf ctx ~handle:slot ~mask ~body:(fun ~l_end:_ ->
           gen_block ctx body)
+        ()
   | Tast.Set_register (r, e) ->
       let v = gen_expr ctx e in
       let vr = const ctx r in
@@ -379,11 +447,6 @@ and gen_block ctx b = List.iter (gen_stmt ctx) b
 let generate ?subflow_count (p : Tast.program) : V.t =
   let b = V.create_builder ~reserved_vregs:(max 1 p.Tast.num_slots) in
   let ctx = { b; subflow_count } in
-  (* Slot vregs must be defined before use even if the program reads a
-     variable that a conditional skipped; zero-init them. *)
-  for slot = 0 to p.Tast.num_slots - 1 do
-    emit ctx (V.Vmovi (slot, 0))
-  done;
   gen_block ctx p.Tast.body;
   emit ctx V.Vexit;
   V.finish b ~num_vregs:b.V.next_vreg

@@ -1,10 +1,11 @@
 (** Final lowering: virtual code + register allocation -> {!Isa} code.
 
-    Virtual registers live in their allocated homes (a callee-saved
-    register or a stack slot); each virtual instruction is lowered to a
-    short sequence using [r0]/[r2] as scratch and [r1]-[r5] for helper
-    arguments, exactly the eBPF calling convention. Labels are resolved
-    to absolute program counters in a patch pass. *)
+    Virtual registers live in their allocated homes (a register of
+    r3–r9 or a stack slot); each virtual instruction is lowered to a
+    short sequence using [r0]/[r2] as scratch and [r1]/[r2] for helper
+    arguments (no helper takes more than two), the eBPF calling
+    convention. Labels are resolved to absolute program counters in a
+    patch pass. *)
 
 exception Error of string
 
@@ -54,7 +55,13 @@ let lower_instr buf alloc (vi : Vcode.vinstr) =
           push buf (Isa.Movi (Isa.scratch0, n));
           push buf (Isa.Stx (s, Isa.scratch0)))
   | Vcode.Vmov (d, s) ->
-      let rs = read buf alloc s ~scratch:Isa.scratch0 in
+      (* a reload lands in [d]'s home register directly *)
+      let scratch =
+        match home alloc d with
+        | Regalloc.Reg r -> r
+        | Regalloc.Stack _ -> Isa.scratch0
+      in
+      let rs = read buf alloc s ~scratch in
       write buf alloc d ~from:rs
   | Vcode.Valu (op, d, a, b) ->
       (* r0 := a; r0 := r0 op b; d := r0.  [b] may live in a register that

@@ -8,7 +8,8 @@
     instruction. Jump targets are absolute program counters. *)
 
 type reg = int
-(** 0..10; [r0] scratch/result, [r1]-[r5] helper arguments and scratch,
+(** 0..10; [r0] scratch/result, [r1]/[r2] helper arguments and scratch,
+    [r3]-[r5] allocatable to values that live across no helper call,
     [r6]-[r9] allocatable, [r10] reserved. *)
 
 let num_regs = 11
@@ -18,7 +19,12 @@ let scratch0 = 0
 let scratch1 = 2
 (* r2 doubles as the second scratch outside of call sequences *)
 
-let allocatable = [ 6; 7; 8; 9 ]
+(* Helpers take at most two arguments, so call sequences write only
+   r1/r2 (and r0); r3-r5 are free to hold values between calls. The
+   verifier treats all of r1-r5 as clobbered by every call, so only r6-r9
+   may hold a value across one. *)
+let allocatable ~crosses_call =
+  if crosses_call then [ 6; 7; 8; 9 ] else [ 3; 4; 5; 6; 7; 8; 9 ]
 
 type aluop = Add | Sub | Mul | Div | Mod | And | Or | Xor | Lsh | Rsh
 

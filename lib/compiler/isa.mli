@@ -6,8 +6,9 @@
     model's graceful-failure semantics in compiled code. *)
 
 type reg = int
-(** 0..10; [r0] scratch/result, [r1]-[r5] helper arguments and scratch,
-    [r6]-[r9] allocatable, [r10] reserved. *)
+(** 0..10; [r0] scratch/result, [r1]/[r2] helper arguments and scratch,
+    [r3]-[r5] allocatable to call-free intervals, [r6]-[r9] allocatable
+    to any interval, [r10] reserved. *)
 
 val num_regs : int
 
@@ -15,7 +16,13 @@ val scratch0 : reg
 
 val scratch1 : reg
 
-val allocatable : reg list
+val allocatable : crosses_call:bool -> reg list
+(** The registers a live interval may occupy, in order of preference:
+    r6–r9 (callee-saved) for an interval that crosses a helper call,
+    r3–r5 then r6–r9 for a call-free one. Call sequences write only r0
+    and the argument registers r1/r2 (no helper takes more than two
+    arguments), but the verifier considers all of r1–r5 clobbered by a
+    call, as eBPF does. *)
 
 type aluop = Add | Sub | Mul | Div | Mod | And | Or | Xor | Lsh | Rsh
 

@@ -401,6 +401,11 @@ let json_string s =
   Buffer.add_char b '"';
   Buffer.contents b
 
+(* JSON has no infinity or NaN: a non-finite measurement (a [dash] run
+   whose chunk never arrived has an infinite worst lateness) is
+   written as [null]. *)
+let json_float fmt x = if Float.is_finite x then Fmt.str fmt x else "null"
+
 let to_json report =
   let b = Buffer.create 8192 in
   let assoc_json fmt l =
@@ -419,27 +424,30 @@ let to_json report =
       Buffer.add_string b
         (Fmt.str
            "{\"run_id\":%d,\"scenario\":%s,\"scheduler\":%s,\"engine\":%s,\
-            \"loss\":%g,\"fault\":%s,\"seed\":%d,\"fleet\":%d,\
-            \"arrival_rate\":%g,\"flow_size\":%s,\"cc\":%s,\
-            \"topology\":%s,\"sim_time_s\":%.6f,\
-            \"delivered_bytes\":%d,\"goodput_bps\":%.1f,\"completion_s\":%s,\
+            \"loss\":%s,\"fault\":%s,\"seed\":%d,\"fleet\":%d,\
+            \"arrival_rate\":%s,\"flow_size\":%s,\"cc\":%s,\
+            \"topology\":%s,\"sim_time_s\":%s,\
+            \"delivered_bytes\":%d,\"goodput_bps\":%s,\"completion_s\":%s,\
             \"executions\":%d,\"pushes\":%d,\"invariant_violations\":%d,\
             \"subflow_bytes\":%s,\"extra\":%s}"
            p.Spec.run_id (json_string p.Spec.scenario)
            (json_string p.Spec.scheduler) (json_string p.Spec.engine)
-           p.Spec.loss
+           (json_float "%g" p.Spec.loss)
            (json_string p.Spec.fault.Spec.fault_label)
-           p.Spec.seed p.Spec.fleet p.Spec.rate
+           p.Spec.seed p.Spec.fleet
+           (json_float "%g" p.Spec.rate)
            (json_string p.Spec.size)
            (json_string p.Spec.cc)
            (json_string p.Spec.topology)
-           r.r_sim_time r.r_delivered r.r_goodput_bps
+           (json_float "%.6f" r.r_sim_time)
+           r.r_delivered
+           (json_float "%.1f" r.r_goodput_bps)
            (match r.r_completion with
-           | Some t -> Fmt.str "%.6f" t
+           | Some t -> json_float "%.6f" t
            | None -> "null")
            r.r_executions r.r_pushes r.r_inv_total
            (assoc_json string_of_int r.r_subflow_bytes)
-           (assoc_json (Fmt.str "%.3f") r.r_extra)))
+           (assoc_json (json_float "%.3f") r.r_extra)))
     report.runs;
   Buffer.add_string b "],\"groups\":[";
   List.iteri
@@ -448,19 +456,25 @@ let to_json report =
       Buffer.add_string b
         (Fmt.str
            "{\"scenario\":%s,\"scheduler\":%s,\"engine\":%s,\"cc\":%s,\
-            \"topology\":%s,\"loss\":%g,\
-            \"fleet\":%d,\"arrival_rate\":%g,\"flow_size\":%s,\
+            \"topology\":%s,\"loss\":%s,\
+            \"fleet\":%d,\"arrival_rate\":%s,\"flow_size\":%s,\
             \"fault\":%s,\"runs\":%d,\"completed\":%d,\
-            \"goodput_mean_bps\":%.1f,\"goodput_min_bps\":%.1f,\
-            \"goodput_max_bps\":%.1f,\"completion_mean_s\":%.6f,\
+            \"goodput_mean_bps\":%s,\"goodput_min_bps\":%s,\
+            \"goodput_max_bps\":%s,\"completion_mean_s\":%s,\
             \"invariant_violations\":%d}"
            (json_string g.g_scenario) (json_string g.g_scheduler)
            (json_string g.g_engine) (json_string g.g_cc)
-           (json_string g.g_topology) g.g_loss g.g_fleet g.g_rate
+           (json_string g.g_topology)
+           (json_float "%g" g.g_loss)
+           g.g_fleet
+           (json_float "%g" g.g_rate)
            (json_string g.g_size)
-           (json_string g.g_fault) g.g_runs
-           g.g_completed g.g_goodput_mean g.g_goodput_min g.g_goodput_max
-           g.g_completion_mean g.g_inv_total))
+           (json_string g.g_fault) g.g_runs g.g_completed
+           (json_float "%.1f" g.g_goodput_mean)
+           (json_float "%.1f" g.g_goodput_min)
+           (json_float "%.1f" g.g_goodput_max)
+           (json_float "%.6f" g.g_completion_mean)
+           g.g_inv_total))
     report.groups;
   Buffer.add_string b "]}";
   Buffer.contents b

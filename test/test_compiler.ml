@@ -14,9 +14,22 @@ let contains haystack needle =
 let compile_src src =
   Compile.compile (Progmp_lang.Typecheck.compile_source src)
 
+(* Does a helper call sit strictly inside the interval [(s, e)]? Such a
+   value must survive the call, which the verifier only allows in
+   r6-r9. *)
+let crosses_call (vcode : Vcode.t) (s, e) =
+  let found = ref false in
+  Array.iteri
+    (fun pos i ->
+      match i with
+      | Vcode.Vcall _ when s < pos && pos < e -> found := true
+      | _ -> ())
+    vcode.Vcode.code;
+  !found
+
 (* Allocation invariants, checked over the zoo and random programs:
-   no two vregs with overlapping intervals share a register, and every
-   used vreg has a home. *)
+   no two vregs with overlapping intervals share a register, no
+   call-crossing vreg lives in r1-r5, and every used vreg has a home. *)
 let check_alloc (vcode : Vcode.t) =
   let alloc = Regalloc.allocate vcode in
   let iv = Vcode.intervals vcode in
@@ -27,6 +40,7 @@ let check_alloc (vcode : Vcode.t) =
       | Some _, None -> ok := false (* used but homeless *)
       | None, _ | _, Some (Regalloc.Stack _) -> ()
       | Some (s1, e1), Some (Regalloc.Reg r) ->
+          if r < 6 && crosses_call vcode (s1, e1) then ok := false;
           Array.iteri
             (fun w winterval ->
               if w > v then
@@ -141,6 +155,63 @@ let three_subflows =
           };
         ];
   }
+
+(* The [bench engines] environment: 64 packets in Q and two subflows
+   (10 and 20 ms RTT), congestion-blocked (the scheduler does its whole
+   decision and emits nothing) or with open windows (it pushes). *)
+let bench_env_spec ~blocked =
+  {
+    default_env_spec with
+    q_seqs = List.init 64 Fun.id;
+    views =
+      List.init 2 (fun id ->
+          let v =
+            {
+              Progmp_runtime.Subflow_view.default with
+              Progmp_runtime.Subflow_view.id;
+              rtt_us = 10_000 + (10_000 * id);
+            }
+          in
+          if blocked then { v with cwnd = 2; skbs_in_flight = 2 } else v);
+  }
+
+(* Bytecode instructions one decision may execute on the reference VM,
+   blocked and pushing: the measured counts plus ~15%. The compiler's
+   code quality shows here first — a lowering or allocation regression
+   (materialized booleans, per-iteration shifts, spilled loop counters)
+   exhausts the budget. *)
+let step_budgets =
+  [
+    ("default", Schedulers.Specs.default, 169, 209);
+    ("redundant", Schedulers.Specs.redundant, 53, 113);
+    ("round_robin", Schedulers.Specs.round_robin, 105, 112);
+  ]
+
+let step_budget_cases =
+  List.concat_map
+    (fun (name, src, blocked_budget, pushing_budget) ->
+      List.map
+        (fun (blocked, max_steps) ->
+          tc
+            (Fmt.str "%s decides in <= %d instructions (%s)" name max_steps
+               (if blocked then "blocked" else "pushing"))
+            (fun () ->
+              let prog =
+                Compile.compile
+                  (Progmp_lang.Optimize.program
+                     (Progmp_lang.Typecheck.compile_source src))
+              in
+              let env, views = build (bench_env_spec ~blocked) in
+              Progmp_runtime.Env.begin_execution env ~subflows:views;
+              (match Vm.instantiate ~max_steps prog env with
+              | () -> ()
+              | exception Vm.Fault msg ->
+                  Alcotest.failf "%s: %s within %d steps" name msg max_steps);
+              Alcotest.(check bool)
+                "pushes iff windows are open" (not blocked)
+                (Progmp_runtime.Env.finish_execution env <> [])))
+        [ (true, blocked_budget); (false, pushing_budget) ])
+    step_budgets
 
 let suite =
   [
@@ -325,7 +396,8 @@ let suite =
               (stats.Compile.spill_slots < Isa.stack_words));
         QCheck_alcotest.to_alcotest alloc_random;
         QCheck_alcotest.to_alcotest verify_random;
-      ] );
+      ]
+      @ step_budget_cases );
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -430,6 +502,26 @@ let middle_end_suite =
         QCheck_alcotest.to_alcotest
           (random_agrees "optimized random programs: boxed = threaded"
              boxed_agrees_with_threaded);
+        tc "copy propagation keeps a compare operand its fused load \
+            overwrites" (fun () ->
+            (* r5 copies a helper result in r0, then the fused load
+               overwrites r0 before the comparison: rewriting the operand
+               to its copy source r0 would compare the loaded value with
+               itself *)
+            let code =
+              [|
+                Isa.Movi (6, 9); Isa.Stx (0, 6); Isa.Call Isa.H_sbf_count;
+                Isa.Mov (5, 0); Isa.LdxJcc (Isa.Jlt, 5, 0, 0, 9);
+                Isa.Movi (1, 1); Isa.Movi (2, 0); Isa.Call Isa.H_set_reg;
+                Isa.Exit; Isa.Movi (1, 1); Isa.Movi (2, 1);
+                Isa.Call Isa.H_set_reg; Isa.Exit;
+              |]
+            in
+            let opt = Bopt.propagate_copies code in
+            Alcotest.(check bool) "accepted" true (verifier_accepts opt);
+            Alcotest.(check bool)
+              "same registers" true
+              (run_code code = run_code opt));
       ] );
   ]
 
@@ -440,16 +532,20 @@ let regalloc_suite =
       [
         tc "second chance re-promotes a spilled interval into a gap"
           (fun () ->
-            (* Five long overlapping intervals exhaust the four registers;
-               a later short interval must still get a register because
-               every register has a gap after position 12. *)
+            (* Five long overlapping intervals cross a helper call, so
+               only the four callee-saved registers r6-r9 qualify and one
+               of the five must spill; a later short interval must still
+               get a register because every register is free again after
+               position 10. *)
             let b = Vcode.create_builder ~reserved_vregs:0 in
             let v = Array.init 6 (fun _ -> Vcode.fresh_vreg b) in
             (* defs for v0..v4 at positions 0..4 *)
             for i = 0 to 4 do
               Vcode.emit b (Vcode.Vmovi (v.(i), i))
             done;
-            (* uses of v0..v4 at positions 5..9: all five live at once *)
+            Vcode.emit b (Vcode.Vcall (Isa.H_sbf_count, [], None));
+            (* uses of v0..v4 at positions 6..10: all five live at once,
+               across the call *)
             for i = 0 to 4 do
               Vcode.emit b (Vcode.Valui (Isa.Add, v.(i), v.(i), 1))
             done;
@@ -503,5 +599,72 @@ let regalloc_suite =
             | Some (Regalloc.Reg a), Some (Regalloc.Reg b') ->
                 Alcotest.(check bool) "distinct registers" true (a <> b')
             | _ -> Alcotest.fail "expected register homes");
+        tc "a call-crossing interval is never homed in r1-r5" (fun () ->
+            (* v0 lives across a call, v1 and v2 do not: with every
+               register free, v0 still takes a callee-saved one while the
+               call-free values may use r3-r5. *)
+            let b = Vcode.create_builder ~reserved_vregs:0 in
+            let v0 = Vcode.fresh_vreg b in
+            let v1 = Vcode.fresh_vreg b in
+            let v2 = Vcode.fresh_vreg b in
+            Vcode.emit b (Vcode.Vmovi (v0, 7));
+            Vcode.emit b (Vcode.Vcall (Isa.H_sbf_count, [], Some v1));
+            Vcode.emit b (Vcode.Valu (Isa.Add, v2, v0, v1));
+            Vcode.emit b (Vcode.Vcall (Isa.H_get_reg, [ v2 ], None));
+            Vcode.emit b Vcode.Vexit;
+            let code = Vcode.finish b ~num_vregs:3 in
+            let alloc = Regalloc.allocate code in
+            (match alloc.Regalloc.homes.(v0) with
+            | Some (Regalloc.Reg r) when r >= 6 && r <= 9 -> ()
+            | Some h ->
+                Alcotest.failf "v0 crosses a call but lives in %a"
+                  Regalloc.pp_home h
+            | None -> Alcotest.fail "v0 has no home");
+            List.iter
+              (fun v ->
+                match alloc.Regalloc.homes.(v) with
+                | Some (Regalloc.Reg r) when r >= 3 && r <= 5 -> ()
+                | Some h ->
+                    Alcotest.failf "call-free v%d lives in %a, not r3-r5" v
+                      Regalloc.pp_home h
+                | None -> Alcotest.failf "v%d has no home" v)
+              [ v1; v2 ]);
+        tc "a loop-carried vreg keeps its register over a value used once"
+          (fun () ->
+            (* v0 is defined first and read once after a loop; v1..v4 are
+               carried around the loop, whose body calls a helper, and
+               read after v0 is. Five call-crossing values compete for
+               r6-r9: v0 ends first but weighs least (two occurrences
+               outside any loop), so v0 is the one that spills. *)
+            let b = Vcode.create_builder ~reserved_vregs:0 in
+            let v = Array.init 6 (fun _ -> Vcode.fresh_vreg b) in
+            Vcode.emit b (Vcode.Vmovi (v.(0), 42));
+            for i = 1 to 4 do
+              Vcode.emit b (Vcode.Vmovi (v.(i), 0))
+            done;
+            let l = Vcode.fresh_label b in
+            let start = Vcode.here b in
+            Vcode.emit b (Vcode.Vlabel l);
+            Vcode.emit b (Vcode.Vcall (Isa.H_sbf_count, [], None));
+            for i = 1 to 4 do
+              Vcode.emit b (Vcode.Valui (Isa.Add, v.(i), v.(i), 1))
+            done;
+            Vcode.emit b (Vcode.Vjcci (Isa.Jlt, v.(1), 10, l));
+            Vcode.record_loop b ~start ~stop:(Vcode.here b);
+            Vcode.emit b (Vcode.Valui (Isa.Add, v.(5), v.(0), 1));
+            for i = 1 to 4 do
+              Vcode.emit b (Vcode.Valu (Isa.Add, v.(5), v.(5), v.(i)))
+            done;
+            Vcode.emit b Vcode.Vexit;
+            let code = Vcode.finish b ~num_vregs:6 in
+            let alloc = Regalloc.allocate code in
+            (match alloc.Regalloc.homes.(v.(0)) with
+            | Some (Regalloc.Stack _) -> ()
+            | _ -> Alcotest.fail "the value used once should spill");
+            for i = 1 to 4 do
+              match alloc.Regalloc.homes.(v.(i)) with
+              | Some (Regalloc.Reg _) -> ()
+              | _ -> Alcotest.failf "loop-carried v%d should keep a register" i
+            done);
       ] );
   ]

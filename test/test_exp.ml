@@ -390,7 +390,68 @@ let sweep_suite =
                 | Error msg ->
                     Alcotest.(check bool)
                       "diagnostic mentions the action" true
-                      (contains ~sub:"explode" msg)))
+                      (contains ~sub:"explode" msg)));
+        tc "non-finite measurements are written as JSON null" (fun () ->
+            (* a dash run whose chunk never arrived has an infinite worst
+               lateness; JSON has no infinity or NaN literal *)
+            let run =
+              {
+                Sweep.r_params = List.hd (Spec.runs Spec.default);
+                r_sim_time = 1.0;
+                r_delivered = 0;
+                r_goodput_bps = nan;
+                r_completion = Some infinity;
+                r_executions = 0;
+                r_pushes = 0;
+                r_subflow_bytes = [];
+                r_inv_total = 0;
+                r_inv_messages = [];
+                r_extra = [ ("worst_lateness_ms", infinity); ("chunks", 3.0) ];
+              }
+            in
+            let group =
+              {
+                Sweep.g_scenario = "dash";
+                g_scheduler = "default";
+                g_engine = "interpreter";
+                g_cc = "lia";
+                g_topology = "default";
+                g_loss = 0.0;
+                g_fleet = 1;
+                g_rate = 0.0;
+                g_size = "default";
+                g_fault = "none";
+                g_runs = 1;
+                g_completed = 1;
+                g_goodput_mean = nan;
+                g_goodput_min = neg_infinity;
+                g_goodput_max = infinity;
+                g_completion_mean = infinity;
+                g_inv_total = 0;
+              }
+            in
+            let json =
+              Sweep.to_json
+                { Sweep.spec = Spec.default; jobs = 1; runs = [ run ];
+                  groups = [ group ] }
+            in
+            Alcotest.(check bool)
+              "worst lateness is null" true
+              (contains ~sub:{|"worst_lateness_ms":null|} json);
+            Alcotest.(check bool)
+              "finite extras keep their format" true
+              (contains ~sub:{|"chunks":3.000|} json);
+            (* every token outside string literals *)
+            let outside_strings =
+              String.concat ""
+                (List.filteri (fun i _ -> i mod 2 = 0)
+                   (String.split_on_char '"' json))
+            in
+            List.iter
+              (fun token ->
+                if contains ~sub:token outside_strings then
+                  Alcotest.failf "%s token in %s" token json)
+              [ "inf"; "nan" ])
       ] );
   ]
 
